@@ -9,13 +9,13 @@ other environment configuration exists — semantics flow through flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from .config import RunConfig
-from .core import IntMatrix, round_half_down
-from .factorize import GammaFactorization, gamma2_bracket, verify_factorization
+from .factorize import GammaFactorization, gamma2_bracket, gamma2_upper
 from .formats import (
     dump_decomposition,
     dump_factorization,
@@ -27,7 +27,7 @@ from .formats import (
     load_matrix,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .littlestone import DEFAULT_BUDGET, ldim, ldim_alpha
+from .littlestone import BudgetExceeded, ldim, ldim_alpha
 from .partition import greedy_partition
 from .pipeline import decompose, exact_block_complexity
 from .suite import run_suite
@@ -35,11 +35,30 @@ from .suite import run_suite
 __all__ = ["main"]
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=16, help="random solver restarts (default 16)")
-    p.add_argument("--max-iter", type=int, default=400, help="ascent iterations per restart")
-    p.add_argument("--tol", type=float, default=1e-9, help="certificate residual tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomized paths")
+# RunConfig field -> (flag, help).  Defaults and types come from RunConfig.
+_RUN_FLAGS = {
+    "seed": ("--seed", "seed for all randomized paths"),
+    "tol": ("--tol", "certificate residual tolerance"),
+    "restarts": ("--restarts", "random solver restarts"),
+    "max_iter": ("--max-iter", "ascent iterations per restart"),
+    "littlestone_budget": ("--budget", "dimension-recursion node budget"),
+    "oracle_depth": ("--oracle-depth", "term-count cap of the brute-force oracle"),
+}
+_SOLVER_FIELDS = ("seed", "tol", "restarts", "max_iter", "littlestone_budget")
+
+
+def _add_run_flags(p: argparse.ArgumentParser, fields) -> None:
+    for name in fields:
+        flag, text = _RUN_FLAGS[name]
+        default = getattr(RunConfig, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default,
+                       metavar=flag[2:].upper().replace("-", "_"), help=f"{text} (default %(default)s)")
+
+
+def _run_config(args) -> RunConfig:
+    """The validated RunConfig of the run flags this subcommand declares."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    return RunConfig(**{name: getattr(args, name) for name in names if hasattr(args, name)})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,18 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma2", help="two-sided factorization-norm estimate")
     p.add_argument("--input", required=True)
-    _add_solver_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="dimension-recursion node budget")
+    _add_run_flags(p, _SOLVER_FIELDS)
     p.add_argument("--out", help="write the upper-bound factorization to this JSON file")
 
     p = sub.add_parser("ldim", help="exact mistake-tree dimension of a sign matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_run_flags(p, ("littlestone_budget",))
 
     p = sub.add_parser("ldim-alpha", help="exact weighted mistake-tree dimension")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_run_flags(p, ("littlestone_budget",))
 
     p = sub.add_parser("partition", help="greedy constant-class column partition")
     p.add_argument("--input", required=True)
@@ -72,8 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--factorization", help="JSON certificate; computed when omitted")
     p.add_argument("--gamma", type=float, help="refuse if the certificate norm exceeds this")
-    _add_solver_flags(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    _add_run_flags(p, _SOLVER_FIELDS)
     p.add_argument("--force", action="store_true", help="proceed on a non-certifying factorization")
     p.add_argument("--out", required=True, help="decomposition JSON output path")
     p.add_argument("--report", required=True, help="report JSON output path")
@@ -84,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact block complexity by exhaustive search")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-l", type=int, default=6)
+    p.add_argument("--max-l", type=int, default=RunConfig.oracle_depth)
 
     p = sub.add_parser("gen", help="generate a test matrix (optionally with certificate)")
     p.add_argument("--kind", required=True, choices=KINDS)
@@ -100,33 +117,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="also write the exact factorization certificate")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--max-iter", type=int, default=400)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--oracle-depth", type=int, default=6)
+    _add_run_flags(p, _SOLVER_FIELDS + ("oracle_depth",))
     p.add_argument("--select", default="", help="comma-separated criterion numbers (default: all)")
     p.add_argument("--out-dir", help="write results.json and data tables here")
     return ap
 
 
 def _cmd_gamma2(args) -> int:
+    config = _run_config(args)
     A = load_matrix(args.input)
-    bracket = gamma2_bracket(
-        np.asarray(A, dtype=np.float64),
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    bracket = gamma2_bracket(np.asarray(A, dtype=np.float64), config)
     fac = bracket.upper_witness
-    certifying = fac.certifies(args.tol)
+    certifying = fac.certifies(config.tol)
     print(f"lower bound: {bracket.lower:.9g} via {bracket.lower_witness}")
     print(
         f"upper bound: {fac.gamma:.9g} (residual {fac.residual:.3e}, "
-        f"{'certifying' if certifying else 'NOT certifying'} at tol {args.tol:g})"
+        f"{'certifying' if certifying else 'NOT certifying'} at tol {config.tol:g})"
     )
     if args.out:
         dump_factorization(fac.U, fac.V, fac.gamma, fac.residual, args.out)
@@ -135,14 +141,16 @@ def _cmd_gamma2(args) -> int:
 
 
 def _cmd_ldim(args) -> int:
+    budget = _run_config(args).littlestone_budget
     A = load_matrix(args.input)
-    print(ldim(np.asarray(A, dtype=np.float64), budget=args.budget))
+    print(ldim(np.asarray(A, dtype=np.float64), budget=budget))
     return 0
 
 
 def _cmd_ldim_alpha(args) -> int:
+    budget = _run_config(args).littlestone_budget
     A = load_matrix(args.input)
-    print(ldim_alpha(np.asarray(A, dtype=np.float64), args.alpha, budget=args.budget))
+    print(ldim_alpha(np.asarray(A, dtype=np.float64), args.alpha, budget=budget))
     return 0
 
 
@@ -158,23 +166,16 @@ def _cmd_partition(args) -> int:
     for i, cls in enumerate(gp.classes):
         print(f"class {i}: (x={cls.row}, b={cls.value}, size={len(cls.columns)}, members={list(cls.columns)})")
     deltas = (0.5, 0.25, 0.1, 0.05)
-    size = arr.shape[1]
-    import math
-
-    ceiling = math.log(size) + 1
-    print(f"density table (columns: delta={deltas}, cap=(ln {size}+1)/delta)")
-    values = sorted(int(v) for v in np.unique(arr) if v != 0)
+    print(f"density table (columns: delta={deltas}, cap=(ln {arr.shape[1]}+1)/delta)")
+    table = gp.density_table(deltas)  # len(deltas) consecutive rows per (x, b)
     violations = 0
-    for x in range(arr.shape[0]):
-        for b in values:
-            counts = [gp.dense_class_count(x, b, d) for d in deltas]
-            if not any(counts):
-                continue
-            print(f"  x={x} b={b}: counts={counts}")
-            if args.check_bound:
-                for d, c in zip(deltas, counts):
-                    if c > ceiling / d + 1e-9:
-                        violations += 1
+    for k in range(0, len(table), len(deltas)):
+        group = table[k : k + len(deltas)]
+        counts = [r["count"] for r in group]
+        if not any(counts):
+            continue
+        print(f"  x={group[0]['row']} b={group[0]['value']}: counts={counts}")
+        violations += sum(r["count"] > r["ceiling"] + 1e-9 for r in group)
     if args.check_bound:
         print(f"density bound check: {violations} violations")
         return 0 if violations == 0 else 1
@@ -182,28 +183,21 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    config = _run_config(args)
     A = load_int_matrix(args.input)
-    fac = None
     if args.factorization:
         U, V, gamma, residual = load_factorization(args.factorization)
         fac = GammaFactorization(U=U, V=V, gamma=gamma, residual=residual)
-    s, report = decompose(
-        A.values,
-        fac=fac,
-        tol=args.tol,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        budget=args.budget,
-        force=args.force,
-    )
-    gamma0 = report.gamma_squared_trajectory[0] ** 0.5
-    if args.gamma is not None and gamma0 > args.gamma and not args.force:
+    else:
+        fac = gamma2_upper(A.values, config)
+    if args.gamma is not None and fac.gamma > args.gamma and not args.force:
         print(
-            f"error: certificate norm {gamma0:.6f} exceeds the requested bound {args.gamma:.6f}",
+            f"error: certificate norm {fac.gamma:.6f} exceeds the requested bound {args.gamma:.6f}",
             file=sys.stderr,
         )
         return 2
+    s, report = decompose(A.values, fac=fac, config=config, force=args.force)
+    gamma0 = report.gamma_squared_trajectory[0] ** 0.5
     dump_decomposition(s, args.out)
     dump_report(report.to_json_dict(), args.report)
     print(
@@ -273,15 +267,7 @@ def _cmd_suite(args) -> int:
     selection = None
     if args.select:
         selection = [int(s) for s in args.select.split(",") if s != ""]
-    config = RunConfig(
-        seed=args.seed,
-        tol=args.tol,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        littlestone_budget=args.budget,
-        oracle_depth=args.oracle_depth,
-    )
-    code, _ = run_suite(config, selection=selection, out_dir=args.out_dir)
+    code, _ = run_suite(_run_config(args), selection=selection, out_dir=args.out_dir)
     return code
 
 
@@ -302,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

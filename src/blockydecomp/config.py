@@ -1,7 +1,9 @@
-"""Run configuration shared by the CLI and the acceptance suite."""
+"""Run configuration shared by the library entry points, the CLI and the suite."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .littlestone import DEFAULT_BUDGET
@@ -11,9 +13,11 @@ from .littlestone import DEFAULT_BUDGET
 class RunConfig:
     """Knobs threaded through every randomized or budgeted code path.
 
-    ``littlestone_budget`` caps exact dimension-recursion node expansions;
-    ``oracle_depth`` caps the brute-force complexity search.  Output paths
-    are carried by the CLI flags, not here.
+    ``seed``, ``restarts`` and ``max_iter`` drive the norm solver; ``tol``
+    is the certificate residual tolerance; ``littlestone_budget`` caps exact
+    dimension-recursion node expansions; ``oracle_depth`` caps the
+    brute-force complexity search.  The field defaults are the package
+    defaults.  Output paths are carried by the CLI flags, not here.
     """
 
     seed: int = 0
@@ -24,11 +28,15 @@ class RunConfig:
     oracle_depth: int = 6
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.restarts < 0:
-            raise ValueError(f"restarts must be nonnegative, got {self.restarts}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {self.max_iter}")
-        if self.littlestone_budget < 1 or self.oracle_depth < 1:
-            raise ValueError("budgets must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        for name, low in (
+            ("seed", 0),
+            ("restarts", 0),
+            ("max_iter", 1),
+            ("littlestone_budget", 1),
+            ("oracle_depth", 1),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Floats at or above this magnitude no longer represent every integer exactly.
+_EXACT_FLOAT_INT = 2.0**53
+
+
 def as_int_array(matrix) -> np.ndarray:
     """Coerce an IntMatrix / array-like into a validated 2-d int64 array."""
     if isinstance(matrix, IntMatrix):
@@ -42,8 +46,12 @@ def as_int_array(matrix) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={arr.ndim}")
     if arr.dtype.kind == "f":
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("integer matrix required, got non-finite entries")
         if not np.all(arr == np.floor(arr)):
             raise ValueError("integer matrix required, got non-integral entries")
+        if np.any(np.abs(arr) >= _EXACT_FLOAT_INT):
+            raise ValueError("integer entries must be below 2**53 in magnitude when given as floats")
         arr = arr.astype(np.int64)
     elif arr.dtype.kind == "b":
         arr = arr.astype(np.int64)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import SignedBlockySum, _freeze, as_real_array
 from .littlestone import BudgetExceeded, DEFAULT_BUDGET, ldim, ldim_alpha
 
@@ -53,9 +54,9 @@ class GammaFactorization:
 
     ``residual`` is the measured max-entry deviation ``‖A - U@V‖_max`` against
     the matrix the factorization was produced for.  The inner dimension is
-    ``U.shape[1]``; solver outputs keep it at most ``rows + cols``, while exact
-    blocky-sum certificates may use one inner coordinate per rectangle and can
-    exceed that, so the cap is not enforced here.
+    ``U.shape[1]``; solver outputs keep it at most ``min(rows, cols)``, while
+    exact blocky-sum certificates use one inner coordinate per rectangle and
+    can exceed that, so no cap is enforced here.
     """
 
     U: np.ndarray
@@ -93,7 +94,7 @@ class GammaFactorization:
     def product(self) -> np.ndarray:
         return self.U @ self.V
 
-    def certifies(self, tol: float = 1e-9) -> bool:
+    def certifies(self, tol: float = RunConfig.tol) -> bool:
         return self.residual <= tol
 
 
@@ -140,7 +141,9 @@ def _max_col_norm(V: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("ij,ij->j", V, V).max(initial=0.0)))
 
 
-def verify_factorization(matrix, fac: GammaFactorization, tol: float = 1e-9) -> VerificationReport:
+def verify_factorization(
+    matrix, fac: GammaFactorization, tol: float = RunConfig.tol
+) -> VerificationReport:
     """Check a certificate against a matrix; the report carries the measured maxima."""
     A = as_real_array(matrix)
     if fac.shape != A.shape:
@@ -159,7 +162,7 @@ def verify_factorization(matrix, fac: GammaFactorization, tol: float = 1e-9) -> 
     )
 
 
-def _ascend_weights(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, max_iter: int):
+def _ascend_weights(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, iterations: int):
     """Multiplicative-weights ascent; returns (best_cert, best_L, best_R).
 
     Each iteration SVDs the weighted matrix; the balanced factors L, R give
@@ -172,7 +175,7 @@ def _ascend_weights(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, max_iter: int
     best_cert = math.inf
     best_L = best_R = None
     stale = 0
-    for _ in range(max_iter):
+    for _ in range(iterations):
         su, sv = np.sqrt(u), np.sqrt(v)
         W = su[:, None] * A * sv[None, :]
         P, sig, Qt = np.linalg.svd(W, full_matrices=False)
@@ -199,50 +202,42 @@ def _ascend_weights(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, max_iter: int
     return best_cert, best_L, best_R
 
 
-def gamma2_upper(
-    matrix,
-    restarts: int = 16,
-    max_iter: int = 400,
-    tol: float = 1e-9,
-    seed: int = 0,
-    inner_dim: int | None = None,
-) -> GammaFactorization:
+def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     """Numerical upper bound on the factorization norm, as a checked certificate.
 
-    Runs the weight ascent from a uniform start plus ``restarts`` seeded random
-    starts, keeps the first factorization achieving the smallest measured gamma
-    (1e-12 slack), then polishes the residual with up to three alternating
-    exact least-squares solves and rescales so rows of U are unit-capped.
-    The inner dimension defaults to min(rows, cols) of the nonzero core and can
-    be padded up to rows + cols via ``inner_dim``.  A result whose residual
-    still exceeds ``tol`` is returned as-is (non-certifying); callers decide.
+    Runs the weight ascent (at most ``config.max_iter`` iterations) from a
+    uniform start plus ``config.restarts`` random starts seeded by
+    ``config.seed``, keeps the first factorization achieving the smallest
+    measured gamma (1e-12 slack), then polishes the residual with up to three
+    alternating exact least-squares solves and rescales so rows of U are
+    unit-capped.  The inner dimension is min(rows, cols) of the nonzero core.
+    A result whose residual still exceeds ``config.tol`` is returned as-is
+    (non-certifying); callers decide.
     """
+    config = config or RunConfig()
     A_full = as_real_array(matrix)
     m, n = A_full.shape
     rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
     cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
     if rows_keep.size == 0 or cols_keep.size == 0:
-        t = 0 if inner_dim is None else min(int(inner_dim), m + n)
-        return GammaFactorization(
-            U=np.zeros((m, t)), V=np.zeros((t, n)), gamma=0.0, residual=0.0
-        )
+        return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
     A = A_full[np.ix_(rows_keep, cols_keep)]
     ms, ns = A.shape
     t = min(ms, ns)
 
     best_gamma = math.inf
     best_L = best_R = None
-    for r in range(restarts + 1):
+    for r in range(config.restarts + 1):
         if r == 0:
             u0 = np.full(ms, 1.0 / ms)
             v0 = np.full(ns, 1.0 / ns)
         else:
-            rng = np.random.default_rng([seed, r])
+            rng = np.random.default_rng([config.seed, r])
             u0 = rng.exponential(size=ms)
             u0 /= u0.sum()
             v0 = rng.exponential(size=ns)
             v0 /= v0.sum()
-        cert, L, R = _ascend_weights(A, u0, v0, max_iter)
+        cert, L, R = _ascend_weights(A, u0, v0, config.max_iter)
         if cert < best_gamma - 1e-12:
             best_gamma, best_L, best_R = cert, L, R
 
@@ -255,10 +250,10 @@ def gamma2_upper(
         L = np.linalg.lstsq(R.T, A.T, rcond=None)[0].T
         resid = float(np.abs(A - L @ R).max())
         candidates.append((resid, _max_row_norm(L) * _max_col_norm(R), L, R))
-        if resid <= tol:
+        if resid <= config.tol:
             break
     # Prefer a certifying candidate of minimal gamma; with none, minimal residual.
-    certifying = [c for c in candidates if c[0] <= tol]
+    certifying = [c for c in candidates if c[0] <= config.tol]
     pool = certifying if certifying else candidates
     resid, gamma, L, R = min(pool, key=lambda c: (c[1], c[0]))
 
@@ -266,18 +261,11 @@ def gamma2_upper(
     if s > 0:
         L = L / s
         R = R * s
-    # Re-embed into the original frame; padded rows/columns are zero.
+    # Re-embed into the original frame; the dropped zero rows/columns stay zero.
     U_out = np.zeros((m, t))
     V_out = np.zeros((t, n))
     U_out[rows_keep] = L
     V_out[:, cols_keep] = R
-    if inner_dim is not None:
-        want = min(int(inner_dim), m + n)
-        if want < t:
-            raise ValueError(f"inner_dim {inner_dim} below the solver dimension {t}")
-        if want > t:
-            U_out = np.hstack([U_out, np.zeros((m, want - t))])
-            V_out = np.vstack([V_out, np.zeros((want - t, n))])
     # Outward-rounded measurement: the certificate claim is "norm ≤ gamma",
     # so roundoff in the norm computation must never undercut the true value.
     gamma = _max_row_norm(U_out) * _max_col_norm(V_out) * (1 + 5e-16)
@@ -319,17 +307,11 @@ def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
     return best, tag
 
 
-def gamma2_bracket(
-    matrix,
-    restarts: int = 16,
-    max_iter: int = 400,
-    tol: float = 1e-9,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> NormBracket:
+def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     """Two-sided estimate: exact lower bounds plus a solver certificate."""
-    upper = gamma2_upper(matrix, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-    lower, witness = gamma2_lower(matrix, budget=budget)
+    config = config or RunConfig()
+    upper = gamma2_upper(matrix, config)
+    lower, witness = gamma2_lower(matrix, budget=config.littlestone_budget)
     return NormBracket(
         lower=lower, upper=upper.gamma, lower_witness=witness, upper_witness=upper
     )

@@ -32,9 +32,10 @@ _KINDS = ("int", "real")
 
 def _build(arr: np.ndarray, kind: str, where) -> IntMatrix | RealMatrix:
     if kind == "int":
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError(f"{where}: matrix declared int but has fractional entries")
-        return IntMatrix(arr.astype(np.int64))
+        try:
+            return IntMatrix(arr)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     if kind == "real":
         return RealMatrix(arr)
     raise ValueError(f"{where}: unknown matrix kind {kind!r}; expected one of {_KINDS}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,41 +143,53 @@ class GreedyPartition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def class_probability(self, index: int, x: int, b: int) -> float:
-        """Fraction of class ``index`` columns where row x equals b."""
-        cls = self.classes[index]
-        vals = self.matrix[x, list(cls.columns)]
-        return int(np.count_nonzero(vals == b)) / len(cls.columns)
+    @cached_property
+    def class_probabilities(self) -> dict[tuple[int, int], np.ndarray]:
+        """Per (row x, nonzero value b of the matrix): for each class, in order,
+        the fraction of its columns where row x equals b.
+
+        Keys run over every row and every nonzero value, row-major with values
+        ascending; computed on first use.
+        """
+        values = np.unique(self.matrix[self.matrix != 0])
+        per_class = np.empty((self.matrix.shape[0], values.size, len(self.classes)))
+        for i, cls in enumerate(self.classes):
+            block = self.matrix[:, list(cls.columns)]
+            hits = np.count_nonzero(block[:, :, None] == values[None, None, :], axis=1)
+            per_class[:, :, i] = hits / len(cls.columns)
+        per_class.setflags(write=False)
+        return {
+            (x, int(b)): per_class[x, j]
+            for x in range(self.matrix.shape[0])
+            for j, b in enumerate(values)
+        }
+
+    def _probabilities(self, x: int, b: int) -> np.ndarray:
+        found = self.class_probabilities.get((x, b))
+        return np.zeros(len(self.classes)) if found is None else found
 
     def probability_sum(self, x: int, b: int) -> float:
         """Sum over classes of the row-x probability of value b."""
-        return sum(self.class_probability(i, x, b) for i in range(len(self.classes)))
+        return float(self._probabilities(x, b).sum())
 
     def dense_class_count(self, x: int, b: int, delta: float) -> int:
         """Number of classes where row x equals b on at least a delta fraction."""
-        return sum(
-            1 for i in range(len(self.classes)) if self.class_probability(i, x, b) >= delta
-        )
+        return int(np.count_nonzero(self._probabilities(x, b) >= delta))
 
     def density_table(self, deltas=(0.5, 0.25, 0.1, 0.05)) -> list[dict]:
         """Dense-class counts and their harmonic ceilings for each (x, b, delta)."""
-        n = self.matrix.shape[1]
-        ceiling = math.log(n) + 1
-        out = []
-        values = sorted(int(v) for v in np.unique(self.matrix) if v != 0)
-        for x in range(self.matrix.shape[0]):
-            for b in values:
-                for delta in deltas:
-                    out.append(
-                        {
-                            "row": x,
-                            "value": b,
-                            "delta": delta,
-                            "count": self.dense_class_count(x, b, delta),
-                            "ceiling": ceiling / delta,
-                        }
-                    )
-        return out
+        ceiling = math.log(self.matrix.shape[1]) + 1
+        return [
+            {
+                "row": x,
+                "value": b,
+                "delta": delta,
+                "count": self.dense_class_count(x, b, delta),
+                "ceiling": ceiling / delta,
+            }
+            for x, b in self.class_probabilities
+            for delta in deltas
+        ]
 
 
 def greedy_partition(matrix) -> GreedyPartition:

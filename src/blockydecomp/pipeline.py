@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import (
     AlmostIntegerCertificate,
     BlockyMatrix,
@@ -36,7 +37,7 @@ from .core import (
     round_half_down,
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
-from .littlestone import DEFAULT_BUDGET, bucket_stabilize
+from .littlestone import bucket_stabilize
 from .partition import greedy_l1_decompose, greedy_partition, subtract_average
 
 __all__ = [
@@ -92,16 +93,18 @@ def norm_decrement_step(
     matrix,
     fac: GammaFactorization,
     eps: float,
-    tol: float = 1e-9,
-    budget: int = DEFAULT_BUDGET,
+    config: RunConfig | None = None,
 ) -> DecrementStep:
     """Split one blocky layer off an eps-almost-integer matrix.
 
-    Requires the certificate to reproduce the matrix within ``tol``, eps < 1/4,
-    and a nonzero rounding.  Aborts with RoundingDriftError if any grid value
-    chosen for rounding is farther than 1/4 + eps (plus slack) from an integer,
-    which signals that the almost-integer certificate no longer holds.
+    Requires the certificate to reproduce the matrix within ``config.tol``,
+    eps < 1/4, and a nonzero rounding; ``config.littlestone_budget`` caps the
+    stabilizer's exact dimension recursions.  Aborts with RoundingDriftError
+    if any grid value chosen for rounding is farther than 1/4 + eps (plus
+    slack) from an integer, which signals that the almost-integer
+    certificate no longer holds.
     """
+    config = config or RunConfig()
     A = as_real_array(matrix)
     m, n = A.shape
     if fac.shape != (m, n):
@@ -109,8 +112,8 @@ def norm_decrement_step(
     if not (0 <= eps < 0.25):
         raise ValueError(f"eps must lie in [0, 1/4), got {eps}")
     resid = float(np.abs(A - fac.product()).max(initial=0.0))
-    if resid > tol:
-        raise ValueError(f"factorization residual {resid:.3e} exceeds tol {tol:.3e}")
+    if resid > config.tol:
+        raise ValueError(f"factorization residual {resid:.3e} exceeds tol {config.tol:.3e}")
     A_Z = round_half_down(A)
     if not A_Z.any():
         raise ValueError("rounded matrix is zero; nothing to decrement")
@@ -136,7 +139,7 @@ def norm_decrement_step(
         captured_here: list[np.ndarray] = []
         for cls in part.classes:
             S = active[list(cls.columns)]
-            stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1, budget=budget)
+            stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1, budget=config.littlestone_budget)
             certified = certified and stab.certified
             S1 = S[list(stab.columns)]
             g = stab.row_values
@@ -252,29 +255,27 @@ class PipelineReport:
 def decompose(
     matrix,
     fac: GammaFactorization | None = None,
-    tol: float = 1e-9,
-    restarts: int = 16,
-    max_iter: int = 400,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
+    config: RunConfig | None = None,
     force: bool = False,
 ) -> tuple[SignedBlockySum, PipelineReport]:
     """Full signed blocky decomposition of an integer matrix, verified exactly.
 
-    Uses the supplied factorization certificate (or computes one) and peels
-    norm-decrement levels until the working product rounds to zero.  The
-    returned sum is checked entry-for-entry against the input; a mismatch
-    raises ReconstructionError with a witness entry.  A certificate whose
-    residual exceeds ``tol`` is refused unless ``force`` is set.
+    Uses the supplied factorization certificate (or computes one with
+    ``gamma2_upper(matrix, config)``) and peels norm-decrement levels until
+    the working product rounds to zero.  The returned sum is checked
+    entry-for-entry against the input; a mismatch raises ReconstructionError
+    with a witness entry.  A certificate whose residual exceeds
+    ``config.tol`` is refused unless ``force`` is set.
     """
+    config = config or RunConfig()
     A = as_int_array(matrix)
     m, n = A.shape
     if fac is None:
-        fac = gamma2_upper(A, restarts=restarts, max_iter=max_iter, tol=tol, seed=seed)
-    report = verify_factorization(A.astype(np.float64), fac, tol)
+        fac = gamma2_upper(A, config)
+    report = verify_factorization(A.astype(np.float64), fac, config.tol)
     if not report.ok and not force:
         raise ValueError(
-            f"factorization does not certify the input at tol {tol:.3e} "
+            f"factorization does not certify the input at tol {config.tol:.3e} "
             f"(row norm {report.max_row_norm:.9f}, column norm {report.max_col_norm:.9f} "
             f"vs gamma {fac.gamma:.9f}, residual {report.residual:.3e}); "
             "pass force=True to proceed anyway"
@@ -300,7 +301,7 @@ def decompose(
             raise AssertionError(
                 f"level count exceeded the cap {level_cap} implied by gamma0^2 = {gamma0_sq:.6f}"
             )
-        step = norm_decrement_step(A_cur, fac_cur, eps_cur, tol=tol, budget=budget)
+        step = norm_decrement_step(A_cur, fac_cur, eps_cur, config)
         remainder = A_cur - step.a_prime
         lhs = round_half_down(A_cur)
         additive = np.array_equal(
@@ -403,13 +404,15 @@ def _blocky_library(m: int, n: int) -> np.ndarray:
     return lib
 
 
-def exact_block_complexity(matrix, l_max: int = 6) -> int | None:
+def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int | None:
     """Minimum number of signed blocky terms summing to the matrix, or None.
 
     Exhaustive: enumerates every blocky matrix of the given shape and runs
     iterative-deepening search over signed sums, memoizing failed residuals.
     Restricted to m*n <= 16 and l_max <= 6 by precondition.  None means the
-    complexity exceeds l_max.
+    complexity exceeds l_max; that is answered without search when some
+    entry exceeds l_max in magnitude, since each signed blocky term moves an
+    entry by at most 1.
     """
     A = as_int_array(matrix)
     m, n = A.shape
@@ -419,6 +422,8 @@ def exact_block_complexity(matrix, l_max: int = 6) -> int | None:
         raise ValueError(f"l_max must lie in [0, 6], got {l_max}")
     if not A.any():
         return 0
+    if np.abs(A).max() > l_max:
+        return None
     lib = _blocky_library(m, n)
     signed = np.concatenate([lib, -lib], axis=0).astype(np.int8)
     one_sums = {s.tobytes() for s in signed}
@@ -464,28 +469,32 @@ def exact_block_complexity(matrix, l_max: int = 6) -> int | None:
     return None
 
 
-def random_lower_bound_experiment(n: int, trials: int, seed: int = 0, mode: str | None = None) -> dict:
+def random_lower_bound_experiment(
+    n: int, trials: int, config: RunConfig | None = None, mode: str | None = None
+) -> dict:
     """Distribution of block complexity over uniform random boolean matrices.
 
-    Exact mode (n <= 4) uses the brute-force oracle; pipeline mode reports
-    decomposition term counts, which are only upper bounds.  The reference
+    Trial t draws its matrix from the seed ``[config.seed, t]``.  Exact mode
+    (n <= 4) uses the brute-force oracle; pipeline mode reports decomposition
+    term counts, which are only upper bounds.  The reference
     value n / (4 log2(2n)) is the proved high-probability lower bound for
     random boolean matrices; the report is observational.
     """
+    config = config or RunConfig()
     if mode is None:
         mode = "exact" if n <= 4 else "pipeline-upper"
     if mode == "exact" and n > 4:
         raise ValueError("exact mode requires n <= 4")
     values = []
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
+        rng = np.random.default_rng([config.seed, t])
         A = rng.integers(0, 2, size=(n, n))
         if mode == "exact":
             v = exact_block_complexity(A)
             if v is None:
                 v = len(greedy_l1_decompose(A))
         else:
-            s, _ = decompose(A, seed=seed)
+            s, _ = decompose(A, config=config)
             v = len(s)
         values.append(int(v))
     values_arr = np.array(values)

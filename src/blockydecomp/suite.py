@@ -58,18 +58,10 @@ class SuiteContext:
 
     def boolean3x3(self) -> list[dict]:
         if self._boolean3 is None:
-            cfg = self.config
             out = []
             for code in range(512):
                 A = np.array([(code >> k) & 1 for k in range(9)], dtype=np.int64).reshape(3, 3)
-                s, rep = decompose(
-                    A,
-                    tol=cfg.tol,
-                    restarts=cfg.restarts,
-                    max_iter=cfg.max_iter,
-                    seed=cfg.seed,
-                    budget=cfg.littlestone_budget,
-                )
+                s, rep = decompose(A, config=self.config)
                 out.append({"code": code, "matrix": A, "sum": s, "report": rep})
             self._boolean3 = out
         return self._boolean3
@@ -86,13 +78,7 @@ class SuiteContext:
                 inst = generate(
                     GeneratorSpec(kind="random-blocky-sum", n=n, m=m, term_count=l0), seed=i
                 )
-                s, rep = decompose(
-                    inst.matrix,
-                    fac=inst.certificate,
-                    tol=cfg.tol,
-                    seed=cfg.seed,
-                    budget=cfg.littlestone_budget,
-                )
+                s, rep = decompose(inst.matrix, fac=inst.certificate, config=cfg)
                 out.append({"id": i, "instance": inst, "sum": s, "report": rep})
             self._blocky50 = out
         return self._blocky50
@@ -101,10 +87,9 @@ class SuiteContext:
 def criterion_1(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     """Pinned norm values: the 2/sqrt(3) witness and the exact-1 anchors."""
     t0 = time.perf_counter()
-    kw = dict(restarts=config.restarts, max_iter=config.max_iter, tol=config.tol, seed=config.seed)
-    g_l = gamma2_upper([[1, 0], [1, 1]], **kw).gamma
-    g_i = gamma2_upper(np.eye(3), **kw).gamma
-    g_j = gamma2_upper(np.ones((3, 3)), **kw).gamma
+    g_l = gamma2_upper([[1, 0], [1, 1]], config).gamma
+    g_i = gamma2_upper(np.eye(3), config).gamma
+    g_j = gamma2_upper(np.ones((3, 3)), config).gamma
     ok = (
         1.15470 <= g_l <= 1.15570
         and 1.0 <= g_i <= 1.0 + 1e-6
@@ -127,8 +112,7 @@ def criterion_2(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         m = int(rng.integers(2, 7))
         n = int(rng.integers(2, 11))
         A = rng.choice([-1.0, 1.0], size=(m, n))
-        gamma = gamma2_upper(A, restarts=config.restarts, max_iter=config.max_iter,
-                             tol=config.tol, seed=config.seed).gamma
+        gamma = gamma2_upper(A, config).gamma
         d = ldim(A, budget=config.littlestone_budget)
         worst_sqrt = max(worst_sqrt, math.sqrt(d) - gamma)
         if math.sqrt(d) > gamma + 1e-6:
@@ -202,17 +186,7 @@ def criterion_4(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         ceiling = math.log(size) + 1
         worst_slack = -math.inf
         worst_count_margin = -math.inf
-        probs = {}  # (x, b) -> per-class probability array
-        for idx, cls in enumerate(gp.classes):
-            vals = A[:, list(cls.columns)]
-            for b in range(-3, 4):
-                if b == 0:
-                    continue
-                p = (vals == b).mean(axis=1)
-                for x in range(A.shape[0]):
-                    if p[x] > 0:
-                        probs.setdefault((x, b), np.zeros(len(gp.classes)))[idx] = p[x]
-        for (x, b), arr in probs.items():
+        for arr in gp.class_probabilities.values():
             s = float(arr.sum())
             worst_slack = max(worst_slack, s - ceiling)
             if s > ceiling + 1e-9:
@@ -354,7 +328,7 @@ def criterion_9(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
 def criterion_10(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     """Observational complexity histogram for random 3x3 boolean matrices."""
     t0 = time.perf_counter()
-    rep = random_lower_bound_experiment(3, 100, seed=config.seed)
+    rep = random_lower_bound_experiment(3, 100, config)
     floor_ref = math.floor(rep["reference"])
     ok = rep["min"] >= floor_ref
     dt = time.perf_counter() - t0

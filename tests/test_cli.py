@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from blockydecomp import cli
 from blockydecomp.cli import main
 from blockydecomp.core import IntMatrix
 from blockydecomp.formats import dump_matrix, load_decomposition
@@ -74,6 +75,51 @@ def test_decompose_gamma_gate(corner, tmp_path, capsys):
     )
     assert code == 2
     assert "exceeds the requested bound" in capsys.readouterr().err
+
+
+def test_decompose_gamma_gate_runs_before_decomposing(corner, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose ran although the gate refuses")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
+    code = main(
+        ["decompose", "--input", corner, "--gamma", "1.0", "--out", str(dpath), "--report", str(rpath)]
+    )
+    assert code == 2
+    assert "exceeds the requested bound" in capsys.readouterr().err
+    assert not dpath.exists() and not rpath.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-iter", "0"], ["--restarts", "-1"], ["--tol", "-1"], ["--seed", "-1"]]
+)
+def test_invalid_run_flags_are_clean_errors(corner, capsys, flags):
+    assert main(["gamma2", "--input", corner, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_suite_rejects_invalid_run_flags(capsys):
+    assert main(["suite", "--select", "1", "--max-iter", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: max_iter")
+
+
+def test_budget_exhaustion_is_a_clean_error(tmp_path, capsys):
+    p = tmp_path / "sign.txt"
+    dump_matrix(IntMatrix([[1, -1, 1], [-1, 1, 1]]), p)
+    assert main(["ldim", "--input", str(p), "--budget", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+    assert main(["ldim-alpha", "--input", str(p), "--alpha", "1.0", "--budget", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_oracle_rejects_unrepresentable_int_entries(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("1 2 int\n1e30 1\n")
+    assert main(["oracle", "--input", str(p)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_verify_detects_mismatch(corner, tmp_path, capsys):

@@ -1,0 +1,33 @@
+"""Validation of the shared run configuration."""
+
+import numpy as np
+import pytest
+
+from blockydecomp.config import RunConfig
+
+
+def test_defaults_validate():
+    cfg = RunConfig()
+    assert (cfg.seed, cfg.tol, cfg.restarts, cfg.max_iter, cfg.oracle_depth) == (0, 1e-9, 16, 400, 6)
+    assert RunConfig(seed=np.int64(3), restarts=0).seed == 3
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"seed": -1},
+        {"restarts": -1},
+        {"restarts": 2.5},
+        {"restarts": True},
+        {"max_iter": 0},
+        {"littlestone_budget": 0},
+        {"oracle_depth": 0},
+    ],
+)
+def test_invalid_values_rejected(kwargs):
+    with pytest.raises(ValueError):
+        RunConfig(**kwargs)

@@ -181,6 +181,13 @@ def test_int_matrix_freezing_and_validation():
     assert as_int_array([[1.0, 2.0]]).dtype == np.int64
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**53, -(2.0**53)])
+def test_int_array_rejects_unrepresentable_floats(bad):
+    with pytest.raises(ValueError):
+        as_int_array([[bad, 1.0]])
+    assert as_int_array([[2.0**53 - 1, 1.0]])[0, 0] == 2**53 - 1
+
+
 def test_convolution_matrix_structure():
     f = np.array([5, 0, -1, 0])
     M = convolution_matrix(4, f)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum
 from blockydecomp.factorize import (
     GammaFactorization,
@@ -62,8 +63,8 @@ def test_zero_rows_and_columns_are_reembedded():
 
 def test_determinism():
     A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
-    f1 = gamma2_upper(A, seed=7)
-    f2 = gamma2_upper(A, seed=7)
+    f1 = gamma2_upper(A, RunConfig(seed=7))
+    f2 = gamma2_upper(A, RunConfig(seed=7))
     assert f1.gamma == f2.gamma
     assert np.array_equal(f1.U, f2.U) and np.array_equal(f1.V, f2.V)
 
@@ -72,20 +73,11 @@ def test_submatrix_never_much_harder():
     rng = np.random.default_rng(41)
     for _ in range(8):
         A = rng.integers(-2, 3, size=(4, 6)).astype(float)
-        g_full = gamma2_upper(A, restarts=8, seed=2).gamma
+        g_full = gamma2_upper(A, RunConfig(restarts=8, seed=2)).gamma
         rows = np.sort(rng.permutation(4)[:3])
         cols = np.sort(rng.permutation(6)[:4])
-        g_sub = gamma2_upper(A[np.ix_(rows, cols)], restarts=8, seed=2).gamma
+        g_sub = gamma2_upper(A[np.ix_(rows, cols)], RunConfig(restarts=8, seed=2)).gamma
         assert g_sub <= g_full + 1e-4
-
-
-def test_inner_dim_padding_and_floor():
-    fac = gamma2_upper(CORNER, inner_dim=3)
-    assert fac.inner_dim == 3 and fac.certifies()
-    assert 1.15470 <= fac.gamma <= 1.15570
-    assert gamma2_upper(CORNER, inner_dim=99).inner_dim == 4  # capped at rows+cols
-    with pytest.raises(ValueError):
-        gamma2_upper(CORNER, inner_dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +154,7 @@ def test_bracket_sandwich_random():
     rng = np.random.default_rng(42)
     for _ in range(8):
         A = rng.integers(-2, 3, size=(3, 5))
-        br = gamma2_bracket(A, restarts=8, seed=1)
+        br = gamma2_bracket(A, RunConfig(restarts=8, seed=1))
         assert br.lower <= br.upper + 1e-6 * max(1.0, br.upper)
         assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "weighted-Littlestone")
         assert verify_factorization(A, br.upper_witness, tol=1e-6).ok

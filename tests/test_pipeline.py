@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
 from blockydecomp.factorize import GammaFactorization, factorization_from_blocky_sum
 from blockydecomp.partition import greedy_l1_decompose
@@ -123,7 +124,7 @@ def test_decompose_random_exactness_and_invariants():
     rng = np.random.default_rng(50)
     for _ in range(6):
         A = rng.integers(-2, 3, size=(4, 5))
-        s, rep = decompose(A, restarts=8, seed=3)
+        s, rep = decompose(A, config=RunConfig(restarts=8, seed=3))
         assert np.array_equal(s.evaluate(), A)
         for sign, b in s.terms:
             assert sign in (-1, 1) and is_blocky(b.to_dense())
@@ -197,6 +198,16 @@ def test_oracle_validation():
         exact_block_complexity([[1]], l_max=7)
 
 
+def test_oracle_answers_large_entries_without_search():
+    # Each signed blocky term moves an entry by at most 1, so an entry above
+    # l_max rules out every sum of at most l_max terms.
+    assert exact_block_complexity([[2**53, 1]]) is None
+    assert exact_block_complexity([[7, 0], [0, 1]]) is None
+    assert exact_block_complexity([[3, -2]], l_max=2) is None
+    assert exact_block_complexity([[3, -2]], l_max=5) == 5
+    assert exact_block_complexity([[3, 0]], l_max=3) == 3
+
+
 def test_oracle_lower_bounds_other_term_counts():
     rng = np.random.default_rng(51)
     for _ in range(10):
@@ -204,7 +215,7 @@ def test_oracle_lower_bounds_other_term_counts():
         v = exact_block_complexity(A)
         assert v is not None
         assert v <= len(greedy_l1_decompose(A))
-        s, _ = decompose(A, restarts=6, seed=4)
+        s, _ = decompose(A, config=RunConfig(restarts=6, seed=4))
         assert v <= len(s)
 
 
@@ -213,8 +224,8 @@ def test_oracle_lower_bounds_other_term_counts():
 
 
 def test_experiment_deterministic_and_shaped():
-    r1 = random_lower_bound_experiment(3, 12, seed=9)
-    r2 = random_lower_bound_experiment(3, 12, seed=9)
+    r1 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
+    r2 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
     assert r1 == r2
     assert set(r1) == {"n", "trials", "mode", "histogram", "min", "median", "max", "reference"}
     assert r1["mode"] == "exact"
@@ -224,12 +235,12 @@ def test_experiment_deterministic_and_shaped():
 
 
 def test_experiment_one_by_one():
-    r = random_lower_bound_experiment(1, 8, seed=2)
+    r = random_lower_bound_experiment(1, 8, RunConfig(seed=2))
     assert set(r["histogram"]) <= {0, 1}
 
 
 def test_experiment_pipeline_mode_and_validation():
-    r = random_lower_bound_experiment(2, 4, seed=3, mode="pipeline-upper")
+    r = random_lower_bound_experiment(2, 4, RunConfig(seed=3), mode="pipeline-upper")
     assert r["mode"] == "pipeline-upper" and r["min"] >= 0
     with pytest.raises(ValueError):
         random_lower_bound_experiment(5, 2, mode="exact")
