@@ -16,10 +16,15 @@ weight vectors u, v on the probability simplex, the trace norm of
 diag(sqrt(u)) @ A @ diag(sqrt(v)) is a lower bound on the factorization
 norm, the maximizing weights make it tight, and each SVD of the weighted
 matrix yields both a supergradient (for a multiplicative-weights step) and
-a concrete factorization whose measured gamma upper-bounds the norm.  Plain
-alternating least squares over (U, V) turned out to stall at non-optimal
-balanced factorizations on invertible inputs, so the weight ascent drives
-the search and least squares is kept for the final residual polish.
+a concrete factorization whose measured gamma upper-bounds the norm.  The
+uniform start and the random restarts ascend as one batch: each iteration
+SVDs the stacked weighted matrices of all still-active restarts in a single
+call, and a per-restart stop mask drops a restart from the batch once its
+own gap closes or it goes stale, so every restart follows exactly the
+iterates it would follow alone.  Plain alternating least squares over
+(U, V) turned out to stall at non-optimal balanced factorizations on
+invertible inputs, so the weight ascent drives the search and least
+squares is kept for the final residual polish.
 """
 
 from __future__ import annotations
@@ -162,43 +167,60 @@ def verify_factorization(
     )
 
 
-def _ascend_weights(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, iterations: int):
-    """Multiplicative-weights ascent; returns (best_cert, best_L, best_R).
+def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int):
+    """Multiplicative-weights ascent from a stack of starts, all advanced together.
 
-    Each iteration SVDs the weighted matrix; the balanced factors L, R give
-    supergradient coordinates (squared row norms of L, squared column norms
-    of R) and a certificate maxrow(L)*maxcol(R).  Stops on a small gap
-    between certificate and trace-norm value, or after 60 stale iterations.
+    The start weights ``u`` are ``(R, m)`` and ``v`` are ``(R, n)``: one row
+    per restart.  Each iteration SVDs the stack of weighted matrices of the
+    restarts still active in one call; per restart, the balanced factors
+    L, R give supergradient coordinates (squared row norms of L, squared
+    column norms of R) and a certificate maxrow(L)*maxcol(R).  A restart
+    leaves the active set on a small gap between its certificate and its
+    trace-norm value, or after 60 stale iterations; the arithmetic per
+    restart is the same as ascending it alone.  Returns
+    ``(best_cert, best_L, best_R)`` with one entry per restart.
     """
     eta = 0.35
-    u, v = u0.copy(), v0.copy()
-    best_cert = math.inf
-    best_L = best_R = None
-    stale = 0
+    n_starts, m = u.shape
+    n = v.shape[1]
+    t = min(m, n)
+    best_cert = np.full(n_starts, math.inf)
+    best_L = np.zeros((n_starts, m, t))
+    best_R = np.zeros((n_starts, t, n))
+    stale = np.zeros(n_starts, dtype=np.int64)
+    active = np.arange(n_starts)
     for _ in range(iterations):
         su, sv = np.sqrt(u), np.sqrt(v)
-        W = su[:, None] * A * sv[None, :]
+        W = su[:, :, None] * A[None, :, :] * sv[:, None, :]
         P, sig, Qt = np.linalg.svd(W, full_matrices=False)
-        f_val = float(sig.sum())
+        f_val = sig.sum(axis=1)
         s_half = np.sqrt(sig)
-        L = (P * s_half[None, :]) / su[:, None]
-        R = (s_half[:, None] * Qt) / sv[None, :]
-        gu = np.einsum("ij,ij->i", L, L)
-        gv = np.einsum("ij,ij->j", R, R)
-        cert = math.sqrt(float(gu.max()) * float(gv.max()))
-        if cert < best_cert - 1e-12:
-            best_cert, best_L, best_R = cert, L, R
-            stale = 0
-        else:
-            stale += 1
-        if cert - f_val <= 1e-7 * max(1.0, f_val) or stale >= 60:
-            break
-        u = u * np.exp(eta * gu / gu.max())
+        L = (P * s_half[:, None, :]) / su[:, :, None]
+        R = (s_half[:, :, None] * Qt) / sv[:, None, :]
+        gu = np.einsum("rij,rij->ri", L, L)
+        gv = np.einsum("rij,rij->rj", R, R)
+        gu_max = gu.max(axis=1)
+        gv_max = gv.max(axis=1)
+        cert = np.sqrt(gu_max * gv_max)
+        improved = cert < best_cert[active] - 1e-12
+        won = active[improved]
+        best_cert[won] = cert[improved]
+        best_L[won] = L[improved]
+        best_R[won] = R[improved]
+        stale = np.where(improved, 0, stale + 1)
+        done = (cert - f_val <= 1e-7 * np.maximum(1.0, f_val)) | (stale >= 60)
+        if done.any():
+            keep = ~done
+            active, stale, u, v = active[keep], stale[keep], u[keep], v[keep]
+            gu, gv, gu_max, gv_max = gu[keep], gv[keep], gu_max[keep], gv_max[keep]
+            if active.size == 0:
+                break
+        u = u * np.exp(eta * gu / gu_max[:, None])
         u = np.maximum(u, 1e-250)
-        u /= u.sum()
-        v = v * np.exp(eta * gv / gv.max())
+        u /= u.sum(axis=1, keepdims=True)
+        v = v * np.exp(eta * gv / gv_max[:, None])
         v = np.maximum(v, 1e-250)
-        v /= v.sum()
+        v /= v.sum(axis=1, keepdims=True)
     return best_cert, best_L, best_R
 
 
@@ -207,12 +229,14 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
 
     Runs the weight ascent (at most ``config.max_iter`` iterations) from a
     uniform start plus ``config.restarts`` random starts seeded by
-    ``config.seed``, keeps the first factorization achieving the smallest
-    measured gamma (1e-12 slack), then polishes the residual with up to three
-    alternating exact least-squares solves and rescales so rows of U are
-    unit-capped.  The inner dimension is min(rows, cols) of the nonzero core.
-    A result whose residual still exceeds ``config.tol`` is returned as-is
-    (non-certifying); callers decide.
+    ``config.seed``.  All starts ascend together, one stacked SVD per
+    iteration, each with its own stop test that drops it from the batch.
+    Keeps the first restart, in index order, achieving the smallest
+    measured gamma (1e-12 slack), then polishes the residual with up to
+    three alternating exact least-squares solves and rescales so rows of U
+    are unit-capped.  The inner dimension is min(rows, cols) of the nonzero
+    core.  A result whose residual still exceeds ``config.tol`` is returned
+    as-is (non-certifying); callers decide.
     """
     config = config or RunConfig()
     A_full = as_real_array(matrix)
@@ -225,25 +249,26 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     ms, ns = A.shape
     t = min(ms, ns)
 
+    u0 = np.empty((config.restarts + 1, ms))
+    v0 = np.empty((config.restarts + 1, ns))
+    u0[0] = 1.0 / ms
+    v0[0] = 1.0 / ns
+    for r in range(1, config.restarts + 1):
+        rng = np.random.default_rng([config.seed, r])
+        u0[r] = rng.exponential(size=ms)
+        u0[r] /= u0[r].sum()
+        v0[r] = rng.exponential(size=ns)
+        v0[r] /= v0[r].sum()
+    certs, Ls, Rs = _ascend_weights(A, u0, v0, config.max_iter)
     best_gamma = math.inf
-    best_L = best_R = None
-    for r in range(config.restarts + 1):
-        if r == 0:
-            u0 = np.full(ms, 1.0 / ms)
-            v0 = np.full(ns, 1.0 / ns)
-        else:
-            rng = np.random.default_rng([config.seed, r])
-            u0 = rng.exponential(size=ms)
-            u0 /= u0.sum()
-            v0 = rng.exponential(size=ns)
-            v0 /= v0.sum()
-        cert, L, R = _ascend_weights(A, u0, v0, config.max_iter)
+    winner = 0
+    for r, cert in enumerate(certs):
         if cert < best_gamma - 1e-12:
-            best_gamma, best_L, best_R = cert, L, R
+            best_gamma, winner = cert, r
 
     # Residual polish: alternating exact least squares keeps the factors near
     # the optimum found above while driving ‖A - LR‖_max to roundoff.
-    L, R = best_L, best_R
+    L, R = Ls[winner].copy(), Rs[winner].copy()
     candidates = [(float(np.abs(A - L @ R).max()), _max_row_norm(L) * _max_col_norm(R), L, R)]
     for _ in range(3):
         R = np.linalg.lstsq(L, A, rcond=None)[0]

@@ -48,8 +48,15 @@ __all__ = [
     "norm_decrement_step",
     "decompose",
     "exact_block_complexity",
+    "MAX_DECOMPOSE_ENTRY",
     "random_lower_bound_experiment",
 ]
+
+
+# Every signed blocky sum for A has at least max|A| terms, and the unit peel
+# does one round per unit of a row's l1 norm, so larger entries imply output
+# and work the pipeline cannot deliver in reasonable time.
+MAX_DECOMPOSE_ENTRY = 4096
 
 
 class RoundingDriftError(RuntimeError):
@@ -265,10 +272,17 @@ def decompose(
     the working product rounds to zero.  The returned sum is checked
     entry-for-entry against the input; a mismatch raises ReconstructionError
     with a witness entry.  A certificate whose residual exceeds
-    ``config.tol`` is refused unless ``force`` is set.
+    ``config.tol`` is refused unless ``force`` is set.  Inputs with an entry
+    of magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
     """
     config = config or RunConfig()
     A = as_int_array(matrix)
+    # max/min rather than abs: abs(-2**63) wraps to a negative int64.
+    if A.max() > MAX_DECOMPOSE_ENTRY or A.min() < -MAX_DECOMPOSE_ENTRY:
+        raise ValueError(
+            f"an entry exceeds the decomposition limit of {MAX_DECOMPOSE_ENTRY} in magnitude; "
+            "a signed blocky sum needs at least max|A| terms"
+        )
     m, n = A.shape
     if fac is None:
         fac = gamma2_upper(A, config)

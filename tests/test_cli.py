@@ -122,6 +122,15 @@ def test_oracle_rejects_unrepresentable_int_entries(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_decompose_rejects_huge_entries(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    dump_matrix(IntMatrix([[2**40, 1]]), p)
+    dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
+    assert main(["decompose", "--input", str(p), "--out", str(dpath), "--report", str(rpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: an entry exceeds the decomposition limit")
+    assert not dpath.exists() and not rpath.exists()
+
+
 def test_verify_detects_mismatch(corner, tmp_path, capsys):
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
     main(["decompose", "--input", corner, "--out", str(dpath), "--report", str(rpath)])

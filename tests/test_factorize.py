@@ -1,11 +1,13 @@
 """Factorization-norm solver, certificates, and exact lower bounds."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from blockydecomp import factorize
 from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum
 from blockydecomp.factorize import (
@@ -78,6 +80,88 @@ def test_submatrix_never_much_harder():
         cols = np.sort(rng.permutation(6)[:4])
         g_sub = gamma2_upper(A[np.ix_(rows, cols)], RunConfig(restarts=8, seed=2)).gamma
         assert g_sub <= g_full + 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: the solver's certificates are pinned bit for bit, so any
+# change to the ascent that is not bit-identical fails here.  Recorded with
+# numpy 2.4.6 (OpenBLAS) on x86-64; another LAPACK build may round differently.
+
+GOLDEN_INPUTS = {
+    "corner": CORNER,
+    "eye3": np.eye(3),
+    "ones3": np.ones((3, 3)),
+    "hadamard2": [[1, 1], [1, -1]],
+    "sign8": np.random.default_rng(8).choice([-1, 1], size=(8, 8)),
+    "ternary16": np.random.default_rng(16).integers(-1, 2, size=(16, 16)),
+    "row1x5": [[1, -2, 0, 3, 1]],
+    "col5x1": [[2], [0], [-1], [1], [1]],
+}
+
+# name -> (float.hex(gamma), float.hex(residual), sha256 of U bytes + V bytes)
+GOLDEN = {
+    "corner": ("0x1.279a7622e9704p+0", "0x1.4000000000000p-51", "93a42bb5fa35616a2aef3e039ed306eccb337fcab659e9b79b9d3df3ad5d573c"),
+    "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
+    "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "be3521b9871079815a595a0ebb91d7318bd5271216955e87e1f28e18b4bd91f5"),
+    "hadamard2": ("0x1.6a09e667f3bd0p+0", "0x1.0000000000000p-52", "d6fd7328baf060ac8f0f9d7dc2994bd792ca6e1ad334decfc2b89155b529fd94"),
+    "sign8": ("0x1.3207229bbb4a5p+1", "0x1.6000000000000p-49", "ee0e0f25c2372da7c5eb5c158619054a08eab426661301a3013bf53fcfa01464"),
+    "ternary16": ("0x1.74b17e698d63dp+1", "0x1.8000000000000p-49", "0e05795ca7aaa1641c3b1de1b4e2628f744d6bc36d088e19610f0507a0f34b17"),
+    "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "68f02da6d329f951ae35fd2c3cf0470ee30234242b4c113c8c8ead8e886125f6"),
+    "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_certificates(name):
+    fac = gamma2_upper(GOLDEN_INPUTS[name])
+    digest = hashlib.sha256(fac.U.tobytes() + fac.V.tobytes()).hexdigest()
+    assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name, config, gamma_hex",
+    [
+        ("row1x5", RunConfig(), GOLDEN["row1x5"][0]),
+        ("col5x1", RunConfig(), GOLDEN["col5x1"][0]),
+        ("corner", RunConfig(restarts=0), "0x1.279a762d7c088p+0"),
+        ("sign8", RunConfig(restarts=0), "0x1.3207229caddd0p+1"),
+        ("corner", RunConfig(max_iter=1), "0x1.3eced1347d4dcp+0"),
+        ("sign8", RunConfig(max_iter=1), "0x1.5061c8ae0e301p+1"),
+        ("ones3", RunConfig(), GOLDEN["ones3"][0]),
+    ],
+)
+def test_batched_ascent_edge_cases(name, config, gamma_hex):
+    A = GOLDEN_INPUTS[name]
+    fac = gamma2_upper(A, config)
+    assert verify_factorization(A, fac).ok
+    assert float.hex(fac.gamma) == gamma_hex
+
+
+def _count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(factorize.np.linalg, "svd", counted)
+    return calls
+
+
+def test_one_stacked_svd_per_ascent_iteration(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    config = RunConfig()
+    gamma2_upper([[1, 0, 1], [0, 1, 1], [1, 1, 0]], config)
+    assert 0 < len(calls) <= config.max_iter
+    assert calls[0] == (config.restarts + 1, 3, 3)
+
+
+def test_every_restart_stopping_at_once_costs_one_svd(monkeypatch):
+    # A rank-one sign pattern closes the gap from any start on iteration one.
+    calls = _count_svds(monkeypatch)
+    gamma2_upper(np.ones((3, 3)))
+    assert calls == [(RunConfig.restarts + 1, 3, 3)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from blockydecomp import pipeline
 from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
 from blockydecomp.factorize import GammaFactorization, factorization_from_blocky_sum
 from blockydecomp.partition import greedy_l1_decompose
 from blockydecomp.pipeline import (
+    MAX_DECOMPOSE_ENTRY,
     decompose,
     exact_block_complexity,
     norm_decrement_step,
@@ -148,6 +150,23 @@ def test_report_json_shape():
         "boundFit",
     }
     assert d["totalTerms"] == rep.total_terms
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[2**40, 1]],
+        [[1, -(MAX_DECOMPOSE_ENTRY + 1)]],
+        np.array([[np.iinfo(np.int64).min, 0]]),  # abs() of this wraps negative
+    ],
+)
+def test_decompose_rejects_huge_entries_before_any_work(A, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver ran on an input the cap rejects")
+
+    monkeypatch.setattr(pipeline, "gamma2_upper", refuse)
+    with pytest.raises(ValueError, match="decomposition limit"):
+        decompose(A)
 
 
 def test_bound_fit_none_for_single_row():
