@@ -29,7 +29,7 @@ from .formats import (
 from .generators import KINDS, GeneratorSpec, generate
 from .littlestone import BudgetExceeded, ldim, ldim_alpha
 from .partition import greedy_partition
-from .pipeline import decompose, exact_block_complexity
+from .pipeline import check_entry_cap, decompose, exact_block_complexity
 from .suite import run_suite
 
 __all__ = ["main"]
@@ -185,6 +185,7 @@ def _cmd_partition(args) -> int:
 def _cmd_decompose(args) -> int:
     config = _run_config(args)
     A = load_int_matrix(args.input)
+    check_entry_cap(A.values)
     if args.factorization:
         U, V, gamma, residual = load_factorization(args.factorization)
         fac = GammaFactorization(U=U, V=V, gamma=gamma, residual=residual)

@@ -313,6 +313,40 @@ def majority_stabilize(matrix, eps: float, budget: int = DEFAULT_BUDGET) -> Stab
     )
 
 
+# The stabilizer scan tests chunks of (row, grid value) pairs at once, sized
+# so that its (rows, grid values, columns) temporaries hold about this many
+# entries: enough to amortize per-call overhead without raising peak memory.
+_SCAN_ELEMENTS = 1 << 16
+
+
+def _first_accepting(sub: np.ndarray, grid: np.ndarray, window: float, eps: float):
+    """Smallest accepting grid value per row, and the first row accepting none.
+
+    Returns ``(g, bad_row)`` with ``bad_row = -1`` when every row accepts;
+    otherwise ``g`` is filled only for the row chunks before ``bad_row``.
+    """
+    m, size = sub.shape
+    n_grid = grid.size
+    g = np.empty(m, dtype=np.float64)
+    per_chunk = max(1, _SCAN_ELEMENTS // size)
+    centers = min(n_grid, per_chunk)
+    rows = max(1, per_chunk // centers)
+    for start in range(0, m, rows):
+        block = sub[start : start + rows, None, :]
+        first = np.full(block.shape[0], n_grid)
+        for c0 in range(0, n_grid, centers):
+            part = grid[c0 : c0 + centers, None]
+            ok = np.count_nonzero(np.abs(block - part) >= window, axis=2) / size <= eps
+            first = np.minimum(first, np.where(ok.any(axis=1), c0 + ok.argmax(axis=1), n_grid))
+            if (first < n_grid).all():
+                break
+        rejected = first == n_grid
+        if rejected.any():
+            return g, start + int(np.argmax(rejected))
+        g[start : start + block.shape[0]] = grid[first]
+    return g, -1
+
+
 def bucket_stabilize(
     matrix, alpha: float, eps: float, budget: int = DEFAULT_BUDGET
 ) -> StabilizationResult:
@@ -327,6 +361,12 @@ def bucket_stabilize(
     kept (ties keep the fullest bucket; on budget exhaustion the larger side
     is kept and the result is marked uncertified).  eps = 0 is allowed and
     demands full capture; the size bound is then vacuous after any shrink.
+
+    Each scan is a few array calls with unchanged semantics: the acceptance
+    test (the same elementwise comparison) runs as one broadcast per chunk
+    of rows, chunks holding about ``_SCAN_ELEMENTS`` (row, grid value,
+    column) entries, and a non-accepting row's bucket counts come from one
+    sort and two ``searchsorted`` calls.
     """
     arr = as_real_array(matrix)
     if alpha <= 0:
@@ -346,35 +386,21 @@ def bucket_stabilize(
     while True:
         sub = arr[:, cols]
         size = cols.size
-        g = np.empty(m, dtype=np.float64)
-        bad_row = -1
-        for x in range(m):
-            vals = sub[x]
-            accepted = None
-            for center in grid:
-                outside = int(np.count_nonzero(np.abs(vals - center) >= window))
-                if outside / size <= eps:
-                    accepted = float(center)
-                    break
-            if accepted is None:
-                bad_row = x
-                break
-            g[x] = accepted
+        g, bad_row = _first_accepting(sub, grid, window, eps)
         if bad_row < 0:
             break
         vals = sub[bad_row]
-        counts = [
-            int(np.count_nonzero((vals >= grid[i - 1]) & (vals <= grid[i])))
-            for i in range(1, n_buckets + 1)
-        ]
+        ordered = np.sort(vals)  # bucket i holds grid[i-1] <= v <= grid[i]
+        counts = np.searchsorted(ordered, grid[1:], side="right") - np.searchsorted(
+            ordered, grid[:-1], side="left"
+        )
         i_star = int(np.argmax(counts)) + 1  # first maximum = smallest index
+        far = np.abs(np.arange(1, n_buckets + 1) - i_star) >= 2
         j_star = None
         for threshold in (max(eps * size / n_buckets, 1.0), 1.0):
-            for j in range(1, n_buckets + 1):
-                if abs(j - i_star) >= 2 and counts[j - 1] >= threshold:
-                    j_star = j
-                    break
-            if j_star is not None:
+            hits = np.flatnonzero(far & (counts >= threshold))
+            if hits.size:
+                j_star = int(hits[0]) + 1
                 break
         if j_star is None:
             raise AssertionError("no far bucket found for a non-accepting row")
@@ -391,10 +417,7 @@ def bucket_stabilize(
         if steps > n:
             raise AssertionError("bucket stabilization failed to terminate")
     sub = arr[:, cols]
-    size = cols.size
-    rates = np.array(
-        [np.count_nonzero(np.abs(sub[x] - g[x]) >= window) / size for x in range(m)]
-    )
+    rates = np.count_nonzero(np.abs(sub - g[:, None]) >= window, axis=1) / cols.size
     divisor = max(n_buckets, 1)
     return StabilizationResult(
         kind="bucket",

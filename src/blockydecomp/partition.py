@@ -37,7 +37,8 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
     The positive and negative parts are peeled separately, one unit per
     round: every row with a surviving nonzero entry donates one unit in its
     smallest nonzero column, and rows are grouped by chosen column into
-    single-column rectangles (disjoint by construction, hence blocky).
+    single-column rectangles (disjoint by construction, hence blocky).  A
+    round is a few array calls over all rows at once.
     Round count per part equals that part's max row sum, so the total term
     count is at most 2 * max_x sum_y |A(x,y)|.
     """
@@ -46,16 +47,17 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
     terms: list[tuple[int, BlockyMatrix]] = []
     for sign, part in ((1, np.clip(arr, 0, None)), (-1, np.clip(-arr, 0, None))):
         work = part.copy()
-        while work.any():
-            chosen: dict[int, list[int]] = {}
-            for x in range(m):
-                nz = np.flatnonzero(work[x])
-                if nz.size:
-                    y = int(nz[0])
-                    chosen.setdefault(y, []).append(x)
-                    work[x, y] -= 1
+        while True:
+            rows = np.flatnonzero(work.any(axis=1))
+            if not rows.size:
+                break
+            firsts = np.argmax(work[rows] != 0, axis=1)
+            work[rows, firsts] -= 1
+            by_column = np.argsort(firsts, kind="stable")
+            ys, starts = np.unique(firsts[by_column], return_index=True)
+            groups = np.split(rows[by_column], starts[1:])
             rects = tuple(
-                (tuple(rows), (y,)) for y, rows in sorted(chosen.items())
+                (tuple(group.tolist()), (y,)) for y, group in zip(ys.tolist(), groups)
             )
             terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=rects)))
     return SignedBlockySum(shape=(m, n), terms=tuple(terms))
@@ -198,30 +200,35 @@ def greedy_partition(matrix) -> GreedyPartition:
     Each step scans every (row, nonzero value) pair, counts its matching
     columns among the remainder, and extracts the largest class; ties prefer
     the smallest row, then the smallest |value|, negative before positive.
-    Requires every column to have a nonzero entry.
+    Requires every column to have a nonzero entry.  The scan is one
+    ``np.unique`` per step over codes of all rows together, with the same
+    classes and order as a per-row count.
     """
     arr = as_int_array(matrix)
     m, n = arr.shape
     zero_cols = np.flatnonzero(~arr.any(axis=0))
     if zero_cols.size:
         raise ValueError(f"all-zero column {int(zero_cols[0])}: caller must strip zero columns")
+    # Code each nonzero entry as row * (#values) + rank of its value, ranks
+    # ordering values by |b| with negative first: among the largest counts,
+    # the smallest code is then the tie-break winner.
+    nonzero = arr != 0
+    values, value_index = np.unique(arr[nonzero], return_inverse=True)
+    order = np.lexsort((values > 0, np.abs(values)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    codes = np.full(arr.shape, -1, dtype=np.int64)
+    codes[nonzero] = np.nonzero(nonzero)[0] * values.size + rank[value_index]
     remaining = np.arange(n)
     classes: list[PartitionClass] = []
     while remaining.size:
-        sub = arr[:, remaining]
-        best = None  # (count, row, |b|, sign-rank, b)
-        for x in range(m):
-            vals, counts = np.unique(sub[x][sub[x] != 0], return_counts=True)
-            for b, c in zip(vals.tolist(), counts.tolist()):
-                key = (-c, x, abs(b), 0 if b < 0 else 1)
-                if best is None or key < best[0]:
-                    best = (key, x, b)
-        _, x, b = best
-        mask = sub[x] == b
+        sub = codes[:, remaining]
+        found, counts = np.unique(sub[sub >= 0], return_counts=True)
+        x, r = divmod(int(found[np.argmax(counts)]), values.size)
+        b = int(values[order[r]])
+        mask = arr[x, remaining] == b
         members = remaining[mask]
-        classes.append(
-            PartitionClass(columns=tuple(int(y) for y in members), row=x, value=int(b))
-        )
+        classes.append(PartitionClass(columns=tuple(members.tolist()), row=x, value=b))
         remaining = remaining[~mask]
     sizes = [len(c.columns) for c in classes]
     if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):

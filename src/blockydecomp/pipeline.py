@@ -49,6 +49,7 @@ __all__ = [
     "decompose",
     "exact_block_complexity",
     "MAX_DECOMPOSE_ENTRY",
+    "check_entry_cap",
     "random_lower_bound_experiment",
 ]
 
@@ -57,6 +58,19 @@ __all__ = [
 # does one round per unit of a row's l1 norm, so larger entries imply output
 # and work the pipeline cannot deliver in reasonable time.
 MAX_DECOMPOSE_ENTRY = 4096
+
+
+def check_entry_cap(A: np.ndarray) -> None:
+    """Raise ValueError when an entry of the integer matrix exceeds ``MAX_DECOMPOSE_ENTRY``.
+
+    Callers run it before any solver or peel work on the matrix.
+    """
+    # max/min rather than abs: abs(-2**63) wraps to a negative int64.
+    if A.max() > MAX_DECOMPOSE_ENTRY or A.min() < -MAX_DECOMPOSE_ENTRY:
+        raise ValueError(
+            f"an entry exceeds the decomposition limit of {MAX_DECOMPOSE_ENTRY} in magnitude; "
+            "a signed blocky sum needs at least max|A| terms"
+        )
 
 
 class RoundingDriftError(RuntimeError):
@@ -277,12 +291,7 @@ def decompose(
     """
     config = config or RunConfig()
     A = as_int_array(matrix)
-    # max/min rather than abs: abs(-2**63) wraps to a negative int64.
-    if A.max() > MAX_DECOMPOSE_ENTRY or A.min() < -MAX_DECOMPOSE_ENTRY:
-        raise ValueError(
-            f"an entry exceeds the decomposition limit of {MAX_DECOMPOSE_ENTRY} in magnitude; "
-            "a signed blocky sum needs at least max|A| terms"
-        )
+    check_entry_cap(A)
     m, n = A.shape
     if fac is None:
         fac = gamma2_upper(A, config)

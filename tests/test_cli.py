@@ -122,7 +122,11 @@ def test_oracle_rejects_unrepresentable_int_entries(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_decompose_rejects_huge_entries(tmp_path, capsys):
+def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver ran on an input the cap rejects")
+
+    monkeypatch.setattr(cli, "gamma2_upper", refuse)
     p = tmp_path / "huge.txt"
     dump_matrix(IntMatrix([[2**40, 1]]), p)
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"

@@ -1,10 +1,12 @@
 """Mistake-tree dimensions and stabilizers against brute-force recursions."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from blockydecomp import littlestone
 from blockydecomp.littlestone import (
     BudgetExceeded,
     MistakeLeaf,
@@ -266,3 +268,143 @@ def test_bucket_validation():
         bucket_stabilize([[0.0, 1.0]], alpha=0.0, eps=0.1)
     with pytest.raises(ValueError):
         bucket_stabilize([[0.0, 1.0]], alpha=0.5, eps=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# bucket_stabilize against the row-by-row loop scan it replaced
+
+
+def loop_bucket_stabilize(arr, alpha, eps, budget=10**7):
+    """Reference: one count per (row, grid value) and per bucket, in Python loops."""
+    arr = np.asarray(arr, dtype=np.float64)
+    m, n = arr.shape
+    big_m = float(np.abs(arr).max())
+    n_buckets = math.ceil(2 * big_m / alpha)
+    while -big_m + n_buckets * alpha < big_m:
+        n_buckets += 1
+    grid = -big_m + alpha * np.arange(n_buckets + 1, dtype=np.float64)
+    window = 2 * alpha
+    cols = np.arange(n)
+    steps = 0
+    certified = True
+    while True:
+        sub = arr[:, cols]
+        size = cols.size
+        g = np.empty(m, dtype=np.float64)
+        bad_row = -1
+        for x in range(m):
+            accepted = None
+            for center in grid:
+                outside = int(np.count_nonzero(np.abs(sub[x] - center) >= window))
+                if outside / size <= eps:
+                    accepted = float(center)
+                    break
+            if accepted is None:
+                bad_row = x
+                break
+            g[x] = accepted
+        if bad_row < 0:
+            break
+        vals = sub[bad_row]
+        counts = [
+            int(np.count_nonzero((vals >= grid[i - 1]) & (vals <= grid[i])))
+            for i in range(1, n_buckets + 1)
+        ]
+        i_star = int(np.argmax(counts)) + 1
+        j_star = None
+        for threshold in (max(eps * size / n_buckets, 1.0), 1.0):
+            for j in range(1, n_buckets + 1):
+                if abs(j - i_star) >= 2 and counts[j - 1] >= threshold:
+                    j_star = j
+                    break
+            if j_star is not None:
+                break
+        side_i = cols[(vals >= grid[i_star - 1]) & (vals <= grid[i_star])]
+        side_j = cols[(vals >= grid[j_star - 1]) & (vals <= grid[j_star])]
+        try:
+            d_i = ldim_alpha(arr[:, side_i], alpha, budget=budget)
+            d_j = ldim_alpha(arr[:, side_j], alpha, budget=budget)
+            cols = side_i if d_i <= d_j else side_j
+        except BudgetExceeded:
+            certified = False
+            cols = side_i if side_i.size >= side_j.size else side_j
+        steps += 1
+    sub = arr[:, cols]
+    rates = np.array(
+        [np.count_nonzero(np.abs(sub[x] - g[x]) >= window) / cols.size for x in range(m)]
+    )
+    return tuple(int(y) for y in cols), g, rates, steps, certified
+
+
+def _stabilizer_cases():
+    rng = np.random.default_rng(41)
+    cases = [
+        # entries exactly at center +- 2*alpha: 0 and +-0.5 with alpha 0.25
+        (np.array([[0.0, 0.5, -0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 1.0, -0.5]]), 0.25, 0.0),
+        (np.array([[0.0, 0.5, -0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 1.0, -0.5]]), 0.25, 0.2),
+        (np.array([[0.0, 0.5, -0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 1.0, -0.5]]), 0.25, 0.4),
+        (np.array([[-1.0, 1.0]]), 0.5, 0.0),
+        (np.zeros((3, 4)), 0.125, 0.0),
+        # widely spread rows: several rows accept nothing before the end
+        (np.array([[-3.0, -3.0, 0.0, 0.0, 3.0, 3.0, 3.0, 1.0]] * 2 + [[0, 2, 0, 2, -2, 0, 2, -2]]), 0.125, 0.0),
+        # 1 x 600 over a 257-value grid: the scan chunks the grid
+        (rng.integers(-16, 17, size=(1, 600)).astype(float), 0.125, 0.1),
+    ]
+    for t in range(60):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+        base = rng.integers(-3, 4, size=(m, int(rng.integers(1, 5))))
+        arr = base[:, rng.integers(0, base.shape[1], size=n)].astype(float)
+        if t % 3 == 0:
+            arr += rng.normal(0, 0.05, size=arr.shape)
+        elif t % 3 == 1:
+            arr = rng.choice([-0.75, -0.25, 0.0, 0.25, 0.5], size=(m, n))
+        cases.append((arr, [0.125, 0.25, 0.5][t % 3], [0.0, 0.05, 0.2, 0.3][t % 4]))
+    return cases
+
+
+@pytest.mark.parametrize("scan_elements", [1, 7, 64, None])
+def test_bucket_matches_loop_reference(scan_elements, monkeypatch):
+    if scan_elements is not None:  # tiny chunks cross every chunk boundary
+        monkeypatch.setattr(littlestone, "_SCAN_ELEMENTS", scan_elements)
+    multi_step = 0
+    for arr, alpha, eps in _stabilizer_cases():
+        cols, g, rates, steps, certified = loop_bucket_stabilize(arr, alpha, eps)
+        res = bucket_stabilize(arr, alpha=alpha, eps=eps)
+        assert res.columns == cols
+        assert res.row_values.tobytes() == g.tobytes()
+        assert res.violation_rates.tobytes() == rates.tobytes()
+        assert (res.steps, res.certified) == (steps, certified)
+        multi_step += steps >= 2
+    assert multi_step >= 5  # the cases reach repeated non-accepting rows
+
+
+def test_bucket_budget_fallback_matches_loop_reference():
+    rng = np.random.default_rng(43)
+    arr = rng.integers(-2, 3, size=(6, 40)).astype(float)
+    cols, g, rates, steps, certified = loop_bucket_stabilize(arr, 0.125, 0.0, budget=3)
+    res = bucket_stabilize(arr, alpha=0.125, eps=0.0, budget=3)
+    assert not certified and steps >= 1
+    assert (res.columns, res.steps, res.certified) == (cols, steps, certified)
+    assert res.row_values.tobytes() == g.tobytes()
+    assert res.violation_rates.tobytes() == rates.tobytes()
+
+
+def test_bucket_scan_is_chunked_not_per_row(monkeypatch):
+    rng = np.random.default_rng(44)
+    m, size = 64, 64
+    arr = np.repeat(rng.integers(-3, 4, size=(m, 4)), size // 4, axis=1).astype(float)
+    arr += rng.normal(0, 0.01, size=arr.shape)
+    calls = []
+    real = np.count_nonzero
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "count_nonzero", counted)
+    res = bucket_stabilize(arr, alpha=0.125, eps=0.01)
+    grid_size = math.ceil(2 * np.abs(arr).max() / 0.125) + 1
+    chunks = math.ceil(m / max(1, littlestone._SCAN_ELEMENTS // (grid_size * size)))
+    assert res.steps >= 1
+    # one call per scanned row chunk and step, plus the final rates
+    assert len(calls) <= (res.steps + 1) * chunks + 1 < m

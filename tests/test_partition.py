@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blockydecomp.core import is_blocky
+from blockydecomp.core import BlockyMatrix, is_blocky
 from blockydecomp.partition import (
     greedy_l1_decompose,
     greedy_partition,
@@ -203,3 +203,97 @@ def test_density_table_keys():
     rows = part.density_table(deltas=(0.5,))
     assert {r["value"] for r in rows} == {-1, 1}
     assert all(set(r) == {"row", "value", "delta", "count", "ceiling"} for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# Array scans against the per-row loops they replaced
+
+
+def loop_greedy_partition(arr):
+    """Reference: one np.unique per (round, row); classes as (columns, row, value)."""
+    arr = np.asarray(arr)
+    remaining = np.arange(arr.shape[1])
+    classes = []
+    while remaining.size:
+        sub = arr[:, remaining]
+        best = None
+        for x in range(arr.shape[0]):
+            vals, counts = np.unique(sub[x][sub[x] != 0], return_counts=True)
+            for b, c in zip(vals.tolist(), counts.tolist()):
+                key = (-c, x, abs(b), 0 if b < 0 else 1)
+                if best is None or key < best[0]:
+                    best = (key, x, b)
+        _, x, b = best
+        mask = sub[x] == b
+        classes.append((tuple(int(y) for y in remaining[mask]), x, int(b)))
+        remaining = remaining[~mask]
+    return classes
+
+
+def loop_greedy_l1_decompose(arr):
+    """Reference: one peel unit per row and round, in a Python loop over rows."""
+    arr = np.asarray(arr, dtype=np.int64)
+    terms = []
+    for sign, part in ((1, np.clip(arr, 0, None)), (-1, np.clip(-arr, 0, None))):
+        work = part.copy()
+        while work.any():
+            chosen: dict[int, list[int]] = {}
+            for x in range(arr.shape[0]):
+                nz = np.flatnonzero(work[x])
+                if nz.size:
+                    chosen.setdefault(int(nz[0]), []).append(x)
+                    work[x, int(nz[0])] -= 1
+            rects = tuple((tuple(r), (y,)) for y, r in sorted(chosen.items()))
+            terms.append((sign, BlockyMatrix(shape=arr.shape, rectangles=rects).rectangles))
+    return terms
+
+
+def _partition_cases():
+    rng = np.random.default_rng(45)
+    cases = [
+        # ties across row, |b| and sign in every combination
+        np.array([[1, 1, -1, -1, 2, 2, -2, -2]]),
+        np.array([[2, 2, -1, -1], [-1, -1, 1, 1]]),
+        np.array([[3, 3, 0, 0], [0, 0, -3, -3], [-3, -3, 3, 3]]),
+        np.array([[1, -1], [-1, 1], [2, -2]]),
+        np.array([[5, -7, 5, -7, 9, 9]]),
+        np.eye(4, dtype=int),
+    ]
+    for _ in range(80):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 50))
+        arr = rng.integers(-3, 4, size=(m, n)) * rng.integers(0, 2, size=(m, n))
+        arr[int(rng.integers(0, m)), ~arr.any(axis=0)] = int(rng.choice([-2, -1, 1, 2]))
+        cases.append(arr)
+    return cases
+
+
+def test_partition_matches_loop_reference():
+    for arr in _partition_cases():
+        part = greedy_partition(arr)
+        assert [(c.columns, c.row, c.value) for c in part.classes] == loop_greedy_partition(arr)
+
+
+def test_l1_decompose_matches_loop_reference():
+    rng = np.random.default_rng(46)
+    cases = [np.zeros((2, 3), dtype=int), np.array([[0, 3, -2], [1, 0, 0]])]
+    cases += [rng.integers(-4, 5, size=(rng.integers(1, 9), rng.integers(1, 12))) for _ in range(40)]
+    for arr in cases:
+        s = greedy_l1_decompose(arr)
+        assert [(sign, b.rectangles) for sign, b in s.terms] == loop_greedy_l1_decompose(arr)
+
+
+def test_partition_one_unique_per_round(monkeypatch):
+    rng = np.random.default_rng(47)
+    arr = rng.integers(-3, 4, size=(40, 60))
+    arr[0, ~arr.any(axis=0)] = 1
+    calls = []
+    real = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    part = greedy_partition(arr)
+    # one call per round, plus one for the table of distinct values
+    assert len(calls) <= len(part) + 1

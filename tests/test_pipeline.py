@@ -1,5 +1,6 @@
 """Peeling pipeline end-to-end, exhaustive complexity oracle, experiment."""
 
+import hashlib
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from blockydecomp import pipeline
 from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
 from blockydecomp.factorize import GammaFactorization, factorization_from_blocky_sum
+from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import greedy_l1_decompose
 from blockydecomp.pipeline import (
     MAX_DECOMPOSE_ENTRY,
@@ -167,6 +169,26 @@ def test_decompose_rejects_huge_entries_before_any_work(A, monkeypatch):
     monkeypatch.setattr(pipeline, "gamma2_upper", refuse)
     with pytest.raises(ValueError, match="decomposition limit"):
         decompose(A)
+
+
+# (n, L) -> sha256 of the canonical terms of decompose on the random blocky
+# sum generate(random-blocky-sum, n, L, seed=n + L) with its exact certificate
+GOLDEN_DECOMPOSITIONS = {
+    (32, 4): "0dacb6d20578961247aeb15872644a290d474d30d20ccddb9b055111c4b01fec",
+    (48, 6): "de080f8738d8d2f83c616210087809bc237093380ebe5de6942532fdb6ab5b85",
+    (64, 8): "5684f7ee649def7b958d324f967b47f3e70dbbd8e4f093c1f0acae0636a3ad5b",
+}
+
+
+@pytest.mark.parametrize("n, L", sorted(GOLDEN_DECOMPOSITIONS))
+def test_golden_blocky_decompositions(n, L):
+    inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=n + L)
+    s, _ = decompose(inst.matrix.values, fac=inst.certificate)
+    canonical = ";".join(
+        f"{sign}:" + "|".join(f"{','.join(map(str, r))}/{','.join(map(str, c))}" for r, c in term.rectangles)
+        for sign, term in s.terms
+    )
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_DECOMPOSITIONS[(n, L)]
 
 
 def test_bound_fit_none_for_single_row():
