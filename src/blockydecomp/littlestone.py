@@ -88,27 +88,56 @@ def _sign_array(matrix) -> np.ndarray:
     return arr
 
 
+# Array scans (the split-pair build here, the stabilizer's acceptance test
+# below) work in chunks sized so that their temporaries hold about this many
+# entries: enough to amortize per-call overhead without raising peak memory.
+_SCAN_ELEMENTS = 1 << 16
+
+
+def _byte_keys(arr: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as ``np.void`` scalars, equal exactly when their bytes are."""
+    rows = np.ascontiguousarray(arr)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _bitmasks(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-d bool array as a Python int with bit y set for column y."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 class _SplitEngine:
     """Bitmask recursion shared by the exact dimension computations.
 
-    Duplicate rows and duplicate columns are collapsed first (neither
-    changes the dimension), column subsets become Python-int bitmasks,
-    and every useful threshold split of a row is precomputed as a
-    (low_mask, high_mask) pair.  Only maximal pairs are kept: the split
-    at w = v + alpha/2 for each distinct row value v dominates the one
-    at w = v' - alpha/2, so dropping the dominated family cannot change
-    the recursion's max.  Search is depth-capped by log2(#columns) --
-    distinct columns witness distinct leaves -- and branch-and-bound
-    prunes candidates whose smaller side is already too small.
+    The build is a few array calls.  Duplicate columns, then duplicate
+    rows, are collapsed by byte-exact ``np.unique`` on ``np.void`` views
+    (first-occurrence order; neither changes the dimension), and column
+    subsets become Python-int bitmasks.  Every useful threshold split of a
+    kept row is one (low_mask, high_mask) pair, all pairs built by one
+    broadcast comparison per chunk and packed with ``np.packbits``: for
+    each distinct row value v, ascending, low = {value <= v} and high =
+    {value >= v + alpha} at w = v + alpha/2, kept when high is nonempty.
+    Only these maximal pairs are needed: the split at w = v + alpha/2
+    dominates the one at w = v' - alpha/2, so dropping the dominated family
+    cannot change the recursion's max.
+
+    The recursion passes each node's deduplicated restricted pairs, in
+    first-occurrence order, to its children: a child's columns are a subset
+    of its parent's, so no other pair can split it, and the candidates, their
+    sorted order, the expansion count and the witness trees are those of a
+    scan over every pair.  Search is depth-capped by log2(#columns) --
+    distinct columns witness distinct leaves -- and branch-and-bound prunes
+    candidates whose smaller side is already too small.
     """
 
     def __init__(self, values: np.ndarray, alpha: float, budget: int):
         arr = np.asarray(values, dtype=np.float64)
-        m, n = arr.shape
-        groups: dict[bytes, list[int]] = {}
-        for y in range(n):
-            groups.setdefault(arr[:, y].tobytes(), []).append(y)
-        self.col_groups = sorted(groups.values(), key=lambda g: g[0])
+        groups: dict[int, list[int]] = {}
+        for y, key in enumerate(np.unique(_byte_keys(arr.T), return_inverse=True)[1].tolist()):
+            groups.setdefault(key, []).append(y)
+        self.col_groups = list(groups.values())  # in first-occurrence order
         vals = arr[:, [g[0] for g in self.col_groups]]
         k = vals.shape[1]
         self.full_mask = (1 << k) - 1
@@ -117,40 +146,33 @@ class _SplitEngine:
         self.expansions = 0
         self.memo: dict[int, int] = {}
 
-        row_seen: set[bytes] = set()
-        self.split_pairs: list[tuple[int, int, int, float]] = []  # (low, high, row, w)
-        for x in range(m):
-            key = vals[x].tobytes()
-            if key in row_seen:
-                continue
-            row_seen.add(key)
-            v = vals[x]
-            order = np.argsort(v, kind="stable")
-            sv = v[order]
-            prefix = []
-            acc = 0
-            for idx in order:
-                acc |= 1 << int(idx)
-                prefix.append(acc)
-            i = 0
-            while i < k:
-                j = i
-                while j + 1 < k and sv[j + 1] == sv[i]:
-                    j += 1
-                cut = int(np.searchsorted(sv, sv[i] + self.alpha, side="left"))
-                if cut < k:
-                    low = prefix[j]
-                    high = self.full_mask ^ prefix[cut - 1]
-                    self.split_pairs.append((low, high, x, float(sv[i] + self.alpha / 2)))
-                i = j + 1
-        seen_pairs: set[tuple[int, int]] = set()
-        self.dim_pairs: list[tuple[int, int]] = []
-        for low, high, _, _ in self.split_pairs:
-            if (low, high) not in seen_pairs:
-                seen_pairs.add((low, high))
-                self.dim_pairs.append((low, high))
+        rows = np.sort(np.unique(_byte_keys(vals), return_index=True)[1])
+        kept = vals[rows]
+        ordered = np.sort(kept, axis=1)
+        first_of_value = np.ones(ordered.shape, dtype=bool)
+        first_of_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        pair_row, pair_col = np.nonzero(first_of_value)
+        v = ordered[pair_row, pair_col]
+        splits = v + self.alpha <= ordered[pair_row, -1]
+        pair_row, v = pair_row[splits], v[splits]
+        lows: list[int] = []
+        highs: list[int] = []
+        step = max(1, _SCAN_ELEMENTS // k)
+        for start in range(0, v.size, step):
+            block = kept[pair_row[start : start + step]]
+            cut = v[start : start + step, None]
+            lows += _bitmasks(block <= cut)
+            highs += _bitmasks(block >= cut + self.alpha)
+        self.split_pairs: list[tuple[int, int, int, float]] = list(  # (low, high, row, w)
+            zip(lows, highs, rows[pair_row].tolist(), (v + self.alpha / 2).tolist())
+        )
+        self.dim_pairs: list[tuple[int, int]] = list(dict.fromkeys(zip(lows, highs)))
 
     def dim(self, mask: int) -> int:
+        """Exact dimension of the column subset ``mask`` (memoized, budgeted)."""
+        return self._dim(mask, self.dim_pairs)
+
+    def _dim(self, mask: int, pairs: list[tuple[int, int]]) -> int:
         cached = self.memo.get(mask)
         if cached is not None:
             return cached
@@ -163,25 +185,22 @@ class _SplitEngine:
         ncols = mask.bit_count()
         if ncols >= 2:
             cap = ncols.bit_length() - 1
+            inherited = []
             cands = []
-            for low, high in self.dim_pairs:
-                lo = low & mask
-                if not lo:
-                    continue
-                hi = high & mask
-                if not hi:
-                    continue
-                a = lo.bit_count()
-                b = hi.bit_count()
-                cands.append((a, lo, hi) if a <= b else (b, hi, lo))
+            for lo, hi in dict.fromkeys((low & mask, high & mask) for low, high in pairs):
+                if lo and hi:
+                    inherited.append((lo, hi))
+                    a = lo.bit_count()
+                    b = hi.bit_count()
+                    cands.append((a, lo, hi) if a <= b else (b, hi, lo))
             cands.sort(key=lambda t: -t[0])
             for mn, small, large in cands:
                 if 1 + (mn.bit_length() - 1) <= best:
                     break
-                d1 = self.dim(small)
+                d1 = self._dim(small, inherited)
                 if 1 + d1 <= best:
                     continue
-                d2 = self.dim(large)
+                d2 = self._dim(large, inherited)
                 value = 1 + (d1 if d1 < d2 else d2)
                 if value > best:
                     best = value
@@ -221,11 +240,17 @@ def ldim_witness(matrix, budget: int = DEFAULT_BUDGET) -> tuple[int, WeightedMis
     return d, WeightedMistakeTree(depth=d, alpha=2.0, root=eng.witness(eng.full_mask, d))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def ldim_alpha(matrix, alpha: float, budget: int = DEFAULT_BUDGET) -> int:
     """Exact threshold-split dimension at gap ``alpha`` of a real matrix."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     arr = as_real_array(matrix)
+    if arr.shape[1] == 1:  # no split has two nonempty sides
+        return 0
     eng = _SplitEngine(arr, alpha=alpha, budget=budget)
     return eng.dim(eng.full_mask)
 
@@ -233,8 +258,7 @@ def ldim_alpha(matrix, alpha: float, budget: int = DEFAULT_BUDGET) -> int:
 def ldim_alpha_witness(
     matrix, alpha: float, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, WeightedMistakeTree]:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     arr = as_real_array(matrix)
     eng = _SplitEngine(arr, alpha=alpha, budget=budget)
     d = eng.dim(eng.full_mask)
@@ -313,12 +337,6 @@ def majority_stabilize(matrix, eps: float, budget: int = DEFAULT_BUDGET) -> Stab
     )
 
 
-# The stabilizer scan tests chunks of (row, grid value) pairs at once, sized
-# so that its (rows, grid values, columns) temporaries hold about this many
-# entries: enough to amortize per-call overhead without raising peak memory.
-_SCAN_ELEMENTS = 1 << 16
-
-
 def _first_accepting(sub: np.ndarray, grid: np.ndarray, window: float, eps: float):
     """Smallest accepting grid value per row, and the first row accepting none.
 
@@ -369,10 +387,9 @@ def bucket_stabilize(
     sort and two ``searchsorted`` calls.
     """
     arr = as_real_array(matrix)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_alpha(alpha)
+    if not eps >= 0:  # also rejects NaN
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     m, n = arr.shape
     big_m = float(np.abs(arr).max())
     n_buckets = math.ceil(2 * big_m / alpha)

@@ -396,15 +396,26 @@ def decompose(
 # Brute-force oracle
 
 
-_BLOCKY_LIBRARY: dict[tuple[int, int], np.ndarray] = {}
+@dataclass(frozen=True, eq=False)
+class _OracleTables:
+    """The oracle's search tables for one shape, immutable and shared by every call.
+
+    ``signed`` holds every nonzero boolean blocky matrix and its negation
+    (read-only int8, shape (count, m, n)); ``one_sums`` and ``pair_sums`` hold
+    the int8 bytes of every sum of one, respectively two, of them.
+    ``pair_sums`` is None where the pair table would exceed 2,000,000 sums.
+    """
+
+    signed: np.ndarray
+    one_sums: frozenset[bytes]
+    pair_sums: frozenset[bytes] | None
+
+
+_ORACLE_TABLES: dict[tuple[int, int], _OracleTables] = {}
 
 
 def _blocky_library(m: int, n: int) -> np.ndarray:
-    """All boolean m×n blocky matrices as an int8 array (count, m, n)."""
-    key = (m, n)
-    cached = _BLOCKY_LIBRARY.get(key)
-    if cached is not None:
-        return cached
+    """All nonzero boolean m×n blocky matrices as an int8 array (count, m, n)."""
     count = 1 << (m * n)
     codes = np.arange(count, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(m * n, dtype=np.uint32)[None, :]) & 1
@@ -421,10 +432,24 @@ def _blocky_library(m: int, n: int) -> np.ndarray:
                         + cand[:, j, l]
                     )
                     ok &= quad != 3
-    lib = cand[ok]
-    lib = lib[1:]  # drop the zero matrix; it contributes nothing to a sum
-    _BLOCKY_LIBRARY[key] = lib
-    return lib
+    return cand[ok][1:]  # drop the zero matrix; it contributes nothing to a sum
+
+
+def _oracle_tables(m: int, n: int) -> _OracleTables:
+    """The cached search tables of shape (m, n), built on first use."""
+    key = (m, n)
+    cached = _ORACLE_TABLES.get(key)
+    if cached is not None:
+        return cached
+    lib = _blocky_library(m, n)
+    signed = _freeze(np.concatenate([lib, -lib], axis=0).astype(np.int8))
+    pair_sums = None
+    if signed.shape[0] ** 2 <= 2_000_000:
+        sums = signed[:, None, :, :] + signed[None, :, :, :]
+        pair_sums = frozenset(s.tobytes() for s in sums.reshape(-1, m, n))
+    tables = _OracleTables(signed, frozenset(s.tobytes() for s in signed), pair_sums)
+    _ORACLE_TABLES[key] = tables
+    return tables
 
 
 def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int | None:
@@ -447,13 +472,8 @@ def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int |
         return 0
     if np.abs(A).max() > l_max:
         return None
-    lib = _blocky_library(m, n)
-    signed = np.concatenate([lib, -lib], axis=0).astype(np.int8)
-    one_sums = {s.tobytes() for s in signed}
-    pair_sums: set[bytes] | None = None
-    if (2 * lib.shape[0]) ** 2 <= 2_000_000:
-        sums = signed[:, None, :, :] + signed[None, :, :, :]
-        pair_sums = {s.tobytes() for s in sums.reshape(-1, m, n)}
+    tables = _oracle_tables(m, n)
+    signed, one_sums, pair_sums = tables.signed, tables.one_sums, tables.pair_sums
 
     ub = len(greedy_l1_decompose(A))
     top = min(l_max, ub)

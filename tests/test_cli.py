@@ -154,6 +154,15 @@ def test_ldim_commands(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_ldim_alpha_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    p = tmp_path / "sign.txt"
+    dump_matrix(IntMatrix([[1, -1], [-1, 1]]), p)
+    assert main(["ldim-alpha", "--input", str(p), f"--alpha={alpha}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and "alpha" in captured.err
+
+
 def test_partition_output_and_bound(tmp_path, capsys):
     p = tmp_path / "m.txt"
     dump_matrix(IntMatrix([[1, 1, 0], [0, 0, 2]]), p)

@@ -11,6 +11,7 @@ from blockydecomp.littlestone import (
     BudgetExceeded,
     MistakeLeaf,
     MistakeNode,
+    WeightedMistakeTree,
     bucket_stabilize,
     ldim,
     ldim_alpha,
@@ -138,10 +139,12 @@ def test_ldim_alpha_antitone_in_alpha():
 
 
 def test_ldim_alpha_validation():
-    with pytest.raises(ValueError):
-        ldim_alpha([[0.0, 1.0]], 0.0)
-    with pytest.raises(ValueError):
-        ldim_alpha([[0.0, 1.0]], -1.0)
+    for alpha in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for arr in ([[0.0, 1.0]], [[0.0]]):
+            with pytest.raises(ValueError, match="alpha"):
+                ldim_alpha(arr, alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                ldim_alpha_witness(arr, alpha)
 
 
 def test_budget_exceeded():
@@ -188,6 +191,204 @@ def test_witness_tree_valid_weighted():
     assert _walk(tree.root, arr, 0.5, d, []) == 2**d
     ids = tree.nodes()
     assert sum(1 for nd in ids if nd["kind"] == "leaf") == 2**d
+
+
+# ---------------------------------------------------------------------------
+# _SplitEngine against the per-row, per-value loop build and full-scan
+# recursion it replaced
+
+
+class LoopSplitEngine:
+    """Reference: the loop build, a full scan of every split pair at every node."""
+
+    def __init__(self, values, alpha, budget=10**7):
+        arr = np.asarray(values, dtype=np.float64)
+        m, n = arr.shape
+        groups: dict[bytes, list[int]] = {}
+        for y in range(n):
+            groups.setdefault(arr[:, y].tobytes(), []).append(y)
+        self.col_groups = sorted(groups.values(), key=lambda g: g[0])
+        vals = arr[:, [g[0] for g in self.col_groups]]
+        k = vals.shape[1]
+        self.full_mask = (1 << k) - 1
+        self.alpha = float(alpha)
+        self.budget = int(budget)
+        self.expansions = 0
+        self.memo: dict[int, int] = {}
+        row_seen: set[bytes] = set()
+        self.split_pairs = []
+        for x in range(m):
+            key = vals[x].tobytes()
+            if key in row_seen:
+                continue
+            row_seen.add(key)
+            v = vals[x]
+            order = np.argsort(v, kind="stable")
+            sv = v[order]
+            prefix = []
+            acc = 0
+            for idx in order:
+                acc |= 1 << int(idx)
+                prefix.append(acc)
+            i = 0
+            while i < k:
+                j = i
+                while j + 1 < k and sv[j + 1] == sv[i]:
+                    j += 1
+                cut = int(np.searchsorted(sv, sv[i] + self.alpha, side="left"))
+                if cut < k:
+                    low = prefix[j]
+                    high = self.full_mask ^ prefix[cut - 1]
+                    self.split_pairs.append((low, high, x, float(sv[i] + self.alpha / 2)))
+                i = j + 1
+        seen_pairs: set[tuple[int, int]] = set()
+        self.dim_pairs = []
+        for low, high, _, _ in self.split_pairs:
+            if (low, high) not in seen_pairs:
+                seen_pairs.add((low, high))
+                self.dim_pairs.append((low, high))
+
+    def dim(self, mask):
+        cached = self.memo.get(mask)
+        if cached is not None:
+            return cached
+        self.expansions += 1
+        if self.expansions > self.budget:
+            raise BudgetExceeded("reference budget")
+        best = 0
+        ncols = mask.bit_count()
+        if ncols >= 2:
+            cap = ncols.bit_length() - 1
+            cands = []
+            for low, high in self.dim_pairs:
+                lo = low & mask
+                if not lo:
+                    continue
+                hi = high & mask
+                if not hi:
+                    continue
+                a = lo.bit_count()
+                b = hi.bit_count()
+                cands.append((a, lo, hi) if a <= b else (b, hi, lo))
+            cands.sort(key=lambda t: -t[0])
+            for mn, small, large in cands:
+                if 1 + (mn.bit_length() - 1) <= best:
+                    break
+                d1 = self.dim(small)
+                if 1 + d1 <= best:
+                    continue
+                d2 = self.dim(large)
+                value = 1 + (d1 if d1 < d2 else d2)
+                if value > best:
+                    best = value
+                    if best >= cap:
+                        break
+        self.memo[mask] = best
+        return best
+
+    def witness(self, mask, depth):
+        if depth == 0:
+            bit = (mask & -mask).bit_length() - 1
+            return MistakeLeaf(column=self.col_groups[bit][0])
+        for low, high, row, w in self.split_pairs:
+            lo = low & mask
+            hi = high & mask
+            if lo and hi and self.dim(hi) >= depth - 1 and self.dim(lo) >= depth - 1:
+                return MistakeNode(row, w, self.witness(hi, depth - 1), self.witness(lo, depth - 1))
+        raise AssertionError("no qualifying split found rebuilding a witness tree")
+
+
+def _engine_cases():
+    """(values, alpha) inputs: seeded random ones plus the build's edge cases."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for _ in range(150):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        levels = int(rng.integers(2, 7))
+        arr = rng.integers(-levels, levels + 1, size=(m, n)) * 0.125
+        if rng.random() < 0.5:  # duplicate rows and columns
+            arr = arr[rng.integers(0, m, size=m)][:, rng.integers(0, n, size=n)]
+        cases.append((arr, float(rng.choice([0.125, 0.25, 0.375, 1.0]))))
+    for _ in range(30):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+        cases.append((np.round(rng.uniform(-2, 2, size=(m, n)), 3), float(rng.uniform(0.05, 1.5))))
+    for _ in range(20):
+        cases.append((rng.choice([-1.0, 1.0], size=(int(rng.integers(1, 7)), 8)), 2.0))
+    # -0.0 and 0.0 in one row: distinct column bytes, one split value
+    cases.append((np.array([[0.0, -0.0, 1.0, -0.0], [1.0, 1.0, 0.0, 0.0]]), 1.0))
+    cases.append((np.array([[-0.0, 0.0, 0.5, 0.0, -0.5]]), 0.5))
+    # gaps exactly alpha, and 0.1 steps where v + alpha rounds above the next value
+    cases.append((np.array([[0.0, 0.25, 0.5, 0.75, 1.0], [1.0, 0.5, 0.0, 0.75, 0.25]]), 0.25))
+    cases.append((np.array([[0.0, 0.1, 0.2, 0.3, 0.4, 0.5], [0.5, 0.3, 0.1, 0.4, 0.2, 0.0]]), 0.1))
+    # duplicate rows and columns only
+    cases.append((np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 1.0))
+    # one row, one column, all columns equal
+    cases.append((np.array([[3.0, 1.0, 2.0, 0.0, 1.0, 3.0]]), 1.0))
+    cases.append((np.array([[1.0], [0.0], [-2.0]]), 0.5))
+    cases.append((np.ones((4, 5)), 0.5))
+    # more than 64 distinct columns (masks wider than one machine word)
+    cols = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=4))).T
+    cases.append((cols[:, rng.permutation(cols.shape[1])[:70]], 1.0))
+    cases.append((np.array(list(itertools.product([-1.0, 1.0], repeat=7))).T, 2.0))
+    return cases
+
+
+@pytest.mark.parametrize("scan_elements", [1, 5, None])
+def test_split_engine_matches_loop_reference(scan_elements, monkeypatch):
+    if scan_elements is not None:
+        monkeypatch.setattr(littlestone, "_SCAN_ELEMENTS", scan_elements)
+    for arr, alpha in _engine_cases():
+        ref = LoopSplitEngine(arr, alpha)
+        eng = littlestone._SplitEngine(arr, alpha, budget=10**7)
+        assert eng.col_groups == ref.col_groups
+        assert eng.split_pairs == ref.split_pairs
+        assert eng.dim_pairs == ref.dim_pairs
+        assert eng.full_mask == ref.full_mask
+        d = eng.dim(eng.full_mask)
+        assert d == ref.dim(ref.full_mask)
+        assert eng.expansions == ref.expansions
+        assert eng.witness(eng.full_mask, d) == ref.witness(ref.full_mask, d)
+        assert eng.expansions == ref.expansions
+
+
+def test_public_witnesses_match_loop_reference():
+    for arr, alpha in _engine_cases():
+        ref = LoopSplitEngine(arr, alpha)
+        d = ref.dim(ref.full_mask)
+        assert ldim_alpha(arr, alpha) == d
+        assert ldim_alpha_witness(arr, alpha) == (
+            d, WeightedMistakeTree(depth=d, alpha=alpha, root=ref.witness(ref.full_mask, d))
+        )
+        if alpha == 2.0:
+            signs = arr.astype(int)
+            assert ldim(signs) == d
+            assert ldim_witness(signs) == (
+                d, WeightedMistakeTree(depth=d, alpha=2.0, root=ref.witness(ref.full_mask, d))
+            )
+
+
+def test_split_engine_budget_boundary():
+    arr = np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=3))).T
+    ref = LoopSplitEngine(arr, 1.0)
+    d = ref.dim(ref.full_mask)
+    spent = ref.expansions
+    assert spent > 2
+    eng = littlestone._SplitEngine(arr, 1.0, budget=spent)
+    assert eng.dim(eng.full_mask) == d and eng.expansions == spent
+    assert ldim_alpha(arr, 1.0, budget=spent) == d
+    with pytest.raises(BudgetExceeded):
+        littlestone._SplitEngine(arr, 1.0, budget=spent - 1).dim(eng.full_mask)
+    with pytest.raises(BudgetExceeded):
+        ldim_alpha(arr, 1.0, budget=spent - 1)
+
+
+def test_ldim_alpha_one_column_builds_no_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine built for a one-column input")
+
+    monkeypatch.setattr(littlestone, "_SplitEngine", refuse)
+    assert ldim_alpha([[0.5], [-3.0], [2.0]], 0.25) == 0
+    assert ldim_alpha(np.zeros((4, 1)), 1.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +465,9 @@ def test_bucket_postconditions_random():
 
 
 def test_bucket_validation():
-    with pytest.raises(ValueError):
-        bucket_stabilize([[0.0, 1.0]], alpha=0.0, eps=0.1)
-    with pytest.raises(ValueError):
-        bucket_stabilize([[0.0, 1.0]], alpha=0.5, eps=-0.1)
+    for alpha, eps in [(0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (0.5, -0.1), (0.5, math.nan)]:
+        with pytest.raises(ValueError):
+            bucket_stabilize([[0.0, 1.0, 3.0]], alpha=alpha, eps=eps)
 
 
 # ---------------------------------------------------------------------------
