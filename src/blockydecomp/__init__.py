@@ -18,12 +18,9 @@ from .core import (
     IntMatrix,
     RealMatrix,
     SignedBlockySum,
-    blocky_to_matrix,
     convolution_matrix,
-    evaluate_sum,
     is_blocky,
     round_half_down,
-    round_to_integers,
 )
 from .factorize import (
     GammaFactorization,
@@ -93,11 +90,9 @@ __all__ = [
     "SuiteContext",
     "VerificationReport",
     "WeightedMistakeTree",
-    "blocky_to_matrix",
     "bucket_stabilize",
     "convolution_matrix",
     "decompose",
-    "evaluate_sum",
     "exact_block_complexity",
     "factorization_from_blocky_sum",
     "gamma2_bracket",
@@ -115,7 +110,6 @@ __all__ = [
     "norm_decrement_step",
     "random_lower_bound_experiment",
     "round_half_down",
-    "round_to_integers",
     "run_suite",
     "subtract_average",
     "verify_factorization",

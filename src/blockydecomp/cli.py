@@ -202,7 +202,7 @@ def _cmd_decompose(args) -> int:
     dump_decomposition(s, args.out)
     dump_report(report.to_json_dict(), args.report)
     print(
-        f"decomposed exactly into {len(s)} signed blocky terms over {len(report.levels)} levels "
+        f"decomposed exactly into {len(s)} signed blocky terms by column dedupe and peel "
         f"(gamma {gamma0:.6f}); wrote {args.out} and {args.report}"
     )
     return 0

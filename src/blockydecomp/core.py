@@ -22,10 +22,7 @@ __all__ = [
     "SignedBlockySum",
     "AlmostIntegerCertificate",
     "is_blocky",
-    "blocky_to_matrix",
-    "evaluate_sum",
     "round_half_down",
-    "round_to_integers",
     "convolution_matrix",
     "as_int_array",
     "as_real_array",
@@ -84,19 +81,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix with optional row/column labels."""
+    """Dense integer matrix."""
 
     values: np.ndarray
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _freeze(as_int_array(self.values))
-        object.__setattr__(self, "values", arr)
-        if self.row_labels is not None and len(self.row_labels) != arr.shape[0]:
-            raise ValueError("row_labels length does not match row count")
-        if self.col_labels is not None and len(self.col_labels) != arr.shape[1]:
-            raise ValueError("col_labels length does not match column count")
+        object.__setattr__(self, "values", _freeze(as_int_array(self.values)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -262,11 +252,6 @@ class BlockyMatrix:
         return cls(shape=arr.shape, rectangles=check.rectangles)
 
 
-def blocky_to_matrix(b: BlockyMatrix) -> IntMatrix:
-    """Expand a rectangle list into the dense 0/1 matrix it represents."""
-    return IntMatrix(b.to_dense())
-
-
 @dataclass(frozen=True)
 class SignedBlockySum:
     """A formal signed sum ``sum_i sign_i * B_i`` of blocky matrices."""
@@ -303,11 +288,6 @@ class SignedBlockySum:
         return SignedBlockySum(self.shape, self.terms + other.terms)
 
 
-def evaluate_sum(s: SignedBlockySum) -> IntMatrix:
-    """Evaluate a signed blocky sum to its dense integer matrix (exact)."""
-    return IntMatrix(s.evaluate())
-
-
 @dataclass(frozen=True)
 class AlmostIntegerCertificate:
     """Measured sup-norm distance from a real matrix to its integer rounding."""
@@ -319,14 +299,6 @@ def round_half_down(values):
     """Nearest-integer rounding with half-integers b+1/2 mapped down to b."""
     arr = np.asarray(values, dtype=np.float64)
     return np.ceil(arr - 0.5).astype(np.int64)
-
-
-def round_to_integers(matrix) -> tuple[IntMatrix, AlmostIntegerCertificate]:
-    """Round entrywise (halves round down) and certify the rounding error."""
-    arr = as_real_array(matrix)
-    rounded = round_half_down(arr)
-    eps = float(np.abs(arr - rounded).max())
-    return IntMatrix(rounded), AlmostIntegerCertificate(eps)
 
 
 def convolution_matrix(n: int, f) -> IntMatrix:

@@ -1,13 +1,24 @@
-"""Norm-decrement decomposition driver and the exact block-complexity oracle.
+"""Norm-decrement construction, the ``decompose`` driver and the exact oracle.
 
-``norm_decrement_step`` performs one level of the construction: given a real
-matrix with a norm-``gamma`` factorization certificate whose entries are all
-eps-close to integers, it splits off a signed blocky sum accounting for the
-integer part of a structured piece A', and returns a residual factorization
-(same U, new right factor) whose columns all lost at least 1/8 in squared
-norm.  ``decompose`` iterates the step until the residual rounds to zero and
-verifies the reassembled integer matrix exactly.  ``exact_block_complexity``
-is the desk-scale brute-force oracle the test battery measures both against.
+``norm_decrement_step`` is the paper's construction, one level of it: given a
+real matrix with a norm-``gamma`` factorization certificate whose entries are
+all eps-close to integers, it splits off a signed blocky sum accounting for
+the integer part of a structured piece A', and returns a residual
+factorization (same U, new right factor) whose columns all lost at least 1/8
+in squared norm.  It checks its own bounds: the gamma^2 drop, eps_out <=
+2 eps, rounding additivity of A = A' + (A - A'), that the residual product
+rounds like A - A', and that its eps grows at most threefold.
+
+``decompose`` checks the certificate the same way the construction needs it,
+then takes the direct path: it deduplicates the nonzero columns exactly,
+peels the distinct-column matrix with ``greedy_l1_decompose`` and lifts each
+rectangle back to its member columns.  When the construction ends after
+one level, as it does on every input measured, each distinct nonzero column
+is the value of at least one of its cells; the peel's term count is the
+largest positive plus the largest negative row sum, so peeling the cells
+never gives fewer terms than peeling the distinct columns.
+``exact_block_complexity`` is the desk-scale brute-force oracle the test
+battery measures both against.
 
 The step's inner loop, on the columns where the rounded matrix is nonzero:
 greedy-partition those columns by the rounded values, stabilize each class
@@ -37,7 +48,7 @@ from .core import (
     round_half_down,
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
-from .littlestone import bucket_stabilize
+from .littlestone import _byte_keys, bucket_stabilize
 from .partition import greedy_l1_decompose, greedy_partition, subtract_average
 
 __all__ = [
@@ -83,7 +94,7 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DecrementStep:
-    """One level of the decomposition.
+    """One level of the construction.
 
     ``a_prime`` is the structured part (classwise-constant on the captured
     columns, untouched on columns where the rounding is zero);
@@ -110,6 +121,22 @@ def _nearest_int_dist(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.round(values))
 
 
+def _lift(small: SignedBlockySum, members: list[np.ndarray], m: int, n: int) -> SignedBlockySum:
+    """Expand a sum over grouped columns to the m x n sum over their members.
+
+    Column c of ``small`` stands for the columns ``members[c]``; the groups
+    are disjoint, so each lifted rectangle set stays disjoint and blocky.
+    """
+    terms = []
+    for sign, term in small.terms:
+        rects = []
+        for rows, cols in term.rectangles:
+            lifted = np.concatenate([members[c] for c in cols])
+            rects.append((rows, tuple(int(y) for y in np.sort(lifted))))
+        terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=tuple(rects))))
+    return SignedBlockySum(shape=(m, n), terms=tuple(terms))
+
+
 def norm_decrement_step(
     matrix,
     fac: GammaFactorization,
@@ -123,7 +150,11 @@ def norm_decrement_step(
     stabilizer's exact dimension recursions.  Aborts with RoundingDriftError
     if any grid value chosen for rounding is farther than 1/4 + eps (plus
     slack) from an integer, which signals that the almost-integer
-    certificate no longer holds.
+    certificate no longer holds.  Raises ReconstructionError when rounding
+    is not additive over A = A' + (A - A') or the residual product rounds
+    differently from A - A', and AssertionError when a proved bound fails:
+    the 1/8 drop in gamma^2, eps_out <= 2 eps, or a residual product more
+    than 3 eps from the integers.
     """
     config = config or RunConfig()
     A = as_real_array(matrix)
@@ -206,29 +237,27 @@ def norm_decrement_step(
             f"{gamma * gamma - 0.125:.9f}"
         )
     gamma_next = math.sqrt(worst) * (1 + 5e-16)
-    resid_target = A - a_prime
+    remainder = A - a_prime
+    res_product = U @ v_prime
     res_fac = GammaFactorization(
         U=U,
         V=v_prime,
         gamma=gamma_next,
-        residual=float(np.abs(resid_target - U @ v_prime).max(initial=0.0)),
+        residual=float(np.abs(remainder - res_product).max(initial=0.0)),
     )
+    if not np.array_equal(A_Z, round_half_down(a_prime) + round_half_down(remainder)):
+        raise ReconstructionError("rounding additivity failed: drift outside the safe window")
+    if not np.array_equal(round_half_down(res_product), round_half_down(remainder)):
+        raise ReconstructionError("residual product rounds differently from the remainder")
+    eps_res = float(_nearest_int_dist(res_product).max(initial=0.0))
+    if eps_res > 3 * eps + 1e-9:
+        raise AssertionError(f"residual eps {eps_res:.3e} above 3x incoming {eps:.3e}")
 
     # Blocky accounting happens on the compressed cell matrix (one column per
-    # captured class), then rectangles are expanded back to member columns;
-    # cells partition the captured columns, so blockiness is preserved.
+    # captured class), then rectangles are expanded back to member columns.
     blocky_part = SignedBlockySum(shape=(m, n), terms=())
     if cell_values:
-        G = np.stack(cell_values, axis=1)
-        small = greedy_l1_decompose(G)
-        terms = []
-        for sign, term in small.terms:
-            rects = []
-            for rows, cells in term.rectangles:
-                members = np.concatenate([cell_members[c] for c in cells])
-                rects.append((rows, tuple(int(y) for y in np.sort(members))))
-            terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=tuple(rects))))
-        blocky_part = SignedBlockySum(shape=(m, n), terms=tuple(terms))
+        blocky_part = _lift(greedy_l1_decompose(np.stack(cell_values, axis=1)), cell_members, m, n)
     if not np.array_equal(blocky_part.evaluate(), round_half_down(a_prime)):
         raise ReconstructionError("blocky layer does not match the rounded structured part")
 
@@ -251,6 +280,9 @@ def norm_decrement_step(
 @dataclass(frozen=True, eq=False)
 class PipelineReport:
     """Per-level summaries plus the trajectories the term-count bound rides on.
+
+    ``decompose`` runs no levels: ``levels`` is empty, and the trajectories
+    hold one entry each, the certificate's gamma^2 and the eps of its product.
 
     ``bound_fit`` is total terms divided by ln(min(m, n))^2, the shape of the
     proved asymptotic bound; it is None for single-row/column inputs where
@@ -282,12 +314,19 @@ def decompose(
     """Full signed blocky decomposition of an integer matrix, verified exactly.
 
     Uses the supplied factorization certificate (or computes one with
-    ``gamma2_upper(matrix, config)``) and peels norm-decrement levels until
-    the working product rounds to zero.  The returned sum is checked
+    ``gamma2_upper(matrix, config)``); a certificate that fails
+    ``verify_factorization`` at ``config.tol`` is refused unless ``force`` is
+    set, and one whose product does not round to the input always is.  The
+    sum is then the dedupe+peel of the input: ``greedy_l1_decompose`` on the
+    distinct nonzero columns, each rectangle lifted to the columns equal to
+    its own.  It never has more terms than a construction that ends after
+    one ``norm_decrement_step``.  The returned sum is checked
     entry-for-entry against the input; a mismatch raises ReconstructionError
-    with a witness entry.  A certificate whose residual exceeds
-    ``config.tol`` is refused unless ``force`` is set.  Inputs with an entry
-    of magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
+    with a witness entry.  Inputs with an entry of magnitude above
+    ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
+
+    The report's ``levels`` is empty, and its trajectories hold only the
+    certificate's gamma^2 and eps.
     """
     config = config or RunConfig()
     A = as_int_array(matrix)
@@ -304,73 +343,22 @@ def decompose(
             "pass force=True to proceed anyway"
         )
 
-    U = fac.U
-    A_cur = U @ fac.V
-    if not np.array_equal(round_half_down(A_cur), A):
+    product = fac.product()
+    if not np.array_equal(round_half_down(product), A):
         raise ValueError("certificate product does not round to the input matrix")
-    gamma = fac.gamma
-    gamma0_sq = gamma * gamma
-    level_cap = math.ceil(8 * gamma0_sq) if gamma0_sq > 0 else 0
-    eps_cur = float(np.abs(A_cur - round_half_down(A_cur)).max(initial=0.0))
-    fac_cur = fac
+    eps0 = float(_nearest_int_dist(product).max(initial=0.0))
 
+    # Exact column dedupe: one distinct nonzero column per group, in order of
+    # first occurrence, peeled once and lifted back to every member column.
     total = SignedBlockySum(shape=(m, n), terms=())
-    levels = []
-    gamma_sq_traj = [gamma * gamma]
-    eps_traj = [eps_cur]
-    level = 0
-    while round_half_down(A_cur).any():
-        if level >= level_cap:
-            raise AssertionError(
-                f"level count exceeded the cap {level_cap} implied by gamma0^2 = {gamma0_sq:.6f}"
-            )
-        step = norm_decrement_step(A_cur, fac_cur, eps_cur, config)
-        remainder = A_cur - step.a_prime
-        lhs = round_half_down(A_cur)
-        additive = np.array_equal(
-            lhs, round_half_down(step.a_prime) + round_half_down(remainder)
+    nonzero = np.flatnonzero(A.any(axis=0))
+    if nonzero.size:
+        _, first, inverse = np.unique(
+            _byte_keys(A[:, nonzero].T), return_index=True, return_inverse=True
         )
-        if not additive:
-            raise ReconstructionError(
-                f"rounding additivity failed at level {level}: drift outside the safe window"
-            )
-        total = total.extended(step.blocky_part)
-
-        fac_next = step.residual_factorization
-        A_next = U @ fac_next.V
-        if not np.array_equal(round_half_down(A_next), round_half_down(remainder)):
-            raise ReconstructionError(
-                f"recomputed residual product rounds differently at level {level}"
-            )
-        eps_next = float(_nearest_int_dist(A_next).max(initial=0.0))
-        if eps_next > 3 * eps_cur + 1e-9:
-            raise AssertionError(
-                f"eps drift {eps_next:.3e} above 3x incoming {eps_cur:.3e} at level {level}"
-            )
-        g_prev_sq = fac_cur.gamma**2
-        g_next_sq = fac_next.gamma**2
-        if g_next_sq > g_prev_sq - 0.125 + 1e-9:
-            raise AssertionError(
-                f"gamma^2 decrement below 1/8 at level {level}: {g_prev_sq:.6f} -> {g_next_sq:.6f}"
-            )
-        levels.append(
-            {
-                "level": level,
-                "terms": len(step.blocky_part),
-                "rounds": len(step.diagnostics),
-                "epsIn": eps_cur,
-                "epsOut": step.eps_out.eps,
-                "gammaSquaredBefore": g_prev_sq,
-                "gammaSquaredAfter": g_next_sq,
-                "additivity": bool(additive),
-                "certified": bool(step.certified),
-                "roundDetails": list(step.diagnostics),
-            }
-        )
-        gamma_sq_traj.append(g_next_sq)
-        eps_traj.append(eps_next)
-        A_cur, fac_cur, eps_cur = A_next, fac_next, eps_next
-        level += 1
+        order = np.argsort(first)
+        members = [nonzero[inverse == k] for k in order]
+        total = _lift(greedy_l1_decompose(A[:, nonzero[first[order]]]), members, m, n)
 
     rebuilt = total.evaluate()
     if not np.array_equal(rebuilt, A):
@@ -383,10 +371,10 @@ def decompose(
     denom = math.log(min_side) ** 2 if min_side >= 2 else 0.0
     bound_fit = (len(total) / denom) if denom > 0 else None
     report = PipelineReport(
-        levels=tuple(levels),
+        levels=(),
         total_terms=len(total),
-        gamma_squared_trajectory=tuple(gamma_sq_traj),
-        eps_trajectory=tuple(eps_traj),
+        gamma_squared_trajectory=(fac.gamma * fac.gamma,),
+        eps_trajectory=(eps0,),
         bound_fit=bound_fit,
     )
     return total, report

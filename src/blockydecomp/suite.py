@@ -2,7 +2,9 @@
 
 Each criterion is a standalone function taking a RunConfig and a shared
 SuiteContext (which lazily caches the two expensive corpora: decompositions
-of all 512 boolean 3x3 matrices and of 50 generated blocky-sum instances).
+of all 512 boolean 3x3 matrices and of 50 generated blocky-sum instances,
+each with one ``norm_decrement_step`` of the paper's construction run from
+the same certificate on every nonzero instance).
 Results carry pass/fail, a human-readable detail line, elapsed seconds, and
 machine-readable rows for plot tables.  ``run_suite`` executes a selection
 in order and optionally writes results plus tab-separated data tables.
@@ -24,7 +26,12 @@ from .factorize import gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_l1_decompose, greedy_partition, subtract_average
-from .pipeline import decompose, exact_block_complexity, random_lower_bound_experiment
+from .pipeline import (
+    decompose,
+    exact_block_complexity,
+    norm_decrement_step,
+    random_lower_bound_experiment,
+)
 
 __all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA"]
 
@@ -48,6 +55,20 @@ class CriterionResult:
         )
 
 
+def _construction(A: np.ndarray, fac, config: RunConfig) -> dict:
+    """``decompose`` and one construction step on A from the same certificate.
+
+    The step starts from the certificate's product at the eps ``decompose``
+    measured on it, as the construction does; it is None for the zero
+    matrix, where there is nothing to decrement.
+    """
+    s, rep = decompose(A, fac=fac, config=config)
+    step = None
+    if A.any():
+        step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
+    return {"matrix": A, "sum": s, "report": rep, "fac": fac, "step": step}
+
+
 class SuiteContext:
     """Lazy caches for corpora reused across criteria 6-10."""
 
@@ -61,8 +82,8 @@ class SuiteContext:
             out = []
             for code in range(512):
                 A = np.array([(code >> k) & 1 for k in range(9)], dtype=np.int64).reshape(3, 3)
-                s, rep = decompose(A, config=self.config)
-                out.append({"code": code, "matrix": A, "sum": s, "report": rep})
+                fac = gamma2_upper(A, self.config)
+                out.append({"code": code, **_construction(A, fac, self.config)})
             self._boolean3 = out
         return self._boolean3
 
@@ -78,8 +99,8 @@ class SuiteContext:
                 inst = generate(
                     GeneratorSpec(kind="random-blocky-sum", n=n, m=m, term_count=l0), seed=i
                 )
-                s, rep = decompose(inst.matrix, fac=inst.certificate, config=cfg)
-                out.append({"id": i, "instance": inst, "sum": s, "report": rep})
+                A = np.asarray(inst.matrix)
+                out.append({"id": i, "instance": inst, **_construction(A, inst.certificate, cfg)})
             self._blocky50 = out
         return self._blocky50
 
@@ -230,10 +251,10 @@ def criterion_5(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
 
 
 def criterion_6(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
-    """Per-level norm decrement and eps control on 50 certified blocky sums."""
+    """Construction step's norm decrement and eps control on 50 certified blocky sums."""
     t0 = time.perf_counter()
     bad = 0
-    levels_total = 0
+    steps = 0
     for item in ctx.blocky_instances():
         inst = item["instance"]
         rep_v = verify_factorization(
@@ -241,46 +262,49 @@ def criterion_6(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         )
         if not rep_v.ok:
             bad += 1
-        for lv in item["report"].levels:
-            levels_total += 1
-            if lv["gammaSquaredAfter"] > lv["gammaSquaredBefore"] - 0.125 + 1e-9:
-                bad += 1
-            if lv["epsOut"] > 2 * lv["epsIn"] + 1e-9:
-                bad += 1
+        step = item["step"]
+        if step is None:
+            continue
+        steps += 1
+        if step.residual_factorization.gamma**2 > item["fac"].gamma ** 2 - 0.125 + 1e-9:
+            bad += 1
+        if step.eps_out.eps > 2 * item["report"].eps_trajectory[0] + 1e-9:
+            bad += 1
     dt = time.perf_counter() - t0
-    detail = f"50 blocky-sum instances, {levels_total} levels: {bad} decrement/eps violations"
-    return CriterionResult(6, "norm decrement per level", bad == 0 and dt < 300, detail, dt, 300)
+    detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations"
+    ok = bad == 0 and steps > 0 and dt < 300
+    return CriterionResult(6, "norm decrement per level", ok, detail, dt, 300)
 
 
 def criterion_7(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
-    """Exact reconstruction everywhere, with level counts inside the cap."""
+    """Exact reconstruction everywhere; one construction level, never fewer terms."""
     t0 = time.perf_counter()
     bad = 0
+    steps = 0
     rows = []
-    for item in ctx.boolean3x3():
-        A, s, rep = item["matrix"], item["sum"], item["report"]
-        if not np.array_equal(s.evaluate(), A):
-            bad += 1
-        g0 = rep.gamma_squared_trajectory[0]
-        cap = math.ceil(8 * g0)
-        if len(rep.levels) > cap:
-            bad += 1
-        rows.append(("boolean3x3", item["code"], 3, 3, g0, len(rep.levels), len(s), rep.bound_fit))
-    for item in ctx.blocky_instances():
-        A = np.asarray(item["instance"].matrix)
-        s, rep = item["sum"], item["report"]
-        if not np.array_equal(s.evaluate(), A):
-            bad += 1
-        g0 = rep.gamma_squared_trajectory[0]
-        if len(rep.levels) > math.ceil(8 * g0):
-            bad += 1
-        rows.append(
-            ("blocky-sum", item["id"], A.shape[0], A.shape[1], g0, len(rep.levels), len(s), rep.bound_fit)
-        )
+    corpora = (("boolean3x3", "code", ctx.boolean3x3()), ("blocky-sum", "id", ctx.blocky_instances()))
+    for kind, key, items in corpora:
+        for item in items:
+            A, s, rep, step = item["matrix"], item["sum"], item["report"], item["step"]
+            if not np.array_equal(s.evaluate(), A):
+                bad += 1
+            step_terms = 0
+            if step is not None:
+                steps += 1
+                step_terms = len(step.blocky_part)
+                if round_half_down(step.residual_factorization.product()).any():
+                    bad += 1  # the construction needs a second level
+                if len(s) > step_terms:
+                    bad += 1
+            g0 = rep.gamma_squared_trajectory[0]
+            rows.append((kind, item[key], A.shape[0], A.shape[1], g0, step_terms, len(s), rep.bound_fit))
     dt = time.perf_counter() - t0
-    detail = f"512 boolean 3x3 + 50 blocky sums reconstructed exactly: {bad} failures"
-    return CriterionResult(7, "end-to-end exactness", bad == 0 and dt < 900, detail, dt, 900,
-                           {"term_rows": rows})
+    detail = (
+        f"512 boolean 3x3 + 50 blocky sums reconstructed exactly; {steps} construction steps "
+        f"end in one level with at least decompose's terms: {bad} failures"
+    )
+    return CriterionResult(7, "end-to-end exactness", bad == 0 and steps > 0 and dt < 900, detail,
+                           dt, 900, {"term_rows": rows})
 
 
 def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
@@ -311,18 +335,21 @@ def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
 
 
 def criterion_9(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
-    """Rounding additivity flags recorded at every level of every run."""
+    """Rounding additivity of every construction step's split A = A' + (A - A')."""
     t0 = time.perf_counter()
-    levels = 0
+    steps = 0
     failures = 0
     for item in ctx.boolean3x3() + ctx.blocky_instances():
-        for lv in item["report"].levels:
-            levels += 1
-            if not lv["additivity"]:
-                failures += 1
+        if item["step"] is None:
+            continue
+        steps += 1
+        product, a_prime = item["fac"].product(), item["step"].a_prime
+        split = round_half_down(a_prime) + round_half_down(product - a_prime)
+        if not np.array_equal(round_half_down(product), split):
+            failures += 1
     dt = time.perf_counter() - t0
-    detail = f"{levels} pipeline levels checked: {failures} additivity failures"
-    return CriterionResult(9, "rounding additivity", failures == 0, detail, dt, 900)
+    detail = f"{steps} construction steps checked: {failures} additivity failures"
+    return CriterionResult(9, "rounding additivity", failures == 0 and steps > 0, detail, dt, 900)
 
 
 def criterion_10(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
@@ -370,7 +397,7 @@ def _write_tables(results: list[CriterionResult], out_dir: Path) -> None:
     for r in results:
         if "term_rows" in r.data:
             with open(out_dir / "terms_vs_size.tsv", "w") as fh:
-                fh.write("kind\tid\tm\tn\tgamma0_squared\tlevels\tterms\tbound_fit\n")
+                fh.write("kind\tid\tm\tn\tgamma0_squared\tconstruction_terms\tterms\tbound_fit\n")
                 for row in r.data["term_rows"]:
                     fh.write("\t".join(str(v) for v in row) + "\n")
         if "density_rows" in r.data:

@@ -6,9 +6,14 @@ appear inline in the run log, and asserts the criterion's own pass flag
 (which includes the wall-clock limit).
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from blockydecomp import suite
 from blockydecomp.config import RunConfig
+from blockydecomp.factorize import GammaFactorization
 from blockydecomp.suite import CRITERIA, SuiteContext
 
 
@@ -70,3 +75,18 @@ def test_criterion_09_rounding_additivity(config, ctx, capsys):
 
 def test_criterion_10_random_complexity_histogram(config, ctx, capsys):
     _run(10, config, ctx, capsys)
+
+
+def test_construction_criteria_fail_when_no_step_was_checked(config):
+    # Zero matrices only: decompose succeeds but no construction step runs,
+    # so criteria 6, 7 and 9 have nothing to check and must not pass.
+    zero = np.zeros((3, 3), dtype=np.int64)
+    fac = GammaFactorization(U=np.zeros((3, 1)), V=np.zeros((1, 3)), gamma=0.0, residual=0.0)
+    ctx = SuiteContext(config)
+    ctx._boolean3 = [{"code": 0, **suite._construction(zero, fac, config)}]
+    instance = SimpleNamespace(matrix=zero, certificate=fac)
+    ctx._blocky50 = [{"id": 0, "instance": instance, **suite._construction(zero, fac, config)}]
+    for number in (6, 7, 9):
+        result = CRITERIA[number](config, ctx)
+        assert not result.passed, result.line
+        assert "0 construction steps" in result.detail

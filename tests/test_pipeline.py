@@ -1,5 +1,6 @@
 """Peeling pipeline end-to-end, exhaustive complexity oracle, experiment."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -9,12 +10,13 @@ import pytest
 
 from blockydecomp import pipeline
 from blockydecomp.config import RunConfig
-from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
-from blockydecomp.factorize import GammaFactorization, factorization_from_blocky_sum
+from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky, round_half_down
+from blockydecomp.factorize import GammaFactorization, factorization_from_blocky_sum, gamma2_upper
 from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import greedy_l1_decompose
 from blockydecomp.pipeline import (
     MAX_DECOMPOSE_ENTRY,
+    ReconstructionError,
     decompose,
     exact_block_complexity,
     norm_decrement_step,
@@ -26,6 +28,13 @@ def _exact_ones_fac(m: int, n: int) -> GammaFactorization:
     return GammaFactorization(
         U=np.ones((m, 1)), V=np.ones((1, n)), gamma=1.0, residual=0.0
     )
+
+
+def _first_step(fac: GammaFactorization, config: RunConfig | None = None):
+    """The construction's first level from the certificate's product at its measured eps."""
+    product = fac.product()
+    eps0 = float(np.abs(product - round_half_down(product)).max())
+    return product, eps0, norm_decrement_step(product, fac, eps0, config)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +79,26 @@ def test_step_validation():
         norm_decrement_step(np.zeros((2, 2)), zero_fac, eps=0.0)  # rounds to zero
 
 
+@pytest.mark.parametrize(
+    "scale, offset, error, match",
+    [
+        (1.5, 0.0, ReconstructionError, "additivity"),  # 1 -> 1.5 + (-0.5) rounds to 1 + (-1)
+        (1.5, 5e-10, ReconstructionError, "rounds differently"),  # -0.5 vs -0.5 + 5e-10
+        (1.2, 0.0, AssertionError, "residual eps"),  # residual 0.2 from the integers
+    ],
+)
+def test_step_rejects_a_split_that_breaks_rounding(scale, offset, error, match, monkeypatch):
+    real = pipeline.subtract_average
+
+    def skewed(vectors, gamma):
+        split = real(vectors, gamma)
+        return dataclasses.replace(split, average=split.average * scale)
+
+    monkeypatch.setattr(pipeline, "subtract_average", skewed)
+    with pytest.raises(error, match=match):
+        norm_decrement_step(np.ones((2, 2)) + offset, _exact_ones_fac(2, 2), eps=1e-9)
+
+
 def test_step_rejects_understated_eps():
     A = np.full((2, 2), 0.8)
     fac = GammaFactorization(
@@ -87,10 +116,20 @@ def test_decompose_corner_matrix():
     A = [[1, 0], [1, 1]]
     s, rep = decompose(A)
     assert np.array_equal(s.evaluate(), A)
-    assert rep.total_terms == 2 and len(rep.levels) == 1
+    assert rep.total_terms == 2 and rep.levels == ()
+    assert len(rep.gamma_squared_trajectory) == len(rep.eps_trajectory) == 1
     assert rep.gamma_squared_trajectory[0] == pytest.approx(4 / 3, rel=1e-5)
-    assert rep.gamma_squared_trajectory[-1] == pytest.approx(0.0, abs=1e-9)
     assert rep.bound_fit == pytest.approx(2 / math.log(2) ** 2)
+
+
+def test_step_corner_matrix():
+    A = [[1, 0], [1, 1]]
+    fac = gamma2_upper(A)
+    _, _, step = _first_step(fac)
+    assert fac.gamma**2 == pytest.approx(4 / 3, rel=1e-5)
+    assert np.array_equal(step.blocky_part.evaluate(), A) and len(step.blocky_part) == 2
+    assert step.residual_factorization.gamma**2 == pytest.approx(0.0, abs=1e-9)
+    assert not round_half_down(step.residual_factorization.product()).any()
 
 
 def test_decompose_identity_single_term():
@@ -113,7 +152,7 @@ def test_decompose_zero_matrix():
     s, rep = decompose(np.zeros((3, 2), dtype=int))
     assert rep.total_terms == 0 and rep.levels == ()
     assert np.array_equal(s.evaluate(), np.zeros((3, 2), dtype=int))
-    assert rep.gamma_squared_trajectory == (0.0,)
+    assert rep.gamma_squared_trajectory == (0.0,) and rep.eps_trajectory == (0.0,)
 
 
 def test_decompose_refuses_bad_certificate():
@@ -124,21 +163,39 @@ def test_decompose_refuses_bad_certificate():
         decompose([[2]], fac=fac, force=True)  # product rounds to 1, not 2
 
 
-def test_decompose_random_exactness_and_invariants():
+def _random_integer_matrices():
     rng = np.random.default_rng(50)
-    for _ in range(6):
-        A = rng.integers(-2, 3, size=(4, 5))
-        s, rep = decompose(A, config=RunConfig(restarts=8, seed=3))
+    return [rng.integers(-2, 3, size=(4, 5)) for _ in range(6)]
+
+
+def test_decompose_random_exactness_and_invariants():
+    config = RunConfig(restarts=8, seed=3)
+    for A in _random_integer_matrices():
+        s, rep = decompose(A, config=config)
         assert np.array_equal(s.evaluate(), A)
         for sign, b in s.terms:
             assert sign in (-1, 1) and is_blocky(b.to_dense())
-        gsq = rep.gamma_squared_trajectory
-        assert all(gsq[i + 1] <= gsq[i] - 0.125 + 1e-9 for i in range(len(gsq) - 1))
-        assert len(rep.levels) <= math.ceil(8 * gsq[0])
-        eps = rep.eps_trajectory
-        assert all(eps[i + 1] <= 3 * eps[i] + 1e-9 for i in range(len(eps) - 1))
-        assert all(lv["additivity"] for lv in rep.levels)
-        assert rep.total_terms == sum(lv["terms"] for lv in rep.levels) == len(s)
+        _, _, step = _first_step(gamma2_upper(A, config), config)
+        assert rep.total_terms == len(s) <= len(step.blocky_part)
+
+
+def test_step_random_invariants():
+    config = RunConfig(restarts=8, seed=3)
+    for A in _random_integer_matrices():
+        fac = gamma2_upper(A, config)
+        product, eps0, step = _first_step(fac, config)
+        res = step.residual_factorization
+        assert res.gamma**2 <= fac.gamma**2 - 0.125 + 1e-9
+        assert 1 <= math.ceil(8 * fac.gamma**2)  # one level, inside the level cap
+        assert not round_half_down(res.product()).any()
+        assert step.eps_out.eps <= 2 * eps0 + 1e-9
+        eps_res = float(np.abs(res.product() - round_half_down(res.product())).max())
+        assert eps_res <= 3 * eps0 + 1e-9
+        assert np.array_equal(
+            round_half_down(product),
+            round_half_down(step.a_prime) + round_half_down(product - step.a_prime),
+        )
+        assert np.array_equal(step.blocky_part.evaluate(), A)
 
 
 def test_report_json_shape():
@@ -171,7 +228,8 @@ def test_decompose_rejects_huge_entries_before_any_work(A, monkeypatch):
         decompose(A)
 
 
-# (n, L) -> sha256 of the canonical terms of decompose on the random blocky
+# (n, L) -> sha256 of the canonical terms of the construction's first level
+# (norm_decrement_step from the certificate's product) on the random blocky
 # sum generate(random-blocky-sum, n, L, seed=n + L) with its exact certificate
 GOLDEN_DECOMPOSITIONS = {
     (32, 4): "0dacb6d20578961247aeb15872644a290d474d30d20ccddb9b055111c4b01fec",
@@ -180,15 +238,77 @@ GOLDEN_DECOMPOSITIONS = {
 }
 
 
-@pytest.mark.parametrize("n, L", sorted(GOLDEN_DECOMPOSITIONS))
-def test_golden_blocky_decompositions(n, L):
-    inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=n + L)
-    s, _ = decompose(inst.matrix.values, fac=inst.certificate)
-    canonical = ";".join(
+def _canonical(s: SignedBlockySum) -> str:
+    return ";".join(
         f"{sign}:" + "|".join(f"{','.join(map(str, r))}/{','.join(map(str, c))}" for r, c in term.rectangles)
         for sign, term in s.terms
     )
-    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_DECOMPOSITIONS[(n, L)]
+
+
+def _golden_instance(n: int, L: int):
+    return generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=n + L)
+
+
+@pytest.mark.parametrize("n, L", sorted(GOLDEN_DECOMPOSITIONS))
+def test_golden_blocky_decompositions(n, L):
+    _, _, step = _first_step(_golden_instance(n, L).certificate)
+    digest = hashlib.sha256(_canonical(step.blocky_part).encode()).hexdigest()
+    assert digest == GOLDEN_DECOMPOSITIONS[(n, L)]
+
+
+def _dedupe_peel_lift(A: np.ndarray) -> SignedBlockySum:
+    """Reference: group equal nonzero columns in order of first occurrence,
+    peel one representative per group, give each rectangle its group's columns.
+    """
+    m, n = A.shape
+    groups: dict[tuple, list[int]] = {}
+    for y in range(n):
+        if A[:, y].any():
+            groups.setdefault(tuple(A[:, y].tolist()), []).append(y)
+    members = list(groups.values())
+    if not members:
+        return SignedBlockySum(shape=(m, n), terms=())
+    small = greedy_l1_decompose(np.array(list(groups), dtype=np.int64).T)
+    terms = []
+    for sign, term in small.terms:
+        rects = []
+        for rows, cols in term.rectangles:
+            rects.append((rows, tuple(sorted(y for c in cols for y in members[c]))))
+        terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=tuple(rects))))
+    return SignedBlockySum(shape=(m, n), terms=tuple(terms))
+
+
+def _boolean3x3(code: int) -> np.ndarray:
+    return np.array([(code >> k) & 1 for k in range(9)], dtype=np.int64).reshape(3, 3)
+
+
+@pytest.mark.parametrize("n, L", sorted(GOLDEN_DECOMPOSITIONS))
+def test_decompose_equals_dedupe_peel_lift_on_golden_sums(n, L):
+    inst = _golden_instance(n, L)
+    s, _ = decompose(inst.matrix.values, fac=inst.certificate)
+    assert _canonical(s) == _canonical(_dedupe_peel_lift(inst.matrix.values))
+
+
+def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
+    # Past the certificate checks the terms depend on A alone, so the trivial
+    # exact certificate U = I, V = A (gamma = the largest column norm) serves.
+    for code in range(1, 512):
+        A = _boolean3x3(code)
+        gamma = float(np.sqrt((A * A).sum(axis=0).max()))
+        fac = GammaFactorization(U=np.eye(3), V=A.astype(np.float64), gamma=gamma, residual=0.0)
+        s, _ = decompose(A, fac=fac)
+        assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
+
+
+@pytest.mark.parametrize("code", [186, 319, 471])
+def test_decompose_optimal_where_the_construction_splits_a_column(code):
+    # The construction's cells hold one distinct column twice on these
+    # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
+    A = _boolean3x3(code)
+    s, _ = decompose(A)
+    _, _, step = _first_step(gamma2_upper(A))
+    assert len(step.blocky_part) == 3
+    assert len(s) == exact_block_complexity(A) == 2
 
 
 def test_bound_fit_none_for_single_row():
