@@ -346,7 +346,9 @@ def factorization_from_blocky_sum(decomp: SignedBlockySum) -> GammaFactorization
     """Exact certificate for the dense value of a signed blocky sum.
 
     Each rectangle (S, T) of term i contributes one inner coordinate carrying
-    sign_i * indicator(S) x indicator(T); scaling rows by 1/sqrt(terms) and
+    sign_i * indicator(S) x indicator(T), term by term and within a term in
+    rectangle id order; a term's block of U columns and V rows is one
+    comparison of its labels against its ids.  Scaling rows by 1/sqrt(terms) and
     columns by sqrt(terms) caps row norms at 1 and column norms at the term
     count, so gamma ≤ len(decomp).  With zero terms this is the empty
     certificate of the zero matrix.
@@ -355,20 +357,16 @@ def factorization_from_blocky_sum(decomp: SignedBlockySum) -> GammaFactorization
     L = len(decomp.terms)
     if L == 0:
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
-    cols_U: list[np.ndarray] = []
-    rows_V: list[np.ndarray] = []
     r = 1.0 / math.sqrt(L)
     c = math.sqrt(L)
+    blocks_U: list[np.ndarray] = []
+    blocks_V: list[np.ndarray] = []
     for sign, term in decomp.terms:
-        for rows, cols in term.rectangles:
-            ucol = np.zeros(m)
-            ucol[list(rows)] = r
-            vrow = np.zeros(n)
-            vrow[list(cols)] = sign * c
-            cols_U.append(ucol)
-            rows_V.append(vrow)
-    U = np.column_stack(cols_U)
-    V = np.vstack(rows_V)
+        ids = np.arange(term.count)
+        blocks_U.append(np.where(term.row_block[:, None] == ids, r, 0.0))
+        blocks_V.append(np.where(ids[:, None] == term.col_block, sign * c, 0.0))
+    U = np.hstack(blocks_U)
+    V = np.vstack(blocks_V)
     target = decomp.evaluate().astype(np.float64)
     resid = float(np.abs(target - U @ V).max(initial=0.0))
     return GammaFactorization(U=U, V=V, gamma=float(L), residual=resid)

@@ -133,10 +133,7 @@ def load_decomposition(path) -> SignedBlockySum:
         raise ValueError(f"{path}: shape must have exactly two entries")
     terms = []
     for t in raw_terms:
-        rects = tuple(
-            (tuple(int(r) for r in rc["rows"]), tuple(int(c) for c in rc["cols"]))
-            for rc in t["rectangles"]
-        )
+        rects = [(rc["rows"], rc["cols"]) for rc in t["rectangles"]]
         terms.append((int(t["sign"]), BlockyMatrix(shape=shape, rectangles=rects)))
     return SignedBlockySum(shape=shape, terms=tuple(terms))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockyMatrix, IntMatrix, SignedBlockySum, convolution_matrix
+from .core import BlockyMatrix, IntMatrix, SignedBlockySum, _canonical, convolution_matrix
 from .factorize import GammaFactorization, factorization_from_blocky_sum
 
 __all__ = ["GeneratorSpec", "GeneratedInstance", "generate", "random_blocky_matrix", "KINDS"]
@@ -70,7 +70,9 @@ def random_blocky_matrix(m: int, n: int, rng: np.random.Generator) -> BlockyMatr
 
     Draws k rectangle slots, splits a row permutation and a column
     permutation into k contiguous chunks each, and pairs them up; chunk
-    disjointness makes the result blocky by construction.
+    disjointness makes the result blocky by construction.  Each row and
+    column is labelled with its chunk directly, then ids are renumbered by
+    first row.
     """
     k_max = max(1, min(m, n) // 2 + 1)
     k = int(rng.integers(1, k_max + 1))
@@ -78,15 +80,16 @@ def random_blocky_matrix(m: int, n: int, rng: np.random.Generator) -> BlockyMatr
     cols = rng.permutation(n)
     row_cuts = np.sort(rng.choice(np.arange(1, m), size=min(k - 1, m - 1), replace=False)) if k > 1 and m > 1 else np.array([], dtype=int)
     col_cuts = np.sort(rng.choice(np.arange(1, n), size=min(k - 1, n - 1), replace=False)) if k > 1 and n > 1 else np.array([], dtype=int)
-    row_chunks = np.split(rows, row_cuts)
-    col_chunks = np.split(cols, col_cuts)
-    pairs = min(len(row_chunks), len(col_chunks))
+    pairs = min(row_cuts.size, col_cuts.size) + 1
     keep = int(rng.integers(1, pairs + 1))
-    rects = tuple(
-        (tuple(int(x) for x in sorted(row_chunks[i])), tuple(int(y) for y in sorted(col_chunks[i])))
-        for i in range(keep)
-    )
-    return BlockyMatrix(shape=(m, n), rectangles=rects)
+    # chunk i of each permutation is rectangle i; chunks from ``keep`` on are unused
+    row_block = np.empty(m, dtype=np.int64)
+    row_block[rows] = np.searchsorted(row_cuts, np.arange(m), side="right")
+    col_block = np.empty(n, dtype=np.int64)
+    col_block[cols] = np.searchsorted(col_cuts, np.arange(n), side="right")
+    row_block[row_block >= keep] = -1
+    col_block[col_block >= keep] = -1
+    return BlockyMatrix.from_labels((m, n), *_canonical(row_block, col_block))
 
 
 def generate(spec: GeneratorSpec, seed: int = 0) -> GeneratedInstance:

@@ -37,8 +37,12 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
     The positive and negative parts are peeled separately, one unit per
     round: every row with a surviving nonzero entry donates one unit in its
     smallest nonzero column, and rows are grouped by chosen column into
-    single-column rectangles (disjoint by construction, hence blocky).  A
-    round is a few array calls over all rows at once.
+    single-column rectangles (disjoint by construction, hence blocky).  Row
+    x's t-th donation is the t-th of its units laid out column by column, so
+    every round is computed at once: each (round, column) pair is one
+    rectangle, numbered within its round by its first row (the canonical
+    id), and each round's labels are written directly into one row of a
+    rounds x m and a rounds x n label table.
     Round count per part equals that part's max row sum, so the total term
     count is at most 2 * max_x sum_y |A(x,y)|.
     """
@@ -46,20 +50,25 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
     m, n = arr.shape
     terms: list[tuple[int, BlockyMatrix]] = []
     for sign, part in ((1, np.clip(arr, 0, None)), (-1, np.clip(-arr, 0, None))):
-        work = part.copy()
-        while True:
-            rows = np.flatnonzero(work.any(axis=1))
-            if not rows.size:
-                break
-            firsts = np.argmax(work[rows] != 0, axis=1)
-            work[rows, firsts] -= 1
-            by_column = np.argsort(firsts, kind="stable")
-            ys, starts = np.unique(firsts[by_column], return_index=True)
-            groups = np.split(rows[by_column], starts[1:])
-            rects = tuple(
-                (tuple(group.tolist()), (y,)) for y, group in zip(ys.tolist(), groups)
-            )
-            terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=rects)))
+        row_sums = part.sum(axis=1)
+        if not row_sums.any():
+            continue
+        unit_row, unit_col = np.divmod(np.repeat(np.arange(m * n), part.ravel()), n)
+        unit_round = np.arange(unit_row.size) - np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
+        # units run row-major, so a key's first occurrence is at its first row
+        keys, first_at, key_of = np.unique(
+            unit_round * n + unit_col, return_index=True, return_inverse=True
+        )
+        key_round, key_col = np.divmod(keys, n)
+        rank = np.empty_like(keys)
+        rank[np.lexsort((unit_row[first_at], key_round))] = np.arange(keys.size)
+        ids = rank - np.searchsorted(key_round, key_round)  # keys ascend by round
+        rounds = int(row_sums.max())
+        row_block = np.full((rounds, m), -1, dtype=np.int64)
+        row_block[unit_round, unit_row] = ids[key_of]
+        col_block = np.full((rounds, n), -1, dtype=np.int64)
+        col_block[key_round, key_col] = ids
+        terms += [(sign, b) for b in BlockyMatrix.from_label_tables((m, n), row_block, col_block)]
     return SignedBlockySum(shape=(m, n), terms=tuple(terms))
 
 

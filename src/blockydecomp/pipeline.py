@@ -121,20 +121,20 @@ def _nearest_int_dist(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.round(values))
 
 
-def _lift(small: SignedBlockySum, members: list[np.ndarray], m: int, n: int) -> SignedBlockySum:
-    """Expand a sum over grouped columns to the m x n sum over their members.
+def _lift(small: SignedBlockySum, group_of: np.ndarray) -> SignedBlockySum:
+    """Expand a sum over grouped columns to the sum over their member columns.
 
-    Column c of ``small`` stands for the columns ``members[c]``; the groups
-    are disjoint, so each lifted rectangle set stays disjoint and blocky.
+    ``group_of[y]`` is the column of ``small`` that column y belongs to, or
+    -1 for a column in no group.  Each lifted term keeps its row labels, and
+    column y takes the label of its group: one fancy index over all terms'
+    column labels at once.  Rows are untouched, so the ids stay canonical.
     """
-    terms = []
-    for sign, term in small.terms:
-        rects = []
-        for rows, cols in term.rectangles:
-            lifted = np.concatenate([members[c] for c in cols])
-            rects.append((rows, tuple(int(y) for y in np.sort(lifted))))
-        terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=tuple(rects))))
-    return SignedBlockySum(shape=(m, n), terms=tuple(terms))
+    shape = (small.shape[0], group_of.size)
+    signs, terms = zip(*small.terms)  # a nonzero matrix peels into at least one term
+    rows = np.stack([b.row_block for b in terms])
+    cols = np.stack([b.col_block for b in terms])
+    lifted = BlockyMatrix.from_label_tables(shape, rows, np.where(group_of >= 0, cols[:, group_of], -1))
+    return SignedBlockySum(shape=shape, terms=tuple(zip(signs, lifted)))
 
 
 def norm_decrement_step(
@@ -182,7 +182,7 @@ def norm_decrement_step(
     v_prime = np.zeros_like(V)  # zero residual columns where A_Z is zero
     active = np.flatnonzero(A_Z.any(axis=0))
     cell_values: list[np.ndarray] = []  # integer column per captured class cell
-    cell_members: list[np.ndarray] = []
+    cell_of = np.full(n, -1, dtype=np.int64)  # the cell each captured column belongs to
     rounds = []
     certified = True
     while active.size:
@@ -213,8 +213,8 @@ def norm_decrement_step(
             S2 = S1[list(split.kept)]
             a_prime[:, S2] = (U @ split.average)[:, None]
             v_prime[:, S2] = V[:, S2] - split.average[:, None]
+            cell_of[S2] = len(cell_values)
             cell_values.append(g_int)
-            cell_members.append(S2)
             captured_here.append(S2)
             round_cells.append(
                 {"size": int(S.size), "stabilized": int(S1.size), "kept": int(S2.size)}
@@ -257,7 +257,7 @@ def norm_decrement_step(
     # captured class), then rectangles are expanded back to member columns.
     blocky_part = SignedBlockySum(shape=(m, n), terms=())
     if cell_values:
-        blocky_part = _lift(greedy_l1_decompose(np.stack(cell_values, axis=1)), cell_members, m, n)
+        blocky_part = _lift(greedy_l1_decompose(np.stack(cell_values, axis=1)), cell_of)
     if not np.array_equal(blocky_part.evaluate(), round_half_down(a_prime)):
         raise ReconstructionError("blocky layer does not match the rounded structured part")
 
@@ -357,8 +357,9 @@ def decompose(
             _byte_keys(A[:, nonzero].T), return_index=True, return_inverse=True
         )
         order = np.argsort(first)
-        members = [nonzero[inverse == k] for k in order]
-        total = _lift(greedy_l1_decompose(A[:, nonzero[first[order]]]), members, m, n)
+        group_of = np.full(n, -1, dtype=np.int64)
+        group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
+        total = _lift(greedy_l1_decompose(A[:, nonzero[first[order]]]), group_of)
 
     rebuilt = total.evaluate()
     if not np.array_equal(rebuilt, A):

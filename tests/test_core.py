@@ -81,12 +81,105 @@ def test_is_blocky_rectangles_reconstruct_support():
 def test_blocky_matrix_validation():
     b = BlockyMatrix(shape=(2, 3), rectangles=(((0,), (0, 2)), ((1,), (1,))))
     assert np.array_equal(b.to_dense(), [[1, 0, 1], [0, 1, 0]])
+    with pytest.raises(ValueError, match="^rectangle row sets overlap$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((0,), (0,)), ((0,), (1,))))
+    with pytest.raises(ValueError, match="^rectangle column sets overlap$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((0,), (1,)), ((1,), (1,))))
+    with pytest.raises(ValueError, match="^rectangles must have nonempty row and column sets$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((0,), ()),))
+    with pytest.raises(ValueError, match="^rectangle index out of range$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((0, 2), (0,)),))
+    with pytest.raises(ValueError, match="^rectangle index out of range$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((0,), (-1,)),))
+    with pytest.raises(ValueError, match="^rectangle index repeated$"):
+        BlockyMatrix(shape=(2, 2), rectangles=(((1, 1), (0,)),))
+    with pytest.raises(ValueError, match="^shape must be at least 1x1$"):
+        BlockyMatrix(shape=(0, 2), rectangles=())
+
+
+@pytest.mark.parametrize(
+    "row_block, col_block, match",
+    [
+        ([0, -1], [0, 0, -1], "lengths"),  # three column labels for two columns
+        ([0, -1, -1], [0, -1], "lengths"),
+        ([0, -2], [0, -1], "-1"),  # label below -1
+        ([0, -1], [0, -3], "-1"),
+        ([0, 1], [0, -1], "column"),  # id 1 has a row but no column
+        ([0, -1], [0, 1], "names no rectangle"),  # id 1 has a column but no row
+        ([1, 0], [0, 1], "order of first row"),  # ids not numbered by first row
+        ([-1, 1], [1, -1], "order of first row"),  # id 0 missing
+        ([0.0, -1.0], [0, -1], "signed integers"),
+    ],
+)
+def test_from_labels_rejects(row_block, col_block, match):
+    with pytest.raises(ValueError, match=match):
+        BlockyMatrix.from_labels((2, 2), np.array(row_block), np.array(col_block))
+
+
+def test_blocky_matrix_labels_are_canonical_read_only_arrays():
+    b = BlockyMatrix(shape=(4, 5), rectangles=(((3,), (3, 2)), ((2, 0), (4, 1)), ((1,), (0,))))
+    assert b.row_block.tolist() == [0, 1, 0, 2] and b.col_block.tolist() == [1, 0, 2, 2, 0]
+    assert b.count == 3
+    assert b.rectangles == (((0, 2), (1, 4)), ((1,), (0,)), ((3,), (2, 3)))
     with pytest.raises(ValueError):
-        BlockyMatrix(shape=(2, 2), rectangles=(((0,), (0,)), ((0,), (1,))))  # row reused
-    with pytest.raises(ValueError):
-        BlockyMatrix(shape=(2, 2), rectangles=(((0,), ()),))  # empty side
-    with pytest.raises(ValueError):
-        BlockyMatrix(shape=(2, 2), rectangles=(((0, 2), (0,)),))  # out of range
+        b.row_block[0] = 1
+    empty = BlockyMatrix(shape=(2, 3), rectangles=())
+    assert empty.count == 0 and empty.rectangles == () and not empty.to_dense().any()
+
+
+def test_blocky_matrix_equality_and_hash_follow_canonical_labels():
+    canonical = BlockyMatrix(shape=(4, 5), rectangles=(((0, 2), (1, 4)), ((1,), (0,)), ((3,), (2, 3))))
+    shuffled = BlockyMatrix(shape=(4, 5), rectangles=(((3,), (3, 2)), ((2, 0), (4, 1)), ((1,), (0,))))
+    assert shuffled == canonical and hash(shuffled) == hash(canonical)
+    one_row_less = BlockyMatrix(shape=(4, 5), rectangles=(((0,), (1, 4)), ((1,), (0,)), ((3,), (2, 3))))
+    assert one_row_less != canonical
+    taller = BlockyMatrix(shape=(5, 5), rectangles=canonical.rectangles)
+    assert taller != canonical
+    assert len({canonical, shuffled, one_row_less, taller}) == 3
+    assert canonical != canonical.to_dense().tolist()
+
+
+def _scatter_dense(shape, rectangles) -> np.ndarray:
+    """Reference: one np.ix_ scatter per rectangle of the raw list."""
+    out = np.zeros(shape, dtype=np.int64)
+    for rows, cols in rectangles:
+        out[np.ix_(list(rows), list(cols))] = 1
+    return out
+
+
+def _random_rectangles(rng, m, n):
+    """Disjoint rectangles in random order with unsorted indices; rows and
+    columns that draw -1, or an id missing on the other side, stay zero."""
+    k = int(rng.integers(0, min(m, n) + 1))
+    row_ids, col_ids = rng.integers(-1, k, size=m), rng.integers(-1, k, size=n)
+    rects = [
+        (rng.permutation(np.flatnonzero(row_ids == j)).tolist(), rng.permutation(np.flatnonzero(col_ids == j)).tolist())
+        for j in range(k)
+    ]
+    rects = [rc for rc in rects if rc[0] and rc[1]]
+    return [rects[i] for i in rng.permutation(len(rects))]
+
+
+def test_label_dense_and_evaluate_match_scatter_reference():
+    rng = np.random.default_rng(72)
+    for i in range(240):
+        m, n = (int(rng.integers(1, 10)), int(rng.integers(1, 10)))
+        m, n = [(1, 1), (1, n), (m, 1), (m, n), (m, n)][i % 5]
+        terms, expected = [], np.zeros((m, n), dtype=np.int64)
+        for j in range(int(rng.integers(1, 5))):
+            if i % 7 == 0 and j == 0:
+                rects = [(rng.permutation(m).tolist(), rng.permutation(n).tolist())]  # one full rectangle
+            else:
+                rects = _random_rectangles(rng, m, n)
+            b = BlockyMatrix(shape=(m, n), rectangles=rects)
+            dense = _scatter_dense((m, n), rects)
+            assert np.array_equal(b.to_dense(), dense)
+            assert BlockyMatrix(shape=(m, n), rectangles=b.rectangles) == b
+            assert BlockyMatrix.from_labels((m, n), b.row_block, b.col_block) == b
+            sign = int(rng.choice([-1, 1]))
+            terms.append((sign, b))
+            expected += sign * dense
+        assert np.array_equal(SignedBlockySum(shape=(m, n), terms=tuple(terms)).evaluate(), expected)
 
 
 def test_blocky_matrix_round_trip_from_dense():

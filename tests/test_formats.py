@@ -97,6 +97,14 @@ def test_decomposition_round_trip(tmp_path):
     assert all(b[0] in (-1, 1) for b in back.terms)
 
 
+def test_load_decomposition_rejects_overlapping_rectangles(tmp_path):
+    p = tmp_path / "d.json"
+    rects = [{"rows": [0, 1], "cols": [0]}, {"rows": [1, 2], "cols": [2]}]
+    p.write_text(json.dumps({"shape": [3, 3], "terms": [{"sign": 1, "rectangles": rects}]}))
+    with pytest.raises(ValueError, match="row sets overlap"):
+        load_decomposition(p)
+
+
 def test_factorization_round_trip(tmp_path):
     U = np.array([[1.0, 0.0], [0.6, 0.8]])
     V = np.array([[1.0, 0.25], [0.0, -2.0 / 3.0]])

@@ -1,5 +1,7 @@
 """Instance generators: determinism, kinds, certificates, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,33 @@ def test_random_blocky_matrix_is_blocky():
         dense = b.to_dense()
         assert dense.any()
         assert is_blocky(dense)
+
+
+# (n, m, term_count, seed) -> sha256 of the matrix, the certificate's U and its V,
+# recorded while terms were still stored as rectangle tuples.
+PINNED_BLOCKY_SUMS = {
+    (40, 37, 5, 7): (
+        "b0cbfba2cc55197e9851dec1e5731deb54d80e27a3e404d13be2ee29d881f768",
+        "457eae9e045431a08d558dfd06ebd782b0a09a9e2121aa38bfa0815f868d32b4",
+        "5cd39bfdc68b04b4af6c50e540fd1d0be7de0fd17b86f5f4a2bf9e2799750511",
+    ),
+    (33, 30, 6, 123): (
+        "b5fe0c77cc59f6f453b70ff9c88c398daa5d6be69914c4d203069bba358f4d37",
+        "5ade86970d9069f41739c56676cfbaf9c8eab45f4929d8c19e695d0e49c63886",
+        "02824d12d0d2fadc71f3eb8fc91fd13c1eede8e951f8fcbd095e2422bed4c32d",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_BLOCKY_SUMS))
+def test_random_blocky_sum_bytes_are_pinned(key):
+    n, m, L, seed = key
+    inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, m=m, term_count=L), seed=seed)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (inst.matrix.values, inst.certificate.U, inst.certificate.V)
+    )
+    assert digests == PINNED_BLOCKY_SUMS[key]
 
 
 def test_random_blocky_sum_carries_exact_certificate():

@@ -256,6 +256,23 @@ def test_golden_blocky_decompositions(n, L):
     assert digest == GOLDEN_DECOMPOSITIONS[(n, L)]
 
 
+def test_decompose_and_step_never_touch_rectangle_lists(monkeypatch):
+    """Peel, lift and verify run on label arrays: no rectangle view, no np.ix_."""
+    inst = _golden_instance(48, 6)
+    A, fac = inst.matrix.values, inst.certificate
+
+    def refuse(*args):
+        raise AssertionError("rectangle-list path reached")
+
+    monkeypatch.setattr(BlockyMatrix, "rectangles", property(refuse))
+    monkeypatch.setattr(np, "ix_", refuse)
+    s, rep = decompose(A, fac=fac)
+    assert rep.total_terms == len(s) > 0
+    _, _, step = _first_step(fac)
+    assert len(step.blocky_part) > 0
+    assert np.array_equal(step.blocky_part.evaluate(), round_half_down(step.a_prime))
+
+
 def _dedupe_peel_lift(A: np.ndarray) -> SignedBlockySum:
     """Reference: group equal nonzero columns in order of first occurrence,
     peel one representative per group, give each rectangle its group's columns.
