@@ -7,24 +7,31 @@ the least achievable gamma is the factorization norm of A.  This module
 * checks such certificates (``verify_factorization``),
 * searches for good ones numerically (``gamma2_upper``),
 * derives unconditional lower bounds from the max entry and from exact
-  mistake-tree dimensions (``gamma2_lower``), and
+  mistake-tree dimensions (``gamma2_lower``),
+* brackets the norm between the better of those and the solver's dual
+  bound, and the solver's certificate (``gamma2_bracket``), and
 * builds exact certificates for signed blocky sums
   (``factorization_from_blocky_sum``).
 
 The solver ascends a concave reweighting of the trace norm: for row/column
 weight vectors u, v on the probability simplex, the trace norm of
 diag(sqrt(u)) @ A @ diag(sqrt(v)) is a lower bound on the factorization
-norm, the maximizing weights make it tight, and each SVD of the weighted
-matrix yields both a supergradient (for a multiplicative-weights step) and
-a concrete factorization whose measured gamma upper-bounds the norm.  The
-uniform start and the random restarts ascend as one batch: each iteration
-SVDs the stacked weighted matrices of all still-active restarts in a single
-call, and a per-restart stop mask drops a restart from the batch once its
-own gap closes or it goes stale, so every restart follows exactly the
-iterates it would follow alone.  Plain alternating least squares over
-(U, V) turned out to stall at non-optimal balanced factorizations on
-invertible inputs, so the weight ascent drives the search and least
-squares is kept for the final residual polish.
+norm (its dual value), the maximizing weights make it tight, and each SVD of
+the weighted matrix yields both a supergradient (for a multiplicative-weights
+step) and a concrete factorization whose measured gamma upper-bounds the
+norm.  The uniform start and the random restarts ascend as one batch: each
+iteration SVDs the stacked weighted matrices of all still-active restarts in
+a single call, and a per-restart stop mask drops a restart once its own gap
+closes or it goes stale, so every restart follows exactly the iterates it
+would follow alone.  The whole batch stops as soon as the best certificate
+of any restart is within the gap tolerance of the best dual value of any
+restart: that certificate is then proved optimal to the tolerance, and the
+best dual, less a floating-point margin, is kept on the certificate as a
+lower bound.  A core of one row or one column needs no ascent: its norm is
+its largest entry magnitude, with a closed-form certificate.  Plain
+alternating least squares over (U, V) turned out to stall at non-optimal
+balanced factorizations on invertible inputs, so the weight ascent drives
+the search and least squares is kept for the final residual polish.
 """
 
 from __future__ import annotations
@@ -61,13 +68,17 @@ class GammaFactorization:
     the matrix the factorization was produced for.  The inner dimension is
     ``U.shape[1]``; solver outputs keep it at most ``min(rows, cols)``, while
     exact blocky-sum certificates use one inner coordinate per rectangle and
-    can exceed that, so no cap is enforced here.
+    can exceed that, so no cap is enforced here.  ``dual_bound`` is a lower
+    bound on the factorization norm of that same matrix, proved while the
+    certificate was produced (``gamma2_upper`` stores its best dual value
+    less a floating-point margin); 0.0, the trivial bound, when none was.
     """
 
     U: np.ndarray
     V: np.ndarray
     gamma: float
     residual: float
+    dual_bound: float = 0.0
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=np.float64)
@@ -78,6 +89,8 @@ class GammaFactorization:
             raise ValueError("gamma must be a finite nonnegative real")
         if not (self.residual >= 0 and math.isfinite(self.residual)):
             raise ValueError("residual must be a finite nonnegative real")
+        if not (self.dual_bound >= 0 and math.isfinite(self.dual_bound)):
+            raise ValueError("dual_bound must be a finite nonnegative real")
         slack = 1e-6 * max(1.0, self.gamma)
         if U.size and _max_row_norm(U) > 1 + slack:
             raise ValueError("a row of U exceeds unit norm")
@@ -87,6 +100,7 @@ class GammaFactorization:
         object.__setattr__(self, "V", _freeze(V))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "dual_bound", float(self.dual_bound))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,7 +132,13 @@ class VerificationReport:
 
 @dataclass(frozen=True, eq=False)
 class NormBracket:
-    """Certified two-sided estimate: lower ≤ factorization norm ≤ upper."""
+    """Two-sided estimate: lower ≤ factorization norm ≤ upper.
+
+    ``lower_witness`` names the source of ``lower``: "max-entry",
+    "sqrt-Littlestone" and "weighted-Littlestone" are exact, "dual" is the
+    solver's numerical bound with the floating-point margin of
+    ``_solve_core``.
+    """
 
     lower: float
     upper: float
@@ -172,13 +192,17 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
 
     The start weights ``u`` are ``(R, m)`` and ``v`` are ``(R, n)``: one row
     per restart.  Each iteration SVDs the stack of weighted matrices of the
-    restarts still active in one call; per restart, the balanced factors
-    L, R give supergradient coordinates (squared row norms of L, squared
-    column norms of R) and a certificate maxrow(L)*maxcol(R).  A restart
-    leaves the active set on a small gap between its certificate and its
-    trace-norm value, or after 60 stale iterations; the arithmetic per
-    restart is the same as ascending it alone.  Returns
-    ``(best_cert, best_L, best_R)`` with one entry per restart.
+    restarts still active in one call; per restart, the singular values sum
+    to its dual value f(u, v), and the balanced factors L, R give
+    supergradient coordinates (squared row norms of L, squared column norms
+    of R) and a certificate maxrow(L)*maxcol(R).  A restart leaves the
+    active set on a small gap between its certificate and its own dual
+    value, or after 60 stale iterations; the arithmetic per restart is the
+    same as ascending it alone.  The whole batch ends as soon as the best
+    certificate so far is within the same gap of the largest dual value
+    seen so far over all restarts and iterations.  Returns
+    ``(best_cert, best_L, best_R, best_dual)``, the first three with one
+    entry per restart.
     """
     eta = 0.35
     n_starts, m = u.shape
@@ -187,6 +211,7 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
     best_cert = np.full(n_starts, math.inf)
     best_L = np.zeros((n_starts, m, t))
     best_R = np.zeros((n_starts, t, n))
+    best_dual = 0.0
     stale = np.zeros(n_starts, dtype=np.int64)
     active = np.arange(n_starts)
     for _ in range(iterations):
@@ -194,6 +219,7 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
         W = su[:, :, None] * A[None, :, :] * sv[:, None, :]
         P, sig, Qt = np.linalg.svd(W, full_matrices=False)
         f_val = sig.sum(axis=1)
+        best_dual = max(best_dual, float(f_val.max()))
         s_half = np.sqrt(sig)
         L = (P * s_half[:, None, :]) / su[:, :, None]
         R = (s_half[:, :, None] * Qt) / sv[:, None, :]
@@ -207,6 +233,8 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
         best_cert[won] = cert[improved]
         best_L[won] = L[improved]
         best_R[won] = R[improved]
+        if best_cert.min() - best_dual <= 1e-7 * max(1.0, best_dual):
+            break
         stale = np.where(improved, 0, stale + 1)
         done = (cert - f_val <= 1e-7 * np.maximum(1.0, f_val)) | (stale >= 60)
         if done.any():
@@ -221,33 +249,32 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
         v = v * np.exp(eta * gv / gv_max[:, None])
         v = np.maximum(v, 1e-250)
         v /= v.sum(axis=1, keepdims=True)
-    return best_cert, best_L, best_R
+    return best_cert, best_L, best_R, best_dual
 
 
-def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
-    """Numerical upper bound on the factorization norm, as a checked certificate.
+def _solve_core(A: np.ndarray, config: RunConfig):
+    """Factors ``(L, R)`` of a core with no zero row or column, and a dual bound.
 
-    Runs the weight ascent (at most ``config.max_iter`` iterations) from a
-    uniform start plus ``config.restarts`` random starts seeded by
-    ``config.seed``.  All starts ascend together, one stacked SVD per
-    iteration, each with its own stop test that drops it from the batch.
-    Keeps the first restart, in index order, achieving the smallest
-    measured gamma (1e-12 slack), then polishes the residual with up to
-    three alternating exact least-squares solves and rescales so rows of U
-    are unit-capped.  The inner dimension is min(rows, cols) of the nonzero
-    core.  A result whose residual still exceeds ``config.tol`` is returned
-    as-is (non-certifying); callers decide.
+    A core of one row or one column has norm max|a|, attained by L = [[1]],
+    R = the row, or L = the column / max|a|, R = [[max|a|]]; max|a| is
+    also its exact lower bound.  Any other core goes through the weight
+    ascent and the residual polish.  Its bound is the best dual value f
+    less a margin for floating point: the computed singular values are, by
+    Weyl's inequality, each within the spectral norm of the rounding in
+    forming the weighted matrix (three roundings per entry) and of the SVD's
+    backward error (taken as ms*ns roundings of sigma_max) of the exact
+    ones, and the sum and the weight normalization add t + ms + ns
+    roundings more; sigma_max <= f.  So the bound subtracts
+    4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to 64 x 64, far
+    inside the 1e-7 stop gap.
     """
-    config = config or RunConfig()
-    A_full = as_real_array(matrix)
-    m, n = A_full.shape
-    rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
-    cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
-    if rows_keep.size == 0 or cols_keep.size == 0:
-        return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
-    A = A_full[np.ix_(rows_keep, cols_keep)]
     ms, ns = A.shape
     t = min(ms, ns)
+    if t == 1:
+        top = float(np.abs(A).max())
+        if ms == 1:
+            return np.ones((1, 1)), A, top
+        return A / top, np.full((1, 1), top), top
 
     u0 = np.empty((config.restarts + 1, ms))
     v0 = np.empty((config.restarts + 1, ns))
@@ -259,7 +286,7 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
         u0[r] /= u0[r].sum()
         v0[r] = rng.exponential(size=ns)
         v0[r] /= v0[r].sum()
-    certs, Ls, Rs = _ascend_weights(A, u0, v0, config.max_iter)
+    certs, Ls, Rs, dual = _ascend_weights(A, u0, v0, config.max_iter)
     best_gamma = math.inf
     winner = 0
     for r, cert in enumerate(certs):
@@ -280,13 +307,46 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     # Prefer a certifying candidate of minimal gamma; with none, minimal residual.
     certifying = [c for c in candidates if c[0] <= config.tol]
     pool = certifying if certifying else candidates
-    resid, gamma, L, R = min(pool, key=lambda c: (c[1], c[0]))
+    _, _, L, R = min(pool, key=lambda c: (c[1], c[0]))
+    margin = 4 * t * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
+    return L, R, max(0.0, dual - margin)
+
+
+def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
+    """Numerical upper bound on the factorization norm, as a checked certificate.
+
+    Drops zero rows and columns.  A core of one row or one column gets its
+    closed-form certificate (gamma = max|entry|).  Any other core runs the
+    weight ascent (at most ``config.max_iter`` iterations) from a uniform
+    start plus ``config.restarts`` random starts seeded by ``config.seed``.
+    All starts ascend together, one stacked SVD per iteration, each with its
+    own stop test that drops it from the batch, and the whole batch stops
+    once the best certificate is within 1e-7 relative of the best dual value.
+    Keeps the first restart, in index order, achieving the smallest
+    measured gamma (1e-12 slack), then polishes the residual with up to
+    three alternating exact least-squares solves.  Either way the factors
+    are rescaled so rows of U are unit-capped and re-embedded; the inner
+    dimension is min(rows, cols) of the nonzero core, and ``dual_bound``
+    carries the core's lower bound (see ``_solve_core``).  A result whose
+    residual still exceeds ``config.tol`` is returned as-is
+    (non-certifying); callers decide.
+    """
+    config = config or RunConfig()
+    A_full = as_real_array(matrix)
+    m, n = A_full.shape
+    rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
+    cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
+    if rows_keep.size == 0 or cols_keep.size == 0:
+        return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
+    A = A_full[np.ix_(rows_keep, cols_keep)]
+    L, R, dual_bound = _solve_core(A, config)
 
     s = _max_row_norm(L)
     if s > 0:
         L = L / s
         R = R * s
     # Re-embed into the original frame; the dropped zero rows/columns stay zero.
+    t = L.shape[1]
     U_out = np.zeros((m, t))
     V_out = np.zeros((t, n))
     U_out[rows_keep] = L
@@ -295,7 +355,9 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     # so roundoff in the norm computation must never undercut the true value.
     gamma = _max_row_norm(U_out) * _max_col_norm(V_out) * (1 + 5e-16)
     resid = float(np.abs(A_full - U_out @ V_out).max())
-    return GammaFactorization(U=U_out, V=V_out, gamma=gamma, residual=resid)
+    return GammaFactorization(
+        U=U_out, V=V_out, gamma=gamma, residual=resid, dual_bound=dual_bound
+    )
 
 
 def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
@@ -333,10 +395,19 @@ def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
 
 
 def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
-    """Two-sided estimate: exact lower bounds plus a solver certificate."""
+    """Two-sided estimate: the better of the exact and the dual lower bounds,
+    and the solver certificate.
+
+    The lower side is ``gamma2_lower``'s bound unless the certificate's
+    ``dual_bound`` is strictly larger, in which case it is tagged "dual".
+    The exact bounds stay as a cross-check; the dual bound is numerical,
+    with the margin stated in ``_solve_core``.
+    """
     config = config or RunConfig()
     upper = gamma2_upper(matrix, config)
     lower, witness = gamma2_lower(matrix, budget=config.littlestone_budget)
+    if upper.dual_bound > lower:
+        lower, witness = upper.dual_bound, "dual"
     return NormBracket(
         lower=lower, upper=upper.gamma, lower_witness=witness, upper_witness=upper
     )

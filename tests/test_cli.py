@@ -21,7 +21,7 @@ def corner(tmp_path):
 def test_gamma2_prints_bracket(corner, capsys):
     assert main(["gamma2", "--input", corner]) == 0
     out = capsys.readouterr().out
-    assert "lower bound: 1 via max-entry" in out
+    assert "lower bound: 1.15470054 via dual" in out  # 2/sqrt(3) = 1.1547005384
     assert "upper bound: 1.1547" in out and "certifying" in out
 
 

@@ -18,6 +18,7 @@ from blockydecomp.factorize import (
     gamma2_upper,
     verify_factorization,
 )
+from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import greedy_l1_decompose
 
 CORNER = [[1, 0], [1, 1]]  # known norm 2/sqrt(3)
@@ -100,22 +101,40 @@ GOLDEN_INPUTS = {
 
 # name -> (float.hex(gamma), float.hex(residual), sha256 of U bytes + V bytes)
 GOLDEN = {
-    "corner": ("0x1.279a7622e9704p+0", "0x1.4000000000000p-51", "93a42bb5fa35616a2aef3e039ed306eccb337fcab659e9b79b9d3df3ad5d573c"),
+    "corner": ("0x1.279a762d7c088p+0", "0x1.8000000000000p-52", "15c2474e994b598f5ca386308e9af60304be3445717c99a959e852010d7f7749"),
     "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
     "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "be3521b9871079815a595a0ebb91d7318bd5271216955e87e1f28e18b4bd91f5"),
     "hadamard2": ("0x1.6a09e667f3bd0p+0", "0x1.0000000000000p-52", "d6fd7328baf060ac8f0f9d7dc2994bd792ca6e1ad334decfc2b89155b529fd94"),
-    "sign8": ("0x1.3207229bbb4a5p+1", "0x1.6000000000000p-49", "ee0e0f25c2372da7c5eb5c158619054a08eab426661301a3013bf53fcfa01464"),
-    "ternary16": ("0x1.74b17e698d63dp+1", "0x1.8000000000000p-49", "0e05795ca7aaa1641c3b1de1b4e2628f744d6bc36d088e19610f0507a0f34b17"),
-    "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "68f02da6d329f951ae35fd2c3cf0470ee30234242b4c113c8c8ead8e886125f6"),
+    "sign8": ("0x1.320722b4eeab8p+1", "0x1.9000000000000p-49", "b06a212ea6aa90aaa4d5cd7935684bae609243ad00bef217739a66ea39c1ead4"),
+    "ternary16": ("0x1.74b17e8186c14p+1", "0x1.a000000000000p-49", "963a854744f7c16c4d359b126d8d9f3398b82bc844db94a4adc86125235ac175"),
+    "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
     "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
+}
+
+
+# name -> float.hex(gamma) before the global stop, when every restart ascended
+# until its own gap closed or it went stale.  The early stop may only return
+# a slightly larger certificate, within the 1e-7 stop gap.
+GAMMA_WITHOUT_GLOBAL_STOP = {
+    "corner": "0x1.279a7622e9704p+0",
+    "eye3": "0x1.0000000000002p+0",
+    "ones3": "0x1.0000000000002p+0",
+    "hadamard2": "0x1.6a09e667f3bd0p+0",
+    "sign8": "0x1.3207229bbb4a5p+1",
+    "ternary16": "0x1.74b17e698d63dp+1",
+    "row1x5": "0x1.8000000000003p+1",
+    "col5x1": "0x1.0000000000002p+1",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_certificates(name):
-    fac = gamma2_upper(GOLDEN_INPUTS[name])
+    A = GOLDEN_INPUTS[name]
+    fac = gamma2_upper(A)
     digest = hashlib.sha256(fac.U.tobytes() + fac.V.tobytes()).hexdigest()
     assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN[name]
+    assert fac.gamma <= float.fromhex(GAMMA_WITHOUT_GLOBAL_STOP[name]) * (1 + 1e-7)
+    assert verify_factorization(A, fac).ok
 
 
 @pytest.mark.parametrize(
@@ -162,6 +181,36 @@ def test_every_restart_stopping_at_once_costs_one_svd(monkeypatch):
     calls = _count_svds(monkeypatch)
     gamma2_upper(np.ones((3, 3)))
     assert calls == [(RunConfig.restarts + 1, 3, 3)]
+
+
+@pytest.mark.parametrize(
+    "A, svds",
+    [([[1, 0, 1], [0, 1, 1], [1, 1, 0]], 1), (np.eye(3), 1), (CORNER, 74)],
+    ids=["triangle", "eye3", "corner"],
+)
+def test_batch_stops_on_the_global_dual_gap(monkeypatch, A, svds):
+    # The uniform start closes the gap of the first two on iteration one, so
+    # the random restarts stop with it (172 and 45 SVDs without the global
+    # stop); on corner the batch stops at 74 instead of 177.
+    calls = _count_svds(monkeypatch)
+    fac = gamma2_upper(A)
+    assert len(calls) == svds
+    assert verify_factorization(A, fac).ok
+    assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
+
+
+@pytest.mark.parametrize("name", ["row1x5", "col5x1"])
+def test_one_row_or_column_core_is_closed_form(monkeypatch, name):
+    calls = _count_svds(monkeypatch)
+    A = np.asarray(GOLDEN_INPUTS[name], dtype=np.float64)
+    fac = gamma2_upper(A)
+    assert calls == []
+    top = float(np.abs(A).max())
+    assert verify_factorization(A, fac).ok and fac.residual == 0.0
+    assert top <= fac.gamma <= top * (1 + 1e-15)
+    assert fac.dual_bound == top
+    # The dual ties the exact max-entry bound, and the bracket keeps the exact tag.
+    assert gamma2_bracket(A).lower_witness == "max-entry"
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +289,19 @@ def test_bracket_sandwich_random():
         A = rng.integers(-2, 3, size=(3, 5))
         br = gamma2_bracket(A, RunConfig(restarts=8, seed=1))
         assert br.lower <= br.upper + 1e-6 * max(1.0, br.upper)
-        assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "weighted-Littlestone")
+        assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "weighted-Littlestone", "dual")
         assert verify_factorization(A, br.upper_witness, tol=1e-6).ok
+
+
+def test_bracket_dual_beats_max_entry_on_a_blocky_sum():
+    # A 32 x 32 sum of 4 random blocky terms with max|entry| = 2: the exact
+    # bounds stop at max-entry, the solver's dual value reaches about 2.66.
+    inst = generate(GeneratorSpec("random-blocky-sum", n=32, term_count=4), seed=3204)
+    A = np.asarray(inst.matrix)
+    br = gamma2_bracket(A)
+    assert gamma2_lower(A) == (2.0, "max-entry")
+    assert br.lower_witness == "dual"
+    assert 2.0 < br.lower < br.upper <= inst.certificate.gamma
 
 
 # ---------------------------------------------------------------------------
