@@ -17,21 +17,23 @@ The solver ascends a concave reweighting of the trace norm: for row/column
 weight vectors u, v on the probability simplex, the trace norm of
 diag(sqrt(u)) @ A @ diag(sqrt(v)) is a lower bound on the factorization
 norm (its dual value), the maximizing weights make it tight, and each SVD of
-the weighted matrix yields both a supergradient (for a multiplicative-weights
-step) and a concrete factorization whose measured gamma upper-bounds the
-norm.  The uniform start and the random restarts ascend as one batch: each
-iteration SVDs the stacked weighted matrices of all still-active restarts in
-a single call, and a per-restart stop mask drops a restart once its own gap
-closes or it goes stale, so every restart follows exactly the iterates it
-would follow alone.  The whole batch stops as soon as the best certificate
-of any restart is within the gap tolerance of the best dual value of any
-restart: that certificate is then proved optimal to the tolerance, and the
-best dual, less a floating-point margin, is kept on the certificate as a
-lower bound.  A core of one row or one column needs no ascent: its norm is
-its largest entry magnitude, with a closed-form certificate.  Plain
-alternating least squares over (U, V) turned out to stall at non-optimal
-balanced factorizations on invertible inputs, so the weight ascent drives
-the search and least squares is kept for the final residual polish.
+the weighted matrix yields both the next weights and a concrete factorization
+whose measured gamma upper-bounds the norm.  The step is a fixed-point
+reweighting (each row's or column's new weight is its share of the dual
+value; the optimum is a fixed point) floored by a 1e-9 mix of the uniform
+weights, which by concavity costs at most 1e-9 relative (``_ascend_weights``).
+The uniform start and the random restarts ascend as one batch, one stacked
+SVD per iteration, and a per-restart stop mask drops a restart once its own
+gap closes or it goes stale, so every restart follows exactly the iterates
+it would follow alone.  The whole batch stops as soon as the best
+certificate of any restart is within the gap tolerance of the best dual
+value of any restart: that certificate is then proved optimal to the
+tolerance, and the best dual, less a floating-point margin, is kept on the
+certificate as a lower bound.  A core of one row or one column needs no
+ascent: its norm is its largest entry magnitude, with a closed-form
+certificate.  Plain alternating least squares over (U, V) turned out to
+stall at non-optimal balanced factorizations on invertible inputs, so the
+weight ascent drives the search and least squares polishes the residual.
 """
 
 from __future__ import annotations
@@ -188,23 +190,28 @@ def verify_factorization(
 
 
 def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int):
-    """Multiplicative-weights ascent from a stack of starts, all advanced together.
+    """Fixed-point reweighting ascent from a stack of starts, all advanced together.
 
     The start weights ``u`` are ``(R, m)`` and ``v`` are ``(R, n)``: one row
-    per restart.  Each iteration SVDs the stack of weighted matrices of the
-    restarts still active in one call; per restart, the singular values sum
-    to its dual value f(u, v), and the balanced factors L, R give
-    supergradient coordinates (squared row norms of L, squared column norms
-    of R) and a certificate maxrow(L)*maxcol(R).  A restart leaves the
-    active set on a small gap between its certificate and its own dual
-    value, or after 60 stale iterations; the arithmetic per restart is the
-    same as ascending it alone.  The whole batch ends as soon as the best
-    certificate so far is within the same gap of the largest dual value
-    seen so far over all restarts and iterations.  Returns
-    ``(best_cert, best_L, best_R, best_dual)``, the first three with one
-    entry per restart.
+    per restart.  Each iteration SVDs the stack of weighted matrices
+    D_u^½ A D_v^½ = P Σ Qᵀ of the restarts still active in one call; per
+    restart, Σσ is its dual value f(u, v), and the balanced factors
+    L = D_u^-½ P Σ^½, R = Σ^½ Qᵀ D_v^-½ give supergradients gu, gv (squared
+    row norms of L, column norms of R) and a certificate √(max gu·max gv).
+    The step is u ← u ⊙ gu / f: as Σ uᵢguᵢ = f, row i's new weight is its
+    share of ‖P Σ^½‖²_F, with no step size, and the optimum, where every
+    supported row has guᵢ = f, is a fixed point.  Then u ← (1 − 1e-9)u +
+    1e-9/m, and likewise for v with n: without this floor weights fall to
+    1e-17 and below on low-rank inputs and L, R lose all accuracy.  As f is the
+    minimum over XY = A of ½(Σ uᵢ‖xᵢ‖² + Σ vⱼ‖yⱼ‖²), it is jointly concave,
+    so the mix loses at most 1e-9 relative of f, inside the 1e-7 stop gap.
+    A restart leaves the active set on that gap between its certificate and
+    its own dual value, or after 60 stale iterations; the arithmetic per
+    restart is the same as ascending it alone.  The whole batch ends once
+    the best certificate is within the same gap of the largest dual value
+    seen over all restarts and iterations.  Returns ``(best_cert, best_L,
+    best_R, best_dual)``, the first three with one entry per restart.
     """
-    eta = 0.35
     n_starts, m = u.shape
     n = v.shape[1]
     t = min(m, n)
@@ -225,9 +232,7 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
         R = (s_half[:, :, None] * Qt) / sv[:, None, :]
         gu = np.einsum("rij,rij->ri", L, L)
         gv = np.einsum("rij,rij->rj", R, R)
-        gu_max = gu.max(axis=1)
-        gv_max = gv.max(axis=1)
-        cert = np.sqrt(gu_max * gv_max)
+        cert = np.sqrt(gu.max(axis=1) * gv.max(axis=1))
         improved = cert < best_cert[active] - 1e-12
         won = active[improved]
         best_cert[won] = cert[improved]
@@ -240,15 +245,13 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
         if done.any():
             keep = ~done
             active, stale, u, v = active[keep], stale[keep], u[keep], v[keep]
-            gu, gv, gu_max, gv_max = gu[keep], gv[keep], gu_max[keep], gv_max[keep]
+            gu, gv = gu[keep], gv[keep]
             if active.size == 0:
                 break
-        u = u * np.exp(eta * gu / gu_max[:, None])
-        u = np.maximum(u, 1e-250)
-        u /= u.sum(axis=1, keepdims=True)
-        v = v * np.exp(eta * gv / gv_max[:, None])
-        v = np.maximum(v, 1e-250)
-        v /= v.sum(axis=1, keepdims=True)
+        u = u * gu
+        u = (1 - 1e-9) * (u / u.sum(axis=1, keepdims=True)) + 1e-9 / m
+        v = v * gv
+        v = (1 - 1e-9) * (v / v.sum(axis=1, keepdims=True)) + 1e-9 / n
     return best_cert, best_L, best_R, best_dual
 
 
@@ -318,18 +321,15 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     Drops zero rows and columns.  A core of one row or one column gets its
     closed-form certificate (gamma = max|entry|).  Any other core runs the
     weight ascent (at most ``config.max_iter`` iterations) from a uniform
-    start plus ``config.restarts`` random starts seeded by ``config.seed``.
-    All starts ascend together, one stacked SVD per iteration, each with its
-    own stop test that drops it from the batch, and the whole batch stops
-    once the best certificate is within 1e-7 relative of the best dual value.
-    Keeps the first restart, in index order, achieving the smallest
-    measured gamma (1e-12 slack), then polishes the residual with up to
-    three alternating exact least-squares solves.  Either way the factors
-    are rescaled so rows of U are unit-capped and re-embedded; the inner
-    dimension is min(rows, cols) of the nonzero core, and ``dual_bound``
-    carries the core's lower bound (see ``_solve_core``).  A result whose
-    residual still exceeds ``config.tol`` is returned as-is
-    (non-certifying); callers decide.
+    start plus ``config.restarts`` random starts seeded by ``config.seed``,
+    all ascending together (see ``_ascend_weights``).  Keeps the first
+    restart, in index order, achieving the smallest measured gamma (1e-12
+    slack), then polishes the residual with up to three alternating exact
+    least-squares solves.  Either way the factors are rescaled so rows of U
+    are unit-capped and re-embedded; the inner dimension is min(rows, cols)
+    of the nonzero core, and ``dual_bound`` carries the core's lower bound
+    (see ``_solve_core``).  A result whose residual still exceeds
+    ``config.tol`` is returned as-is (non-certifying); callers decide.
     """
     config = config or RunConfig()
     A_full = as_real_array(matrix)

@@ -317,12 +317,12 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
-@pytest.mark.parametrize("code", [15, 71, 120])
+@pytest.mark.parametrize("code", [151, 252])
 def test_decompose_optimal_where_the_construction_splits_a_column(code):
     # The construction's cells hold one distinct column twice on these
     # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
-    # Which inputs split depends on the solver's certificate: these are the
-    # only 3x3 booleans where the default certificate's first level peels
+    # Which inputs split depends on the solver's certificate: these two are
+    # the only 3x3 booleans where the default certificate's first level peels
     # more terms than decompose.
     A = _boolean3x3(code)
     s, _ = decompose(A)
