@@ -39,8 +39,8 @@ __all__ = ["main"]
 _RUN_FLAGS = {
     "seed": ("--seed", "seed for all randomized paths"),
     "tol": ("--tol", "certificate residual tolerance"),
-    "restarts": ("--restarts", "random solver restarts"),
-    "max_iter": ("--max-iter", "ascent iterations per restart"),
+    "restarts": ("--restarts", "random solver restarts, run only when the uniform start leaves the gap open"),
+    "max_iter": ("--max-iter", "iterations per solver ascent (a solve that falls back to the restarts makes two)"),
     "littlestone_budget": ("--budget", "dimension-recursion node budget"),
     "oracle_depth": ("--oracle-depth", "term-count cap of the brute-force oracle"),
 }

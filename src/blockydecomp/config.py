@@ -13,7 +13,11 @@ from .littlestone import DEFAULT_BUDGET
 class RunConfig:
     """Knobs threaded through every randomized or budgeted code path.
 
-    ``seed``, ``restarts`` and ``max_iter`` drive the norm solver; ``tol``
+    ``seed``, ``restarts`` and ``max_iter`` drive the norm solver: it
+    ascends the uniform start alone, and only when that leaves the dual gap
+    open does it ascend again with ``restarts`` random starts seeded by
+    ``seed``; ``max_iter`` caps each ascent, so a solve makes at most
+    2 · ``max_iter`` stacked SVDs.  ``tol``
     is the certificate residual tolerance; ``littlestone_budget`` caps exact
     dimension-recursion node expansions; ``oracle_depth`` caps the
     brute-force complexity search.  The field defaults are the package

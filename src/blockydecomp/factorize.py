@@ -22,24 +22,29 @@ whose measured gamma upper-bounds the norm.  The step is a fixed-point
 reweighting (each row's or column's new weight is its share of the dual
 value; the optimum is a fixed point) floored by a 1e-9 mix of the uniform
 weights, which by concavity costs at most 1e-9 relative (``_ascend_weights``).
-The uniform start and the random restarts ascend as one batch, one stacked
+The dual value is jointly concave, so one start can reach the optimum: the
+uniform start ascends alone first, and when its polished certificate is
+within the gap tolerance of its own dual bound it is proved optimal to that
+tolerance and kept.  Only otherwise do the random restarts run: the uniform
+start and the random starts ascend from scratch as one batch, one stacked
 SVD per iteration, and a per-restart stop mask drops a restart once its own
 gap closes or it goes stale, so every restart follows exactly the iterates
-it would follow alone.  The whole batch stops as soon as the best
-certificate of any restart is within the gap tolerance of the best dual
-value of any restart: that certificate is then proved optimal to the
-tolerance, and the best dual, less a floating-point margin, is kept on the
-certificate as a lower bound.  A core of one row or one column needs no
-ascent: its norm is its largest entry magnitude, with a closed-form
-certificate.  Plain alternating least squares over (U, V) turned out to
-stall at non-optimal balanced factorizations on invertible inputs, so the
-weight ascent drives the search and least squares polishes the residual.
+it would follow alone (``_solve_core``).  An ascent stops as soon as the
+best certificate of any of its starts is within the gap tolerance of the
+best dual value of any of them, and the best dual, less a floating-point
+margin, is kept on the certificate as a lower bound.  A core of one row or
+one column needs no ascent: its norm is its largest entry magnitude, with a
+closed-form certificate.  Plain alternating least squares over (U, V)
+turned out to stall at non-optimal balanced factorizations on invertible
+inputs, so the weight ascent drives the search and least squares polishes
+the residual.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,7 +144,7 @@ class NormBracket:
     ``lower_witness`` names the source of ``lower``: "max-entry",
     "sqrt-Littlestone" and "weighted-Littlestone" are exact, "dual" is the
     solver's numerical bound with the floating-point margin of
-    ``_solve_core``.
+    ``_ascend_and_polish``.
     """
 
     lower: float
@@ -255,40 +260,22 @@ def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int
     return best_cert, best_L, best_R, best_dual
 
 
-def _solve_core(A: np.ndarray, config: RunConfig):
-    """Factors ``(L, R)`` of a core with no zero row or column, and a dual bound.
+def _ascend_and_polish(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, config: RunConfig):
+    """Polished factors ``(L, R)`` and a dual bound from one ascent over the starts.
 
-    A core of one row or one column has norm max|a|, attained by L = [[1]],
-    R = the row, or L = the column / max|a|, R = [[max|a|]]; max|a| is
-    also its exact lower bound.  Any other core goes through the weight
-    ascent and the residual polish.  Its bound is the best dual value f
-    less a margin for floating point: the computed singular values are, by
-    Weyl's inequality, each within the spectral norm of the rounding in
-    forming the weighted matrix (three roundings per entry) and of the SVD's
-    backward error (taken as ms*ns roundings of sigma_max) of the exact
-    ones, and the sum and the weight normalization add t + ms + ns
-    roundings more; sigma_max <= f.  So the bound subtracts
-    4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to 64 x 64, far
-    inside the 1e-7 stop gap.
+    Keeps the first start, in index order, achieving the smallest
+    certificate (1e-12 slack), and polishes its residual.  The bound is the
+    best dual value f of the ascent less a margin for floating point: the
+    computed singular values are, by Weyl's inequality, each within the
+    spectral norm of the rounding in forming the weighted matrix (three
+    roundings per entry) and of the SVD's backward error (taken as ms*ns
+    roundings of sigma_max) of the exact ones, and the sum and the weight
+    normalization add t + ms + ns roundings more; sigma_max <= f.  So the
+    bound subtracts 4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to
+    64 x 64, far inside the 1e-7 stop gap.
     """
     ms, ns = A.shape
     t = min(ms, ns)
-    if t == 1:
-        top = float(np.abs(A).max())
-        if ms == 1:
-            return np.ones((1, 1)), A, top
-        return A / top, np.full((1, 1), top), top
-
-    u0 = np.empty((config.restarts + 1, ms))
-    v0 = np.empty((config.restarts + 1, ns))
-    u0[0] = 1.0 / ms
-    v0[0] = 1.0 / ns
-    for r in range(1, config.restarts + 1):
-        rng = np.random.default_rng([config.seed, r])
-        u0[r] = rng.exponential(size=ms)
-        u0[r] /= u0[r].sum()
-        v0[r] = rng.exponential(size=ns)
-        v0[r] /= v0[r].sum()
     certs, Ls, Rs, dual = _ascend_weights(A, u0, v0, config.max_iter)
     best_gamma = math.inf
     winner = 0
@@ -315,37 +302,57 @@ def _solve_core(A: np.ndarray, config: RunConfig):
     return L, R, max(0.0, dual - margin)
 
 
-def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
-    """Numerical upper bound on the factorization norm, as a checked certificate.
+def _solve_core(A: np.ndarray, config: RunConfig, embed) -> GammaFactorization:
+    """The certificate of a core with no zero row or column.
 
-    Drops zero rows and columns.  A core of one row or one column gets its
-    closed-form certificate (gamma = max|entry|).  Any other core runs the
-    weight ascent (at most ``config.max_iter`` iterations) from a uniform
-    start plus ``config.restarts`` random starts seeded by ``config.seed``,
-    all ascending together (see ``_ascend_weights``).  Keeps the first
-    restart, in index order, achieving the smallest measured gamma (1e-12
-    slack), then polishes the residual with up to three alternating exact
-    least-squares solves.  Either way the factors are rescaled so rows of U
-    are unit-capped and re-embedded; the inner dimension is min(rows, cols)
-    of the nonzero core, and ``dual_bound`` carries the core's lower bound
-    (see ``_solve_core``).  A result whose residual still exceeds
-    ``config.tol`` is returned as-is (non-certifying); callers decide.
+    ``embed(L, R, bound)`` turns core factors and a lower bound into the
+    reported certificate.  A core of one row or one column has norm max|a|,
+    attained by L = [[1]], R = the row, or L = the column / max|a|,
+    R = [[max|a|]]; max|a| is also its exact lower bound.  Any other core
+    first ascends the uniform start alone (``_ascend_and_polish``).  That
+    certificate, as reported, is kept when it certifies (residual ≤
+    ``config.tol``) and gamma − dual_bound ≤ 1e-7 · max(1, dual_bound),
+    which proves it optimal to that gap.  Otherwise the uniform start and
+    ``config.restarts`` random starts seeded by ``config.seed`` ascend
+    again from scratch as one batch, whose certificate is returned as it
+    is; so a solve makes at most 2 · ``config.max_iter`` stacked SVDs.
+    With no random starts that batch is the uniform start again, and the
+    first certificate is returned whatever its gap.
     """
-    config = config or RunConfig()
-    A_full = as_real_array(matrix)
-    m, n = A_full.shape
-    rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
-    cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
-    if rows_keep.size == 0 or cols_keep.size == 0:
-        return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
-    A = A_full[np.ix_(rows_keep, cols_keep)]
-    L, R, dual_bound = _solve_core(A, config)
+    ms, ns = A.shape
+    if min(ms, ns) == 1:
+        top = float(np.abs(A).max())
+        if ms == 1:
+            return embed(np.ones((1, 1)), A, top)
+        return embed(A / top, np.full((1, 1), top), top)
 
+    u0 = np.full((config.restarts + 1, ms), 1.0 / ms)
+    v0 = np.full((config.restarts + 1, ns), 1.0 / ns)
+    fac = embed(*_ascend_and_polish(A, u0[:1], v0[:1], config))
+    bound = fac.dual_bound
+    if config.restarts == 0 or (
+        fac.certifies(config.tol) and fac.gamma - bound <= 1e-7 * max(1.0, bound)
+    ):
+        return fac
+    for r in range(1, config.restarts + 1):
+        rng = np.random.default_rng([config.seed, r])
+        u0[r] = rng.exponential(size=ms)
+        u0[r] /= u0[r].sum()
+        v0[r] = rng.exponential(size=ns)
+        v0[r] /= v0[r].sum()
+    return embed(*_ascend_and_polish(A, u0, v0, config))
+
+
+def _embed(
+    A_full: np.ndarray, rows_keep: np.ndarray, cols_keep: np.ndarray, L, R, dual_bound: float
+) -> GammaFactorization:
+    """Rescale core factors so rows of U are unit-capped, re-embed, and measure."""
     s = _max_row_norm(L)
     if s > 0:
         L = L / s
         R = R * s
     # Re-embed into the original frame; the dropped zero rows/columns stay zero.
+    m, n = A_full.shape
     t = L.shape[1]
     U_out = np.zeros((m, t))
     V_out = np.zeros((t, n))
@@ -358,6 +365,36 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     return GammaFactorization(
         U=U_out, V=V_out, gamma=gamma, residual=resid, dual_bound=dual_bound
     )
+
+
+def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
+    """Numerical upper bound on the factorization norm, as a checked certificate.
+
+    Drops zero rows and columns.  A core of one row or one column gets its
+    closed-form certificate (gamma = max|entry|).  Any other core runs the
+    weight ascent (see ``_ascend_weights``, at most ``config.max_iter``
+    iterations per ascent) from the uniform start alone, and only when that
+    leaves the gap between the polished certificate and its dual bound open
+    does it ascend again from the uniform start plus ``config.restarts``
+    random starts seeded by ``config.seed``, all together (see
+    ``_solve_core``).  An ascent keeps the first start, in index order,
+    achieving the smallest measured gamma (1e-12 slack), then polishes the
+    residual with up to three alternating exact least-squares solves.
+    Either way the factors are rescaled so rows of U are unit-capped and
+    re-embedded; the inner dimension is min(rows, cols) of the nonzero core,
+    and ``dual_bound`` carries the core's lower bound (see
+    ``_ascend_and_polish``).  A result whose residual still exceeds
+    ``config.tol`` is returned as-is (non-certifying); callers decide.
+    """
+    config = config or RunConfig()
+    A_full = as_real_array(matrix)
+    m, n = A_full.shape
+    rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
+    cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
+    if rows_keep.size == 0 or cols_keep.size == 0:
+        return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
+    A = A_full[np.ix_(rows_keep, cols_keep)]
+    return _solve_core(A, config, partial(_embed, A_full, rows_keep, cols_keep))
 
 
 def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
@@ -401,7 +438,7 @@ def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     The lower side is ``gamma2_lower``'s bound unless the certificate's
     ``dual_bound`` is strictly larger, in which case it is tagged "dual".
     The exact bounds stay as a cross-check; the dual bound is numerical,
-    with the margin stated in ``_solve_core``.
+    with the margin stated in ``_ascend_and_polish``.
     """
     config = config or RunConfig()
     upper = gamma2_upper(matrix, config)

@@ -105,8 +105,8 @@ GOLDEN = {
     "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
     "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "be3521b9871079815a595a0ebb91d7318bd5271216955e87e1f28e18b4bd91f5"),
     "hadamard2": ("0x1.6a09e667f3bd0p+0", "0x1.0000000000000p-52", "d6fd7328baf060ac8f0f9d7dc2994bd792ca6e1ad334decfc2b89155b529fd94"),
-    "sign8": ("0x1.3207223c27716p+1", "0x1.3000000000000p-49", "c8f10df411d72b2f1c359c2aa63a17eb29bb3635068fc9f2d79d94cab123e87a"),
-    "ternary16": ("0x1.74b17e8742651p+1", "0x1.4800000000000p-48", "d48945295d34160e411d17837f415ea53d83a77b1fcae0dbcee79e6b7c3a3fba"),
+    "sign8": ("0x1.3207228e52897p+1", "0x1.8000000000000p-50", "edb520713239da63a6766445a8978d954ffb2239df326685710ca1073b2dbe2d"),
+    "ternary16": ("0x1.74b17e5ba2335p+1", "0x1.6800aff20edf4p-49", "bb9ccf8528e8aae2e2b7b5a839380ec58de1a037e04155e065292a7f068a69ef"),
     "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
     "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
 }
@@ -170,18 +170,21 @@ def _count_svds(monkeypatch):
 
 
 def test_one_stacked_svd_per_ascent_iteration(monkeypatch):
+    # The uniform start ascends alone first; a fallback batch would add at
+    # most max_iter more.
     calls = _count_svds(monkeypatch)
     config = RunConfig()
     gamma2_upper([[1, 0, 1], [0, 1, 1], [1, 1, 0]], config)
-    assert 0 < len(calls) <= config.max_iter
-    assert calls[0] == (config.restarts + 1, 3, 3)
+    assert 0 < len(calls) <= 2 * config.max_iter
+    assert calls[0] == (1, 3, 3)
 
 
-def test_every_restart_stopping_at_once_costs_one_svd(monkeypatch):
-    # A rank-one sign pattern closes the gap from any start on iteration one.
+def test_uniform_start_closing_at_once_costs_one_svd(monkeypatch):
+    # A rank-one sign pattern closes the gap from the uniform start on
+    # iteration one, so no random start is drawn.
     calls = _count_svds(monkeypatch)
     gamma2_upper(np.ones((3, 3)))
-    assert calls == [(RunConfig.restarts + 1, 3, 3)]
+    assert calls == [(1, 3, 3)]
 
 
 @pytest.mark.parametrize(
@@ -190,9 +193,8 @@ def test_every_restart_stopping_at_once_costs_one_svd(monkeypatch):
     ids=["triangle", "eye3", "corner"],
 )
 def test_batch_stops_on_the_global_dual_gap(monkeypatch, A, svds):
-    # The uniform start closes the gap of the first two on iteration one, so
-    # the random restarts stop with it (172 and 45 SVDs without the global
-    # stop); on corner the batch stops after 21.
+    # The uniform start, ascending alone, closes the gap of the first two on
+    # iteration one and of corner after 21, so no random start runs.
     calls = _count_svds(monkeypatch)
     fac = gamma2_upper(A)
     assert len(calls) == svds
@@ -225,6 +227,37 @@ def test_solver_certificate_near_dual_on_low_rank_blocky_sums(n, L, seed):
     fac = gamma2_upper(A)
     assert verify_factorization(A, fac).ok
     assert fac.gamma <= (1 + 1e-6) * fac.dual_bound
+
+
+@pytest.mark.parametrize(
+    "n, L, seed, gamma_hex",
+    [(16, 4, 0, "0x1.247443ce407c4p+1"), (24, 4, 2, "0x1.33e3ccd4b256ap+1")],
+)
+def test_open_gap_falls_back_to_the_batch_of_all_starts(monkeypatch, n, L, seed, gamma_hex):
+    # The uniform start leaves the gap open on these low-rank sums, so the
+    # uniform and the random starts ascend again as one batch, and the
+    # certificate is that batch's own, bit for bit.
+    inst = generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed)
+    A = np.asarray(inst.matrix)
+    calls = _count_svds(monkeypatch)
+    fac = gamma2_upper(A)
+    first = next(k for k, shape in enumerate(calls) if shape[0] > 1)
+    assert 0 < first and all(shape == (1, n, n) for shape in calls[:first])
+    assert calls[first] == (RunConfig.restarts + 1, n, n)
+    assert len(calls) <= 2 * RunConfig.max_iter
+    assert float.hex(fac.gamma) == gamma_hex
+    assert verify_factorization(A, fac).ok
+
+
+def test_uniform_start_closes_the_gap_on_every_3x3_boolean(monkeypatch):
+    calls = _count_svds(monkeypatch)
+    for code in range(1, 512):
+        A = ((code >> np.arange(9)) & 1).reshape(3, 3)
+        calls.clear()
+        fac = gamma2_upper(A)
+        assert all(shape[0] == 1 for shape in calls), code
+        assert verify_factorization(A, fac).ok, code
+        assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound), code
 
 
 # ---------------------------------------------------------------------------

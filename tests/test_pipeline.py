@@ -317,13 +317,14 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
-@pytest.mark.parametrize("code", [151, 252])
+@pytest.mark.parametrize("code", [151, 231])
 def test_decompose_optimal_where_the_construction_splits_a_column(code):
     # The construction's cells hold one distinct column twice on these
     # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
     # Which inputs split depends on the solver's certificate: these two are
-    # the only 3x3 booleans where the default certificate's first level peels
-    # more terms than decompose.
+    # the only 3x3 booleans where the default certificate (the uniform
+    # start's, which closes the gap on every 3x3 boolean) has a first level
+    # that peels more terms than decompose.
     A = _boolean3x3(code)
     s, _ = decompose(A)
     _, _, step = _first_step(gamma2_upper(A))
