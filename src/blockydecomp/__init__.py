@@ -7,7 +7,7 @@ factorization norm into short signed sums of blocky matrices, exactly and
 with verified certificates, and ships the supporting machinery: the norm
 solver and its lower bounds, exact (weighted) mistake-tree dimensions,
 column stabilizers, greedy partitions, a brute-force complexity oracle,
-deterministic generators, and a ten-point verification battery.
+deterministic generators, and an eleven-point verification battery.
 """
 
 from .config import RunConfig
@@ -61,6 +61,7 @@ from .pipeline import (
     exact_block_complexity,
     norm_decrement_step,
     random_lower_bound_experiment,
+    term_count_floor,
 )
 from .suite import SuiteContext, run_suite
 
@@ -112,6 +113,7 @@ __all__ = [
     "round_half_down",
     "run_suite",
     "subtract_average",
+    "term_count_floor",
     "verify_factorization",
     "__version__",
 ]

@@ -22,22 +22,20 @@ whose measured gamma upper-bounds the norm.  The step is a fixed-point
 reweighting (each row's or column's new weight is its share of the dual
 value; the optimum is a fixed point) floored by a 1e-9 mix of the uniform
 weights, which by concavity costs at most 1e-9 relative (``_ascend_weights``).
-The dual value is jointly concave, so one start can reach the optimum: the
-uniform start ascends alone first, and when its polished certificate is
-within the gap tolerance of its own dual bound it is proved optimal to that
-tolerance and kept.  Only otherwise do the random restarts run: the uniform
-start and the random starts ascend from scratch as one batch, one stacked
-SVD per iteration, and a per-restart stop mask drops a restart once its own
-gap closes or it goes stale, so every restart follows exactly the iterates
-it would follow alone (``_solve_core``).  An ascent stops as soon as the
-best certificate of any of its starts is within the gap tolerance of the
-best dual value of any of them, and the best dual, less a floating-point
-margin, is kept on the certificate as a lower bound.  A core of one row or
-one column needs no ascent: its norm is its largest entry magnitude, with a
-closed-form certificate.  Plain alternating least squares over (U, V)
-turned out to stall at non-optimal balanced factorizations on invertible
-inputs, so the weight ascent drives the search and least squares polishes
-the residual.
+The dual value is jointly concave, so one start reaches the optimum: a
+single ascent from the uniform weights runs until its best certificate is
+within 1e-7·max(1, dual) of its best dual value, or ``max_iter`` SVDs.  On
+the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
+seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes at most
+95, 3,605 and 4,587 iterations, and every gap closes.  Only the SVD of the
+best certificate is kept; its balanced factors get one two-sided
+least-squares refit that drives the residual to roundoff (``_refit``), and
+the best dual, less a floating-point margin, is kept on the certificate as a
+lower bound (``_solve_core``).  A core of one row or one column needs no
+ascent: its norm is its largest entry magnitude, with a closed-form
+certificate.  Plain alternating least squares over (U, V) turned out to
+stall at non-optimal balanced factorizations on invertible inputs, so the
+weight ascent drives the search and least squares only fixes the residual.
 """
 
 from __future__ import annotations
@@ -144,7 +142,7 @@ class NormBracket:
     ``lower_witness`` names the source of ``lower``: "max-entry",
     "sqrt-Littlestone" and "weighted-Littlestone" are exact, "dual" is the
     solver's numerical bound with the floating-point margin of
-    ``_ascend_and_polish``.
+    ``_solve_core``.
     """
 
     lower: float
@@ -194,112 +192,73 @@ def verify_factorization(
     )
 
 
-def _ascend_weights(A: np.ndarray, u: np.ndarray, v: np.ndarray, iterations: int):
-    """Fixed-point reweighting ascent from a stack of starts, all advanced together.
+def _ascend_weights(A: np.ndarray, iterations: int):
+    """Fixed-point reweighting ascent from the uniform weights.
 
-    The start weights ``u`` are ``(R, m)`` and ``v`` are ``(R, n)``: one row
-    per restart.  Each iteration SVDs the stack of weighted matrices
-    D_u^½ A D_v^½ = P Σ Qᵀ of the restarts still active in one call; per
-    restart, Σσ is its dual value f(u, v), and the balanced factors
-    L = D_u^-½ P Σ^½, R = Σ^½ Qᵀ D_v^-½ give supergradients gu, gv (squared
-    row norms of L, column norms of R) and a certificate √(max gu·max gv).
-    The step is u ← u ⊙ gu / f: as Σ uᵢguᵢ = f, row i's new weight is its
-    share of ‖P Σ^½‖²_F, with no step size, and the optimum, where every
-    supported row has guᵢ = f, is a fixed point.  Then u ← (1 − 1e-9)u +
-    1e-9/m, and likewise for v with n: without this floor weights fall to
-    1e-17 and below on low-rank inputs and L, R lose all accuracy.  As f is the
+    Each iteration SVDs the weighted matrix D_u^½ A D_v^½ = P Σ Qᵀ.  Its
+    trace norm Σσ is the dual value f(u, v), and the balanced factors
+    L = D_u^-½ P Σ^½, R = Σ^½ Qᵀ D_v^-½ give supergradients
+    gu = ((P∘P) σ) / u and gv = (σ (Qᵀ∘Qᵀ)) / v (squared row norms of L and
+    column norms of R) and a certificate √(max gu · max gv).  The step is
+    u ← u ⊙ gu / f = (P∘P) σ / f: as Σ uᵢguᵢ = f, row i's new weight is
+    its share of ‖P Σ^½‖²_F, with no step size, and the optimum, where
+    every supported row has guᵢ = f, is a fixed point.  Then u ← (1 − 1e-9)u + 1e-9/m, and
+    likewise for v with n: without this floor weights fall to 1e-17 and
+    below on low-rank inputs and L, R lose all accuracy.  As f is the
     minimum over XY = A of ½(Σ uᵢ‖xᵢ‖² + Σ vⱼ‖yⱼ‖²), it is jointly concave,
     so the mix loses at most 1e-9 relative of f, inside the 1e-7 stop gap.
-    A restart leaves the active set on that gap between its certificate and
-    its own dual value, or after 60 stale iterations; the arithmetic per
-    restart is the same as ascending it alone.  The whole batch ends once
-    the best certificate is within the same gap of the largest dual value
-    seen over all restarts and iterations.  Returns ``(best_cert, best_L,
-    best_R, best_dual)``, the first three with one entry per restart.
+    The ascent stops once the best certificate is within that gap of the
+    largest dual value seen, or after ``iterations`` SVDs.  Only the SVD of
+    the best certificate is kept; returns its factors ``(L, R)`` and the
+    largest dual value.
     """
-    n_starts, m = u.shape
-    n = v.shape[1]
-    t = min(m, n)
-    best_cert = np.full(n_starts, math.inf)
-    best_L = np.zeros((n_starts, m, t))
-    best_R = np.zeros((n_starts, t, n))
+    m, n = A.shape
+    u = np.full(m, 1.0 / m)
+    v = np.full(n, 1.0 / n)
+    best_cert = math.inf
     best_dual = 0.0
-    stale = np.zeros(n_starts, dtype=np.int64)
-    active = np.arange(n_starts)
     for _ in range(iterations):
         su, sv = np.sqrt(u), np.sqrt(v)
-        W = su[:, :, None] * A[None, :, :] * sv[:, None, :]
-        P, sig, Qt = np.linalg.svd(W, full_matrices=False)
-        f_val = sig.sum(axis=1)
-        best_dual = max(best_dual, float(f_val.max()))
-        s_half = np.sqrt(sig)
-        L = (P * s_half[:, None, :]) / su[:, :, None]
-        R = (s_half[:, :, None] * Qt) / sv[:, None, :]
-        gu = np.einsum("rij,rij->ri", L, L)
-        gv = np.einsum("rij,rij->rj", R, R)
-        cert = np.sqrt(gu.max(axis=1) * gv.max(axis=1))
-        improved = cert < best_cert[active] - 1e-12
-        won = active[improved]
-        best_cert[won] = cert[improved]
-        best_L[won] = L[improved]
-        best_R[won] = R[improved]
-        if best_cert.min() - best_dual <= 1e-7 * max(1.0, best_dual):
+        P, sig, Qt = np.linalg.svd(su[:, None] * A * sv, full_matrices=False)
+        f_val = float(sig.sum())
+        best_dual = max(best_dual, f_val)
+        pu = (P * P) @ sig
+        pv = sig @ (Qt * Qt)
+        gu, gv = pu / u, pv / v
+        cert = math.sqrt(gu.max() * gv.max())
+        if cert < best_cert:
+            best_cert, best = cert, (P, sig, Qt, su, sv)
+        if best_cert - best_dual <= 1e-7 * max(1.0, best_dual):
             break
-        stale = np.where(improved, 0, stale + 1)
-        done = (cert - f_val <= 1e-7 * np.maximum(1.0, f_val)) | (stale >= 60)
-        if done.any():
-            keep = ~done
-            active, stale, u, v = active[keep], stale[keep], u[keep], v[keep]
-            gu, gv = gu[keep], gv[keep]
-            if active.size == 0:
-                break
-        u = u * gu
-        u = (1 - 1e-9) * (u / u.sum(axis=1, keepdims=True)) + 1e-9 / m
-        v = v * gv
-        v = (1 - 1e-9) * (v / v.sum(axis=1, keepdims=True)) + 1e-9 / n
-    return best_cert, best_L, best_R, best_dual
+        u = (1 - 1e-9) * (pu / pu.sum()) + 1e-9 / m
+        v = (1 - 1e-9) * (pv / pv.sum()) + 1e-9 / n
+    P, sig, Qt, su, sv = best
+    s_half = np.sqrt(sig)
+    return (P * s_half) / su[:, None], (s_half[:, None] * Qt) / sv, best_dual
 
 
-def _ascend_and_polish(A: np.ndarray, u0: np.ndarray, v0: np.ndarray, config: RunConfig):
-    """Polished factors ``(L, R)`` and a dual bound from one ascent over the starts.
+def _refit(A: np.ndarray, L: np.ndarray, R: np.ndarray, tol: float):
+    """Drive ‖A − LR‖_max to roundoff with one exact least-squares refit.
 
-    Keeps the first start, in index order, achieving the smallest
-    certificate (1e-12 slack), and polishes its residual.  The bound is the
-    best dual value f of the ascent less a margin for floating point: the
-    computed singular values are, by Weyl's inequality, each within the
-    spectral norm of the rounding in forming the weighted matrix (three
-    roundings per entry) and of the SVD's backward error (taken as ms*ns
-    roundings of sigma_max) of the exact ones, and the sum and the weight
-    normalization add t + ms + ns roundings more; sigma_max <= f.  So the
-    bound subtracts 4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to
-    64 x 64, far inside the 1e-7 stop gap.
+    Two candidates: L refit against the ascent's R (L′ = lstsq(Rᵀ, Aᵀ)ᵀ) and
+    R refit against its L (R′ = lstsq(L, A)).  Neither one alone suffices:
+    on one 16² sum of 4 blocky terms the L-refit leaves a 9.9e-6 gap to the
+    dual, and on one 24² sum of 3 the R-refit returns γ 43× the dual.  So
+    the certifying candidate (residual ≤ ``tol``) of smaller γ is kept, and
+    with none the one of smaller residual.
     """
-    ms, ns = A.shape
-    t = min(ms, ns)
-    certs, Ls, Rs, dual = _ascend_weights(A, u0, v0, config.max_iter)
-    best_gamma = math.inf
-    winner = 0
-    for r, cert in enumerate(certs):
-        if cert < best_gamma - 1e-12:
-            best_gamma, winner = cert, r
-
-    # Residual polish: alternating exact least squares keeps the factors near
-    # the optimum found above while driving ‖A - LR‖_max to roundoff.
-    L, R = Ls[winner].copy(), Rs[winner].copy()
-    candidates = [(float(np.abs(A - L @ R).max()), _max_row_norm(L) * _max_col_norm(R), L, R)]
-    for _ in range(3):
-        R = np.linalg.lstsq(L, A, rcond=None)[0]
-        L = np.linalg.lstsq(R.T, A.T, rcond=None)[0].T
-        resid = float(np.abs(A - L @ R).max())
-        candidates.append((resid, _max_row_norm(L) * _max_col_norm(R), L, R))
-        if resid <= config.tol:
-            break
-    # Prefer a certifying candidate of minimal gamma; with none, minimal residual.
-    certifying = [c for c in candidates if c[0] <= config.tol]
-    pool = certifying if certifying else candidates
-    _, _, L, R = min(pool, key=lambda c: (c[1], c[0]))
-    margin = 4 * t * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
-    return L, R, max(0.0, dual - margin)
+    pairs = (
+        (np.linalg.lstsq(R.T, A.T, rcond=None)[0].T, R),
+        (L, np.linalg.lstsq(L, A, rcond=None)[0]),
+    )
+    scored = [(float(np.abs(A - X @ Y).max()), _max_row_norm(X) * _max_col_norm(Y), X, Y)
+              for X, Y in pairs]
+    certifying = [c for c in scored if c[0] <= tol]
+    if certifying:
+        _, _, X, Y = min(certifying, key=lambda c: c[1])
+    else:
+        _, _, X, Y = min(scored, key=lambda c: c[0])
+    return X, Y
 
 
 def _solve_core(A: np.ndarray, config: RunConfig, embed) -> GammaFactorization:
@@ -309,15 +268,16 @@ def _solve_core(A: np.ndarray, config: RunConfig, embed) -> GammaFactorization:
     reported certificate.  A core of one row or one column has norm max|a|,
     attained by L = [[1]], R = the row, or L = the column / max|a|,
     R = [[max|a|]]; max|a| is also its exact lower bound.  Any other core
-    first ascends the uniform start alone (``_ascend_and_polish``).  That
-    certificate, as reported, is kept when it certifies (residual ≤
-    ``config.tol``) and gamma − dual_bound ≤ 1e-7 · max(1, dual_bound),
-    which proves it optimal to that gap.  Otherwise the uniform start and
-    ``config.restarts`` random starts seeded by ``config.seed`` ascend
-    again from scratch as one batch, whose certificate is returned as it
-    is; so a solve makes at most 2 · ``config.max_iter`` stacked SVDs.
-    With no random starts that batch is the uniform start again, and the
-    first certificate is returned whatever its gap.
+    runs one ascent from the uniform weights (``_ascend_weights``, at most
+    ``config.max_iter`` SVDs) and the two-sided refit (``_refit``).  The
+    bound is the ascent's best dual value f less a margin for floating
+    point: the computed singular values are, by Weyl's inequality, each
+    within the spectral norm of the rounding in forming the weighted matrix
+    (three roundings per entry) and of the SVD's backward error (taken as
+    ms*ns roundings of sigma_max) of the exact ones, and the sum and the
+    weight normalization add t + ms + ns roundings more; sigma_max <= f.  So
+    the bound subtracts 4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up
+    to 64 x 64, far inside the 1e-7 stop gap.
     """
     ms, ns = A.shape
     if min(ms, ns) == 1:
@@ -326,21 +286,9 @@ def _solve_core(A: np.ndarray, config: RunConfig, embed) -> GammaFactorization:
             return embed(np.ones((1, 1)), A, top)
         return embed(A / top, np.full((1, 1), top), top)
 
-    u0 = np.full((config.restarts + 1, ms), 1.0 / ms)
-    v0 = np.full((config.restarts + 1, ns), 1.0 / ns)
-    fac = embed(*_ascend_and_polish(A, u0[:1], v0[:1], config))
-    bound = fac.dual_bound
-    if config.restarts == 0 or (
-        fac.certifies(config.tol) and fac.gamma - bound <= 1e-7 * max(1.0, bound)
-    ):
-        return fac
-    for r in range(1, config.restarts + 1):
-        rng = np.random.default_rng([config.seed, r])
-        u0[r] = rng.exponential(size=ms)
-        u0[r] /= u0[r].sum()
-        v0[r] = rng.exponential(size=ns)
-        v0[r] /= v0[r].sum()
-    return embed(*_ascend_and_polish(A, u0, v0, config))
+    L, R, dual = _ascend_weights(A, config.max_iter)
+    margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
+    return embed(*_refit(A, L, R, config.tol), max(0.0, dual - margin))
 
 
 def _embed(
@@ -371,20 +319,15 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     """Numerical upper bound on the factorization norm, as a checked certificate.
 
     Drops zero rows and columns.  A core of one row or one column gets its
-    closed-form certificate (gamma = max|entry|).  Any other core runs the
-    weight ascent (see ``_ascend_weights``, at most ``config.max_iter``
-    iterations per ascent) from the uniform start alone, and only when that
-    leaves the gap between the polished certificate and its dual bound open
-    does it ascend again from the uniform start plus ``config.restarts``
-    random starts seeded by ``config.seed``, all together (see
-    ``_solve_core``).  An ascent keeps the first start, in index order,
-    achieving the smallest measured gamma (1e-12 slack), then polishes the
-    residual with up to three alternating exact least-squares solves.
-    Either way the factors are rescaled so rows of U are unit-capped and
-    re-embedded; the inner dimension is min(rows, cols) of the nonzero core,
-    and ``dual_bound`` carries the core's lower bound (see
-    ``_ascend_and_polish``).  A result whose residual still exceeds
-    ``config.tol`` is returned as-is (non-certifying); callers decide.
+    closed-form certificate (gamma = max|entry|).  Any other core runs one
+    weight ascent from the uniform weights (``_ascend_weights``, at most
+    ``config.max_iter`` SVDs) and refits the residual of its best
+    certificate (``_refit``).  Either way the factors are rescaled so rows
+    of U are unit-capped and re-embedded; the inner dimension is min(rows,
+    cols) of the nonzero core, and ``dual_bound`` carries the core's lower
+    bound (see ``_solve_core``).  No random numbers are drawn.  A result
+    whose residual still exceeds ``config.tol`` is returned as-is
+    (non-certifying); callers decide.
     """
     config = config or RunConfig()
     A_full = as_real_array(matrix)
@@ -438,7 +381,7 @@ def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     The lower side is ``gamma2_lower``'s bound unless the certificate's
     ``dual_bound`` is strictly larger, in which case it is tagged "dual".
     The exact bounds stay as a cross-check; the dual bound is numerical,
-    with the margin stated in ``_ascend_and_polish``.
+    with the margin stated in ``_solve_core``.
     """
     config = config or RunConfig()
     upper = gamma2_upper(matrix, config)

@@ -59,6 +59,7 @@ __all__ = [
     "norm_decrement_step",
     "decompose",
     "exact_block_complexity",
+    "term_count_floor",
     "MAX_DECOMPOSE_ENTRY",
     "check_entry_cap",
     "random_lower_bound_experiment",
@@ -499,6 +500,22 @@ def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int |
         if reachable(A, k):
             return k
     return None
+
+
+def term_count_floor(matrix, lower: float) -> int:
+    """Fewest terms any signed blocky sum for the matrix can have, given a norm lower bound.
+
+    Each term moves an entry by at most 1, so a sum needs max|A| terms.  A
+    blocky matrix is a contractive Schur multiplier, so its factorization
+    norm is at most 1, and the norm is subadditive: a sum of L terms has norm
+    at most L, so L ≥ ``lower`` for any lower bound on the norm of A, such
+    as ``gamma2_bracket(A).lower``.  The floor is therefore
+    max(max|A|, ⌈lower − 1e-9·max(1, lower)⌉); the slack keeps a numerical
+    bound that lands a rounding error above an integer from adding a term.
+    """
+    A = as_int_array(matrix)
+    top = int(np.abs(A).max(initial=0))
+    return max(top, math.ceil(lower - 1e-9 * max(1.0, lower)))
 
 
 def random_lower_bound_experiment(

@@ -1,4 +1,4 @@
-"""The ten-point verification battery, shared by pytest and the CLI.
+"""The eleven-point verification battery, shared by pytest and the CLI.
 
 Each criterion is a standalone function taking a RunConfig and a shared
 SuiteContext (which lazily caches the two expensive corpora: decompositions
@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import is_blocky, round_half_down
-from .factorize import gamma2_upper, verify_factorization
+from .factorize import gamma2_lower, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_l1_decompose, greedy_partition, subtract_average
@@ -31,6 +31,7 @@ from .pipeline import (
     exact_block_complexity,
     norm_decrement_step,
     random_lower_bound_experiment,
+    term_count_floor,
 )
 
 __all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA"]
@@ -70,7 +71,7 @@ def _construction(A: np.ndarray, fac, config: RunConfig) -> dict:
 
 
 class SuiteContext:
-    """Lazy caches for corpora reused across criteria 6-10."""
+    """Lazy caches for corpora reused across criteria 6-11."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
@@ -367,6 +368,31 @@ def criterion_10(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
                            {"experiment": rep})
 
 
+def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+    """Certified term-count floor sandwiched under the oracle and the term count."""
+    t0 = time.perf_counter()
+    bad = 0
+    total = {"floor": 0, "oracle": 0, "terms": 0}
+    for item in ctx.boolean3x3():
+        A, s, fac = item["matrix"], item["sum"], item["fac"]
+        # The bracket's lower bound: the exact bounds or the certificate's dual.
+        lower = max(gamma2_lower(A, budget=config.littlestone_budget)[0], fac.dual_bound)
+        floor = term_count_floor(A, lower)
+        oc = exact_block_complexity(A, config.oracle_depth)
+        if oc is None or not floor <= oc <= len(s):
+            bad += 1
+            continue
+        total["floor"] += floor
+        total["oracle"] += oc
+        total["terms"] += len(s)
+    dt = time.perf_counter() - t0
+    detail = (
+        f"512 boolean 3x3: floor <= oracle <= terms, totals {total['floor']} <= "
+        f"{total['oracle']} <= {total['terms']}; {bad} violations"
+    )
+    return CriterionResult(11, "term-count floor", bad == 0 and dt < 600, detail, dt, 600)
+
+
 CRITERIA = {
     1: criterion_1,
     2: criterion_2,
@@ -378,6 +404,7 @@ CRITERIA = {
     8: criterion_8,
     9: criterion_9,
     10: criterion_10,
+    11: criterion_11,
 }
 
 

@@ -1,4 +1,4 @@
-"""Acceptance battery: ten checked criteria, one printed pass/fail line each.
+"""Acceptance battery: eleven checked criteria, one printed pass/fail line each.
 
 Each test runs one criterion from the suite module against a default
 RunConfig, echoes its summary line past pytest's capture so the verdicts
@@ -25,7 +25,7 @@ def config():
 @pytest.fixture(scope="module")
 def ctx(config):
     # Shared lazy corpora: the 512 boolean 3x3 decompositions and the 50
-    # generated blocky-sum instances are computed once, reused by 6-10.
+    # generated blocky-sum instances are computed once, reused by 6-11.
     return SuiteContext(config)
 
 
@@ -75,6 +75,10 @@ def test_criterion_09_rounding_additivity(config, ctx, capsys):
 
 def test_criterion_10_random_complexity_histogram(config, ctx, capsys):
     _run(10, config, ctx, capsys)
+
+
+def test_criterion_11_term_count_floor(config, ctx, capsys):
+    _run(11, config, ctx, capsys)
 
 
 def test_construction_criteria_fail_when_no_step_was_checked(config):

@@ -92,10 +92,22 @@ def test_decompose_gamma_gate_runs_before_decomposing(corner, tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "flags", [["--max-iter", "0"], ["--restarts", "-1"], ["--tol", "-1"], ["--seed", "-1"]]
+    "flags",
+    [
+        ["gamma2", "--max-iter", "0"],
+        ["gamma2", "--tol", "-1"],
+        ["decompose", "--budget", "0"],
+        ["suite", "--seed", "-1"],
+    ],
 )
-def test_invalid_run_flags_are_clean_errors(corner, capsys, flags):
-    assert main(["gamma2", "--input", corner, *flags]) == 2
+def test_invalid_run_flags_are_clean_errors(corner, tmp_path, capsys, flags):
+    command, *rest = flags
+    paths = {
+        "gamma2": ["--input", corner],
+        "decompose": ["--input", corner, "--out", str(tmp_path / "d.json"), "--report", str(tmp_path / "r.json")],
+        "suite": [],
+    }
+    assert main([command, *paths[command], *rest]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
 

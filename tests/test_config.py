@@ -8,8 +8,8 @@ from blockydecomp.config import RunConfig
 
 def test_defaults_validate():
     cfg = RunConfig()
-    assert (cfg.seed, cfg.tol, cfg.restarts, cfg.max_iter, cfg.oracle_depth) == (0, 1e-9, 16, 400, 6)
-    assert RunConfig(seed=np.int64(3), restarts=0).seed == 3
+    assert (cfg.seed, cfg.tol, cfg.max_iter, cfg.oracle_depth) == (0, 1e-9, 10_000, 6)
+    assert RunConfig(seed=np.int64(3), max_iter=np.int64(5)).seed == 3
 
 
 @pytest.mark.parametrize(
@@ -20,9 +20,9 @@ def test_defaults_validate():
         {"tol": float("nan")},
         {"tol": float("inf")},
         {"seed": -1},
-        {"restarts": -1},
-        {"restarts": 2.5},
-        {"restarts": True},
+        {"max_iter": -1},
+        {"max_iter": 2.5},
+        {"max_iter": True},
         {"max_iter": 0},
         {"littlestone_budget": 0},
         {"oracle_depth": 0},
