@@ -229,6 +229,27 @@ def test_solver_certificate_near_dual_on_low_rank_blocky_sums(n, L, seed):
     assert fac.gamma <= (1 + 1e-6) * fac.dual_bound
 
 
+@pytest.mark.parametrize(
+    "n, L, seed, gamma_hex",
+    [(16, 4, 0, "0x1.247443ce407c4p+1"), (24, 4, 2, "0x1.33e3ccd4b256ap+1")],
+)
+def test_open_gap_falls_back_to_the_batch_of_all_starts(monkeypatch, n, L, seed, gamma_hex):
+    # On these low-rank sums the uniform start, cut by a 60-stale rule, once
+    # left the gap open, and a fallback batch of the uniform and 16 random
+    # starts certified gamma_hex.  The single ascent needs no fallback: it
+    # closes the gap alone, with one 2-d SVD per iteration, and its
+    # certificate is no larger than the batch's.
+    inst = generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed)
+    A = np.asarray(inst.matrix)
+    calls = _count_svds(monkeypatch)
+    fac = gamma2_upper(A)
+    assert 0 < len(calls) <= RunConfig.max_iter
+    assert all(shape == (n, n) for shape in calls)
+    assert verify_factorization(A, fac).ok
+    assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
+    assert fac.gamma <= float.fromhex(gamma_hex)
+
+
 def _dense_bench_inputs(seed):
     # The 42 dense inputs of the benchmark at ``seed``: two sign, two boolean
     # and two {-1, 0, 1} matrices per size, drawn in this order (the

@@ -323,16 +323,59 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
-@pytest.mark.parametrize("code", [399])
+# code -> (U, V) as float.hex rows: the certificates of the former solver
+# (uniform start, exponential step, three-round polish) on the two 3x3
+# booleans where its first level split a column.  Their third inner
+# coordinate, about 1e-8, tells the equal columns apart.
+SPLITTING_CERTIFICATES = {
+    151: (
+        (
+            ("0x1.ee8dd400d2806p-1", "0x1.0907df78f7b0dp-2", "0x1.921aa88ffa614p-86"),
+            ("0x1.6a09e44456a82p-1", "-0x1.6a09e44456a7dp-1", "-0x1.c2443958d68e5p-29"),
+            ("0x1.6a09e44456a84p-1", "-0x1.6a09e44456a7fp-1", "0x1.c2443958d68dbp-29"),
+        ),
+        (
+            ("0x1.a20bd62dfbf79p-1", "0x1.1d87e9d147684p+0", "0x1.a20bd62dfbf7bp-1"),
+            ("0x1.a20bd62dfbf83p-1", "-0x1.3207fae925b13p-2", "0x1.a20bd62dfbf81p-1"),
+            ("0x1.03f624e7d06c7p-28", "0x1.3212b9ff96f16p-83", "-0x1.03f624e7d06ddp-28"),
+        ),
+    ),
+    231: (
+        (
+            ("-0x1.fea0e5667d0e7p-1", "-0x1.2b9a7a5a25dfep-4", "-0x1.2f632cee5c3bfp-29"),
+            ("-0x1.bdc32f3dce072p-2", "-0x1.ccf13eb23878ep-1", "0x1.97785b6b4d26bp-27"),
+            ("-0x1.1fbf4dc7960b0p-1", "0x1.a77def66f3bc8p-1", "0x1.e35127173fec3p-28"),
+        ),
+        (
+            ("-0x1.0a201103777f9p+0", "-0x1.0a201103777fap+0", "-0x1.e901a89a65ee1p-1"),
+            ("0x1.015c72abbfe2ap-1", "0x1.015c72abbfe2ep-1", "-0x1.4c431395614f2p-1"),
+            ("0x1.2c240df7778f3p-27", "-0x1.2c240df7778f5p-27", "-0x1.18e9d136f977cp-79"),
+        ),
+    ),
+}
+
+
+def _pinned_certificate(A: np.ndarray, code: int) -> GammaFactorization:
+    U, V = (np.array([[float.fromhex(x) for x in row] for row in M]) for M in SPLITTING_CERTIFICATES[code])
+    row = float(np.sqrt(np.einsum("ij,ij->i", U, U).max()))
+    col = float(np.sqrt(np.einsum("ij,ij->j", V, V).max()))
+    return GammaFactorization(
+        U=U, V=V, gamma=row * col * (1 + 5e-16), residual=float(np.abs(A - U @ V).max())
+    )
+
+
+@pytest.mark.parametrize("code", [151, 231, 399])
 def test_decompose_optimal_where_the_construction_splits_a_column(code):
-    # The construction's cells hold one distinct column twice on this
-    # input, so its first level peels 3 terms; the dedupe gives the optimum.
-    # Which inputs split depends on the solver's certificate: this is the
-    # only 3x3 boolean where the default certificate has a first level that
-    # peels more terms than decompose.
+    # The construction's cells hold one distinct column twice on these
+    # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
+    # Which inputs split depends on the certificate: 399 is the only 3x3
+    # boolean where the default certificate has a first level that peels
+    # more terms than decompose, and 151 and 231 split under the pinned
+    # certificates of the former solver.
     A = _boolean3x3(code)
-    s, _ = decompose(A)
-    _, _, step = _first_step(gamma2_upper(A))
+    fac = _pinned_certificate(A, code) if code in SPLITTING_CERTIFICATES else gamma2_upper(A)
+    s, _ = decompose(A, fac=fac)
+    _, _, step = _first_step(fac)
     assert len(step.blocky_part) == 3
     assert len(s) == exact_block_complexity(A) == 2
 
