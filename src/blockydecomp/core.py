@@ -34,6 +34,7 @@ __all__ = [
 
 # Floats at or above this magnitude no longer represent every integer exactly.
 _EXACT_FLOAT_INT = 2.0**53
+_INT64_MAX = 2**63 - 1
 
 
 def as_int_array(matrix) -> np.ndarray:
@@ -59,6 +60,10 @@ def as_int_array(matrix) -> np.ndarray:
         raise ValueError(f"integer matrix required, got dtype {arr.dtype}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("matrix must have at least one row and one column")
+    # uint64 above 2**63 - 1 wraps on the int64 cast, and abs(-2**63) wraps
+    # to a negative int64, so both are out of range.
+    if arr.max() > _INT64_MAX or arr.min() < -_INT64_MAX:
+        raise ValueError("integer entries must be at most 2**63 - 1 in magnitude")
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
@@ -103,8 +108,8 @@ class IntMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def __array__(self, dtype=None):
-        return self.values if dtype is None else self.values.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     def __eq__(self, other):
         if isinstance(other, IntMatrix):
@@ -135,8 +140,8 @@ class RealMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def __array__(self, dtype=None):
-        return self.values if dtype is None else self.values.astype(dtype)
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 Rectangle = tuple[tuple[int, ...], tuple[int, ...]]

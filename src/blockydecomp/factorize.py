@@ -6,8 +6,8 @@ the least achievable gamma is the factorization norm of A.  This module
 
 * checks such certificates (``verify_factorization``),
 * searches for good ones numerically (``gamma2_upper``),
-* derives unconditional lower bounds from the max entry and from exact
-  mistake-tree dimensions (``gamma2_lower``),
+* derives unconditional lower bounds from the max entry and, for sign
+  matrices, from the exact mistake-tree dimension (``gamma2_lower``),
 * brackets the norm between the better of those and the solver's dual
   bound, and the solver's certificate (``gamma2_bracket``), and
 * builds exact certificates for signed blocky sums
@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .config import RunConfig
 from .core import SignedBlockySum, _freeze, as_real_array
-from .littlestone import BudgetExceeded, DEFAULT_BUDGET, ldim, ldim_alpha
+from .littlestone import BudgetExceeded, DEFAULT_BUDGET, ldim
+from .littlestone import ldim_alpha  # noqa: F401  unused; bench/spans.py patches factorize.ldim_alpha by name
 
 __all__ = [
     "GammaFactorization",
@@ -59,10 +59,7 @@ __all__ = [
     "gamma2_lower",
     "gamma2_bracket",
     "factorization_from_blocky_sum",
-    "LOWER_BOUND_ALPHA_GRID",
 ]
-
-LOWER_BOUND_ALPHA_GRID = (0.125, 0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +136,9 @@ class VerificationReport:
 class NormBracket:
     """Two-sided estimate: lower ≤ factorization norm ≤ upper.
 
-    ``lower_witness`` names the source of ``lower``: "max-entry",
-    "sqrt-Littlestone" and "weighted-Littlestone" are exact, "dual" is the
-    solver's numerical bound with the floating-point margin of
-    ``_solve_core``.
+    ``lower_witness`` names the source of ``lower``: "max-entry" and
+    "sqrt-Littlestone" are exact, "dual" is the solver's numerical bound
+    with the floating-point margin of ``_solve_core``.
     """
 
     lower: float
@@ -261,34 +257,32 @@ def _refit(A: np.ndarray, L: np.ndarray, R: np.ndarray, tol: float):
     return X, Y
 
 
-def _solve_core(A: np.ndarray, config: RunConfig, embed) -> GammaFactorization:
-    """The certificate of a core with no zero row or column.
+def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Factors ``(L, R)`` of a core with no zero row or column, and a lower bound.
 
-    ``embed(L, R, bound)`` turns core factors and a lower bound into the
-    reported certificate.  A core of one row or one column has norm max|a|,
-    attained by L = [[1]], R = the row, or L = the column / max|a|,
-    R = [[max|a|]]; max|a| is also its exact lower bound.  Any other core
-    runs one ascent from the uniform weights (``_ascend_weights``, at most
-    ``config.max_iter`` SVDs) and the two-sided refit (``_refit``).  The
-    bound is the ascent's best dual value f less a margin for floating
-    point: the computed singular values are, by Weyl's inequality, each
-    within the spectral norm of the rounding in forming the weighted matrix
-    (three roundings per entry) and of the SVD's backward error (taken as
-    ms*ns roundings of sigma_max) of the exact ones, and the sum and the
-    weight normalization add t + ms + ns roundings more; sigma_max <= f.  So
-    the bound subtracts 4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up
-    to 64 x 64, far inside the 1e-7 stop gap.
+    A core of one row or one column has norm max|a|, attained by L = [[1]],
+    R = the row, or L = the column / max|a|, R = [[max|a|]]; max|a| is also
+    its exact lower bound.  Any other core runs one ascent from the uniform
+    weights (``_ascend_weights``, at most ``config.max_iter`` SVDs) and the
+    two-sided refit (``_refit``).  The bound is the ascent's best dual value
+    f less a margin for floating point: the computed singular values are, by
+    Weyl's inequality, each within the spectral norm of the rounding in
+    forming the weighted matrix (three roundings per entry) and of the SVD's
+    backward error (taken as ms*ns roundings of sigma_max) of the exact ones,
+    and the sum and the weight normalization add t + ms + ns roundings more;
+    sigma_max <= f.  So the bound subtracts 4*t*(ms*ns + ms + ns)*eps*f,
+    under 1e-9 relative up to 64 x 64, far inside the 1e-7 stop gap.
     """
     ms, ns = A.shape
     if min(ms, ns) == 1:
         top = float(np.abs(A).max())
         if ms == 1:
-            return embed(np.ones((1, 1)), A, top)
-        return embed(A / top, np.full((1, 1), top), top)
+            return np.ones((1, 1)), A, top
+        return A / top, np.full((1, 1), top), top
 
     L, R, dual = _ascend_weights(A, config.max_iter)
     margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
-    return embed(*_refit(A, L, R, config.tol), max(0.0, dual - margin))
+    return (*_refit(A, L, R, config.tol), max(0.0, dual - margin))
 
 
 def _embed(
@@ -337,51 +331,47 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     if rows_keep.size == 0 or cols_keep.size == 0:
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
     A = A_full[np.ix_(rows_keep, cols_keep)]
-    return _solve_core(A, config, partial(_embed, A_full, rows_keep, cols_keep))
+    return _embed(A_full, rows_keep, cols_keep, *_solve_core(A, config))
 
 
 def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
-    """Best available lower bound on the factorization norm, with its source tag.
+    """Best exact lower bound on the factorization norm, with its source tag.
 
-    Combines the max-entry bound, sqrt of the exact mistake-tree dimension for
-    sign matrices, and the weighted-dimension bound
-    alpha*sqrt(d_alpha)/(2(maxEntry+1)) - 1 over a fixed alpha grid.  Exact
-    recursions that blow the node budget are skipped (the cheaper bounds are
-    kept), so the function always returns.
+    The bound is max|A| ("max-entry"), raised for sign matrices to the square
+    root of the exact mistake-tree dimension ("sqrt-Littlestone") when that
+    recursion fits in ``budget`` node visits; otherwise it is skipped, so the
+    function always returns.
+
+    The weighted-dimension bound alpha*sqrt(d)/(2(M+1)) - 1, with M = max|A|
+    and d the threshold-split dimension at gap alpha <= 1, is not computed:
+    it cannot beat M on any input with fewer than 2**21 distinct columns.
+    For d >= 1 some split separates two entries by alpha, so M >= alpha/2,
+    and the candidate exceeds M only when alpha*sqrt(d) > 2(M+1)**2, that is
+    sqrt(d) > 2/alpha + 2 + alpha/2 >= 4.5, so d >= 21.  A split tree of
+    depth d needs 2**d distinct columns at its leaves, so d <= log2(#distinct
+    columns).
     """
     A = as_real_array(matrix)
-    best = float(np.abs(A).max(initial=0.0))
-    tag = "max-entry"
-    if A.size == 0 or not A.any():
-        return best, tag
-    M = best
+    top = float(np.abs(A).max(initial=0.0))
     if np.all(np.abs(A) == 1):
         try:
-            d = ldim(A, budget=budget)
-            cand = math.sqrt(d)
-            if cand > best:
-                best, tag = cand, "sqrt-Littlestone"
+            root = math.sqrt(ldim(A, budget=budget))
         except BudgetExceeded:
-            pass
-    for alpha in LOWER_BOUND_ALPHA_GRID:
-        try:
-            d = ldim_alpha(A, alpha, budget=budget)
-        except BudgetExceeded:
-            continue
-        cand = alpha * math.sqrt(d) / (2 * (M + 1)) - 1
-        if cand > best:
-            best, tag = cand, "weighted-Littlestone"
-    return best, tag
+            root = 0.0
+        if root > top:
+            return root, "sqrt-Littlestone"
+    return top, "max-entry"
 
 
 def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     """Two-sided estimate: the better of the exact and the dual lower bounds,
     and the solver certificate.
 
-    The lower side is ``gamma2_lower``'s bound unless the certificate's
-    ``dual_bound`` is strictly larger, in which case it is tagged "dual".
-    The exact bounds stay as a cross-check; the dual bound is numerical,
-    with the margin stated in ``_solve_core``.
+    The lower side is max(max|A|, sqrt-Littlestone on sign matrices, dual):
+    ``gamma2_lower``'s exact bound unless the certificate's ``dual_bound``
+    is strictly larger, in which case it is tagged "dual".  The exact bounds
+    stay as a cross-check; the dual bound is numerical, with the margin
+    stated in ``_solve_core``.
     """
     config = config or RunConfig()
     upper = gamma2_upper(matrix, config)

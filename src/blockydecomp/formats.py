@@ -122,19 +122,41 @@ def dump_decomposition(s: SignedBlockySum, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def _list_field(obj, key: str, where: str, path) -> list:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: {where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{path}: {where} is missing field '{key}'")
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{path}: {where} field '{key}' must be a list")
+    return obj[key]
+
+
+def _index_field(obj, key: str, where: str, path) -> list[int]:
+    values = _list_field(obj, key, where, path)
+    if not all(type(v) is int for v in values):  # floats and bools are refused
+        raise ValueError(f"{path}: {where} field '{key}' must hold integers, got {values!r}")
+    return values
+
+
 def load_decomposition(path) -> SignedBlockySum:
+    """Read a signed blocky sum; missing fields, non-integer indices and signs raise ValueError."""
     obj = json.loads(Path(path).read_text())
-    try:
-        shape = tuple(int(v) for v in obj["shape"])
-        raw_terms = obj["terms"]
-    except KeyError as e:
-        raise ValueError(f"{path}: missing decomposition field {e}") from None
+    shape = tuple(_index_field(obj, "shape", "decomposition", path))
     if len(shape) != 2:
         raise ValueError(f"{path}: shape must have exactly two entries")
     terms = []
-    for t in raw_terms:
-        rects = [(rc["rows"], rc["cols"]) for rc in t["rectangles"]]
-        terms.append((int(t["sign"]), BlockyMatrix(shape=shape, rectangles=rects)))
+    for i, t in enumerate(_list_field(obj, "terms", "decomposition", path)):
+        where = f"term {i}"
+        rects = [
+            (_index_field(rc, "rows", f"{where} rectangle", path),
+             _index_field(rc, "cols", f"{where} rectangle", path))
+            for rc in _list_field(t, "rectangles", where, path)
+        ]
+        sign = t.get("sign")
+        if type(sign) is not int:
+            raise ValueError(f"{path}: {where} needs an integer sign -1 or 1, got {sign!r}")
+        terms.append((sign, BlockyMatrix(shape=shape, rectangles=rects)))
     return SignedBlockySum(shape=shape, terms=tuple(terms))
 
 

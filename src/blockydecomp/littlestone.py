@@ -153,16 +153,18 @@ class _SplitEngine:
         first_of_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
         pair_row, pair_col = np.nonzero(first_of_value)
         v = ordered[pair_row, pair_col]
-        splits = v + self.alpha <= ordered[pair_row, -1]
-        pair_row, v = pair_row[splits], v[splits]
+        # The high cut stays strictly above v even where v + alpha rounds to
+        # v, so the two sides are always disjoint.
+        high = np.maximum(v + self.alpha, np.nextafter(v, np.inf))
+        splits = high <= ordered[pair_row, -1]
+        pair_row, v, high = pair_row[splits], v[splits], high[splits]
         lows: list[int] = []
         highs: list[int] = []
         step = max(1, _SCAN_ELEMENTS // k)
         for start in range(0, v.size, step):
             block = kept[pair_row[start : start + step]]
-            cut = v[start : start + step, None]
-            lows += _bitmasks(block <= cut)
-            highs += _bitmasks(block >= cut + self.alpha)
+            lows += _bitmasks(block <= v[start : start + step, None])
+            highs += _bitmasks(block >= high[start : start + step, None])
         self.split_pairs: list[tuple[int, int, int, float]] = list(  # (low, high, row, w)
             zip(lows, highs, rows[pair_row].tolist(), (v + self.alpha / 2).tolist())
         )

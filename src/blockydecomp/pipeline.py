@@ -77,7 +77,7 @@ def check_entry_cap(A: np.ndarray) -> None:
 
     Callers run it before any solver or peel work on the matrix.
     """
-    # max/min rather than abs: abs(-2**63) wraps to a negative int64.
+    # as_int_array rejects -2**63, so |A| cannot wrap; max/min skip the abs temporary.
     if A.max() > MAX_DECOMPOSE_ENTRY or A.min() < -MAX_DECOMPOSE_ENTRY:
         raise ValueError(
             f"an entry exceeds the decomposition limit of {MAX_DECOMPOSE_ENTRY} in magnitude; "

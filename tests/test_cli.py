@@ -147,6 +147,17 @@ def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
     assert not dpath.exists() and not rpath.exists()
 
 
+def test_verify_exits_2_on_malformed_decomposition(tmp_path, capsys):
+    m = tmp_path / "m.txt"
+    dump_matrix(IntMatrix([[1, 0]]), m)
+    p = tmp_path / "d.json"
+    # int() would truncate row 0.9 to 0 and this file would re-evaluate to the input.
+    rects = [{"rows": [0.9], "cols": [0]}]
+    p.write_text(json.dumps({"shape": [1, 2], "terms": [{"sign": 1, "rectangles": rects}]}))
+    assert main(["verify", "--input", str(m), "--decomp", str(p)]) == 2
+    assert "must hold integers" in capsys.readouterr().err
+
+
 def test_verify_detects_mismatch(corner, tmp_path, capsys):
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
     main(["decompose", "--input", corner, "--out", str(dpath), "--report", str(rpath)])
@@ -163,6 +174,13 @@ def test_ldim_commands(tmp_path, capsys):
     assert main(["ldim", "--input", str(p)]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert main(["ldim-alpha", "--input", str(p), "--alpha", "2.0"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+def test_ldim_alpha_command_on_an_absorbed_gap(tmp_path, capsys):
+    p = tmp_path / "real.txt"
+    p.write_text("1 2 real\n-1e17 1.0\n")
+    assert main(["ldim-alpha", "--input", str(p), "--alpha", "0.125"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 

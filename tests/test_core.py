@@ -9,12 +9,15 @@ import pytest
 from blockydecomp.core import (
     BlockyMatrix,
     IntMatrix,
+    RealMatrix,
     SignedBlockySum,
     as_int_array,
     convolution_matrix,
     is_blocky,
     round_half_down,
 )
+from blockydecomp.partition import greedy_l1_decompose
+from blockydecomp.pipeline import decompose, exact_block_complexity, term_count_floor
 
 
 def blocky_by_scan(A) -> bool:
@@ -259,11 +262,39 @@ def test_int_matrix_freezing_and_validation():
     assert as_int_array([[1.0, 2.0]]).dtype == np.int64
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls, values", [(IntMatrix, [[1, 2]]), (RealMatrix, [[0.5, 2.0]])])
+def test_array_protocol_takes_numpy2_copy_keyword(cls, values):
+    M = cls(values)
+    out = np.array(M, copy=True)
+    out[0, 0] = 7
+    assert M.values[0, 0] == values[0][0]
+    assert np.asarray(M) is M.values
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e30, 2.0**53, -(2.0**53)])
 def test_int_array_rejects_unrepresentable_floats(bad):
     with pytest.raises(ValueError):
         as_int_array([[bad, 1.0]])
     assert as_int_array([[2.0**53 - 1, 1.0]])[0, 0] == 2**53 - 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decompose(np.array([[2**64 - 1, 1]], dtype=np.uint64)),
+        lambda: exact_block_complexity(np.array([[-(2**63), 0], [0, 1]])),
+        lambda: term_count_floor([[-(2**63)]], 0.5),
+        lambda: greedy_l1_decompose([[-(2**63)]]),
+        lambda: as_int_array(np.array([[2**63]], dtype=np.uint64)),
+    ],
+    ids=["decompose", "oracle", "floor", "peel", "as_int_array"],
+)
+def test_int_array_rejects_entries_whose_abs_wraps(call):
+    # uint64 above 2**63 - 1 wraps on the int64 cast; abs(-2**63) wraps to a negative.
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1 in magnitude"):
+        call()
+    assert as_int_array(np.array([[2**63 - 1, -(2**63 - 1)]]))[0, 1] == -(2**63 - 1)
 
 
 def test_convolution_matrix_structure():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from blockydecomp import factorize
+from blockydecomp import factorize, littlestone
 from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum
 from blockydecomp.factorize import (
@@ -391,13 +391,23 @@ def test_lower_bound_budget_degrades_gracefully():
     assert val == 1.0 and tag == "max-entry"
 
 
+def test_lower_bound_runs_no_weighted_dimension(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma2_lower ran ldim_alpha")
+
+    monkeypatch.setattr(factorize, "ldim_alpha", refuse)
+    monkeypatch.setattr(littlestone, "ldim_alpha", refuse)
+    assert gamma2_lower([[0.5, -2.0, 1.0], [3.0, 1.0, -1.0]]) == (3.0, "max-entry")
+    assert gamma2_lower([[1, -1], [-1, 1]]) == (1.0, "max-entry")
+
+
 def test_bracket_sandwich_random():
     rng = np.random.default_rng(42)
     for _ in range(8):
         A = rng.integers(-2, 3, size=(3, 5))
         br = gamma2_bracket(A)
         assert br.lower <= br.upper + 1e-6 * max(1.0, br.upper)
-        assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "weighted-Littlestone", "dual")
+        assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "dual")
         assert verify_factorization(A, br.upper_witness, tol=1e-6).ok
 
 

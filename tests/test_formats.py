@@ -105,6 +105,34 @@ def test_load_decomposition_rejects_overlapping_rectangles(tmp_path):
         load_decomposition(p)
 
 
+_RECT = {"rows": [0], "cols": [0]}
+
+
+@pytest.mark.parametrize(
+    "obj, match",
+    [
+        ([{"shape": [1, 1]}], "must be a JSON object"),
+        ({"terms": []}, "missing field 'shape'"),
+        ({"shape": [1, 1]}, "missing field 'terms'"),
+        ({"shape": [1, 1], "terms": [{"sign": 1}]}, "missing field 'rectangles'"),
+        ({"shape": [1, 1], "terms": [{"rectangles": [_RECT]}]}, "integer sign"),
+        ({"shape": [1, 1], "terms": [{"sign": 1, "rectangles": [{"rows": [0]}]}]}, "missing field 'cols'"),
+        ({"shape": [1, 1], "terms": [{"sign": True, "rectangles": [_RECT]}]}, "integer sign"),
+        ({"shape": [1, 1], "terms": [{"sign": 1.0, "rectangles": [_RECT]}]}, "integer sign"),
+        ({"shape": [1, 1], "terms": [{"sign": 1, "rectangles": [{"rows": [0.9], "cols": [0]}]}]},
+         "must hold integers"),
+        ({"shape": [1, 1], "terms": [{"sign": 1, "rectangles": [{"rows": [0], "cols": [False]}]}]},
+         "must hold integers"),
+        ({"shape": [1.0, 1], "terms": []}, "must hold integers"),
+    ],
+)
+def test_load_decomposition_rejects_malformed_files(tmp_path, obj, match):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=match):
+        load_decomposition(p)
+
+
 def test_factorization_round_trip(tmp_path):
     U = np.array([[1.0, 0.0], [0.6, 0.8]])
     V = np.array([[1.0, 0.25], [0.0, -2.0 / 3.0]])

@@ -391,6 +391,15 @@ def test_ldim_alpha_one_column_builds_no_engine(monkeypatch):
     assert ldim_alpha(np.zeros((4, 1)), 1.0) == 0
 
 
+def test_ldim_alpha_split_survives_an_absorbed_gap():
+    # -1e17 + 0.125 rounds to -1e17; the high side must still exclude column 0.
+    arr = np.array([[-1e17, 1.0]])
+    assert ldim_alpha(arr, 0.125) == 1
+    d, tree = ldim_alpha_witness(arr, 0.125)
+    assert d == tree.depth == 1
+    assert (tree.root.below.column, tree.root.above.column) == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Stabilizers
 
