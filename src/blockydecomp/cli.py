@@ -39,8 +39,8 @@ __all__ = ["main"]
 _RUN_FLAGS = {
     "seed": ("--seed", "seed of the random trials"),
     "tol": ("--tol", "certificate residual tolerance"),
-    "max_iter": ("--max-iter", "cap on the solver's weight-ascent iterations, one SVD each; the ascent "
-                 "stops once its dual gap closes, within 4,587 iterations on every measured input"),
+    "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs; the ascent stops once its "
+                 "dual gap closes, within 1,022 SVDs on every measured input"),
     "littlestone_budget": ("--budget", "dimension-recursion node budget"),
     "oracle_depth": ("--oracle-depth", "term-count cap of the brute-force oracle"),
 }

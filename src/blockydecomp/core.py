@@ -13,6 +13,7 @@ construction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,15 @@ def _check_shape(shape) -> tuple[int, int]:
     return int(m), int(n)
 
 
+def _index_list(indices) -> list[int]:
+    """Sorted rectangle indices; Python and numpy integers only, so floats and
+    bools are refused instead of truncated."""
+    indices = list(indices)
+    if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in indices):
+        raise ValueError(f"rectangle indices must be integers, got {indices!r}")
+    return sorted(int(i) for i in indices)
+
+
 def _canonical(row_block: np.ndarray, col_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Renumber rectangle ids 0..k-1, each present in ``row_block``, by first row."""
     ids, first = np.unique(row_block, return_index=True)
@@ -245,7 +255,7 @@ class BlockyMatrix:
         m, n = _check_shape(shape)
         row_block, col_block = np.full(m, -1), np.full(n, -1)
         for k, (rows, cols) in enumerate(rectangles):
-            rows, cols = sorted(int(r) for r in rows), sorted(int(c) for c in cols)
+            rows, cols = _index_list(rows), _index_list(cols)
             if not rows or not cols:
                 raise ValueError("rectangles must have nonempty row and column sets")
             if rows[0] < 0 or rows[-1] >= m or cols[0] < 0 or cols[-1] >= n:

@@ -101,6 +101,28 @@ def test_blocky_matrix_validation():
 
 
 @pytest.mark.parametrize(
+    "rows, cols",
+    [
+        (np.array([1.5]), [0]),  # was truncated to row 1
+        ([0.9], [True]),  # was accepted as ({0}, {1})
+        ([0], [1.0]),
+        ([False], [0]),
+        ([0], np.array([True])),
+    ],
+)
+def test_blocky_matrix_rejects_non_integer_indices(rows, cols):
+    with pytest.raises(ValueError, match="^rectangle indices must be integers"):
+        BlockyMatrix(shape=(2, 2), rectangles=[(rows, cols)])
+
+
+def test_blocky_matrix_accepts_python_and_numpy_integers():
+    rects = [(np.array([1], dtype=np.uint8), [np.int64(0), 1]), ([np.int32(0)], np.array([2]))]
+    b = BlockyMatrix(shape=(2, 3), rectangles=rects)
+    assert b.rectangles == (((0,), (2,)), ((1,), (0, 1)))
+    assert BlockyMatrix.from_dense(b.to_dense()) == b
+
+
+@pytest.mark.parametrize(
     "row_block, col_block, match",
     [
         ([0, -1], [0, 0, -1], "lengths"),  # three column labels for two columns

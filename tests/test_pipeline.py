@@ -324,9 +324,10 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
-# code -> (U, V) as float.hex rows: the certificates of the former solver
-# (uniform start, exponential step, three-round polish) on the two 3x3
-# booleans where its first level split a column.  Their third inner
+# code -> (U, V) as float.hex rows: certificates of former solvers on 3x3
+# booleans where their first level split a column; 151 and 231 from the
+# uniform start with the exponential step and a three-round polish, 399 from
+# the plain fixed-point ascent without extrapolation.  Their third inner
 # coordinate, about 1e-8, tells the equal columns apart.
 SPLITTING_CERTIFICATES = {
     151: (
@@ -353,6 +354,18 @@ SPLITTING_CERTIFICATES = {
             ("0x1.2c240df7778f3p-27", "-0x1.2c240df7778f5p-27", "-0x1.18e9d136f977cp-79"),
         ),
     ),
+    399: (
+        (
+            ("-0x1.fea0e5667d0e7p-1", "-0x1.2b9a7a5a25e22p-4", "0x1.3a56787861049p-29"),
+            ("-0x1.bdc32f3dce067p-2", "-0x1.ccf13eb238782p-1", "0x1.1c67165fc9575p-27"),
+            ("-0x1.1fbf4dc7960b3p-1", "0x1.a77def66f3bbep-1", "-0x1.815c8113cd270p-30"),
+        ),
+        (
+            ("-0x1.e901a89a65ee2p-1", "-0x1.0a201103777fbp+0", "-0x1.0a201103777fbp+0"),
+            ("-0x1.4c431395614f8p-1", "0x1.015c72abbfe2ap-1", "0x1.015c72abbfe2ap-1"),
+            ("-0x0.0p+0", "0x1.822ac7564343dp-29", "-0x1.822ac7564342cp-29"),
+        ),
+    ),
 }
 
 
@@ -365,14 +378,14 @@ def _pinned_certificate(A: np.ndarray, code: int) -> GammaFactorization:
     )
 
 
-@pytest.mark.parametrize("code", [151, 231, 399])
+@pytest.mark.parametrize("code", [151, 231, 316, 399])
 def test_decompose_optimal_where_the_construction_splits_a_column(code):
     # The construction's cells hold one distinct column twice on these
     # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
-    # Which inputs split depends on the certificate: 399 is the only 3x3
-    # boolean where the default certificate has a first level that peels
-    # more terms than decompose, and 151 and 231 split under the pinned
-    # certificates of the former solver.
+    # Which inputs split depends on the certificate: 316, 497 and 505 are
+    # the 3x3 booleans where the default certificate has a first level that
+    # peels more terms than decompose, and 151, 231 and 399 split under the
+    # pinned certificates of former solvers.
     A = _boolean3x3(code)
     fac = _pinned_certificate(A, code) if code in SPLITTING_CERTIFICATES else gamma2_upper(A)
     s, _ = decompose(A, fac=fac)
