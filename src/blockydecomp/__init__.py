@@ -50,6 +50,7 @@ from .partition import (
     PartitionClass,
     greedy_l1_decompose,
     greedy_partition,
+    peel_term_count,
     subtract_average,
 )
 from .pipeline import (
@@ -109,6 +110,7 @@ __all__ = [
     "ldim_witness",
     "majority_stabilize",
     "norm_decrement_step",
+    "peel_term_count",
     "random_lower_bound_experiment",
     "round_half_down",
     "run_suite",

@@ -2,8 +2,14 @@
 
 Every subcommand is deterministic given its flags; randomness is seeded
 explicitly and no global state is consulted.  BLAS backends inside numpy
-honor the usual thread-count environment variable (OMP_NUM_THREADS); no
-other environment configuration exists — semantics flow through flags.
+honor the usual thread-count environment variables (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS), which change speed, never results; no other environment
+configuration exists — semantics flow through flags.  The thread count is
+left at numpy's default, which can be far slower on small matrices when
+other work shares the cores: on a loaded 2-core x86-64 VM one 128x152 @
+152x128 product took 3.76 ms with the default and 0.13 ms with
+OPENBLAS_NUM_THREADS=1 or OMP_NUM_THREADS=1.  On a shared machine, set one
+of them to 1 before starting the command.
 """
 
 from __future__ import annotations

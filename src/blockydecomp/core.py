@@ -5,16 +5,19 @@ combinatorial rectangles: the row sets of the rectangles are pairwise
 disjoint and so are the column sets.  Equivalently, no 2x2 submatrix
 contains exactly three 1-entries.  So each row and each column lies in at
 most one rectangle, and ``BlockyMatrix`` stores a matrix as two label
-arrays: the rectangle id of every row and of every column, or -1.  A
-signed sum then evaluates with one broadcast comparison per term.
-Everything in this module is pure and the containers are immutable after
-construction.
+arrays: the rectangle id of every row and of every column, or -1.  A signed
+sum keeps its terms' labels stacked in one (terms x m) and one (terms x n)
+table, and evaluates them with one signed scatter-add over the cells of
+every rectangle, so its cost is the total rectangle area rather than terms
+x m x n.  Everything in this module is pure and the containers are
+immutable after construction.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +39,9 @@ __all__ = [
 # Floats at or above this magnitude no longer represent every integer exactly.
 _EXACT_FLOAT_INT = 2.0**53
 _INT64_MAX = 2**63 - 1
+# ``SignedBlockySum.evaluate`` expands at most about this many rectangle
+# cells at once (one row's worth more at worst), bounding its temporaries.
+_EVAL_CHUNK_CELLS = 1 << 20
 
 
 def as_int_array(matrix) -> np.ndarray:
@@ -229,6 +235,38 @@ def _canonical(row_block: np.ndarray, col_block: np.ndarray) -> tuple[np.ndarray
     return rank[row_block], rank[col_block]
 
 
+def _check_label_tables(shape, row_blocks, col_blocks):
+    """Validate a (terms, m) and a (terms, n) table of canonical labels.
+
+    Returns the shape as ints, both tables as read-only int32 arrays and the
+    rectangle count of every term; raises ValueError if any term is invalid.
+    """
+    m, n = _check_shape(shape)
+    rb, cb = np.asarray(row_blocks), np.asarray(col_blocks)
+    if rb.dtype.kind != "i" or cb.dtype.kind != "i":
+        raise ValueError(f"label arrays must hold signed integers, got {rb.dtype} and {cb.dtype}")
+    if rb.ndim != 2 or rb.shape[1] != m or cb.shape != (rb.shape[0], n):
+        raise ValueError(f"label arrays must have lengths {m} and {n}, got shapes {rb.shape} and {cb.shape}")
+    if rb.size and min(rb.min(), cb.min()) < -1:
+        raise ValueError("block labels must be -1 (no rectangle) or a rectangle id")
+    # Canonical ids first appear down the rows as 0, 1, 2, ...: the running max steps by 1.
+    seen = np.maximum.accumulate(rb, axis=1)
+    if (seen[:, :1] > 0).any() or (seen[:, 1:] - seen[:, :-1] > 1).any():
+        raise ValueError("rectangle ids must be numbered 0, 1, ... in order of first row")
+    counts = seen[:, -1] + 1
+    if (cb.max(axis=1) >= counts).any():
+        raise ValueError("a column label names no rectangle: no row carries it")
+    present = np.zeros((rb.shape[0], m + 1), dtype=bool)
+    present[np.arange(rb.shape[0])[:, None], cb + 1] = True
+    if (np.count_nonzero(present[:, 1:], axis=1) != counts).any():
+        raise ValueError("every rectangle needs at least one column")
+    # Labels lie in [-1, m), so int32 holds them at half the memory traffic.
+    rb, cb = rb.astype(np.int32), cb.astype(np.int32)
+    rb.setflags(write=False)
+    cb.setflags(write=False)
+    return (m, n), rb, cb, counts
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class BlockyMatrix:
     """A blocky boolean matrix stored as two rectangle-label arrays.
@@ -279,32 +317,14 @@ class BlockyMatrix:
     def from_label_tables(cls, shape: tuple[int, int], row_blocks, col_blocks) -> tuple["BlockyMatrix", ...]:
         """One term per row of a (terms, m) and a (terms, n) table of canonical
         labels, validated together; raises ValueError if any term is invalid."""
-        m, n = _check_shape(shape)
-        rb, cb = np.asarray(row_blocks), np.asarray(col_blocks)
-        if rb.dtype.kind != "i" or cb.dtype.kind != "i":
-            raise ValueError(f"label arrays must hold signed integers, got {rb.dtype} and {cb.dtype}")
-        if rb.ndim != 2 or rb.shape[1] != m or cb.shape != (rb.shape[0], n):
-            raise ValueError(f"label arrays must have lengths {m} and {n}, got shapes {rb.shape} and {cb.shape}")
-        if rb.size and min(rb.min(), cb.min()) < -1:
-            raise ValueError("block labels must be -1 (no rectangle) or a rectangle id")
-        # Canonical ids first appear down the rows as 0, 1, 2, ...: the running max steps by 1.
-        seen = np.maximum.accumulate(rb, axis=1)
-        if (seen[:, :1] > 0).any() or (seen[:, 1:] - seen[:, :-1] > 1).any():
-            raise ValueError("rectangle ids must be numbered 0, 1, ... in order of first row")
-        counts = seen[:, -1] + 1
-        if (cb.max(axis=1) >= counts).any():
-            raise ValueError("a column label names no rectangle: no row carries it")
-        present = np.zeros((rb.shape[0], m + 1), dtype=bool)
-        present[np.arange(rb.shape[0])[:, None], cb + 1] = True
-        if (np.count_nonzero(present[:, 1:], axis=1) != counts).any():
-            raise ValueError("every rectangle needs at least one column")
-        # Labels lie in [-1, m); int32 halves the cost of ``support``'s broadcast.
-        rb, cb = rb.astype(np.int32), cb.astype(np.int32)
-        rb.setflags(write=False)
-        cb.setflags(write=False)
-        terms = tuple(cls.__new__(cls) for _ in range(rb.shape[0]))
-        for term, row_block, col_block, count in zip(terms, rb, cb, counts.tolist()):
-            vars(term).update(shape=(m, n), row_block=row_block, col_block=col_block, count=count)
+        return cls._of_tables(*_check_label_tables(shape, row_blocks, col_blocks))
+
+    @classmethod
+    def _of_tables(cls, shape, row_blocks, col_blocks, counts) -> tuple["BlockyMatrix", ...]:
+        """Terms viewing the rows of tables that ``_check_label_tables`` returned."""
+        terms = tuple(cls.__new__(cls) for _ in range(row_blocks.shape[0]))
+        for term, row_block, col_block, count in zip(terms, row_blocks, col_blocks, counts.tolist()):
+            vars(term).update(shape=shape, row_block=row_block, col_block=col_block, count=count)
         return terms
 
     def _key(self) -> tuple:
@@ -346,7 +366,12 @@ class BlockyMatrix:
 
 @dataclass(frozen=True)
 class SignedBlockySum:
-    """A formal signed sum ``sum_i sign_i * B_i`` of blocky matrices."""
+    """A formal signed sum ``sum_i sign_i * B_i`` of blocky matrices.
+
+    ``label_tables`` stacks the terms: their signs, a (terms, m) table of row
+    labels and a (terms, n) table of column labels.  ``from_label_tables``
+    builds a sum from such tables, validating them once, and keeps them.
+    """
 
     shape: tuple[int, int]
     terms: tuple[tuple[int, BlockyMatrix], ...]
@@ -363,14 +388,76 @@ class SignedBlockySum:
         object.__setattr__(self, "shape", (m, n))
         object.__setattr__(self, "terms", tuple(terms))
 
+    @classmethod
+    def from_label_tables(cls, shape: tuple[int, int], signs, row_blocks, col_blocks) -> "SignedBlockySum":
+        """The sum of ``signs[i]`` times the term with row i of each label table.
+
+        The tables are validated as in ``BlockyMatrix.from_label_tables``;
+        raises ValueError if a term is invalid or a sign is not -1 or +1.
+        """
+        shape, rb, cb, counts = _check_label_tables(shape, row_blocks, col_blocks)
+        signs = np.asarray(signs)
+        bad = signs.size and (signs.dtype.kind != "i" or (np.abs(signs) != 1).any())
+        if bad or signs.shape != (rb.shape[0],):
+            raise ValueError(f"need one sign of -1 or +1 per term, got {signs!r}")
+        signs = signs.astype(np.int64)
+        signs.setflags(write=False)
+        out = cls.__new__(cls)
+        terms = tuple(zip(signs.tolist(), BlockyMatrix._of_tables(shape, rb, cb, counts)))
+        vars(out).update(shape=shape, terms=terms, label_tables=(signs, rb, cb))
+        return out
+
+    @cached_property
+    def label_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(signs, row labels, column labels), one row per term, read-only."""
+        m, n = self.shape
+        signs = np.array([sign for sign, _ in self.terms], dtype=np.int64)
+        rb = np.stack([b.row_block for _, b in self.terms]) if self.terms else np.empty((0, m), np.int32)
+        cb = np.stack([b.col_block for _, b in self.terms]) if self.terms else np.empty((0, n), np.int32)
+        for table in (signs, rb, cb):
+            table.setflags(write=False)
+        return signs, rb, cb
+
     def __len__(self) -> int:
         return len(self.terms)
 
     def evaluate(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.int64)
-        for sign, b in self.terms:
-            np.add(out, sign, out=out, where=b.support())
-        return out
+        """The dense int64 value: one signed scatter-add over rectangle cells.
+
+        Every (term, rectangle id) pair is a key.  Each row carrying a key is
+        repeated once per column carrying it, which lists the rectangle's
+        cells, and one ``np.bincount`` counts the cells of positive terms
+        into the first and those of negative terms into a second m*n block.
+        The cost is the total rectangle area (‖A‖₁ for the peel's output)
+        plus O(terms * (m + n)) to key the labels.  Rows are expanded in
+        chunks of about ``_EVAL_CHUNK_CELLS`` cells.
+        """
+        m, n = self.shape
+        signs, rb, cb = self.label_tables
+        if not signs.size:
+            return np.zeros((m, n), dtype=np.int64)
+        ids = int(rb.max()) + 1  # rectangle r of term t has key t * ids + r
+        col_term, col = np.nonzero(cb >= 0)
+        col_key = col_term * ids + cb[col_term, col]
+        col = col[np.argsort(col_key, kind="stable")]  # columns grouped by key, keys ascending
+        per_key = np.bincount(col_key, minlength=signs.size * ids)
+        row_term, row = np.nonzero(rb >= 0)
+        row_key = row_term * ids + rb[row_term, row]
+        width = per_key[row_key]  # cells in each rectangle row
+        ends = np.cumsum(width)
+        # Cell g of rectangle row i, ends[i] - width[i] <= g < ends[i], lies in
+        # row row[i] and column col[g + shift[i]].
+        shift = np.cumsum(per_key)[row_key] - ends
+        base = row * n + (signs[row_term] < 0) * (m * n)
+        cuts = range(_EVAL_CHUNK_CELLS, int(ends[-1]) if ends.size else 0, _EVAL_CHUNK_CELLS)
+        bounds = [0, *np.searchsorted(ends, cuts).tolist(), row.size]
+        counts = np.zeros(2 * m * n, dtype=np.int64)
+        for a, b in zip(bounds, bounds[1:]):
+            if a < b:
+                w = width[a:b]
+                at = np.repeat(shift[a:b], w) + np.arange(ends[a] - w[0], ends[b - 1])
+                counts += np.bincount(np.repeat(base[a:b], w) + col[at], minlength=2 * m * n)
+        return (counts[: m * n] - counts[m * n :]).reshape(m, n)
 
 
 @dataclass(frozen=True)

@@ -19,16 +19,29 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BlockyMatrix, SignedBlockySum, _freeze, as_int_array, as_real_array
+from .core import SignedBlockySum, _freeze, as_int_array, as_real_array
 
 __all__ = [
     "PartitionClass",
     "GreedyPartition",
     "AverageSplit",
     "greedy_l1_decompose",
+    "peel_term_count",
     "subtract_average",
     "greedy_partition",
 ]
+
+
+def _signed_parts(arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The peel's positive and negative part of the matrix, each with its row sums."""
+    parts = (np.clip(arr, 0, None), np.clip(-arr, 0, None))
+    return tuple((part, part.sum(axis=1)) for part in parts)
+
+
+def peel_term_count(matrix) -> int:
+    """``len(greedy_l1_decompose(matrix))``, computed without building the sum:
+    the largest positive row sum plus the largest negative row sum."""
+    return sum(int(row_sums.max()) for _, row_sums in _signed_parts(as_int_array(matrix)))
 
 
 def greedy_l1_decompose(matrix) -> SignedBlockySum:
@@ -41,16 +54,20 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
     x's t-th donation is the t-th of its units laid out column by column, so
     every round is computed at once: each (round, column) pair is one
     rectangle, numbered within its round by its first row (the canonical
-    id), and each round's labels are written directly into one row of a
-    rounds x m and a rounds x n label table.
-    Round count per part equals that part's max row sum, so the total term
-    count is at most 2 * max_x sum_y |A(x,y)|.
+    id).  Each round is one term, the positive part's rounds first: its
+    labels are written directly into one row of a single (terms x m) and
+    (terms x n) label table, validated once by
+    ``SignedBlockySum.from_label_tables``.
+    Round count per part equals that part's max row sum, so the term count
+    is ``peel_term_count``, at most 2 * max_x sum_y |A(x,y)|.
     """
     arr = as_int_array(matrix)
     m, n = arr.shape
-    terms: list[tuple[int, BlockyMatrix]] = []
-    for sign, part in ((1, np.clip(arr, 0, None)), (-1, np.clip(-arr, 0, None))):
-        row_sums = part.sum(axis=1)
+    parts = _signed_parts(arr)
+    rounds = [int(row_sums.max()) for _, row_sums in parts]
+    row_block = np.full((sum(rounds), m), -1, dtype=np.int64)
+    col_block = np.full((sum(rounds), n), -1, dtype=np.int64)
+    for first_round, (part, row_sums) in zip((0, rounds[0]), parts):
         if not row_sums.any():
             continue
         unit_row, unit_col = np.divmod(np.repeat(np.arange(m * n), part.ravel()), n)
@@ -63,13 +80,9 @@ def greedy_l1_decompose(matrix) -> SignedBlockySum:
         rank = np.empty_like(keys)
         rank[np.lexsort((unit_row[first_at], key_round))] = np.arange(keys.size)
         ids = rank - np.searchsorted(key_round, key_round)  # keys ascend by round
-        rounds = int(row_sums.max())
-        row_block = np.full((rounds, m), -1, dtype=np.int64)
-        row_block[unit_round, unit_row] = ids[key_of]
-        col_block = np.full((rounds, n), -1, dtype=np.int64)
-        col_block[key_round, key_col] = ids
-        terms += [(sign, b) for b in BlockyMatrix.from_label_tables((m, n), row_block, col_block)]
-    return SignedBlockySum(shape=(m, n), terms=tuple(terms))
+        row_block[first_round + unit_round, unit_row] = ids[key_of]
+        col_block[first_round + key_round, key_col] = ids
+    return SignedBlockySum.from_label_tables((m, n), np.repeat([1, -1], rounds), row_block, col_block)
 
 
 @dataclass(frozen=True, eq=False)

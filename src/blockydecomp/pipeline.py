@@ -40,7 +40,6 @@ import numpy as np
 from .config import RunConfig
 from .core import (
     AlmostIntegerCertificate,
-    BlockyMatrix,
     SignedBlockySum,
     _freeze,
     as_int_array,
@@ -49,7 +48,7 @@ from .core import (
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
 from .littlestone import _byte_keys, bucket_stabilize
-from .partition import greedy_l1_decompose, greedy_partition, subtract_average
+from .partition import greedy_l1_decompose, greedy_partition, peel_term_count, subtract_average
 
 __all__ = [
     "RoundingDriftError",
@@ -126,16 +125,14 @@ def _lift(small: SignedBlockySum, group_of: np.ndarray) -> SignedBlockySum:
     """Expand a sum over grouped columns to the sum over their member columns.
 
     ``group_of[y]`` is the column of ``small`` that column y belongs to, or
-    -1 for a column in no group.  Each lifted term keeps its row labels, and
-    column y takes the label of its group: one fancy index over all terms'
-    column labels at once.  Rows are untouched, so the ids stay canonical.
+    -1 for a column in no group; every column of ``small`` has a member.
+    The row labels and signs of ``small.label_tables`` are kept, and column y
+    takes its group's column labels: one fancy index over the whole column
+    table.  Rows are untouched, so the ids stay canonical.
     """
-    shape = (small.shape[0], group_of.size)
-    signs, terms = zip(*small.terms)  # a nonzero matrix peels into at least one term
-    rows = np.stack([b.row_block for b in terms])
-    cols = np.stack([b.col_block for b in terms])
-    lifted = BlockyMatrix.from_label_tables(shape, rows, np.where(group_of >= 0, cols[:, group_of], -1))
-    return SignedBlockySum(shape=shape, terms=tuple(zip(signs, lifted)))
+    signs, rows, cols = small.label_tables
+    lifted = np.where(group_of >= 0, cols[:, group_of], -1)
+    return SignedBlockySum.from_label_tables((small.shape[0], group_of.size), signs, rows, lifted)
 
 
 def norm_decrement_step(
@@ -318,13 +315,15 @@ def decompose(
     ``gamma2_upper(matrix, config)``); a certificate that fails
     ``verify_factorization`` at ``config.tol`` is refused unless ``force`` is
     set, and one whose product does not round to the input always is.  The
-    sum is then the dedupe+peel of the input: ``greedy_l1_decompose`` on the
-    distinct nonzero columns, each rectangle lifted to the columns equal to
-    its own.  It never has more terms than a construction that ends after
+    sum is then the dedupe+peel of the input: ``greedy_l1_decompose`` writes
+    the distinct nonzero columns' terms into one label table, and ``_lift``
+    expands its column labels to the columns equal to each with one fancy
+    index.  It never has more terms than a construction that ends after
     one ``norm_decrement_step``.  The returned sum is checked
-    entry-for-entry against the input; a mismatch raises ReconstructionError
-    with a witness entry.  Inputs with an entry of magnitude above
-    ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
+    entry-for-entry against the input with ``SignedBlockySum.evaluate``; a
+    mismatch raises ReconstructionError with a witness entry.  Inputs with
+    an entry of magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at
+    once.
 
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
@@ -465,7 +464,7 @@ def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int |
     tables = _oracle_tables(m, n)
     signed, one_sums, pair_sums = tables.signed, tables.one_sums, tables.pair_sums
 
-    ub = len(greedy_l1_decompose(A))
+    ub = peel_term_count(A)
     top = min(l_max, ub)
     fails: set[tuple[bytes, int]] = set()
 
@@ -541,7 +540,7 @@ def random_lower_bound_experiment(
         if mode == "exact":
             v = exact_block_complexity(A)
             if v is None:
-                v = len(greedy_l1_decompose(A))
+                v = peel_term_count(A)
         else:
             s, _ = decompose(A, config=config)
             v = len(s)

@@ -25,7 +25,7 @@ from .core import is_blocky, round_half_down
 from .factorize import gamma2_lower, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
-from .partition import greedy_l1_decompose, greedy_partition, subtract_average
+from .partition import greedy_partition, peel_term_count, subtract_average
 from .pipeline import (
     decompose,
     exact_block_complexity,
@@ -316,7 +316,7 @@ def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     for item in ctx.boolean3x3():
         A, s = item["matrix"], item["sum"]
         oc = exact_block_complexity(A, config.oracle_depth)
-        if oc is None or oc > len(s) or oc > len(greedy_l1_decompose(A)):
+        if oc is None or oc > len(s) or oc > peel_term_count(A):
             bad += 1
         check = is_blocky(A)
         if A.any() and check.blocky:

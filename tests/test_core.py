@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from blockydecomp import core
 from blockydecomp.core import (
     BlockyMatrix,
     IntMatrix,
@@ -241,6 +242,96 @@ def test_signed_sum_evaluate_matches_membership_sum():
                         manual[x, y] += sign
         assert np.array_equal(s.evaluate(), manual)
         assert len(s) == len(terms)
+
+
+def _evaluate_by_rectangles(s: SignedBlockySum) -> np.ndarray:
+    """Reference: every entry of every rectangle of every term gets the term's sign."""
+    out = np.zeros(s.shape, dtype=np.int64)
+    for sign, b in s.terms:
+        for rows, cols in b.rectangles:
+            out[np.ix_(rows, cols)] += sign
+    return out
+
+
+def _full(m, n, sign=1):
+    return sign, BlockyMatrix(shape=(m, n), rectangles=[(range(m), range(n))])
+
+
+def _random_sum(rng, m, n, count):
+    return SignedBlockySum(
+        shape=(m, n),
+        terms=tuple(
+            (int(rng.choice([-1, 1])), BlockyMatrix(shape=(m, n), rectangles=_random_rectangles(rng, m, n)))
+            for _ in range(count)
+        ),
+    )
+
+
+def _evaluate_cases():
+    rng = np.random.default_rng(73)
+    zero = BlockyMatrix(shape=(4, 5), rectangles=[])
+    corner = BlockyMatrix(shape=(4, 5), rectangles=[((1, 3), (0, 4))])  # rows 0, 2 and columns 1-3 stay zero
+    split = BlockyMatrix(shape=(6, 7), rectangles=[((0, 1, 2), range(4)), ((3, 4, 5), range(4, 7))])
+    return {
+        "empty": SignedBlockySum(shape=(3, 4), terms=()),
+        "zero-terms": SignedBlockySum(shape=(4, 5), terms=((1, zero), (-1, zero))),
+        "zero-rows-and-columns": SignedBlockySum(shape=(4, 5), terms=((1, zero), (-1, corner), (-1, corner))),
+        "overlapping-full": SignedBlockySum(
+            shape=(6, 7), terms=tuple(_full(6, 7, sign) for sign in (1, 1, -1, 1, 1, -1, 1)) + ((-1, split),)
+        ),
+        "row-vector": _random_sum(rng, 1, 9, 6),
+        "column-vector": _random_sum(rng, 9, 1, 6),
+        "1x1": SignedBlockySum(shape=(1, 1), terms=(_full(1, 1), _full(1, 1), _full(1, 1, -1))),
+        "random": _random_sum(rng, 13, 11, 30),
+        # 1.6M cells, more than one chunk of _EVAL_CHUNK_CELLS
+        "dense-chunks": SignedBlockySum(
+            shape=(200, 200), terms=tuple(_full(200, 200, -1 if k % 3 == 0 else 1) for k in range(40))
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_evaluate_cases()))
+def test_evaluate_matches_rectangle_reference(name):
+    s = _evaluate_cases()[name]
+    expected = _evaluate_by_rectangles(s)
+    assert np.array_equal(s.evaluate(), expected)
+    signs, rows, cols = s.label_tables
+    assert np.array_equal(SignedBlockySum.from_label_tables(s.shape, signs, rows, cols).evaluate(), expected)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 17])
+def test_evaluate_chunk_boundaries(monkeypatch, chunk):
+    # Chunks smaller than one rectangle row, and cuts falling inside rows, give the same sum.
+    monkeypatch.setattr(core, "_EVAL_CHUNK_CELLS", chunk)
+    rng = np.random.default_rng(74 + chunk)
+    for _ in range(20):
+        s = _random_sum(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(0, 6)))
+        assert np.array_equal(s.evaluate(), _evaluate_by_rectangles(s))
+
+
+def test_sum_from_label_tables_keeps_tables_and_terms():
+    s = greedy_l1_decompose([[2, -1, 0], [0, 1, -3]])
+    signs, rows, cols = s.label_tables
+    assert signs.tolist() == [sign for sign, _ in s.terms]
+    for table in (signs, rows, cols):
+        assert not table.flags.writeable
+    rebuilt = SignedBlockySum(shape=s.shape, terms=s.terms)
+    assert rebuilt == s
+    for got, want in zip(rebuilt.label_tables, s.label_tables):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("signs", [[1], [1, 0, -1], [1.0, -1.0, 1.0], [1, 2, -1], [True, True, False]])
+def test_sum_from_label_tables_rejects_bad_signs(signs):
+    s = greedy_l1_decompose([[2, -1]])  # three terms
+    _, rows, cols = s.label_tables
+    with pytest.raises(ValueError, match="one sign"):
+        SignedBlockySum.from_label_tables(s.shape, signs, rows, cols)
+
+
+def test_sum_from_label_tables_rejects_bad_labels():
+    with pytest.raises(ValueError, match="in order of first row"):
+        SignedBlockySum.from_label_tables((2, 2), [1], np.array([[1, 0]]), np.array([[0, 1]]))
 
 
 def test_signed_sum_shape_checks():

@@ -9,6 +9,7 @@ from blockydecomp.core import BlockyMatrix, is_blocky
 from blockydecomp.partition import (
     greedy_l1_decompose,
     greedy_partition,
+    peel_term_count,
     subtract_average,
 )
 
@@ -45,6 +46,14 @@ def test_l1_zero_matrix():
     s = greedy_l1_decompose(np.zeros((2, 3), dtype=int))
     assert s.terms == ()
     assert s.evaluate().tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+def test_peel_term_count_equals_peel_length():
+    booleans = [((code >> np.arange(9)) & 1).reshape(3, 3) for code in range(512)]  # the zero matrix too
+    rng = np.random.default_rng(31)
+    integers = [rng.integers(-3, 4, size=(rng.integers(1, 7), rng.integers(1, 7))) for _ in range(200)]
+    for arr in booleans + integers:
+        assert peel_term_count(arr) == len(greedy_l1_decompose(arr))
 
 
 def test_l1_random_exactness_and_term_bound():

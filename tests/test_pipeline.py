@@ -324,6 +324,30 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
+def test_layer_bindings_of_the_traced_benchmark_resolve():
+    # bench/spans.py wraps these layers by replacing ``owner.__dict__[name]``.
+    assert callable(vars(pipeline)["greedy_l1_decompose"])
+    assert callable(vars(pipeline)["verify_factorization"])
+    assert callable(vars(SignedBlockySum)["evaluate"])
+
+
+def test_decompose_peels_and_evaluates_once_through_those_bindings(monkeypatch):
+    inst = _golden_instance(*sorted(GOLDEN_DECOMPOSITIONS)[0])
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "greedy_l1_decompose", counting("peel", pipeline.greedy_l1_decompose))
+    monkeypatch.setattr(SignedBlockySum, "evaluate", counting("evaluate", SignedBlockySum.evaluate))
+    decompose(inst.matrix.values, fac=inst.certificate)
+    assert sorted(calls) == ["evaluate", "peel"]
+
+
 # code -> (U, V) as float.hex rows: certificates of former solvers on 3x3
 # booleans where their first level split a column; 151 and 231 from the
 # uniform start with the exponential step and a three-round polish, 399 from
