@@ -6,11 +6,12 @@ disjoint and so are the column sets.  Equivalently, no 2x2 submatrix
 contains exactly three 1-entries.  So each row and each column lies in at
 most one rectangle, and ``BlockyMatrix`` stores a matrix as two label
 arrays: the rectangle id of every row and of every column, or -1.  A signed
-sum keeps its terms' labels stacked in one (terms x m) and one (terms x n)
-table, and evaluates them with one signed scatter-add over the cells of
-every rectangle, so its cost is the total rectangle area rather than terms
-x m x n.  Everything in this module is pure and the containers are
-immutable after construction.
+sum is stored only as its signs and its terms' labels stacked in one
+(terms x m) and one (terms x n) table; its per-term ``BlockyMatrix`` objects
+are a view built on first use.  It evaluates the tables with one signed
+scatter-add over the cells of every rectangle, so its cost is the total
+rectangle area rather than terms x m x n.  Everything in this module is pure
+and the containers are immutable after construction.
 """
 
 from __future__ import annotations
@@ -364,29 +365,36 @@ class BlockyMatrix:
         return cls(shape=arr.shape, rectangles=check.rectangles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SignedBlockySum:
     """A formal signed sum ``sum_i sign_i * B_i`` of blocky matrices.
 
-    ``label_tables`` stacks the terms: their signs, a (terms, m) table of row
-    labels and a (terms, n) table of column labels.  ``from_label_tables``
-    builds a sum from such tables, validating them once, and keeps them.
+    Stored as ``label_tables``: the terms' signs (int64), a (terms, m) table
+    of row labels and a (terms, n) table of column labels (int32, canonical
+    as in ``BlockyMatrix``), all read-only.  ``from_label_tables`` validates
+    such tables once and keeps them; ``SignedBlockySum(shape, terms)``
+    converts (sign, BlockyMatrix) pairs at the boundary.  ``len``, ``==``,
+    ``hash`` and ``evaluate`` read the tables; ``terms`` is a derived view,
+    built on first use.
     """
 
     shape: tuple[int, int]
-    terms: tuple[tuple[int, BlockyMatrix], ...]
+    label_tables: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __post_init__(self):
-        m, n = _check_shape(self.shape)
-        terms = []
-        for sign, b in self.terms:
-            if sign not in (-1, 1):
-                raise ValueError(f"term sign must be -1 or +1, got {sign}")
+    def __init__(self, shape: tuple[int, int], terms):
+        m, n = _check_shape(shape)
+        terms = tuple(terms)
+        for sign, b in terms:
+            if not isinstance(sign, numbers.Integral) or isinstance(sign, bool) or sign not in (-1, 1):
+                raise ValueError(f"term sign must be the integer -1 or +1, got {sign!r}")
             if b.shape != (m, n):
                 raise ValueError(f"term shape {b.shape} does not match sum shape {(m, n)}")
-            terms.append((int(sign), b))
-        object.__setattr__(self, "shape", (m, n))
-        object.__setattr__(self, "terms", tuple(terms))
+        signs = np.array([sign for sign, _ in terms], dtype=np.int64)
+        rb = np.stack([b.row_block for _, b in terms]) if terms else np.empty((0, m), np.int32)
+        cb = np.stack([b.col_block for _, b in terms]) if terms else np.empty((0, n), np.int32)
+        for table in (signs, rb, cb):
+            table.setflags(write=False)
+        vars(self).update(shape=(m, n), label_tables=(signs, rb, cb))
 
     @classmethod
     def from_label_tables(cls, shape: tuple[int, int], signs, row_blocks, col_blocks) -> "SignedBlockySum":
@@ -395,7 +403,7 @@ class SignedBlockySum:
         The tables are validated as in ``BlockyMatrix.from_label_tables``;
         raises ValueError if a term is invalid or a sign is not -1 or +1.
         """
-        shape, rb, cb, counts = _check_label_tables(shape, row_blocks, col_blocks)
+        shape, rb, cb, _ = _check_label_tables(shape, row_blocks, col_blocks)
         signs = np.asarray(signs)
         bad = signs.size and (signs.dtype.kind != "i" or (np.abs(signs) != 1).any())
         if bad or signs.shape != (rb.shape[0],):
@@ -403,23 +411,27 @@ class SignedBlockySum:
         signs = signs.astype(np.int64)
         signs.setflags(write=False)
         out = cls.__new__(cls)
-        terms = tuple(zip(signs.tolist(), BlockyMatrix._of_tables(shape, rb, cb, counts)))
-        vars(out).update(shape=shape, terms=terms, label_tables=(signs, rb, cb))
+        vars(out).update(shape=shape, label_tables=(signs, rb, cb))
         return out
 
     @cached_property
-    def label_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(signs, row labels, column labels), one row per term, read-only."""
-        m, n = self.shape
-        signs = np.array([sign for sign, _ in self.terms], dtype=np.int64)
-        rb = np.stack([b.row_block for _, b in self.terms]) if self.terms else np.empty((0, m), np.int32)
-        cb = np.stack([b.col_block for _, b in self.terms]) if self.terms else np.empty((0, n), np.int32)
-        for table in (signs, rb, cb):
-            table.setflags(write=False)
-        return signs, rb, cb
+    def terms(self) -> tuple[tuple[int, BlockyMatrix], ...]:
+        """(sign, term) pairs, the terms viewing the rows of the label tables."""
+        signs, rb, cb = self.label_tables
+        counts = rb.max(axis=1, initial=-1) + 1
+        return tuple(zip(signs.tolist(), BlockyMatrix._of_tables(self.shape, rb, cb, counts)))
+
+    def _key(self) -> tuple:
+        return (self.shape, *(table.tobytes() for table in self.label_tables))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SignedBlockySum) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.label_tables[0].size
 
     def evaluate(self) -> np.ndarray:
         """The dense int64 value: one signed scatter-add over rectangle cells.

@@ -431,26 +431,24 @@ def factorization_from_blocky_sum(decomp: SignedBlockySum) -> GammaFactorization
 
     Each rectangle (S, T) of term i contributes one inner coordinate carrying
     sign_i * indicator(S) x indicator(T), term by term and within a term in
-    rectangle id order; a term's block of U columns and V rows is one
-    comparison of its labels against its ids.  Scaling rows by 1/sqrt(terms) and
-    columns by sqrt(terms) caps row norms at 1 and column norms at the term
-    count, so gamma ≤ len(decomp).  With zero terms this is the empty
-    certificate of the zero matrix.
+    rectangle id order.  U and V are one comparison each of the label
+    tables, taken a row per coordinate, against the coordinates' ids.
+    Scaling rows by 1/sqrt(terms) and columns by sqrt(terms) caps row norms
+    at 1 and column norms at the term count, so gamma ≤ len(decomp).  With
+    zero terms this is the empty certificate of the zero matrix.
     """
     m, n = decomp.shape
-    L = len(decomp.terms)
+    signs, rb, cb = decomp.label_tables
+    L = signs.size
     if L == 0:
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
     r = 1.0 / math.sqrt(L)
     c = math.sqrt(L)
-    blocks_U: list[np.ndarray] = []
-    blocks_V: list[np.ndarray] = []
-    for sign, term in decomp.terms:
-        ids = np.arange(term.count)
-        blocks_U.append(np.where(term.row_block[:, None] == ids, r, 0.0))
-        blocks_V.append(np.where(ids[:, None] == term.col_block, sign * c, 0.0))
-    U = np.hstack(blocks_U)
-    V = np.vstack(blocks_V)
+    counts = rb.max(axis=1) + 1
+    term = np.repeat(np.arange(L), counts)  # inner coordinate -> (term, rectangle id)
+    ids = np.arange(term.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    U = np.where(np.take(rb.T, term, axis=1) == ids, r, 0.0)
+    V = np.where(cb[term] == ids[:, None], (signs[term] * c)[:, None], 0.0)
     target = decomp.evaluate().astype(np.float64)
     resid = float(np.abs(target - U @ V).max(initial=0.0))
     return GammaFactorization(U=U, V=V, gamma=float(L), residual=resid)

@@ -3,7 +3,9 @@
 Three self-contained combinatorial tools used by the pipeline:
 
 * ``greedy_l1_decompose`` writes any integer matrix as a signed sum of
-  blocky matrices with at most 2 * (max row l1 norm) terms.
+  blocky matrices with at most 2 * (max row l1 norm) terms.  Its kernel,
+  ``_peel_tables``, returns the sum's raw label tables without sorting;
+  the pipeline lifts those tables before validating them once.
 * ``subtract_average`` locates the vectors whose squared norm drops by at
   least half the squared mean norm when the mean is subtracted.
 * ``greedy_partition`` repeatedly extracts the largest column class that
@@ -34,7 +36,7 @@ __all__ = [
 
 def _signed_parts(arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The peel's positive and negative part of the matrix, each with its row sums."""
-    parts = (np.clip(arr, 0, None), np.clip(-arr, 0, None))
+    parts = (np.maximum(arr, 0), np.maximum(-arr, 0))
     return tuple((part, part.sum(axis=1)) for part in parts)
 
 
@@ -44,45 +46,59 @@ def peel_term_count(matrix) -> int:
     return sum(int(row_sums.max()) for _, row_sums in _signed_parts(as_int_array(matrix)))
 
 
+def _peel_tables(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peel of an int64 matrix as raw label tables: signs, (terms x m)
+    row labels and (terms x n) column labels, as ``greedy_l1_decompose``
+    describes them.  An m x 0 input gives empty tables.
+
+    Nothing is sorted.  Row x's t-th unit lies in round t, so every unit of
+    a part is placed at once, and each (round, column) key is a rectangle.
+    ``np.minimum.at`` over a (rounds x n) table finds each key's first row.
+    Flagging the first rows in a (rounds x m) table, the running count of
+    flags along a round gives every key its canonical id, written into the
+    column table; each unit's row label is its key's id.  Every fancy
+    assignment writes distinct cells.
+    """
+    m, n = arr.shape
+    parts = _signed_parts(arr)
+    rounds = [int(row_sums.max()) for _, row_sums in parts]
+    row_block = np.full((sum(rounds), m), -1, dtype=np.int32)
+    col_block = np.full((sum(rounds), n), -1, dtype=np.int32)
+    cells, rows = np.arange(m * n), np.arange(m)
+    for first_round, count, (part, row_sums) in zip((0, rounds[0]), rounds, parts):
+        if not count:
+            continue
+        unit_row = np.repeat(rows, row_sums)  # units run row-major, column by column
+        unit_round = np.arange(unit_row.size) - np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
+        key = np.repeat(cells, part.ravel()) + (unit_round - unit_row) * n  # round * n + column
+        first_row = np.full(count * n, m)
+        np.minimum.at(first_row, key, unit_row)
+        keys = np.flatnonzero(first_row < m)
+        key_round, head = keys // n, first_row[keys]
+        flags = np.zeros((count, m), dtype=np.int32)
+        flags[key_round, head] = 1  # a row opens at most one key per round
+        key_ids = col_block[first_round : first_round + count].ravel()  # a view
+        key_ids[keys] = np.cumsum(flags, axis=1, dtype=np.int32)[key_round, head] - 1
+        row_block[first_round + unit_round, unit_row] = key_ids[key]
+    return np.repeat([1, -1], rounds), row_block, col_block
+
+
 def greedy_l1_decompose(matrix) -> SignedBlockySum:
     """Signed blocky sum evaluating exactly to the input.
 
     The positive and negative parts are peeled separately, one unit per
     round: every row with a surviving nonzero entry donates one unit in its
     smallest nonzero column, and rows are grouped by chosen column into
-    single-column rectangles (disjoint by construction, hence blocky).  Row
-    x's t-th donation is the t-th of its units laid out column by column, so
-    every round is computed at once: each (round, column) pair is one
-    rectangle, numbered within its round by its first row (the canonical
-    id).  Each round is one term, the positive part's rounds first: its
-    labels are written directly into one row of a single (terms x m) and
-    (terms x n) label table, validated once by
-    ``SignedBlockySum.from_label_tables``.
+    single-column rectangles (disjoint by construction, hence blocky),
+    numbered within their round by first row (the canonical id).  Each
+    round is one term, the positive part's rounds first.  ``_peel_tables``
+    writes every term's labels straight into one (terms x m) and one
+    (terms x n) table, validated once by ``SignedBlockySum.from_label_tables``.
     Round count per part equals that part's max row sum, so the term count
     is ``peel_term_count``, at most 2 * max_x sum_y |A(x,y)|.
     """
     arr = as_int_array(matrix)
-    m, n = arr.shape
-    parts = _signed_parts(arr)
-    rounds = [int(row_sums.max()) for _, row_sums in parts]
-    row_block = np.full((sum(rounds), m), -1, dtype=np.int64)
-    col_block = np.full((sum(rounds), n), -1, dtype=np.int64)
-    for first_round, (part, row_sums) in zip((0, rounds[0]), parts):
-        if not row_sums.any():
-            continue
-        unit_row, unit_col = np.divmod(np.repeat(np.arange(m * n), part.ravel()), n)
-        unit_round = np.arange(unit_row.size) - np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
-        # units run row-major, so a key's first occurrence is at its first row
-        keys, first_at, key_of = np.unique(
-            unit_round * n + unit_col, return_index=True, return_inverse=True
-        )
-        key_round, key_col = np.divmod(keys, n)
-        rank = np.empty_like(keys)
-        rank[np.lexsort((unit_row[first_at], key_round))] = np.arange(keys.size)
-        ids = rank - np.searchsorted(key_round, key_round)  # keys ascend by round
-        row_block[first_round + unit_round, unit_row] = ids[key_of]
-        col_block[first_round + key_round, key_col] = ids
-    return SignedBlockySum.from_label_tables((m, n), np.repeat([1, -1], rounds), row_block, col_block)
+    return SignedBlockySum.from_label_tables(arr.shape, *_peel_tables(arr))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,13 @@ rounds like A - A', and that its eps grows at most threefold.
 
 ``decompose`` checks the certificate the same way the construction needs it,
 then takes the direct path: it deduplicates the nonzero columns exactly,
-peels the distinct-column matrix with ``greedy_l1_decompose`` and lifts each
-rectangle back to its member columns.  When the construction ends after
-one level, as it does on every input measured, each distinct nonzero column
-is the value of at least one of its cells; the peel's term count is the
-largest positive plus the largest negative row sum, so peeling the cells
-never gives fewer terms than peeling the distinct columns.
+peels the distinct-column matrix into raw label tables (``_peel_tables``,
+the kernel of ``greedy_l1_decompose``), lifts each rectangle back to its
+member columns and validates the lifted tables once.  When the construction
+ends after one level, as it does on every input measured, each distinct
+nonzero column is the value of at least one of its cells; the peel's term
+count is the largest positive plus the largest negative row sum, so peeling
+the cells never gives fewer terms than peeling the distinct columns.
 ``exact_block_complexity`` is the desk-scale brute-force oracle the test
 battery measures both against.
 
@@ -48,7 +49,10 @@ from .core import (
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
 from .littlestone import _byte_keys, bucket_stabilize
-from .partition import greedy_l1_decompose, greedy_partition, peel_term_count, subtract_average
+from .partition import _peel_tables, greedy_partition, peel_term_count, subtract_average
+
+# bench/spans.py wraps this binding by name; the chain itself peels with _peel_tables.
+from .partition import greedy_l1_decompose  # noqa: F401
 
 __all__ = [
     "RoundingDriftError",
@@ -121,18 +125,17 @@ def _nearest_int_dist(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.round(values))
 
 
-def _lift(small: SignedBlockySum, group_of: np.ndarray) -> SignedBlockySum:
-    """Expand a sum over grouped columns to the sum over their member columns.
+def _lift(signs, rows, cols, group_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand label tables over grouped columns to tables over their member columns.
 
-    ``group_of[y]`` is the column of ``small`` that column y belongs to, or
-    -1 for a column in no group; every column of ``small`` has a member.
-    The row labels and signs of ``small.label_tables`` are kept, and column y
-    takes its group's column labels: one fancy index over the whole column
-    table.  Rows are untouched, so the ids stay canonical.
+    ``group_of[y]`` is the column of ``cols`` that column y belongs to, or
+    -1 for a column in no group.  Signs and row labels are kept, and column
+    y takes its group's column labels: one fancy index into ``cols`` with a
+    column of -1 appended for ungrouped columns.  Rows are untouched, so the
+    ids stay canonical; the caller validates the result.
     """
-    signs, rows, cols = small.label_tables
-    lifted = np.where(group_of >= 0, cols[:, group_of], -1)
-    return SignedBlockySum.from_label_tables((small.shape[0], group_of.size), signs, rows, lifted)
+    padded = np.concatenate([cols, np.full((cols.shape[0], 1), -1, dtype=cols.dtype)], axis=1)
+    return signs, rows, padded[:, group_of]
 
 
 def norm_decrement_step(
@@ -253,9 +256,9 @@ def norm_decrement_step(
 
     # Blocky accounting happens on the compressed cell matrix (one column per
     # captured class), then rectangles are expanded back to member columns.
-    blocky_part = SignedBlockySum(shape=(m, n), terms=())
-    if cell_values:
-        blocky_part = _lift(greedy_l1_decompose(np.stack(cell_values, axis=1)), cell_of)
+    blocky_part = SignedBlockySum.from_label_tables(
+        (m, n), *_lift(*_peel_tables(np.stack(cell_values, axis=1)), cell_of)
+    )
     if not np.array_equal(blocky_part.evaluate(), round_half_down(a_prime)):
         raise ReconstructionError("blocky layer does not match the rounded structured part")
 
@@ -315,15 +318,15 @@ def decompose(
     ``gamma2_upper(matrix, config)``); a certificate that fails
     ``verify_factorization`` at ``config.tol`` is refused unless ``force`` is
     set, and one whose product does not round to the input always is.  The
-    sum is then the dedupe+peel of the input: ``greedy_l1_decompose`` writes
-    the distinct nonzero columns' terms into one label table, and ``_lift``
-    expands its column labels to the columns equal to each with one fancy
-    index.  It never has more terms than a construction that ends after
-    one ``norm_decrement_step``.  The returned sum is checked
-    entry-for-entry against the input with ``SignedBlockySum.evaluate``; a
-    mismatch raises ReconstructionError with a witness entry.  Inputs with
-    an entry of magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at
-    once.
+    sum is then the dedupe+peel of the input: ``_peel_tables`` writes the
+    distinct nonzero columns' terms into raw label tables, ``_lift`` expands
+    the column labels to the columns equal to each with one fancy index, and
+    ``SignedBlockySum.from_label_tables`` validates the result, once.  It
+    never has more terms than a construction that ends after one
+    ``norm_decrement_step``.  The returned sum is checked entry-for-entry
+    against the input with ``SignedBlockySum.evaluate``; a mismatch raises
+    ReconstructionError with a witness entry.  Inputs with an entry of
+    magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
 
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
@@ -350,16 +353,15 @@ def decompose(
 
     # Exact column dedupe: one distinct nonzero column per group, in order of
     # first occurrence, peeled once and lifted back to every member column.
-    total = SignedBlockySum(shape=(m, n), terms=())
     nonzero = np.flatnonzero(A.any(axis=0))
+    group_of = np.full(n, -1, dtype=np.int64)
+    distinct = A[:, nonzero]  # m x 0 for the zero matrix
     if nonzero.size:
-        _, first, inverse = np.unique(
-            _byte_keys(A[:, nonzero].T), return_index=True, return_inverse=True
-        )
+        _, first, inverse = np.unique(_byte_keys(distinct.T), return_index=True, return_inverse=True)
         order = np.argsort(first)
-        group_of = np.full(n, -1, dtype=np.int64)
         group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
-        total = _lift(greedy_l1_decompose(A[:, nonzero[first[order]]]), group_of)
+        distinct = distinct[:, first[order]]
+    total = SignedBlockySum.from_label_tables((m, n), *_lift(*_peel_tables(distinct), group_of))
 
     rebuilt = total.evaluate()
     if not np.array_equal(rebuilt, A):

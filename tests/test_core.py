@@ -342,6 +342,58 @@ def test_signed_sum_shape_checks():
         SignedBlockySum(shape=(2, 2), terms=((2, b),))
 
 
+@pytest.mark.parametrize("sign", [True, False, 1.0, np.float64(-1.0), np.True_, "1", 0, 2])
+def test_signed_sum_constructor_rejects_non_integer_signs(sign):
+    b = BlockyMatrix(shape=(2, 2), rectangles=(((0,), (0,)),))
+    with pytest.raises(ValueError, match="integer -1 or \\+1"):
+        SignedBlockySum(shape=(2, 2), terms=((1, b), (sign, b)))
+
+
+def test_signed_sum_constructor_takes_numpy_integer_signs():
+    b = BlockyMatrix(shape=(2, 2), rectangles=(((0,), (0,)),))
+    s = SignedBlockySum(shape=(2, 2), terms=[(np.int32(-1), b), (np.int64(1), b)])
+    assert [type(sign) for sign, _ in s.terms] == [int, int]
+    assert s.label_tables[0].tolist() == [-1, 1]
+
+
+def test_both_constructors_agree_on_len_eq_hash_and_terms():
+    rng = np.random.default_rng(75)
+    cases = [greedy_l1_decompose(rng.integers(-4, 5, size=(rng.integers(1, 7), rng.integers(1, 7)))) for _ in range(30)]
+    cases += [greedy_l1_decompose(np.zeros((2, 3), dtype=int)), _random_sum(rng, 5, 4, 6)]
+    for s in cases:
+        from_tables = SignedBlockySum.from_label_tables(s.shape, *s.label_tables)
+        from_terms = SignedBlockySum(shape=s.shape, terms=from_tables.terms)
+        assert len(from_tables) == len(from_terms) == len(s.label_tables[0])
+        assert from_tables == from_terms and hash(from_tables) == hash(from_terms)
+        assert from_tables.terms == from_terms.terms
+        assert all(type(sign) is int for sign, _ in from_tables.terms)
+        for got, want in zip(from_terms.label_tables, from_tables.label_tables):
+            assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    a = cases[0]
+    flipped = SignedBlockySum.from_label_tables(a.shape, -a.label_tables[0], *a.label_tables[1:])
+    assert flipped != a and len({a, flipped, SignedBlockySum(shape=a.shape, terms=a.terms)}) == 2
+    assert SignedBlockySum(shape=(2, 3), terms=()) != SignedBlockySum(shape=(3, 2), terms=())
+
+
+def test_sum_terms_is_a_cached_view_built_on_first_use(monkeypatch):
+    built = []
+    real = BlockyMatrix._of_tables.__func__
+
+    def counting(cls, *args):
+        built.append(1)
+        return real(cls, *args)
+
+    monkeypatch.setattr(BlockyMatrix, "_of_tables", classmethod(counting))
+    s = greedy_l1_decompose([[2, -1, 0], [0, 1, -3]])
+    assert len(s) == 5 and s == SignedBlockySum.from_label_tables(s.shape, *s.label_tables)
+    s.evaluate()
+    assert built == []
+    first = s.terms
+    assert built == [1] and s.terms is first
+    assert [b.row_block.tolist() for _, b in first] == s.label_tables[1].tolist()
+    assert [b.count for _, b in first] == [2, 1, 2, 1, 1]
+
+
 def test_round_half_down_against_fraction_oracle():
     """Half-integers round down; everything else rounds to nearest."""
 

@@ -495,3 +495,53 @@ def test_from_blocky_inner_dim_counts_rectangles():
     fac = factorization_from_blocky_sum(s)
     assert fac.inner_dim == 3
     assert np.array_equal(fac.product(), s.evaluate())
+
+
+# (n, L) -> float.hex(gamma), sha256 of U and of V bytes, float.hex(residual)
+# of generate(random-blocky-sum, n, L, seed=7n + L)'s certificate, recorded
+# with the per-term build that the table comparison replaced
+BLOCKY_CERTIFICATES = {
+    (8, 2): (
+        "0x1.0000000000000p+1",
+        "69a2a499438764a001c1cdd6ec175f89c4c8b85d0d7c39ec59d4943c70e36968",
+        "10c5b3fba47b9b9b0c4665ce5eb8bc18372b2bc6f706e5cbd52b95d220a5100d",
+        "0x1.765753908cd20p-56",
+    ),
+    (24, 4): (
+        "0x1.0000000000000p+2",
+        "d963750a673d877a14b633f639c770afa77cbc5d2519a0390643955826f479e3",
+        "f451a8f137d078f135d3c32dc60ae08ed4b1816b012a946f9fc6d45a5c9bb6af",
+        "0x0.0p+0",
+    ),
+    (40, 6): (
+        "0x1.8000000000000p+2",
+        "ebf9c7838c9277db45e3b321c30c876b2065fb7892793979383bad070d81334d",
+        "381a756dd834867550a6c57c890ac99f3524eb12d8b16bf0ccf73ba73e746654",
+        "0x1.c9140b86c4948p-55",
+    ),
+    (64, 8): (
+        "0x1.0000000000000p+3",
+        "8dfbd96b6c453e2c93daf0f3afb58643ac12f5d4327d31032d97894743b894eb",
+        "604fd19953268d636d47188a9f9f4abd5eb6c5b8ea270a9a7872b8ed91b908b5",
+        "0x1.765753908cd20p-56",
+    ),
+}
+
+
+@pytest.mark.parametrize("n, L", sorted(BLOCKY_CERTIFICATES))
+def test_from_blocky_certificates_pinned(monkeypatch, n, L):
+    s = generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=7 * n + L).blocky_sum
+    s = SignedBlockySum.from_label_tables(s.shape, *s.label_tables)  # no terms view built yet
+
+    def refuse(*args):
+        raise AssertionError("term objects built")
+
+    monkeypatch.setattr(BlockyMatrix, "_of_tables", classmethod(refuse))
+    fac = factorization_from_blocky_sum(s)
+    got = (
+        float.hex(fac.gamma),
+        hashlib.sha256(fac.U.tobytes()).hexdigest(),
+        hashlib.sha256(fac.V.tobytes()).hexdigest(),
+        float.hex(fac.residual),
+    )
+    assert got == BLOCKY_CERTIFICATES[(n, L)]

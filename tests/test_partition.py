@@ -1,17 +1,21 @@
 """Greedy peel decomposition, mean-subtraction split, greedy column classes."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from blockydecomp.core import BlockyMatrix, is_blocky
+from blockydecomp.factorize import GammaFactorization
+from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import (
     greedy_l1_decompose,
     greedy_partition,
     peel_term_count,
     subtract_average,
 )
+from blockydecomp.pipeline import decompose
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,101 @@ def test_l1_random_exactness_and_term_bound():
         for sign, b in s.terms:
             assert sign in (-1, 1)
             assert is_blocky(b.to_dense())
+
+
+def _tables_digest(s):
+    h = hashlib.sha256(repr(s.shape).encode())
+    for table in s.label_tables:
+        h.update(repr((table.dtype.str, table.shape)).encode())
+        h.update(table.tobytes())
+    return h.hexdigest()
+
+
+def _trivial_certificate(A):
+    """U = I, V = A: exact, with gamma the largest column norm."""
+    gamma = float(np.sqrt((A * A).sum(axis=0).max()))
+    return GammaFactorization(U=np.eye(A.shape[0]), V=A.astype(np.float64), gamma=gamma, residual=0.0)
+
+
+def _pinned_integer_matrices():
+    rng = np.random.default_rng(2027)
+    cases = {}
+    for m, n in [(1, 1), (1, 9), (7, 1), (5, 6), (8, 8), (6, 13), (12, 5), (16, 16)]:
+        A = rng.integers(-5, 6, size=(m, n))
+        if m > 2 and n > 2:  # one zero row and one zero column
+            A[int(rng.integers(0, m))] = 0
+            A[:, int(rng.integers(0, n))] = 0
+        cases[f"{m}x{n}"] = A
+    return cases
+
+
+# name -> sha256 of the label tables of (greedy_l1_decompose, decompose),
+# recorded with the unique + lexsort peel kernel that _peel_tables replaced
+PEEL_TABLE_DIGESTS = {
+    "1x1": (
+        "8068bb62e597596141a1c480765c4484f6be6e2663d932cadfacb78b768e64f7",
+        "8068bb62e597596141a1c480765c4484f6be6e2663d932cadfacb78b768e64f7",
+    ),
+    "1x9": (
+        "b7bf3407be219b8ec547738045ef39fbfe90bc2e3391b1625fa6c1919c6c29f2",
+        "f7cd348815b041db9c0c2fc2440d9d4434c93dff54101a1571ae61844716c1e1",
+    ),
+    "7x1": (
+        "bd4c8ebcdc98c33ce96e8aa32cc3e100395ac7e2016c33122f02c67b5b4fbb52",
+        "bd4c8ebcdc98c33ce96e8aa32cc3e100395ac7e2016c33122f02c67b5b4fbb52",
+    ),
+    "5x6": (
+        "fd0be4bc19875f06e3f6f4a89ac77ac96040d60cd4b5a997d69830ebe9e961da",
+        "fd0be4bc19875f06e3f6f4a89ac77ac96040d60cd4b5a997d69830ebe9e961da",
+    ),
+    "8x8": (
+        "0ddab3a7cb82a10a2ee0480290efbe2555da01b74ff9386aa3241169ff5a02b0",
+        "0ddab3a7cb82a10a2ee0480290efbe2555da01b74ff9386aa3241169ff5a02b0",
+    ),
+    "6x13": (
+        "222b69fe6f6bb019d9948dcdb7f071aa8b5c5e0823135e10cd2677e06e8cc422",
+        "222b69fe6f6bb019d9948dcdb7f071aa8b5c5e0823135e10cd2677e06e8cc422",
+    ),
+    "12x5": (
+        "62670d6cf7beb0f2f5d2a299dc4f2397a634dc2fb578d7a287fab7cc13c8db4a",
+        "62670d6cf7beb0f2f5d2a299dc4f2397a634dc2fb578d7a287fab7cc13c8db4a",
+    ),
+    "16x16": (
+        "18d3481f28c87fdd51ffb75c43fa8714deca9ba8e6c9c794d6a9a7a3688d772a",
+        "18d3481f28c87fdd51ffb75c43fa8714deca9ba8e6c9c794d6a9a7a3688d772a",
+    ),
+    "3x3-booleans": (
+        "8422964406cb3d0af92d184c510c1518ba94c621b6e3c7231367205a3b164bbd",
+        "b2e6403dcc237cd7fa48bd890198525eb5d5e750f6bb98d7ed9b5637daabfd87",
+    ),
+    "128-sum": (
+        "b9232168c56932dec7161f09cfd5b987cda150f8266d415b5ead07aa98d1c1bd",
+        "626e0cca760fcce043827b40ff38b5be5338270e949e18b6951743de183b0cf6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_pinned_integer_matrices()))
+def test_peel_and_decompose_tables_pinned_on_integer_matrices(name):
+    A = _pinned_integer_matrices()[name]
+    got = (_tables_digest(greedy_l1_decompose(A)), _tables_digest(decompose(A, fac=_trivial_certificate(A))[0]))
+    assert got == PEEL_TABLE_DIGESTS[name]
+
+
+def test_peel_and_decompose_tables_pinned_on_3x3_booleans():
+    peel, dec = hashlib.sha256(), hashlib.sha256()
+    for code in range(512):  # the zero matrix too
+        A = ((code >> np.arange(9)) & 1).reshape(3, 3).astype(np.int64)
+        peel.update(_tables_digest(greedy_l1_decompose(A)).encode())
+        dec.update(_tables_digest(decompose(A, fac=_trivial_certificate(A))[0]).encode())
+    assert (peel.hexdigest(), dec.hexdigest()) == PEEL_TABLE_DIGESTS["3x3-booleans"]
+
+
+def test_peel_and_decompose_tables_pinned_on_a_128_generator_sum():
+    inst = generate(GeneratorSpec(kind="random-blocky-sum", n=128, term_count=8), seed=128 * 100 + 8)
+    A = inst.matrix.values
+    got = (_tables_digest(greedy_l1_decompose(A)), _tables_digest(decompose(A, fac=inst.certificate)[0]))
+    assert got == PEEL_TABLE_DIGESTS["128-sum"]
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +383,14 @@ def test_partition_matches_loop_reference():
 
 def test_l1_decompose_matches_loop_reference():
     rng = np.random.default_rng(46)
-    cases = [np.zeros((2, 3), dtype=int), np.array([[0, 3, -2], [1, 0, 0]])]
+    cases = [np.zeros((2, 3), dtype=int), np.array([[0, 3, -2], [1, 0, 0]]), np.array([[5]]), np.array([[-5]])]
     cases += [rng.integers(-4, 5, size=(rng.integers(1, 9), rng.integers(1, 12))) for _ in range(40)]
+    for _ in range(200):  # sparser, with zero rows and columns
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        arr = rng.integers(-5, 6, size=(m, n)) * (rng.random((m, n)) < rng.random())
+        arr[int(rng.integers(0, m))] *= int(rng.random() < 0.7)
+        arr[:, int(rng.integers(0, n))] *= int(rng.random() < 0.7)
+        cases.append(arr)
     for arr in cases:
         s = greedy_l1_decompose(arr)
         assert [(sign, b.rectangles) for sign, b in s.terms] == loop_greedy_l1_decompose(arr)

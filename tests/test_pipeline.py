@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from blockydecomp import pipeline
+from blockydecomp import core, pipeline
 from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky, round_half_down
 from blockydecomp.factorize import (
@@ -331,21 +331,41 @@ def test_layer_bindings_of_the_traced_benchmark_resolve():
     assert callable(vars(SignedBlockySum)["evaluate"])
 
 
-def test_decompose_peels_and_evaluates_once_through_those_bindings(monkeypatch):
+def _count_calls(monkeypatch, calls, owner, name, label, wrap=lambda fn: fn):
+    real = getattr(owner, name)
+    fn = getattr(real, "__func__", real)  # the function behind a classmethod
+
+    def counting(*args, **kwargs):
+        calls.append(label)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counting))
+
+
+def test_decompose_peels_validates_and_evaluates_once(monkeypatch):
+    """One peel kernel, one table validation and one exact check per sum,
+    for ``decompose`` and for the construction's step alike."""
     inst = _golden_instance(*sorted(GOLDEN_DECOMPOSITIONS)[0])
     calls = []
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pipeline, "greedy_l1_decompose", counting("peel", pipeline.greedy_l1_decompose))
-    monkeypatch.setattr(SignedBlockySum, "evaluate", counting("evaluate", SignedBlockySum.evaluate))
+    _count_calls(monkeypatch, calls, pipeline, "_peel_tables", "peel")
+    _count_calls(monkeypatch, calls, core, "_check_label_tables", "validate")
+    _count_calls(monkeypatch, calls, SignedBlockySum, "evaluate", "evaluate")
     decompose(inst.matrix.values, fac=inst.certificate)
-    assert sorted(calls) == ["evaluate", "peel"]
+    assert sorted(calls) == ["evaluate", "peel", "validate"]
+    calls.clear()
+    _first_step(inst.certificate)
+    assert sorted(calls) == ["evaluate", "peel", "validate"]
+
+
+def test_decompose_builds_no_term_object_until_terms_is_read(monkeypatch):
+    inst = _golden_instance(*sorted(GOLDEN_DECOMPOSITIONS)[0])
+    calls = []
+    _count_calls(monkeypatch, calls, BlockyMatrix, "_of_tables", "terms", wrap=classmethod)
+    _count_calls(monkeypatch, calls, BlockyMatrix, "__init__", "init")
+    s, report = decompose(inst.matrix.values, fac=inst.certificate)
+    _, _, step = _first_step(inst.certificate)
+    assert calls == [] and len(s) == report.total_terms > 0 and len(step.blocky_part) > 0
+    assert len(s.terms) == len(s) and calls == ["terms"]
 
 
 # code -> (U, V) as float.hex rows: certificates of former solvers on 3x3
