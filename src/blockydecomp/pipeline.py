@@ -318,8 +318,12 @@ def decompose(
     ``gamma2_upper(matrix, config)``); a certificate that fails
     ``verify_factorization`` at ``config.tol`` is refused unless ``force`` is
     set, and one whose product does not round to the input always is.  The
-    sum is then the dedupe+peel of the input: ``_peel_tables`` writes the
-    distinct nonzero columns' terms into raw label tables, ``_lift`` expands
+    product is multiplied out once, in ``verify_factorization``: where its
+    residual is below 1/2 the product rounds to the input and that residual
+    is the eps of the report; only a forced certificate at residual 1/2 or
+    more is multiplied out again for the rounding check.  The sum is then
+    the dedupe+peel of the input: ``_peel_tables`` writes the distinct
+    nonzero columns' terms into raw label tables, ``_lift`` expands
     the column labels to the columns equal to each with one fancy index, and
     ``SignedBlockySum.from_label_tables`` validates the result, once.  It
     never has more terms than a construction that ends after one
@@ -346,10 +350,14 @@ def decompose(
             "pass force=True to proceed anyway"
         )
 
-    product = fac.product()
-    if not np.array_equal(round_half_down(product), A):
-        raise ValueError("certificate product does not round to the input matrix")
-    eps0 = float(_nearest_int_dist(product).max(initial=0.0))
+    # Where the product is within 1/2 of A everywhere it rounds to A, and the
+    # report's residual is already its largest distance to the integers.
+    eps0 = report.residual
+    if not eps0 < 0.5:
+        product = fac.product()
+        if not np.array_equal(round_half_down(product), A):
+            raise ValueError("certificate product does not round to the input matrix")
+        eps0 = float(_nearest_int_dist(product).max(initial=0.0))
 
     # Exact column dedupe: one distinct nonzero column per group, in order of
     # first occurrence, peeled once and lifted back to every member column.
@@ -357,7 +365,9 @@ def decompose(
     group_of = np.full(n, -1, dtype=np.int64)
     distinct = A[:, nonzero]  # m x 0 for the zero matrix
     if nonzero.size:
-        _, first, inverse = np.unique(_byte_keys(distinct.T), return_index=True, return_inverse=True)
+        # Entries are capped at MAX_DECOMPOSE_ENTRY, so int16 keys compare like int64 ones.
+        keys = _byte_keys(np.ascontiguousarray(distinct.T, dtype=np.int16))
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)
         group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
         distinct = distinct[:, first[order]]

@@ -147,6 +147,18 @@ def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
     assert not dpath.exists() and not rpath.exists()
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_decompose_exits_2_on_non_finite_factorization(corner, tmp_path, capsys, force):
+    # JSON's NaN parses; the certificate is refused before any product is taken.
+    fac = tmp_path / "fac.json"
+    fac.write_text('{"U": [[1, 0], [0, NaN]], "V": [[1, 0], [1, 1]], "gamma": 1.5, "residual": 0.0}')
+    dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
+    argv = ["decompose", "--input", corner, "--factorization", str(fac), "--out", str(dpath), "--report", str(rpath)]
+    assert main(argv + force) == 2
+    assert capsys.readouterr().err.startswith("error: U and V entries must be finite")
+    assert not dpath.exists() and not rpath.exists()
+
+
 def test_verify_exits_2_on_malformed_decomposition(tmp_path, capsys):
     m = tmp_path / "m.txt"
     dump_matrix(IntMatrix([[1, 0]]), m)

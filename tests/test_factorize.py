@@ -101,14 +101,23 @@ GOLDEN_INPUTS = {
 
 # name -> (float.hex(gamma), float.hex(residual), sha256 of U bytes + V bytes)
 GOLDEN = {
-    "corner": ("0x1.279a7465c94bap+0", "0x1.8000000000000p-52", "109d412097081339ba293d741ed82e25a9b17b396eea1e9f91c5bada3dd1101d"),
+    "corner": ("0x1.279a7459a1e53p+0", "0x1.6d40436b098dcp-53", "dd76c3731ddb60953a81f6cb334a4127684967226539b84c2500c3ac801b9749"),
     "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
-    "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "91765af9c3360695201a96044cfdebe55a1712e935aeb06b2ce1e141250d94e3"),
+    "ones3": ("0x1.0000000000001p+0", "0x1.0000000000000p-50", "bca61a27adf074548eb76719ec9c44b2517cbd74355817d7ced7afdfd0fe68ea"),
     "hadamard2": ("0x1.6a09e667f3bcfp+0", "0x0.0p+0", "0adce254676c983a51f8fb67451a55516cadc2746227956615f05494319951f4"),
     "sign8": ("0x1.320721757a634p+1", "0x1.a000000000000p-49", "0cc9e0cec371336b1b10033f4e11fcbdc96c3ed11b55a76add82723665ca28eb"),
-    "ternary16": ("0x1.74b17c6e325dep+1", "0x1.a91fb7f41bd9fp-49", "915eaa721aa68446d1bdcf2c404b4cac913c3784487484ee105dc642cd103195"),
+    "ternary16": ("0x1.74b17db0d9a5fp+1", "0x1.a000000000000p-49", "413bfc48b3497dfc00b2031414d1482787ecab47bd6887830486ba1c207926c3"),
     "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
     "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
+}
+
+# The goldens above that changed when the ascent's start moved from the
+# uniform weights to the row/column energy, as they were before.  The new
+# certificate may differ by at most the 1e-7 stop gap.
+GOLDEN_UNIFORM_START = {
+    "corner": ("0x1.279a7465c94bap+0", "0x1.8000000000000p-52", "109d412097081339ba293d741ed82e25a9b17b396eea1e9f91c5bada3dd1101d"),
+    "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "91765af9c3360695201a96044cfdebe55a1712e935aeb06b2ce1e141250d94e3"),
+    "ternary16": ("0x1.74b17c6e325dep+1", "0x1.a91fb7f41bd9fp-49", "915eaa721aa68446d1bdcf2c404b4cac913c3784487484ee105dc642cd103195"),
 }
 
 
@@ -152,6 +161,9 @@ def test_golden_certificates(name):
     assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN[name]
     assert fac.gamma <= float.fromhex(GAMMA_WITHOUT_GLOBAL_STOP[name]) * (1 + 1e-7)
     assert fac.gamma <= float.fromhex(GAMMA_PLAIN_STEP[name]) * (1 + 1e-7)
+    if name in GOLDEN_UNIFORM_START:
+        before = float.fromhex(GOLDEN_UNIFORM_START[name][0])
+        assert abs(fac.gamma - before) <= 1e-7 * before
     assert verify_factorization(A, fac).ok
 
 
@@ -160,11 +172,17 @@ def test_golden_certificates(name):
     [
         ("row1x5", RunConfig(), GOLDEN["row1x5"][0]),
         ("col5x1", RunConfig(), GOLDEN["col5x1"][0]),
-        ("corner", RunConfig(max_iter=2), "0x1.37f2790b82f5ap+0"),
+        # Corner's energy start is its optimum, so one SVD closes the gap and
+        # the cuts return the converged certificate.  The ids keep the
+        # uniform start's certificates after one and two SVDs, which the
+        # new pins undercut.
+        pytest.param("corner", RunConfig(max_iter=2), "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
         ("sign8", RunConfig(tol=1e-300), "0x1.320721757a638p+1"),
-        ("corner", RunConfig(max_iter=1), "0x1.5775c544ff264p+0"),
+        pytest.param("corner", RunConfig(max_iter=1), "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
         ("sign8", RunConfig(max_iter=1), "0x1.5061c8ae0e2f5p+1"),
-        ("ones3", RunConfig(), GOLDEN["ones3"][0]),
+        # The id keeps ones3's certificate from the uniform start.
+        pytest.param("ones3", RunConfig(), GOLDEN["ones3"][0], id="ones3-config6-0x1.0000000000002p+0"),
+        ("sign8", RunConfig(max_iter=2), "0x1.42dad9481dbadp+1"),
     ],
 )
 def test_batched_ascent_edge_cases(name, config, gamma_hex):
@@ -177,44 +195,47 @@ def test_batched_ascent_edge_cases(name, config, gamma_hex):
     assert float.hex(fac.gamma) == gamma_hex
 
 
-def _count_svds(monkeypatch):
+def _count_linalg(monkeypatch, name="svd"):
+    # Records the shape of the first argument of every np.linalg.<name> call.
     calls = []
-    svd = np.linalg.svd
+    real = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(factorize.np.linalg, "svd", counted)
+    monkeypatch.setattr(factorize.np.linalg, name, counted)
     return calls
 
 
 def test_one_stacked_svd_per_ascent_iteration(monkeypatch):
-    # One ascent from the uniform start, one 2-d SVD per step; the cap
-    # counts the SVDs at extrapolated weights too.
-    calls = _count_svds(monkeypatch)
+    # One ascent, one 2-d SVD per step; the cap counts the SVDs at
+    # extrapolated weights too.  sign8 needs 15 SVDs uncapped (corner, used
+    # here before, now closes at its first).
+    calls = _count_linalg(monkeypatch)
     config = RunConfig(max_iter=5)
-    gamma2_upper(CORNER, config)
-    assert calls == [(2, 2)] * config.max_iter
+    gamma2_upper(GOLDEN_INPUTS["sign8"], config)
+    assert calls == [(8, 8)] * config.max_iter
 
 
 def test_uniform_start_closing_at_once_costs_one_svd(monkeypatch):
-    # A rank-one sign pattern closes the gap from the uniform start on
-    # its first SVD.
-    calls = _count_svds(monkeypatch)
+    # A rank-one sign pattern, whose energy start is the uniform start,
+    # closes the gap on its first SVD.
+    calls = _count_linalg(monkeypatch)
     gamma2_upper(np.ones((3, 3)))
     assert calls == [(3, 3)]
 
 
 @pytest.mark.parametrize(
     "A, svds",
-    [([[1, 0, 1], [0, 1, 1], [1, 1, 0]], 1), (np.eye(3), 1), (CORNER, 7)],
+    [([[1, 0, 1], [0, 1, 1], [1, 1, 0]], 1), (np.eye(3), 1), (CORNER, 1)],
     ids=["triangle", "eye3", "corner"],
 )
 def test_batch_stops_on_the_global_dual_gap(monkeypatch, A, svds):
-    # The ascent closes the gap of the first two at its first SVD and of
-    # corner after 7.
-    calls = _count_svds(monkeypatch)
+    # The ascent closes the gap of all three at its first SVD.  Corner took
+    # 7 from the uniform start; its row/column energy, (1/3, 2/3) and
+    # (2/3, 1/3), is already optimal.
+    calls = _count_linalg(monkeypatch)
     fac = gamma2_upper(A)
     assert len(calls) == svds
     assert verify_factorization(A, fac).ok
@@ -223,7 +244,7 @@ def test_batch_stops_on_the_global_dual_gap(monkeypatch, A, svds):
 
 @pytest.mark.parametrize("name", ["row1x5", "col5x1"])
 def test_one_row_or_column_core_is_closed_form(monkeypatch, name):
-    calls = _count_svds(monkeypatch)
+    calls = _count_linalg(monkeypatch)
     A = np.asarray(GOLDEN_INPUTS[name], dtype=np.float64)
     fac = gamma2_upper(A)
     assert calls == []
@@ -260,7 +281,7 @@ def test_open_gap_falls_back_to_the_batch_of_all_starts(monkeypatch, n, L, seed,
     # certificate is no larger than the batch's.
     inst = generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed)
     A = np.asarray(inst.matrix)
-    calls = _count_svds(monkeypatch)
+    calls = _count_linalg(monkeypatch)
     fac = gamma2_upper(A)
     assert 0 < len(calls) <= RunConfig.max_iter
     assert all(shape == (n, n) for shape in calls)
@@ -310,9 +331,10 @@ INPUT_SETS = {
 
 @pytest.mark.parametrize("name", sorted(INPUT_SETS))
 def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
-    # One ascent from the uniform start closes the 1e-7 gap on every input
-    # (at most 15, 71, 149 and 1,022 SVDs on the four sets).
-    calls = _count_svds(monkeypatch)
+    # One ascent closes the 1e-7 gap on every input (at most 14, 60, 149
+    # and 984 SVDs on the four sets; 15, 71, 149 and 1,022 from the uniform
+    # start).
+    calls = _count_linalg(monkeypatch)
     for k, A in enumerate(INPUT_SETS[name]()):
         calls.clear()
         fac = gamma2_upper(A)
@@ -323,25 +345,28 @@ def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
 
 
 # name -> cap on the SVDs of all solves of the set.  The accelerated ascent
-# makes 4,051, 688, 811 and 11,223; the caps sit well below the 16,516,
-# 3,022, 6,478 and 56,260 of plain steps alone, so losing the
+# makes 3,088, 652, 775 and 10,791 from the row/column energy (4,051, 688,
+# 811 and 11,223 from the uniform start); the caps sit well below the
+# 16,516, 3,022, 6,478 and 56,260 of plain steps alone, so losing the
 # extrapolation fails here.
 SVD_BUDGET = {"booleans": 5_000, "dense-1": 900, "dense-9001": 1_000, "census": 14_000}
 
 
 @pytest.mark.parametrize("name", sorted(INPUT_SETS))
 def test_svd_budget_per_input_set(monkeypatch, name):
-    calls = _count_svds(monkeypatch)
+    calls = _count_linalg(monkeypatch)
     for A in INPUT_SETS[name]():
         gamma2_upper(A)
     assert len(calls) <= SVD_BUDGET[name]
 
 
-@pytest.mark.parametrize("n, L, seed, side", [(16, 3, 3, 0), (24, 3, 4, 1)])
-def test_two_sided_refit_closes_where_one_side_does_not(n, L, seed, side):
-    # Refitting only L (side 0) gives gamma 1.0000122x the dual on the first
-    # sum, and refitting only R (side 1) gives 8.3x on the second; the
-    # certifying refit of smaller gamma closes both.
+@pytest.mark.parametrize("n, L, seed, side", [(16, 4, 3, 0), (24, 3, 4, 1)])
+def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, n, L, seed, side):
+    # Refitting only L (side 0) gives gamma 1.000079x the dual on the first
+    # sum, and refitting only R (side 1) gives 5.3x on the second; the
+    # certifying refit of smaller gamma closes both.  The L-refit comes
+    # first, so the first sum needs both least-squares solves and the second
+    # only one.
     A = np.asarray(generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed).matrix)
     A = A.astype(np.float64)
     L_, R_, dual = factorize._ascend_weights(A, RunConfig.max_iter)
@@ -350,13 +375,58 @@ def test_two_sided_refit_closes_where_one_side_does_not(n, L, seed, side):
         (L_, np.linalg.lstsq(L_, A, rcond=None)[0]),
     ][side]
     assert factorize._max_row_norm(one_side[0]) * factorize._max_col_norm(one_side[1]) > dual * (1 + 1e-6)
+    calls = _count_linalg(monkeypatch, "lstsq")
     fac = gamma2_upper(A)
+    assert len(calls) == (2 if side == 0 else 1)
     assert verify_factorization(A, fac).ok
+    assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_SETS))
+def test_bracket_runs_ldim_only_where_it_could_win(monkeypatch, name):
+    # gamma2_bracket skips gamma2_lower when the dual exceeds both max|A| and
+    # sqrt(floor(log2 n)), which bounds sqrt-Littlestone; the bracket must be
+    # the one that always runs it.  No dense sign input runs ldim, and every
+    # solve of a booleans or dense input makes one least-squares refit.
+    ldims = []
+    monkeypatch.setattr(factorize, "ldim", lambda *a, **k: ldims.append(a) or littlestone.ldim(*a, **k))
+    svds, lstsqs = _count_linalg(monkeypatch, "svd"), _count_linalg(monkeypatch, "lstsq")
+    for k, A in enumerate(INPUT_SETS[name]()):
+        for calls in (ldims, svds, lstsqs):
+            calls.clear()
+        bracket = gamma2_bracket(A)
+        if name.startswith("dense"):
+            assert ldims == [], k
+        assert len(lstsqs) == (1 if svds else 0) or name == "census", k
+        assert len(lstsqs) <= 2, k
+        lower, witness = gamma2_lower(A)
+        if bracket.upper_witness.dual_bound > lower:
+            lower, witness = bracket.upper_witness.dual_bound, "dual"
+        assert (bracket.lower, bracket.lower_witness) == (lower, witness), k
+
+
+@pytest.mark.parametrize("scales", [(1e-150, 1e-150, 1e150, 1e150), (1.0, 1.0, 1.0, 1e-150)])
+def test_rows_of_extreme_magnitude_still_certify(scales):
+    # Rows 300 orders of magnitude apart: the small rows' energy underflows
+    # to 0 and their start weight is the 1e-9 floor.  The solve raises no
+    # floating-point warning (warnings fail the tests) and certifies at the
+    # matrix's scale.
+    B = np.array([[1, 0, -1, 1, 0], [0, 1, 1, 0, -1], [1, 1, 0, -1, 1], [-1, 0, 1, 1, 1]])
+    A = np.asarray(scales)[:, None] * B
+    fac = gamma2_upper(A)
+    assert fac.residual <= RunConfig.tol * max(1.0, float(np.abs(A).max()))
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
 
 
 # ---------------------------------------------------------------------------
 # Certificate container + verification
+
+
+def test_constructor_refuses_non_finite_factors():
+    with pytest.raises(ValueError, match="finite"):
+        GammaFactorization(U=[[1.0, 0.0], [0.0, float("nan")]], V=np.eye(2), gamma=1.0, residual=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        GammaFactorization(U=np.eye(2), V=[[float("inf"), 0.0], [0.0, 1.0]], gamma=1.0, residual=0.0)
 
 
 def test_constructor_validation():

@@ -357,6 +357,35 @@ def test_decompose_peels_validates_and_evaluates_once(monkeypatch):
     assert sorted(calls) == ["evaluate", "peel", "validate"]
 
 
+def test_decompose_multiplies_the_certificate_out_once(monkeypatch):
+    # verify_factorization's product gives the residual, and below 1/2 that
+    # residual is the eps of the report; decompose does not multiply again.
+    inst = _golden_instance(*sorted(GOLDEN_DECOMPOSITIONS)[0])
+    A = _random_integer_matrices()[0]
+    fac = gamma2_upper(A)
+    calls = []
+    _count_calls(monkeypatch, calls, GammaFactorization, "product", "product")
+    for matrix, certificate in ((inst.matrix.values, inst.certificate), (A, fac)):
+        calls.clear()
+        _, report = decompose(matrix, fac=certificate)
+        assert calls == ["product"]
+        assert report.eps_trajectory == (float(np.abs(certificate.U @ certificate.V - matrix).max()),)
+
+
+def test_forced_certificate_off_by_one_half():
+    # A product off by exactly +1/2 rounds half down to the input and is
+    # accepted with eps 1/2; one off by -1/2 rounds to the input minus one.
+    up = GammaFactorization(U=[[1.0]], V=[[2.5]], gamma=2.5, residual=0.5)
+    s, report = decompose([[2]], fac=up, force=True)
+    assert report.eps_trajectory == (0.5,) and np.array_equal(s.evaluate(), [[2]])
+    down = GammaFactorization(U=[[1.0]], V=[[1.5]], gamma=1.5, residual=0.5)
+    with pytest.raises(ValueError, match="does not round"):
+        decompose([[2]], fac=down, force=True)
+    near = GammaFactorization(U=[[1.0]], V=[[2.3]], gamma=2.3, residual=0.3)
+    _, report = decompose([[2]], fac=near, force=True)
+    assert report.eps_trajectory == (abs(2.3 - 2),)
+
+
 def test_decompose_builds_no_term_object_until_terms_is_read(monkeypatch):
     inst = _golden_instance(*sorted(GOLDEN_DECOMPOSITIONS)[0])
     calls = []
@@ -371,8 +400,9 @@ def test_decompose_builds_no_term_object_until_terms_is_read(monkeypatch):
 # code -> (U, V) as float.hex rows: certificates of former solvers on 3x3
 # booleans where their first level split a column; 151 and 231 from the
 # uniform start with the exponential step and a three-round polish, 399 from
-# the plain fixed-point ascent without extrapolation.  Their third inner
-# coordinate, about 1e-8, tells the equal columns apart.
+# the plain fixed-point ascent without extrapolation, 316 from the SQUAREM
+# ascent started at the uniform weights.  Their third inner coordinate,
+# about 1e-8, tells the equal columns apart.
 SPLITTING_CERTIFICATES = {
     151: (
         (
@@ -396,6 +426,18 @@ SPLITTING_CERTIFICATES = {
             ("-0x1.0a201103777f9p+0", "-0x1.0a201103777fap+0", "-0x1.e901a89a65ee1p-1"),
             ("0x1.015c72abbfe2ap-1", "0x1.015c72abbfe2ep-1", "-0x1.4c431395614f2p-1"),
             ("0x1.2c240df7778f3p-27", "-0x1.2c240df7778f5p-27", "-0x1.18e9d136f977cp-79"),
+        ),
+    ),
+    316: (
+        (
+            ("-0x1.6a09e44456a7ep-1", "0x1.6a09e44456a86p-1", "-0x1.26297b356c928p-27"),
+            ("-0x1.ee8dd400d2806p-1", "-0x1.0907df78f7afcp-2", "0x1.2214e3ecd06f9p-26"),
+            ("-0x1.6a09e44456a7ep-1", "0x1.6a09e44456a86p-1", "-0x1.26297b356c928p-27"),
+        ),
+        (
+            ("-0x1.a20bd62dfbf82p-1", "-0x1.a20bd62dfbf82p-1", "-0x1.1d87e9d147684p+0"),
+            ("-0x1.a20bd62dfbf78p-1", "-0x1.a20bd62dfbf7cp-1", "0x1.3207fae925b21p-2"),
+            ("0x1.408fe8088c7c1p-27", "-0x1.408fe8088c7c6p-27", "0x1.1bd17f622eb29p-81"),
         ),
     ),
     399: (
@@ -426,10 +468,11 @@ def _pinned_certificate(A: np.ndarray, code: int) -> GammaFactorization:
 def test_decompose_optimal_where_the_construction_splits_a_column(code):
     # The construction's cells hold one distinct column twice on these
     # inputs, so its first level peels 3 terms; the dedupe gives the optimum.
-    # Which inputs split depends on the certificate: 316, 497 and 505 are
-    # the 3x3 booleans where the default certificate has a first level that
-    # peels more terms than decompose, and 151, 231 and 399 split under the
-    # pinned certificates of former solvers.
+    # Which inputs split depends on the certificate: 151, 231, 316 and 399
+    # split under the pinned certificates of former solvers.  Under the
+    # default certificate, 316, 497 and 505 split while the ascent started
+    # from the uniform weights; from the row/column energy, ten booleans do,
+    # 151 among them.
     A = _boolean3x3(code)
     fac = _pinned_certificate(A, code) if code in SPLITTING_CERTIFICATES else gamma2_upper(A)
     s, _ = decompose(A, fac=fac)
