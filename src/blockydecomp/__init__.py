@@ -12,13 +12,11 @@ deterministic generators, and an eleven-point verification battery.
 
 from .config import RunConfig
 from .core import (
-    AlmostIntegerCertificate,
     BlockyCheck,
     BlockyMatrix,
     IntMatrix,
     RealMatrix,
     SignedBlockySum,
-    convolution_matrix,
     is_blocky,
     round_half_down,
 )
@@ -36,12 +34,9 @@ from .generators import GeneratedInstance, GeneratorSpec, generate
 from .littlestone import (
     BudgetExceeded,
     StabilizationResult,
-    WeightedMistakeTree,
     bucket_stabilize,
     ldim,
     ldim_alpha,
-    ldim_alpha_witness,
-    ldim_witness,
     majority_stabilize,
 )
 from .partition import (
@@ -69,7 +64,6 @@ from .suite import SuiteContext, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlmostIntegerCertificate",
     "AverageSplit",
     "BlockyCheck",
     "BlockyMatrix",
@@ -91,9 +85,7 @@ __all__ = [
     "StabilizationResult",
     "SuiteContext",
     "VerificationReport",
-    "WeightedMistakeTree",
     "bucket_stabilize",
-    "convolution_matrix",
     "decompose",
     "exact_block_complexity",
     "factorization_from_blocky_sum",
@@ -106,8 +98,6 @@ __all__ = [
     "is_blocky",
     "ldim",
     "ldim_alpha",
-    "ldim_alpha_witness",
-    "ldim_witness",
     "majority_stabilize",
     "norm_decrement_step",
     "peel_term_count",

@@ -168,6 +168,9 @@ def _cmd_partition(args) -> int:
         dropped = int((~keep).sum())
         print(f"stripping {dropped} all-zero column(s)")
         arr = arr[:, keep]
+    if not arr.shape[1]:
+        print("empty partition: 0 classes")
+        return 0
     gp = greedy_partition(arr)
     for i, cls in enumerate(gp.classes):
         print(f"class {i}: (x={cls.row}, b={cls.value}, size={len(cls.columns)}, members={list(cls.columns)})")

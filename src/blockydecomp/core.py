@@ -28,10 +28,8 @@ __all__ = [
     "BlockyCheck",
     "BlockyMatrix",
     "SignedBlockySum",
-    "AlmostIntegerCertificate",
     "is_blocky",
     "round_half_down",
-    "convolution_matrix",
     "as_int_array",
     "as_real_array",
 ]
@@ -472,26 +470,8 @@ class SignedBlockySum:
         return (counts[: m * n] - counts[m * n :]).reshape(m, n)
 
 
-@dataclass(frozen=True)
-class AlmostIntegerCertificate:
-    """Measured sup-norm distance from a real matrix to its integer rounding."""
-
-    eps: float
-
-
 def round_half_down(values):
     """Nearest-integer rounding with half-integers b+1/2 mapped down to b."""
     arr = np.asarray(values, dtype=np.float64)
     return np.ceil(arr - 0.5).astype(np.int64)
 
-
-def convolution_matrix(n: int, f) -> IntMatrix:
-    """Cyclic convolution table M[x, y] = f((x - y) mod n) for integer f."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    fv = np.asarray(f)
-    if fv.shape != (n,):
-        raise ValueError(f"f must be a length-{n} vector")
-    fv = as_int_array(fv.reshape(1, -1)).ravel()
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return IntMatrix(fv[idx])

@@ -29,10 +29,12 @@ only when its dual value is no lower (``_ascend_weights``).  The dual value
 is jointly concave, so one start reaches the optimum: a single ascent from
 each row's and column's share of the squared entries runs until its best
 certificate is within 1e-7·max(1, dual) of its best dual value, or
-``max_iter`` SVDs.  On the 511 nonzero 3×3 booleans, the 84 dense 8²–32²
-matrices of the bench seeds 1 and 9001 and 54 low-rank blocky sums of
-16²–32² that takes at most 14, 149 and 984 SVDs (95, 3,605 and 4,587 with
-plain steps from the uniform weights), and every gap closes.  Any weights
+``max_iter`` SVDs.  It runs on the core scaled by a power of two to
+max|A| in [1, 2), where that gap is relative and no square overflows.  On
+the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
+seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes at
+most 14, 149 and 984 SVDs (95, 3,605 and 4,587 with plain steps from the
+uniform weights), and every gap closes.  Any weights
 on the simplex give a valid dual value and any positive weights a valid
 certificate, so the start and the extrapolation change how fast the bounds
 tighten, never whether they hold.  Only the SVD of the best certificate is
@@ -165,16 +167,34 @@ class NormBracket:
             )
 
 
-def _max_row_norm(U: np.ndarray) -> float:
-    if U.shape[0] == 0:
+# The smallest normal float: squares below it have lost precision.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _max_norm(X: np.ndarray, subscripts: str) -> float:
+    """Largest Euclidean norm of X's rows ("ij,ij->i") or columns ("ij,ij->j").
+
+    Where the largest square overflows or leaves the normal range, X is
+    measured again scaled by a power of two so that max|X| lies in [1/2, 1),
+    which is exact; the norm is then scaled back.
+    """
+    sq = float(np.einsum(subscripts, X, X).max(initial=0.0))
+    if _TINY <= sq < math.inf:
+        return float(np.sqrt(sq))
+    top = float(np.abs(X).max(initial=0.0))
+    if top == 0.0:
         return 0.0
-    return float(np.sqrt(np.einsum("ij,ij->i", U, U).max(initial=0.0)))
+    shift = math.frexp(top)[1]
+    Y = np.ldexp(X, -shift)
+    return math.ldexp(float(np.sqrt(np.einsum(subscripts, Y, Y).max())), shift)
+
+
+def _max_row_norm(U: np.ndarray) -> float:
+    return _max_norm(U, "ij,ij->i")
 
 
 def _max_col_norm(V: np.ndarray) -> float:
-    if V.shape[1] == 0:
-        return 0.0
-    return float(np.sqrt(np.einsum("ij,ij->j", V, V).max(initial=0.0)))
+    return _max_norm(V, "ij,ij->j")
 
 
 def verify_factorization(
@@ -327,11 +347,16 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
 
     A core of one row or one column has norm max|a|, attained by L = [[1]],
     R = the row, or L = the column / max|a|, R = [[max|a|]]; max|a| is also
-    its exact lower bound.  Any other core runs one ascent from the
-    row/column energy (``_ascend_weights``, at most ``config.max_iter``
-    SVDs) and the refit (``_refit``).  The bound is the ascent's best dual
-    value f less a margin for floating point: the computed singular values are, by
-    Weyl's inequality, each within the spectral norm of the rounding in
+    its exact lower bound.  Any other core is first divided by the power
+    of two s with max|a|/s in [1, 2), which is exact: the ascent's squares
+    then neither overflow nor leave the normal range, and as its norm is at
+    least 1 its stop gap of 1e-7·max(1, dual) is relative, also for a core
+    whose entries are near 1e-150.  The scaled core runs one ascent from
+    the row/column energy (``_ascend_weights``, at most ``config.max_iter``
+    SVDs) and the refit (``_refit``, at ``config.tol``/s), and R and the
+    bound are multiplied back by s.  The bound is the ascent's best dual
+    value f less a margin for floating point: the computed singular values
+    are, by Weyl's inequality, each within the spectral norm of the rounding in
     forming the weighted matrix (three roundings per entry) and of the SVD's
     backward error (taken as ms*ns roundings of sigma_max) of the exact ones,
     and the sum and the weight normalization add t + ms + ns roundings more;
@@ -339,15 +364,18 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     under 1e-9 relative up to 64 x 64, far inside the 1e-7 stop gap.
     """
     ms, ns = A.shape
+    top = float(np.abs(A).max())
     if min(ms, ns) == 1:
-        top = float(np.abs(A).max())
         if ms == 1:
             return np.ones((1, 1)), A, top
         return A / top, np.full((1, 1), top), top
 
+    shift = math.frexp(top)[1] - 1
+    A = np.ldexp(A, -shift)
     L, R, dual = _ascend_weights(A, config.max_iter)
     margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
-    return (*_refit(A, L, R, config.tol), max(0.0, dual - margin))
+    L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
+    return L, np.ldexp(R, shift), math.ldexp(max(0.0, dual - margin), shift)
 
 
 def _embed(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockyMatrix, IntMatrix, SignedBlockySum, _canonical, convolution_matrix
+from .core import BlockyMatrix, IntMatrix, SignedBlockySum, _canonical
 from .factorize import GammaFactorization, factorization_from_blocky_sum
 
 __all__ = ["GeneratorSpec", "GeneratedInstance", "generate", "random_blocky_matrix", "KINDS"]
@@ -100,9 +100,9 @@ def generate(spec: GeneratorSpec, seed: int = 0) -> GeneratedInstance:
     if spec.kind == "all-ones":
         return GeneratedInstance(matrix=IntMatrix(np.ones((m, n), dtype=np.int64)))
     if spec.kind == "convolution-cyclic":
-        f = np.zeros(spec.n, dtype=np.int64)
+        f = np.zeros(n, dtype=np.int64)
         f[list(spec.support)] = 1
-        return GeneratedInstance(matrix=convolution_matrix(spec.n, f))
+        return GeneratedInstance(matrix=IntMatrix(f[(np.arange(n)[:, None] - np.arange(n)) % n]))
     if spec.kind == "random-boolean":
         rng = np.random.default_rng([seed, 0xB001])
         entries = (rng.random((m, n)) < spec.density).astype(np.int64)

@@ -23,14 +23,9 @@ from .core import _freeze, as_int_array, as_real_array
 __all__ = [
     "BudgetExceeded",
     "DEFAULT_BUDGET",
-    "MistakeLeaf",
-    "MistakeNode",
-    "WeightedMistakeTree",
     "StabilizationResult",
     "ldim",
-    "ldim_witness",
     "ldim_alpha",
-    "ldim_alpha_witness",
     "majority_stabilize",
     "bucket_stabilize",
 ]
@@ -40,43 +35,6 @@ DEFAULT_BUDGET = 10**7
 
 class BudgetExceeded(RuntimeError):
     """The exact recursion would exceed its node-expansion budget."""
-
-
-@dataclass(frozen=True)
-class MistakeLeaf:
-    column: int
-
-
-@dataclass(frozen=True)
-class MistakeNode:
-    row: int
-    threshold: float
-    above: "MistakeNode | MistakeLeaf"  # columns with value >= threshold + alpha/2
-    below: "MistakeNode | MistakeLeaf"  # columns with value <= threshold - alpha/2
-
-
-@dataclass(frozen=True)
-class WeightedMistakeTree:
-    depth: int
-    alpha: float
-    root: MistakeNode | MistakeLeaf
-
-    def nodes(self) -> list[dict]:
-        """Flatten to a node list (ids are preorder; children by id)."""
-        out: list[dict] = []
-
-        def visit(node) -> int:
-            idx = len(out)
-            if isinstance(node, MistakeLeaf):
-                out.append({"id": idx, "kind": "leaf", "column": node.column})
-                return idx
-            out.append({"id": idx, "kind": "split", "row": node.row, "threshold": node.threshold})
-            out[idx]["above"] = visit(node.above)
-            out[idx]["below"] = visit(node.below)
-            return idx
-
-        visit(self.root)
-        return out
 
 
 def _sign_array(matrix) -> np.ndarray:
@@ -126,28 +84,22 @@ class _SplitEngine:
     The recursion passes each node's deduplicated restricted pairs, in
     first-occurrence order, to its children: a child's columns are a subset
     of its parent's, so no other pair can split it, and the candidates, their
-    sorted order, the expansion count and the witness trees are those of a
-    scan over every pair.  Search is depth-capped by log2(#columns) --
-    distinct columns witness distinct leaves -- and branch-and-bound prunes
-    candidates whose smaller side is already too small.
+    sorted order and the expansion count are those of a scan over every
+    pair.  Search is depth-capped by log2(#columns) -- a tree's leaves are
+    distinct columns -- and branch-and-bound prunes candidates whose
+    smaller side is already too small.
     """
 
     def __init__(self, values: np.ndarray, alpha: float, budget: int):
         arr = np.asarray(values, dtype=np.float64)
-        groups: dict[int, list[int]] = {}
-        for y, key in enumerate(np.unique(_byte_keys(arr.T), return_inverse=True)[1].tolist()):
-            groups.setdefault(key, []).append(y)
-        self.col_groups = list(groups.values())  # in first-occurrence order
-        vals = arr[:, [g[0] for g in self.col_groups]]
+        vals = arr[:, np.sort(np.unique(_byte_keys(arr.T), return_index=True)[1])]
         k = vals.shape[1]
         self.full_mask = (1 << k) - 1
-        self.alpha = float(alpha)
         self.budget = int(budget)
         self.expansions = 0
         self.memo: dict[int, int] = {}
 
-        rows = np.sort(np.unique(_byte_keys(vals), return_index=True)[1])
-        kept = vals[rows]
+        kept = vals[np.sort(np.unique(_byte_keys(vals), return_index=True)[1])]
         ordered = np.sort(kept, axis=1)
         first_of_value = np.ones(ordered.shape, dtype=bool)
         first_of_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
@@ -155,7 +107,7 @@ class _SplitEngine:
         v = ordered[pair_row, pair_col]
         # The high cut stays strictly above v even where v + alpha rounds to
         # v, so the two sides are always disjoint.
-        high = np.maximum(v + self.alpha, np.nextafter(v, np.inf))
+        high = np.maximum(v + float(alpha), np.nextafter(v, np.inf))
         splits = high <= ordered[pair_row, -1]
         pair_row, v, high = pair_row[splits], v[splits], high[splits]
         lows: list[int] = []
@@ -165,9 +117,6 @@ class _SplitEngine:
             block = kept[pair_row[start : start + step]]
             lows += _bitmasks(block <= v[start : start + step, None])
             highs += _bitmasks(block >= high[start : start + step, None])
-        self.split_pairs: list[tuple[int, int, int, float]] = list(  # (low, high, row, w)
-            zip(lows, highs, rows[pair_row].tolist(), (v + self.alpha / 2).tolist())
-        )
         self.dim_pairs: list[tuple[int, int]] = list(dict.fromkeys(zip(lows, highs)))
 
     def dim(self, mask: int) -> int:
@@ -211,35 +160,12 @@ class _SplitEngine:
         self.memo[mask] = best
         return best
 
-    def witness(self, mask: int, depth: int):
-        if depth == 0:
-            bit = (mask & -mask).bit_length() - 1
-            return MistakeLeaf(column=self.col_groups[bit][0])
-        for low, high, row, w in self.split_pairs:
-            lo = low & mask
-            hi = high & mask
-            if lo and hi and self.dim(hi) >= depth - 1 and self.dim(lo) >= depth - 1:
-                return MistakeNode(
-                    row=row,
-                    threshold=w,
-                    above=self.witness(hi, depth - 1),
-                    below=self.witness(lo, depth - 1),
-                )
-        raise AssertionError("no qualifying split found rebuilding a witness tree")
-
 
 def ldim(matrix, budget: int = DEFAULT_BUDGET) -> int:
     """Exact mistake-tree dimension of a sign matrix."""
     arr = _sign_array(matrix)
     eng = _SplitEngine(arr.astype(np.float64), alpha=2.0, budget=budget)
     return eng.dim(eng.full_mask)
-
-
-def ldim_witness(matrix, budget: int = DEFAULT_BUDGET) -> tuple[int, WeightedMistakeTree]:
-    arr = _sign_array(matrix)
-    eng = _SplitEngine(arr.astype(np.float64), alpha=2.0, budget=budget)
-    d = eng.dim(eng.full_mask)
-    return d, WeightedMistakeTree(depth=d, alpha=2.0, root=eng.witness(eng.full_mask, d))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -257,16 +183,6 @@ def ldim_alpha(matrix, alpha: float, budget: int = DEFAULT_BUDGET) -> int:
     return eng.dim(eng.full_mask)
 
 
-def ldim_alpha_witness(
-    matrix, alpha: float, budget: int = DEFAULT_BUDGET
-) -> tuple[int, WeightedMistakeTree]:
-    _check_alpha(alpha)
-    arr = as_real_array(matrix)
-    eng = _SplitEngine(arr, alpha=alpha, budget=budget)
-    d = eng.dim(eng.full_mask)
-    return d, WeightedMistakeTree(depth=d, alpha=float(alpha), root=eng.witness(eng.full_mask, d))
-
-
 @dataclass(frozen=True, eq=False)
 class StabilizationResult:
     """Column subset plus a per-row summary function with counted error rates.
@@ -278,12 +194,9 @@ class StabilizationResult:
     budget fallback decided some step, in which case the bound is not claimed).
     """
 
-    kind: str
     columns: tuple[int, ...]
     row_values: np.ndarray
     violation_rates: np.ndarray
-    eps: float
-    alpha: float | None
     steps: int
     size_bound: float
     certified: bool
@@ -327,12 +240,9 @@ def majority_stabilize(matrix, eps: float, budget: int = DEFAULT_BUDGET) -> Stab
         if steps > n:
             raise AssertionError("majority stabilization failed to terminate")
     return StabilizationResult(
-        kind="majority",
         columns=tuple(int(y) for y in cols),
         row_values=sigma,
         violation_rates=rates,
-        eps=float(eps),
-        alpha=None,
         steps=steps,
         size_bound=n * eps**steps,
         certified=True,
@@ -439,12 +349,9 @@ def bucket_stabilize(
     rates = np.count_nonzero(np.abs(sub - g[:, None]) >= window, axis=1) / cols.size
     divisor = max(n_buckets, 1)
     return StabilizationResult(
-        kind="bucket",
         columns=tuple(int(y) for y in cols),
         row_values=g,
         violation_rates=rates,
-        eps=float(eps),
-        alpha=float(alpha),
         steps=steps,
         size_bound=n * (eps / divisor) ** steps if steps else float(n),
         certified=certified,

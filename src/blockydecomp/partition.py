@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SignedBlockySum, _freeze, as_int_array, as_real_array
+from .core import SignedBlockySum, _freeze, as_int_array
 
 __all__ = [
     "PartitionClass",
@@ -204,30 +204,19 @@ class GreedyPartition:
             for j, b in enumerate(values)
         }
 
-    def _probabilities(self, x: int, b: int) -> np.ndarray:
-        found = self.class_probabilities.get((x, b))
-        return np.zeros(len(self.classes)) if found is None else found
-
-    def probability_sum(self, x: int, b: int) -> float:
-        """Sum over classes of the row-x probability of value b."""
-        return float(self._probabilities(x, b).sum())
-
-    def dense_class_count(self, x: int, b: int, delta: float) -> int:
-        """Number of classes where row x equals b on at least a delta fraction."""
-        return int(np.count_nonzero(self._probabilities(x, b) >= delta))
-
     def density_table(self, deltas=(0.5, 0.25, 0.1, 0.05)) -> list[dict]:
-        """Dense-class counts and their harmonic ceilings for each (x, b, delta)."""
+        """For each (x, b, delta): the number of classes where row x equals b on
+        at least a delta fraction of columns, and its harmonic ceiling."""
         ceiling = math.log(self.matrix.shape[1]) + 1
         return [
             {
                 "row": x,
                 "value": b,
                 "delta": delta,
-                "count": self.dense_class_count(x, b, delta),
+                "count": int(np.count_nonzero(probs >= delta)),
                 "ceiling": ceiling / delta,
             }
-            for x, b in self.class_probabilities
+            for (x, b), probs in self.class_probabilities.items()
             for delta in deltas
         ]
 

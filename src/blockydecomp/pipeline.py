@@ -40,7 +40,6 @@ import numpy as np
 
 from .config import RunConfig
 from .core import (
-    AlmostIntegerCertificate,
     SignedBlockySum,
     _freeze,
     as_int_array,
@@ -113,7 +112,7 @@ class DecrementStep:
     a_prime: np.ndarray
     residual_factorization: GammaFactorization
     blocky_part: SignedBlockySum
-    eps_out: AlmostIntegerCertificate
+    eps_out: float
     diagnostics: tuple
     certified: bool
 
@@ -272,7 +271,7 @@ def norm_decrement_step(
         a_prime=a_prime,
         residual_factorization=res_fac,
         blocky_part=blocky_part,
-        eps_out=AlmostIntegerCertificate(eps=eps_out),
+        eps_out=eps_out,
         diagnostics=tuple(rounds),
         certified=certified,
     )
@@ -529,40 +528,28 @@ def term_count_floor(matrix, lower: float) -> int:
     return max(top, math.ceil(lower - 1e-9 * max(1.0, lower)))
 
 
-def random_lower_bound_experiment(
-    n: int, trials: int, config: RunConfig | None = None, mode: str | None = None
-) -> dict:
+def random_lower_bound_experiment(n: int, trials: int, config: RunConfig | None = None) -> dict:
     """Distribution of block complexity over uniform random boolean matrices.
 
-    Trial t draws its matrix from the seed ``[config.seed, t]``.  Exact mode
-    (n <= 4) uses the brute-force oracle; pipeline mode reports decomposition
-    term counts, which are only upper bounds.  The reference
-    value n / (4 log2(2n)) is the proved high-probability lower bound for
-    random boolean matrices; the report is observational.
+    Trial t draws its n x n matrix from the seed ``[config.seed, t]`` and
+    measures it with the brute-force oracle, so n is limited to 4; there the
+    peel needs at most n terms, below the oracle's default depth, so every
+    trial gets an exact value.  The reference value n / (4 log2(2n)) is the
+    proved high-probability lower bound for random boolean matrices; the
+    report is observational.
     """
     config = config or RunConfig()
-    if mode is None:
-        mode = "exact" if n <= 4 else "pipeline-upper"
-    if mode == "exact" and n > 4:
-        raise ValueError("exact mode requires n <= 4")
+    if n > 4:
+        raise ValueError("the exact oracle requires n <= 4")
     values = []
     for t in range(trials):
         rng = np.random.default_rng([config.seed, t])
-        A = rng.integers(0, 2, size=(n, n))
-        if mode == "exact":
-            v = exact_block_complexity(A)
-            if v is None:
-                v = peel_term_count(A)
-        else:
-            s, _ = decompose(A, config=config)
-            v = len(s)
-        values.append(int(v))
+        values.append(exact_block_complexity(rng.integers(0, 2, size=(n, n))))
     values_arr = np.array(values)
     hist = {int(k): int(c) for k, c in zip(*np.unique(values_arr, return_counts=True))}
     return {
         "n": n,
         "trials": trials,
-        "mode": mode,
         "histogram": hist,
         "min": int(values_arr.min()),
         "median": float(np.median(values_arr)),

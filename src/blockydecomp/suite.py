@@ -269,7 +269,7 @@ def criterion_6(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         steps += 1
         if step.residual_factorization.gamma**2 > item["fac"].gamma ** 2 - 0.125 + 1e-9:
             bad += 1
-        if step.eps_out.eps > 2 * item["report"].eps_trajectory[0] + 1e-9:
+        if step.eps_out > 2 * item["report"].eps_trajectory[0] + 1e-9:
             bad += 1
     dt = time.perf_counter() - t0
     detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations"

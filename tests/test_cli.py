@@ -214,6 +214,25 @@ def test_partition_output_and_bound(tmp_path, capsys):
     assert "density bound check: 0 violations" in out
 
 
+def test_partition_of_the_zero_matrix_is_empty(tmp_path, capsys):
+    p = tmp_path / "z.txt"
+    dump_matrix(IntMatrix(np.zeros((2, 3), dtype=int)), p)
+    assert main(["partition", "--input", str(p), "--check-bound"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "stripping 3 all-zero column(s)\nempty partition: 0 classes\n"
+    assert captured.err == ""
+
+
+def test_gamma2_on_entries_whose_squares_overflow(tmp_path, capsys):
+    p = tmp_path / "big.txt"
+    p.write_text("2 2 real\n1e155 0\n1e155 1e155\n")
+    assert main(["gamma2", "--input", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lower = float(out[0].split()[2])
+    upper = float(out[1].split()[2])
+    assert 1e155 <= lower <= upper < 1.2e155  # the norm is 2/sqrt(3) * 1e155
+
+
 def test_oracle_command(tmp_path, capsys):
     p = tmp_path / "m.txt"
     dump_matrix(IntMatrix([[1, 1], [1, 0]]), p)

@@ -13,7 +13,6 @@ from blockydecomp.core import (
     RealMatrix,
     SignedBlockySum,
     as_int_array,
-    convolution_matrix,
     is_blocky,
     round_half_down,
 )
@@ -461,17 +460,3 @@ def test_int_array_rejects_entries_whose_abs_wraps(call):
         call()
     assert as_int_array(np.array([[2**63 - 1, -(2**63 - 1)]]))[0, 1] == -(2**63 - 1)
 
-
-def test_convolution_matrix_structure():
-    f = np.array([5, 0, -1, 0])
-    M = convolution_matrix(4, f)
-    for x in range(4):
-        for y in range(4):
-            assert M.values[x, y] == f[(x - y) % 4]
-
-
-def test_convolution_indicator_is_blocky_for_even_support():
-    f = np.zeros(4, dtype=np.int64)
-    f[[0, 2]] = 1
-    M = convolution_matrix(4, f)
-    assert is_blocky(M.values).blocky

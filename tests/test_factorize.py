@@ -405,17 +405,22 @@ def test_bracket_runs_ldim_only_where_it_could_win(monkeypatch, name):
         assert (bracket.lower, bracket.lower_witness) == (lower, witness), k
 
 
-@pytest.mark.parametrize("scales", [(1e-150, 1e-150, 1e150, 1e150), (1.0, 1.0, 1.0, 1e-150)])
+@pytest.mark.parametrize(
+    "scales",
+    [(1e-150, 1e-150, 1e150, 1e150), (1.0, 1.0, 1.0, 1e-150), (1e155,) * 4, (1e-150,) * 4],
+)
 def test_rows_of_extreme_magnitude_still_certify(scales):
     # Rows 300 orders of magnitude apart: the small rows' energy underflows
-    # to 0 and their start weight is the 1e-9 floor.  The solve raises no
-    # floating-point warning (warnings fail the tests) and certifies at the
-    # matrix's scale.
+    # to 0 and their start weight is the 1e-9 floor.  Uniform scales far
+    # from 1: squares of 1e155 overflow, and at 1e-150 an absolute stop gap
+    # would end the ascent far from the norm.  The solve raises no
+    # floating-point warning (warnings fail the tests), certifies at the
+    # matrix's scale and closes its gap relative to the norm.
     B = np.array([[1, 0, -1, 1, 0], [0, 1, 1, 0, -1], [1, 1, 0, -1, 1], [-1, 0, 1, 1, 1]])
     A = np.asarray(scales)[:, None] * B
     fac = gamma2_upper(A)
     assert fac.residual <= RunConfig.tol * max(1.0, float(np.abs(A).max()))
-    assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
+    assert fac.gamma - fac.dual_bound <= 1e-7 * fac.dual_bound
 
 
 # ---------------------------------------------------------------------------

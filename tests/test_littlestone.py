@@ -9,14 +9,9 @@ import pytest
 from blockydecomp import littlestone
 from blockydecomp.littlestone import (
     BudgetExceeded,
-    MistakeLeaf,
-    MistakeNode,
-    WeightedMistakeTree,
     bucket_stabilize,
     ldim,
     ldim_alpha,
-    ldim_alpha_witness,
-    ldim_witness,
     majority_stabilize,
 )
 
@@ -143,54 +138,12 @@ def test_ldim_alpha_validation():
         for arr in ([[0.0, 1.0]], [[0.0]]):
             with pytest.raises(ValueError, match="alpha"):
                 ldim_alpha(arr, alpha)
-            with pytest.raises(ValueError, match="alpha"):
-                ldim_alpha_witness(arr, alpha)
 
 
 def test_budget_exceeded():
     arr = np.array(list(itertools.product([-1, 1], repeat=4))).T
     with pytest.raises(BudgetExceeded):
         ldim(arr, budget=3)
-
-
-# ---------------------------------------------------------------------------
-# Witness trees
-
-
-def _walk(node, arr, alpha, depth, lo_hi_constraints):
-    """Check path consistency and completeness; return leaf count."""
-    if isinstance(node, MistakeLeaf):
-        assert depth == 0, "tree is not complete"
-        for row, kind, w in lo_hi_constraints:
-            v = arr[row, node.column]
-            if kind == "above":
-                assert v >= w + alpha / 2 - 1e-12
-            else:
-                assert v <= w - alpha / 2 + 1e-12
-        return 1
-    assert isinstance(node, MistakeNode) and depth > 0
-    n_above = _walk(node.above, arr, alpha, depth - 1,
-                    lo_hi_constraints + [(node.row, "above", node.threshold)])
-    n_below = _walk(node.below, arr, alpha, depth - 1,
-                    lo_hi_constraints + [(node.row, "below", node.threshold)])
-    return n_above + n_below
-
-
-def test_witness_tree_valid_on_full_pattern_matrix():
-    arr = np.array(list(itertools.product([-1, 1], repeat=4))).T.astype(float)
-    d, tree = ldim_witness(arr.astype(int))
-    assert d == tree.depth == 4
-    assert _walk(tree.root, arr, tree.alpha, d, []) == 2**4
-
-
-def test_witness_tree_valid_weighted():
-    rng = np.random.default_rng(25)
-    arr = np.round(rng.uniform(-1.5, 1.5, size=(4, 7)), 2)
-    d, tree = ldim_alpha_witness(arr, 0.5)
-    assert d == tree.depth == ldim_alpha(arr, 0.5)
-    assert _walk(tree.root, arr, 0.5, d, []) == 2**d
-    ids = tree.nodes()
-    assert sum(1 for nd in ids if nd["kind"] == "leaf") == 2**d
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +157,10 @@ class LoopSplitEngine:
     def __init__(self, values, alpha, budget=10**7):
         arr = np.asarray(values, dtype=np.float64)
         m, n = arr.shape
-        groups: dict[bytes, list[int]] = {}
+        first_cols: dict[bytes, int] = {}
         for y in range(n):
-            groups.setdefault(arr[:, y].tobytes(), []).append(y)
-        self.col_groups = sorted(groups.values(), key=lambda g: g[0])
-        vals = arr[:, [g[0] for g in self.col_groups]]
+            first_cols.setdefault(arr[:, y].tobytes(), y)
+        vals = arr[:, sorted(first_cols.values())]
         k = vals.shape[1]
         self.full_mask = (1 << k) - 1
         self.alpha = float(alpha)
@@ -216,7 +168,7 @@ class LoopSplitEngine:
         self.expansions = 0
         self.memo: dict[int, int] = {}
         row_seen: set[bytes] = set()
-        self.split_pairs = []
+        self.dim_pairs = []
         for x in range(m):
             key = vals[x].tobytes()
             if key in row_seen:
@@ -237,16 +189,10 @@ class LoopSplitEngine:
                     j += 1
                 cut = int(np.searchsorted(sv, sv[i] + self.alpha, side="left"))
                 if cut < k:
-                    low = prefix[j]
-                    high = self.full_mask ^ prefix[cut - 1]
-                    self.split_pairs.append((low, high, x, float(sv[i] + self.alpha / 2)))
+                    pair = (prefix[j], self.full_mask ^ prefix[cut - 1])
+                    if pair not in self.dim_pairs:
+                        self.dim_pairs.append(pair)
                 i = j + 1
-        seen_pairs: set[tuple[int, int]] = set()
-        self.dim_pairs = []
-        for low, high, _, _ in self.split_pairs:
-            if (low, high) not in seen_pairs:
-                seen_pairs.add((low, high))
-                self.dim_pairs.append((low, high))
 
     def dim(self, mask):
         cached = self.memo.get(mask)
@@ -285,17 +231,6 @@ class LoopSplitEngine:
                         break
         self.memo[mask] = best
         return best
-
-    def witness(self, mask, depth):
-        if depth == 0:
-            bit = (mask & -mask).bit_length() - 1
-            return MistakeLeaf(column=self.col_groups[bit][0])
-        for low, high, row, w in self.split_pairs:
-            lo = low & mask
-            hi = high & mask
-            if lo and hi and self.dim(hi) >= depth - 1 and self.dim(lo) >= depth - 1:
-                return MistakeNode(row, w, self.witness(hi, depth - 1), self.witness(lo, depth - 1))
-        raise AssertionError("no qualifying split found rebuilding a witness tree")
 
 
 def _engine_cases():
@@ -340,31 +275,19 @@ def test_split_engine_matches_loop_reference(scan_elements, monkeypatch):
     for arr, alpha in _engine_cases():
         ref = LoopSplitEngine(arr, alpha)
         eng = littlestone._SplitEngine(arr, alpha, budget=10**7)
-        assert eng.col_groups == ref.col_groups
-        assert eng.split_pairs == ref.split_pairs
         assert eng.dim_pairs == ref.dim_pairs
         assert eng.full_mask == ref.full_mask
-        d = eng.dim(eng.full_mask)
-        assert d == ref.dim(ref.full_mask)
-        assert eng.expansions == ref.expansions
-        assert eng.witness(eng.full_mask, d) == ref.witness(ref.full_mask, d)
+        assert eng.dim(eng.full_mask) == ref.dim(ref.full_mask)
         assert eng.expansions == ref.expansions
 
 
-def test_public_witnesses_match_loop_reference():
+def test_public_dimensions_match_loop_reference():
     for arr, alpha in _engine_cases():
         ref = LoopSplitEngine(arr, alpha)
         d = ref.dim(ref.full_mask)
         assert ldim_alpha(arr, alpha) == d
-        assert ldim_alpha_witness(arr, alpha) == (
-            d, WeightedMistakeTree(depth=d, alpha=alpha, root=ref.witness(ref.full_mask, d))
-        )
         if alpha == 2.0:
-            signs = arr.astype(int)
-            assert ldim(signs) == d
-            assert ldim_witness(signs) == (
-                d, WeightedMistakeTree(depth=d, alpha=2.0, root=ref.witness(ref.full_mask, d))
-            )
+            assert ldim(arr.astype(int)) == d
 
 
 def test_split_engine_budget_boundary():
@@ -395,9 +318,7 @@ def test_ldim_alpha_split_survives_an_absorbed_gap():
     # -1e17 + 0.125 rounds to -1e17; the high side must still exclude column 0.
     arr = np.array([[-1e17, 1.0]])
     assert ldim_alpha(arr, 0.125) == 1
-    d, tree = ldim_alpha_witness(arr, 0.125)
-    assert d == tree.depth == 1
-    assert (tree.root.below.column, tree.root.above.column) == (0, 1)
+    assert littlestone._SplitEngine(arr, 0.125, budget=10**7).dim_pairs == [(1, 2)]
 
 
 # ---------------------------------------------------------------------------

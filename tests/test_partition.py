@@ -287,23 +287,23 @@ def test_partition_harmonic_density_bounds():
         part = greedy_partition(arr)
         ceiling = math.log(n) + 1
         values = sorted(int(v) for v in np.unique(arr) if v != 0)
+        deltas = (0.5, 0.25, 0.1, 0.05)
+        table = iter(part.density_table(deltas))
         for x in range(m):
             for b in values:
-                total = 0.0
-                for c in part.classes:
-                    frac = sum(1 for y in c.columns if arr[x, y] == b) / len(c.columns)
-                    total += frac
-                assert total == pytest.approx(part.probability_sum(x, b))
-                assert total <= ceiling + 1e-9
-                for delta in (0.5, 0.25, 0.1, 0.05):
-                    count = sum(
-                        1
-                        for c in part.classes
-                        if sum(1 for y in c.columns if arr[x, y] == b) / len(c.columns)
-                        >= delta
-                    )
-                    assert count == part.dense_class_count(x, b, delta)
+                fracs = [
+                    sum(1 for y in c.columns if arr[x, y] == b) / len(c.columns)
+                    for c in part.classes
+                ]
+                assert fracs == pytest.approx(part.class_probabilities[(x, b)].tolist())
+                assert sum(fracs) <= ceiling + 1e-9
+                for delta in deltas:
+                    count = sum(1 for frac in fracs if frac >= delta)
+                    row = next(table)
+                    assert (row["row"], row["value"], row["delta"]) == (x, b, delta)
+                    assert count == row["count"]
                     assert count <= ceiling / delta + 1e-9
+        assert next(table, None) is None
 
 
 def test_density_table_keys():

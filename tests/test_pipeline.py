@@ -53,7 +53,7 @@ def test_step_all_ones_frozen_trace():
     assert np.array_equal(step.a_prime, A)
     assert len(step.blocky_part) == 1
     assert np.array_equal(step.blocky_part.evaluate(), np.ones((2, 2), dtype=int))
-    assert step.eps_out.eps == 0.0
+    assert step.eps_out == 0.0
     assert step.residual_factorization.gamma == 0.0
     assert not step.residual_factorization.V.any()
     assert step.certified
@@ -194,7 +194,7 @@ def test_step_random_invariants():
         assert res.gamma**2 <= fac.gamma**2 - 0.125 + 1e-9
         assert 1 <= math.ceil(8 * fac.gamma**2)  # one level, inside the level cap
         assert not round_half_down(res.product()).any()
-        assert step.eps_out.eps <= 2 * eps0 + 1e-9
+        assert step.eps_out <= 2 * eps0 + 1e-9
         eps_res = float(np.abs(res.product() - round_half_down(res.product())).max())
         assert eps_res <= 3 * eps0 + 1e-9
         assert np.array_equal(
@@ -598,8 +598,7 @@ def test_experiment_deterministic_and_shaped():
     r1 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
     r2 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
     assert r1 == r2
-    assert set(r1) == {"n", "trials", "mode", "histogram", "min", "median", "max", "reference"}
-    assert r1["mode"] == "exact"
+    assert set(r1) == {"n", "trials", "histogram", "min", "median", "max", "reference"}
     assert sum(r1["histogram"].values()) == 12
     assert r1["min"] <= r1["median"] <= r1["max"]
     assert r1["reference"] == pytest.approx(3 / (4 * math.log2(6)))
@@ -611,7 +610,5 @@ def test_experiment_one_by_one():
 
 
 def test_experiment_pipeline_mode_and_validation():
-    r = random_lower_bound_experiment(2, 4, RunConfig(seed=3), mode="pipeline-upper")
-    assert r["mode"] == "pipeline-upper" and r["min"] >= 0
-    with pytest.raises(ValueError):
-        random_lower_bound_experiment(5, 2, mode="exact")
+    with pytest.raises(ValueError, match="n <= 4"):
+        random_lower_bound_experiment(5, 2)
