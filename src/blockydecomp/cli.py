@@ -46,7 +46,7 @@ _RUN_FLAGS = {
     "seed": ("--seed", "seed of the random trials"),
     "tol": ("--tol", "certificate residual tolerance"),
     "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs; the ascent stops once its "
-                 "dual gap closes, within 1,022 SVDs on every measured input"),
+                 "dual gap closes, within 984 SVDs on every measured input"),
     "littlestone_budget": ("--budget", "dimension-recursion node budget"),
     "oracle_depth": ("--oracle-depth", "term-count cap of the brute-force oracle"),
 }

@@ -33,19 +33,22 @@ certificate is within 1e-7·max(1, dual) of its best dual value, or
 max|A| in [1, 2), where that gap is relative and no square overflows.  On
 the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
 seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes at
-most 14, 149 and 984 SVDs (95, 3,605 and 4,587 with plain steps from the
+most 14, 147 and 984 SVDs (95, 3,605 and 4,587 with plain steps from the
 uniform weights), and every gap closes.  Any weights
 on the simplex give a valid dual value and any positive weights a valid
 certificate, so the start and the extrapolation change how fast the bounds
 tighten, never whether they hold.  Only the SVD of the best certificate is
-kept; its balanced factors get a least-squares refit that drives the
-residual to roundoff, on one side and on the other only when the first
-falls short (``_refit``), and the best dual, less a floating-point margin,
-is kept on the certificate as a lower bound (``_solve_core``).  A core of
-one row or one column needs no ascent: its norm is its largest entry
-magnitude, with a closed-form certificate.  Plain alternating least squares over (U, V) turned out to
-stall at non-optimal balanced factorizations on invertible inputs, so the
-weight ascent drives the search and least squares only fixes the residual.
+kept.  Where its balanced factors miss A by more than ``tol``, a
+least-squares refit drives the residual to roundoff, on one side and on
+the other only when the first falls short (``_refit``); elsewhere, on all
+the booleans and dense inputs above and 20 of the 54 sums, the factors are
+kept as they are, with a residual at most ``tol``.  The best dual, less a
+floating-point margin, is kept on the certificate as a lower bound
+(``_solve_core``).  A core of one row or one column needs no ascent: its
+norm is its largest entry magnitude, with a closed-form certificate.
+Plain alternating least squares over (U, V) turned out to stall at
+non-optimal balanced factorizations on invertible inputs, so the weight
+ascent drives the search and least squares only fixes the residual.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ class NormBracket:
 
     ``lower_witness`` names the source of ``lower``: "max-entry" and
     "sqrt-Littlestone" are exact, "dual" is the solver's numerical bound
-    with the floating-point margin of ``_solve_core``.
+    with the floating-point margin of ``_solve_core``.  A lower bound above
+    the upper one by more than 1e-6 relative is refused, at every scale.
     """
 
     lower: float
@@ -161,7 +165,7 @@ class NormBracket:
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError("lower bound must be nonnegative")
-        if self.lower > self.upper + 1e-6 * max(1.0, self.upper):
+        if self.lower > self.upper * (1 + 1e-6):
             raise ValueError(
                 f"inconsistent bracket: lower {self.lower:.9g} > upper {self.upper:.9g}"
             )
@@ -218,11 +222,6 @@ def verify_factorization(
     )
 
 
-def _floored_share(w: np.ndarray) -> np.ndarray:
-    """Each entry's share of ``w``, mixed with 1e-9 of the uniform weights."""
-    return (1 - 1e-9) * (w / w.sum()) + 1e-9 / w.size
-
-
 def _ascend_weights(A: np.ndarray, max_svds: int):
     """Fixed-point reweighting ascent from the row/column energy, with SQUAREM.
 
@@ -238,10 +237,15 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     weights fall to 1e-17 and below on low-rank inputs and L, R lose all
     accuracy.  As f is the minimum over XY = A of
     ½(Σ uᵢ‖xᵢ‖² + Σ vⱼ‖yⱼ‖²), it is jointly concave, so the mix loses at
-    most 1e-9 relative of f, inside the 1e-7 stop gap.
+    most 1e-9 relative of f, inside the 1e-7 stop gap.  The step works on
+    the stacked x = (u, v) and p = ((P∘P)σ, σ(Qᵀ∘Qᵀ)): one square root
+    gives both sides' scalings, one division p/x both supergradients, and
+    one ``np.add.reduceat`` both halves' sums.  Those sums are sequential,
+    not pairwise; their roundings stay inside the ms + ns of the dual
+    margin in ``_solve_core``.
 
     T is a monotone map of MM type and converges linearly, so it runs inside
-    a guarded SQUAREM cycle on the stacked weights x = (u, v).  From x0 and
+    a guarded SQUAREM cycle on x.  From x0 and
     x1 = T(x0), a cycle steps x2 = T(x1), sets r = x1 − x0,
     w = x2 − 2x1 + x0, α = max(‖r‖/‖w‖, 1) and x′ = x0 + 2αr + α²w (α = 1
     gives x′ = x2), clips x′ at 1e-20 and renormalizes u and v separately,
@@ -262,7 +266,9 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     (all-ones, the identity) it is the uniform start, up to the floor's
     rounding.  It is closer to the optimum than the uniform weights: the
     ascent needs 24% fewer SVDs on the 511 booleans, about 5% fewer on the
-    bench's dense inputs and 4% fewer on 54 low-rank blocky sums.
+    bench's dense inputs and 4% fewer on 54 low-rank blocky sums.  A is
+    squared as it is: ``_solve_core`` passes a core with max|A| in [1, 2),
+    where no square overflows.
 
     The ascent stops once the best certificate is within the 1e-7 gap of the
     largest dual value seen, or after ``max_svds`` SVDs.  Only the SVD of
@@ -270,50 +276,56 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     largest dual value.
     """
     m, n = A.shape
+    halves = np.array([0, m])  # where u and v start in the stacked weights
+    half_of = np.repeat([0, 1], (m, n))
+    floor = np.repeat([1e-9 / m, 1e-9 / n], (m, n))
     best_cert, best_dual, best, svds = math.inf, 0.0, None, 0
+
+    def floored_share(p):
+        # Each entry's share of its half of p, mixed with 1e-9 of the uniform weights.
+        return (1 - 1e-9) * (p / np.add.reduceat(p, halves)[half_of]) + floor
 
     def step(x):
         # One SVD at the stacked weights x = (u, v): the dual value and T(x).
         nonlocal best_cert, best_dual, best, svds
-        u, v = x[:m], x[m:]
-        su, sv = np.sqrt(u), np.sqrt(v)
-        P, sig, Qt = np.linalg.svd(su[:, None] * A * sv, full_matrices=False)
+        s = np.sqrt(x)
+        P, sig, Qt = np.linalg.svd(s[:m, None] * A * s[m:], full_matrices=False)
         svds += 1
         f_val = float(sig.sum())
         best_dual = max(best_dual, f_val)
-        pu = (P * P) @ sig
-        pv = sig @ (Qt * Qt)
-        cert = math.sqrt((pu / u).max() * (pv / v).max())
+        p = np.concatenate(((P * P) @ sig, sig @ (Qt * Qt)))
+        g = p / x
+        cert = math.sqrt(g[:m].max() * g[m:].max())
         if cert < best_cert:
-            best_cert, best = cert, (P, sig, Qt, su, sv)
-        return f_val, np.concatenate((_floored_share(pu), _floored_share(pv)))
+            best_cert, best = cert, (P, sig, Qt, s)
+        return f_val, floored_share(p)
 
     def done():
         return svds >= max_svds or best_cert - best_dual <= 1e-7 * max(1.0, best_dual)
 
-    # Scaled by max|A| first, so the largest square is 1 and none overflows.
-    energy = np.square(A / np.abs(A).max())
-    x0 = np.concatenate((_floored_share(energy.sum(axis=1)), _floored_share(energy.sum(axis=0))))
+    energy = A * A
+    x0 = floored_share(np.concatenate((energy.sum(axis=1), energy.sum(axis=0))))
     _, x1 = step(x0)
     while not done():
         f1, x2 = step(x1)
         if done():
             break
         r, w = x1 - x0, x2 - 2 * x1 + x0
-        norm_w = float(np.linalg.norm(w))
-        alpha = max(float(np.linalg.norm(r)) / norm_w, 1.0) if norm_w > 0 else 1.0
+        norm_w = math.sqrt(w @ w)
+        alpha = max(math.sqrt(r @ r) / norm_w, 1.0) if norm_w > 0 else 1.0
         xp = np.maximum(x0 + 2 * alpha * r + alpha**2 * w, 1e-20)
-        xp[:m] /= xp[:m].sum()
-        xp[m:] /= xp[m:].sum()
+        xp /= np.add.reduceat(xp, halves)[half_of]
         fp, xpp = step(xp)
         x0, x1 = (xp, xpp) if fp >= f1 else (x1, x2)
-    P, sig, Qt, su, sv = best
+    P, sig, Qt, s = best
     s_half = np.sqrt(sig)
-    return (P * s_half) / su[:, None], (s_half[:, None] * Qt) / sv, best_dual
+    return (P * s_half) / s[:m, None], (s_half[:, None] * Qt) / s[m:], best_dual
 
 
 def _refit(A: np.ndarray, L: np.ndarray, R: np.ndarray, tol: float):
     """Drive ‖A − LR‖_max to roundoff with one exact least-squares refit.
+
+    ``_solve_core`` calls it only where the ascent's factors miss ``tol``.
 
     Two candidates: L refit against the ascent's R (L′ = lstsq(Rᵀ, Aᵀ)ᵀ) and
     R refit against its L (R′ = lstsq(L, A)).  The L-refit comes first and is
@@ -353,15 +365,20 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     least 1 its stop gap of 1e-7·max(1, dual) is relative, also for a core
     whose entries are near 1e-150.  The scaled core runs one ascent from
     the row/column energy (``_ascend_weights``, at most ``config.max_iter``
-    SVDs) and the refit (``_refit``, at ``config.tol``/s), and R and the
-    bound are multiplied back by s.  The bound is the ascent's best dual
+    SVDs).  Only where the ascent's factors miss the scaled core by more
+    than ``config.tol``/s does the refit (``_refit``) run; that test
+    compares exponents, so it holds for every s, also where
+    ``config.tol``/s would overflow at subnormal scale.  R and the bound are
+    multiplied back by s.  The bound is the ascent's best dual
     value f less a margin for floating point: the computed singular values
     are, by Weyl's inequality, each within the spectral norm of the rounding in
     forming the weighted matrix (three roundings per entry) and of the SVD's
     backward error (taken as ms*ns roundings of sigma_max) of the exact ones,
-    and the sum and the weight normalization add t + ms + ns roundings more;
-    sigma_max <= f.  So the bound subtracts 4*t*(ms*ns + ms + ns)*eps*f,
-    under 1e-9 relative up to 64 x 64, far inside the 1e-7 stop gap.
+    and the sum and the weight normalization (sequential half sums) add
+    t + ms + ns roundings more; sigma_max <= f.  So the bound subtracts
+    4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to 64 x 64, far
+    inside the 1e-7 stop gap.  Multiplied back into the subnormal range it
+    is rounded toward zero, which no relative margin would cover.
     """
     ms, ns = A.shape
     top = float(np.abs(A).max())
@@ -374,8 +391,19 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     A = np.ldexp(A, -shift)
     L, R, dual = _ascend_weights(A, config.max_iter)
     margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
-    L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
-    return L, np.ldexp(R, shift), math.ldexp(max(0.0, dual - margin), shift)
+    if _exceeds(float(np.abs(A - L @ R).max()), config.tol, shift):
+        L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
+    lower = max(0.0, dual - margin)
+    bound = math.ldexp(lower, shift)
+    if math.ldexp(bound, -shift) > lower:  # rounded up into the subnormal range
+        bound = math.nextafter(bound, 0.0)
+    return L, np.ldexp(R, shift), bound
+
+
+def _exceeds(resid: float, tol: float, shift: int) -> bool:
+    """Whether resid·2**shift > tol, compared exactly on the exponents, so it never overflows."""
+    (r, er), (t, et) = math.frexp(resid), math.frexp(tol)
+    return resid > 0 and (er + shift, r) > (et, t)
 
 
 def _embed(
@@ -408,22 +436,23 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     Drops zero rows and columns.  A core of one row or one column gets its
     closed-form certificate (gamma = max|entry|).  Any other core runs one
     weight ascent from the row/column energy (``_ascend_weights``, at most
-    ``config.max_iter`` SVDs) and refits the residual of its best
-    certificate (``_refit``).  Either way the factors are rescaled so rows
-    of U are unit-capped and re-embedded; the inner dimension is min(rows,
-    cols) of the nonzero core, and ``dual_bound`` carries the core's lower
-    bound (see ``_solve_core``).  No random numbers are drawn.  A result
-    whose residual still exceeds ``config.tol`` is returned as-is
-    (non-certifying); callers decide.
+    ``config.max_iter`` SVDs) and keeps its best certificate's factors, or
+    refits them where their residual exceeds ``config.tol`` (``_refit``):
+    the residual is at most ``config.tol``, not always roundoff.  Either way
+    the factors are rescaled so rows of U are unit-capped and re-embedded;
+    the inner dimension is min(rows, cols) of the nonzero core, and
+    ``dual_bound`` carries the core's lower bound (see ``_solve_core``).
+    No random numbers are drawn.  A result whose residual still exceeds
+    ``config.tol`` is returned as-is (non-certifying); callers decide.
     """
     config = config or RunConfig()
     A_full = as_real_array(matrix)
     m, n = A_full.shape
-    rows_keep = np.flatnonzero(np.abs(A_full).sum(axis=1))
-    cols_keep = np.flatnonzero(np.abs(A_full).sum(axis=0))
-    if rows_keep.size == 0 or cols_keep.size == 0:
+    rows_keep = A_full.any(axis=1)
+    cols_keep = A_full.any(axis=0)
+    if not rows_keep.any():
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
-    A = A_full[np.ix_(rows_keep, cols_keep)]
+    A = A_full[rows_keep][:, cols_keep]
     return _embed(A_full, rows_keep, cols_keep, *_solve_core(A, config))
 
 

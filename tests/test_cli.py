@@ -233,6 +233,18 @@ def test_gamma2_on_entries_whose_squares_overflow(tmp_path, capsys):
     assert 1e155 <= lower <= upper < 1.2e155  # the norm is 2/sqrt(3) * 1e155
 
 
+def test_gamma2_on_subnormal_entries(tmp_path, capsys):
+    # The scaled tol overflowed here, and the dual rounded above the norm.
+    p = tmp_path / "tiny.txt"
+    p.write_text("2 2 real\n1e-320 0\n1e-320 1e-320\n")
+    assert main(["gamma2", "--input", str(p)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    lower = float(out[0].split()[2])
+    upper = float(out[1].split()[2])
+    assert 1e-320 <= lower <= upper < 1.2e-320
+    assert ", certifying" in out[1]
+
+
 def test_oracle_command(tmp_path, capsys):
     p = tmp_path / "m.txt"
     dump_matrix(IntMatrix([[1, 1], [1, 0]]), p)

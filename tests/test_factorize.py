@@ -12,6 +12,7 @@ from blockydecomp.config import RunConfig
 from blockydecomp.core import BlockyMatrix, SignedBlockySum
 from blockydecomp.factorize import (
     GammaFactorization,
+    NormBracket,
     factorization_from_blocky_sum,
     gamma2_bracket,
     gamma2_lower,
@@ -101,14 +102,26 @@ GOLDEN_INPUTS = {
 
 # name -> (float.hex(gamma), float.hex(residual), sha256 of U bytes + V bytes)
 GOLDEN = {
-    "corner": ("0x1.279a7459a1e53p+0", "0x1.6d40436b098dcp-53", "dd76c3731ddb60953a81f6cb334a4127684967226539b84c2500c3ac801b9749"),
+    "corner": ("0x1.279a7459a1e54p+0", "0x1.0000000000000p-53", "9dbda16862695bdd900409a836db07b4c875a12231f363a4cd8cdcabd5495cca"),
     "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
+    "ones3": ("0x1.0000000000004p+0", "0x1.8000000000000p-51", "ec0078429a5e2a4a23f8bb3b9642e74c1c7b04587c93524f7799121f1efd072b"),
+    "hadamard2": ("0x1.6a09e667f3bd0p+0", "0x1.0000000000000p-52", "d6fd7328baf060ac8f0f9d7dc2994bd792ca6e1ad334decfc2b89155b529fd94"),
+    "sign8": ("0x1.320721757a622p+1", "0x1.0000000000000p-49", "fea7e780a1b7f4b3f9fb8dec51007fb20542738a7f7da165aa2a34049c37006c"),
+    "ternary16": ("0x1.74b17db0d9a76p+1", "0x1.5000000000000p-48", "54a9b7c03b3995b5b906b855c78e29d93fd315c16d3face10f6ce346943b5ca3"),
+    "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
+    "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
+}
+
+# The goldens above that changed when the refit began to run only where
+# the ascent's factors miss tol and the step's half sums became sequential,
+# as they were before (always refit, pairwise sums).  The new certificate
+# may differ by at most the 1e-7 stop gap.
+GOLDEN_ALWAYS_REFIT = {
+    "corner": ("0x1.279a7459a1e53p+0", "0x1.6d40436b098dcp-53", "dd76c3731ddb60953a81f6cb334a4127684967226539b84c2500c3ac801b9749"),
     "ones3": ("0x1.0000000000001p+0", "0x1.0000000000000p-50", "bca61a27adf074548eb76719ec9c44b2517cbd74355817d7ced7afdfd0fe68ea"),
     "hadamard2": ("0x1.6a09e667f3bcfp+0", "0x0.0p+0", "0adce254676c983a51f8fb67451a55516cadc2746227956615f05494319951f4"),
     "sign8": ("0x1.320721757a634p+1", "0x1.a000000000000p-49", "0cc9e0cec371336b1b10033f4e11fcbdc96c3ed11b55a76add82723665ca28eb"),
     "ternary16": ("0x1.74b17db0d9a5fp+1", "0x1.a000000000000p-49", "413bfc48b3497dfc00b2031414d1482787ecab47bd6887830486ba1c207926c3"),
-    "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
-    "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
 }
 
 # The goldens above that changed when the ascent's start moved from the
@@ -161,31 +174,34 @@ def test_golden_certificates(name):
     assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN[name]
     assert fac.gamma <= float.fromhex(GAMMA_WITHOUT_GLOBAL_STOP[name]) * (1 + 1e-7)
     assert fac.gamma <= float.fromhex(GAMMA_PLAIN_STEP[name]) * (1 + 1e-7)
-    if name in GOLDEN_UNIFORM_START:
-        before = float.fromhex(GOLDEN_UNIFORM_START[name][0])
-        assert abs(fac.gamma - before) <= 1e-7 * before
+    for table in (GOLDEN_UNIFORM_START, GOLDEN_ALWAYS_REFIT):
+        if name in table:
+            before = float.fromhex(table[name][0])
+            assert abs(fac.gamma - before) <= 1e-7 * before
     assert verify_factorization(A, fac).ok
 
 
 @pytest.mark.parametrize(
-    "name, config, gamma_hex",
+    "name, config, gamma_hex, before_hex",
     [
-        ("row1x5", RunConfig(), GOLDEN["row1x5"][0]),
-        ("col5x1", RunConfig(), GOLDEN["col5x1"][0]),
+        pytest.param("row1x5", RunConfig(), GOLDEN["row1x5"][0], GOLDEN["row1x5"][0], id="row1x5-config0-0x1.8000000000003p+1"),
+        pytest.param("col5x1", RunConfig(), GOLDEN["col5x1"][0], GOLDEN["col5x1"][0], id="col5x1-config1-0x1.0000000000002p+1"),
         # Corner's energy start is its optimum, so one SVD closes the gap and
-        # the cuts return the converged certificate.  The ids keep the
-        # uniform start's certificates after one and two SVDs, which the
-        # new pins undercut.
-        pytest.param("corner", RunConfig(max_iter=2), "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
-        ("sign8", RunConfig(tol=1e-300), "0x1.320721757a638p+1"),
-        pytest.param("corner", RunConfig(max_iter=1), "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
-        ("sign8", RunConfig(max_iter=1), "0x1.5061c8ae0e2f5p+1"),
-        # The id keeps ones3's certificate from the uniform start.
-        pytest.param("ones3", RunConfig(), GOLDEN["ones3"][0], id="ones3-config6-0x1.0000000000002p+0"),
-        ("sign8", RunConfig(max_iter=2), "0x1.42dad9481dbadp+1"),
+        # the cuts return the converged certificate.  Each id keeps the pin
+        # the case was written with, so the test names stay: the uniform
+        # start's certificates after one and two SVDs for corner, which the
+        # energy start undercuts, and ones3's from the uniform start.
+        # before_hex is the pin from before the refit became conditional and
+        # the half sums sequential; the new pin is within 1e-7 of it.
+        pytest.param("corner", RunConfig(max_iter=2), "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
+        pytest.param("sign8", RunConfig(tol=1e-300), "0x1.320721757a625p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
+        pytest.param("corner", RunConfig(max_iter=1), "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
+        pytest.param("sign8", RunConfig(max_iter=1), "0x1.5061c8ae0e301p+1", "0x1.5061c8ae0e2f5p+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
+        pytest.param("ones3", RunConfig(), GOLDEN["ones3"][0], "0x1.0000000000001p+0", id="ones3-config6-0x1.0000000000002p+0"),
+        pytest.param("sign8", RunConfig(max_iter=2), "0x1.42dad9481dba7p+1", "0x1.42dad9481dbadp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
     ],
 )
-def test_batched_ascent_edge_cases(name, config, gamma_hex):
+def test_batched_ascent_edge_cases(name, config, gamma_hex, before_hex):
     # Closed forms, ascents cut at one or two SVDs (plain steps, before any
     # extrapolation), and a tolerance no refit meets, where the refit of
     # smaller residual is returned.
@@ -193,6 +209,8 @@ def test_batched_ascent_edge_cases(name, config, gamma_hex):
     fac = gamma2_upper(A, config)
     assert verify_factorization(A, fac).ok
     assert float.hex(fac.gamma) == gamma_hex
+    before = float.fromhex(before_hex)
+    assert abs(fac.gamma - before) <= 1e-7 * before
 
 
 def _count_linalg(monkeypatch, name="svd"):
@@ -331,7 +349,7 @@ INPUT_SETS = {
 
 @pytest.mark.parametrize("name", sorted(INPUT_SETS))
 def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
-    # One ascent closes the 1e-7 gap on every input (at most 14, 60, 149
+    # One ascent closes the 1e-7 gap on every input (at most 14, 60, 147
     # and 984 SVDs on the four sets; 15, 71, 149 and 1,022 from the uniform
     # start).
     calls = _count_linalg(monkeypatch)
@@ -345,7 +363,7 @@ def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
 
 
 # name -> cap on the SVDs of all solves of the set.  The accelerated ascent
-# makes 3,088, 652, 775 and 10,791 from the row/column energy (4,051, 688,
+# makes 3,088, 652, 773 and 10,877 from the row/column energy (4,051, 688,
 # 811 and 11,223 from the uniform start); the caps sit well below the
 # 16,516, 3,022, 6,478 and 56,260 of plain steps alone, so losing the
 # extrapolation fails here.
@@ -360,25 +378,33 @@ def test_svd_budget_per_input_set(monkeypatch, name):
     assert len(calls) <= SVD_BUDGET[name]
 
 
-@pytest.mark.parametrize("n, L, seed, side", [(16, 4, 3, 0), (24, 3, 4, 1)])
+@pytest.mark.parametrize("n, L, seed, side", [(16, 4, 3, 0), (24, 4, 4, 1)])
 def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, n, L, seed, side):
-    # Refitting only L (side 0) gives gamma 1.000079x the dual on the first
-    # sum, and refitting only R (side 1) gives 5.3x on the second; the
-    # certifying refit of smaller gamma closes both.  The L-refit comes
-    # first, so the first sum needs both least-squares solves and the second
-    # only one.
+    # The refit runs only where the ascent's factors miss tol, which at the
+    # default tol they do on no booleans or dense inputs and on 34 of the 54
+    # census sums.  At tol 1e-12 they miss it on 42 sums, and these two
+    # reach both candidates: refitting only L (side 0) gives gamma 4.2e-6
+    # relative above the dual on the first sum, and refitting only R
+    # (side 1) 5.8e-4 on the second; the certifying refit of smaller gamma
+    # closes both.  The L-refit comes first, so the first sum needs both
+    # least-squares solves and the second only one.
+    config = RunConfig(tol=1e-12)
     A = np.asarray(generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed).matrix)
     A = A.astype(np.float64)
-    L_, R_, dual = factorize._ascend_weights(A, RunConfig.max_iter)
+    # The ascent runs on the core scaled to max|A| in [1, 2), as in _solve_core.
+    shift = math.frexp(float(np.abs(A).max()))[1] - 1
+    core = np.ldexp(A, -shift)
+    L_, R_, dual = factorize._ascend_weights(core, config.max_iter)
+    assert factorize._exceeds(float(np.abs(core - L_ @ R_).max()), config.tol, shift)
     one_side = [
-        (np.linalg.lstsq(R_.T, A.T, rcond=None)[0].T, R_),
-        (L_, np.linalg.lstsq(L_, A, rcond=None)[0]),
+        (np.linalg.lstsq(R_.T, core.T, rcond=None)[0].T, R_),
+        (L_, np.linalg.lstsq(L_, core, rcond=None)[0]),
     ][side]
     assert factorize._max_row_norm(one_side[0]) * factorize._max_col_norm(one_side[1]) > dual * (1 + 1e-6)
     calls = _count_linalg(monkeypatch, "lstsq")
-    fac = gamma2_upper(A)
+    fac = gamma2_upper(A, config)
     assert len(calls) == (2 if side == 0 else 1)
-    assert verify_factorization(A, fac).ok
+    assert verify_factorization(A, fac, config.tol).ok
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
 
 
@@ -386,18 +412,19 @@ def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, n, L, seed,
 def test_bracket_runs_ldim_only_where_it_could_win(monkeypatch, name):
     # gamma2_bracket skips gamma2_lower when the dual exceeds both max|A| and
     # sqrt(floor(log2 n)), which bounds sqrt-Littlestone; the bracket must be
-    # the one that always runs it.  No dense sign input runs ldim, and every
-    # solve of a booleans or dense input makes one least-squares refit.
+    # the one that always runs it.  No dense sign input runs ldim, and no
+    # booleans or dense input needs a least-squares refit: the ascent's own
+    # factors certify.
     ldims = []
     monkeypatch.setattr(factorize, "ldim", lambda *a, **k: ldims.append(a) or littlestone.ldim(*a, **k))
-    svds, lstsqs = _count_linalg(monkeypatch, "svd"), _count_linalg(monkeypatch, "lstsq")
+    lstsqs = _count_linalg(monkeypatch, "lstsq")
     for k, A in enumerate(INPUT_SETS[name]()):
-        for calls in (ldims, svds, lstsqs):
+        for calls in (ldims, lstsqs):
             calls.clear()
         bracket = gamma2_bracket(A)
         if name.startswith("dense"):
             assert ldims == [], k
-        assert len(lstsqs) == (1 if svds else 0) or name == "census", k
+        assert len(lstsqs) == 0 or name == "census", k
         assert len(lstsqs) <= 2, k
         lower, witness = gamma2_lower(A)
         if bracket.upper_witness.dual_bound > lower:
@@ -421,6 +448,29 @@ def test_rows_of_extreme_magnitude_still_certify(scales):
     fac = gamma2_upper(A)
     assert fac.residual <= RunConfig.tol * max(1.0, float(np.abs(A).max()))
     assert fac.gamma - fac.dual_bound <= 1e-7 * fac.dual_bound
+
+
+@pytest.mark.parametrize("x", [1e-315, 1e-320, 5e-324])
+def test_subnormal_scale_certifies_with_the_dual_below_the_norm(x):
+    # The core is scaled up by 2**1040 and more, where tol scaled alike
+    # overflowed, and the dual multiplied back into the subnormal range
+    # rounded above the norm 2/sqrt(3)·x at 1e-315.
+    A = np.array([[x, 0.0], [x, x]])
+    fac = gamma2_upper(A)
+    assert verify_factorization(A, fac).ok
+    assert 0 < fac.dual_bound <= fac.gamma
+    # Both are whole multiples of the least subnormal 2**-1074.
+    assert math.ldexp(fac.dual_bound, 1074) <= 2 / math.sqrt(3) * math.ldexp(A[0, 0], 1074)
+    bracket = gamma2_bracket(A)
+    assert bracket.lower <= bracket.upper
+
+
+def test_bracket_refuses_an_inverted_bracket_below_norm_one():
+    # The slack is 1e-6 relative, not 1e-6 absolute below norm 1.
+    fac = gamma2_upper(CORNER)
+    with pytest.raises(ValueError, match="inconsistent"):
+        NormBracket(lower=1e-3 + 5e-7, upper=1e-3, lower_witness="dual", upper_witness=fac)
+    NormBracket(lower=1e-3 * (1 + 1e-7), upper=1e-3, lower_witness="dual", upper_witness=fac)
 
 
 # ---------------------------------------------------------------------------
