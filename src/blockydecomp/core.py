@@ -434,40 +434,59 @@ class SignedBlockySum:
     def evaluate(self) -> np.ndarray:
         """The dense int64 value: one signed scatter-add over rectangle cells.
 
-        Every (term, rectangle id) pair is a key.  Each row carrying a key is
-        repeated once per column carrying it, which lists the rectangle's
-        cells, and one ``np.bincount`` counts the cells of positive terms
-        into the first and those of negative terms into a second m*n block.
-        The cost is the total rectangle area (‖A‖₁ for the peel's output)
-        plus O(terms * (m + n)) to key the labels.  Rows are expanded in
-        chunks of about ``_EVAL_CHUNK_CELLS`` cells.
+        Every (term, rectangle id) pair is a key, numbered term by term.
+        Each row carrying a key is repeated once per column carrying it,
+        which lists the rectangle's cells, and one ``np.bincount`` counts
+        the cells of positive terms into the first and those of negative
+        terms into a second m*n block.  The cost is the total rectangle area
+        (‖A‖₁ for the peel's output) plus O(terms * (m + n)) to key the
+        labels.  Rows are expanded in chunks of about ``_EVAL_CHUNK_CELLS``
+        cells.
+
+        Allocation: index arrays over the labelled columns, the rectangles
+        and the labelled rows (computed in place where they can be), one
+        chunk's cells at a time, and the 2*m*n counts, which the first
+        chunk's ``np.bincount`` returns: no zero-filled buffer is added
+        into.  The negative block is subtracted from the positive one in
+        place, so the result is the first half of the counts.
         """
         m, n = self.shape
         signs, rb, cb = self.label_tables
-        if not signs.size:
-            return np.zeros((m, n), dtype=np.int64)
-        ids = int(rb.max()) + 1  # rectangle r of term t has key t * ids + r
+        rects = rb.max(axis=1) + 1  # rectangle r of term t has key first_key[t] + r
+        first_key = np.cumsum(rects) - rects
         col_term, col = np.nonzero(cb >= 0)
-        col_key = col_term * ids + cb[col_term, col]
+        col_key = first_key[col_term] + cb[col_term, col]
         col = col[np.argsort(col_key, kind="stable")]  # columns grouped by key, keys ascending
-        per_key = np.bincount(col_key, minlength=signs.size * ids)
-        row_term, row = np.nonzero(rb >= 0)
-        row_key = row_term * ids + rb[row_term, row]
-        width = per_key[row_key]  # cells in each rectangle row
+        per_key = np.bincount(col_key, minlength=int(rects.sum()))
+        row_term, base = np.nonzero(rb >= 0)  # base: each rectangle row's row, for now
+        shift = first_key[row_term]
+        shift += rb[row_term, base]  # shift: each rectangle row's key, for now
+        width = per_key[shift]  # cells in each rectangle row
         ends = np.cumsum(width)
-        # Cell g of rectangle row i, ends[i] - width[i] <= g < ends[i], lies in
-        # row row[i] and column col[g + shift[i]].
-        shift = np.cumsum(per_key)[row_key] - ends
-        base = row * n + (signs[row_term] < 0) * (m * n)
+        # Cell g of rectangle row i, ends[i] - width[i] <= g < ends[i], is
+        # counted at base[i] + col[g + shift[i]], where base[i] is its row
+        # times n, plus m * n for a negative term.
+        shift = np.cumsum(per_key)[shift]
+        shift -= ends
+        base *= n
+        base += ((signs < 0) * (m * n))[row_term]
+        del row_term
         cuts = range(_EVAL_CHUNK_CELLS, int(ends[-1]) if ends.size else 0, _EVAL_CHUNK_CELLS)
-        bounds = [0, *np.searchsorted(ends, cuts).tolist(), row.size]
-        counts = np.zeros(2 * m * n, dtype=np.int64)
+        bounds = [0, *np.searchsorted(ends, cuts).tolist(), base.size]
+        counts = None
         for a, b in zip(bounds, bounds[1:]):
             if a < b:
                 w = width[a:b]
-                at = np.repeat(shift[a:b], w) + np.arange(ends[a] - w[0], ends[b - 1])
-                counts += np.bincount(np.repeat(base[a:b], w) + col[at], minlength=2 * m * n)
-        return (counts[: m * n] - counts[m * n :]).reshape(m, n)
+                cell = np.arange(ends[a] - w[0], ends[b - 1])
+                cell += np.repeat(shift[a:b], w)
+                cell = col[cell]
+                cell += np.repeat(base[a:b], w)
+                chunk = np.bincount(cell, minlength=2 * m * n)
+                counts = chunk if counts is None else np.add(counts, chunk, out=counts)
+        if counts is None:  # no terms, or none with a rectangle
+            return np.zeros((m, n), dtype=np.int64)
+        value = counts[: m * n]
+        return np.subtract(value, counts[m * n :], out=value).reshape(m, n)
 
 
 def round_half_down(values):

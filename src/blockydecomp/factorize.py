@@ -173,6 +173,8 @@ class NormBracket:
 
 # The smallest normal float: squares below it have lost precision.
 _TINY = np.finfo(np.float64).tiny
+# The largest float: a norm above it has no certificate in floats.
+_HUGE = np.finfo(np.float64).max
 
 
 def _max_norm(X: np.ndarray, subscripts: str) -> float:
@@ -204,13 +206,25 @@ def _max_col_norm(V: np.ndarray) -> float:
 def verify_factorization(
     matrix, fac: GammaFactorization, tol: float = RunConfig.tol
 ) -> VerificationReport:
-    """Check a certificate against a matrix; the report carries the measured maxima."""
-    A = as_real_array(matrix)
+    """Check a certificate against a matrix; the report carries the measured maxima.
+
+    Integer and boolean arrays are used as they are, and other input as a
+    validated float64 array (``as_real_array``).  The residual is measured
+    in place on the one ``fac.product()``: subtracting an integer matrix
+    from it converts each entry as ``astype(np.float64)`` would, so every
+    dtype gives the same report, and for an integer array the product is
+    the only m x n array allocated.
+    """
+    A = np.asarray(matrix)
+    if A.dtype.kind not in "biu" or A.ndim != 2 or not A.size:
+        A = as_real_array(A)  # floats, and the shape errors for every dtype
     if fac.shape != A.shape:
         raise ValueError(f"factorization shape {fac.shape} does not match matrix {A.shape}")
     row_norm = _max_row_norm(fac.U)
     col_norm = _max_col_norm(fac.V)
-    resid = float(np.abs(A - fac.product()).max(initial=0.0))
+    diff = fac.product()
+    np.abs(np.subtract(A, diff, out=diff), out=diff)
+    resid = float(diff.max(initial=0.0))
     ok = row_norm <= 1 + tol and col_norm <= fac.gamma + tol and resid <= tol
     return VerificationReport(
         ok=ok,
@@ -378,7 +392,9 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     t + ms + ns roundings more; sigma_max <= f.  So the bound subtracts
     4*t*(ms*ns + ms + ns)*eps*f, under 1e-9 relative up to 64 x 64, far
     inside the 1e-7 stop gap.  Multiplied back into the subnormal range it
-    is rounded toward zero, which no relative margin would cover.
+    is rounded toward zero, which no relative margin would cover.  A core
+    whose bound, multiplied back, would exceed the largest float raises
+    ValueError: its norm has no certificate in floats.
     """
     ms, ns = A.shape
     top = float(np.abs(A).max())
@@ -394,6 +410,10 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     if _exceeds(float(np.abs(A - L @ R).max()), config.tol, shift):
         L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
     lower = max(0.0, dual - margin)
+    if _exceeds(lower, _HUGE, shift):
+        raise ValueError(
+            f"the factorization norm exceeds the largest float, {_HUGE:.6g}; scale the matrix down"
+        )
     bound = math.ldexp(lower, shift)
     if math.ldexp(bound, -shift) > lower:  # rounded up into the subnormal range
         bound = math.nextafter(bound, 0.0)

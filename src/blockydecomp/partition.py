@@ -35,8 +35,10 @@ __all__ = [
 
 
 def _signed_parts(arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The peel's positive and negative part of the matrix, each with its row sums."""
-    parts = (np.maximum(arr, 0), np.maximum(-arr, 0))
+    """The peel's positive and negative part of the matrix, each with its row sums;
+    the negative part is clipped in place."""
+    negative = np.negative(arr)
+    parts = (np.maximum(arr, 0), np.maximum(negative, 0, out=negative))
     return tuple((part, part.sum(axis=1)) for part in parts)
 
 
@@ -47,9 +49,16 @@ def peel_term_count(matrix) -> int:
 
 
 def _peel_tables(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The peel of an int64 matrix as raw label tables: signs, (terms x m)
+    """The peel of an integer matrix as raw label tables: signs, (terms x m)
     row labels and (terms x n) column labels, as ``greedy_l1_decompose``
     describes them.  An m x 0 input gives empty tables.
+
+    Allocation: the two signed parts, in the input's dtype (``decompose``
+    passes int16 columns), and the int32 label tables.  Each part is then
+    written by ``_peel_part`` into its own rounds of the tables, with
+    arrays over its units (one per unit of a row sum) and over its nonzero
+    cells, never over all m * n cells, plus an int32 (rounds x n) and
+    (rounds x m) key table; they are freed before the next part's.
 
     Nothing is sorted.  Row x's t-th unit lies in round t, so every unit of
     a part is placed at once, and each (round, column) key is a rectangle.
@@ -64,23 +73,34 @@ def _peel_tables(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rounds = [int(row_sums.max()) for _, row_sums in parts]
     row_block = np.full((sum(rounds), m), -1, dtype=np.int32)
     col_block = np.full((sum(rounds), n), -1, dtype=np.int32)
-    cells, rows = np.arange(m * n), np.arange(m)
     for first_round, count, (part, row_sums) in zip((0, rounds[0]), rounds, parts):
-        if not count:
-            continue
-        unit_row = np.repeat(rows, row_sums)  # units run row-major, column by column
-        unit_round = np.arange(unit_row.size) - np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
-        key = np.repeat(cells, part.ravel()) + (unit_round - unit_row) * n  # round * n + column
-        first_row = np.full(count * n, m)
-        np.minimum.at(first_row, key, unit_row)
-        keys = np.flatnonzero(first_row < m)
-        key_round, head = keys // n, first_row[keys]
-        flags = np.zeros((count, m), dtype=np.int32)
-        flags[key_round, head] = 1  # a row opens at most one key per round
-        key_ids = col_block[first_round : first_round + count].ravel()  # a view
-        key_ids[keys] = np.cumsum(flags, axis=1, dtype=np.int32)[key_round, head] - 1
-        row_block[first_round + unit_round, unit_row] = key_ids[key]
+        if count:
+            part_rounds = slice(first_round, first_round + count)
+            _peel_part(part, row_sums, row_block[part_rounds], col_block[part_rounds])
     return np.repeat([1, -1], rounds), row_block, col_block
+
+
+def _peel_part(part: np.ndarray, row_sums: np.ndarray, row_block: np.ndarray, col_block: np.ndarray) -> None:
+    """Write one signed part's rounds into its rounds' rows of the label
+    tables (contiguous views), as ``_peel_tables`` describes."""
+    m, n = part.shape
+    unit_row = np.repeat(np.arange(m, dtype=np.int32), row_sums)  # units run row-major, column by column
+    unit_round = np.arange(unit_row.size)
+    unit_round -= np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
+    units = part.ravel()
+    cells = np.flatnonzero(units)  # row * n + column of every nonzero cell
+    key = unit_round - unit_row
+    key *= n
+    key += np.repeat(cells, units[cells])  # round * n + column
+    first_row = np.full(col_block.size, m, dtype=np.int32)
+    np.minimum.at(first_row, key, unit_row)
+    keys = np.flatnonzero(first_row < m)
+    key_round, head = keys // n, first_row[keys]
+    flags = np.zeros(row_block.shape, dtype=np.int32)
+    flags[key_round, head] = 1  # a row opens at most one key per round
+    key_ids = col_block.ravel()  # a view
+    key_ids[keys] = np.cumsum(flags, axis=1, dtype=np.int32)[key_round, head] - 1
+    row_block[unit_round, unit_row] = key_ids[key]
 
 
 def greedy_l1_decompose(matrix) -> SignedBlockySum:

@@ -331,6 +331,15 @@ def decompose(
     ReconstructionError with a witness entry.  Inputs with an entry of
     magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
 
+    Allocation: the int64 input is neither copied nor converted to float64.
+    Past the solver, the arrays of A's size are the one float64 product,
+    on which ``verify_factorization`` measures the residual in place; one
+    int16 copy of A's columns, whose bytes key the dedupe and from which
+    the distinct columns are taken (one m x k int16 copy, which the peel
+    reads); and ``evaluate``'s 2*m*n counts, whose first half is its
+    result.  The rest is sized by the label tables or by the rectangles'
+    cells.
+
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
     """
@@ -340,7 +349,7 @@ def decompose(
     m, n = A.shape
     if fac is None:
         fac = gamma2_upper(A, config)
-    report = verify_factorization(A.astype(np.float64), fac, config.tol)
+    report = verify_factorization(A, fac, config.tol)
     if not report.ok and not force:
         raise ValueError(
             f"factorization does not certify the input at tol {config.tol:.3e} "
@@ -360,17 +369,22 @@ def decompose(
 
     # Exact column dedupe: one distinct nonzero column per group, in order of
     # first occurrence, peeled once and lifted back to every member column.
-    nonzero = np.flatnonzero(A.any(axis=0))
+    # Entries are capped at MAX_DECOMPOSE_ENTRY, so int16 bytes compare like
+    # int64 values, and the peel runs on the int16 columns.
+    columns = np.ascontiguousarray(A.T, dtype=np.int16)
+    nonzero = np.flatnonzero(columns.any(axis=1))
     group_of = np.full(n, -1, dtype=np.int64)
-    distinct = A[:, nonzero]  # m x 0 for the zero matrix
+    distinct = columns[nonzero]  # 0 x m for the zero matrix
     if nonzero.size:
-        # Entries are capped at MAX_DECOMPOSE_ENTRY, so int16 keys compare like int64 ones.
-        keys = _byte_keys(np.ascontiguousarray(distinct.T, dtype=np.int16))
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(_byte_keys(distinct), return_index=True, return_inverse=True)
         order = np.argsort(first)
         group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
-        distinct = distinct[:, first[order]]
-    total = SignedBlockySum.from_label_tables((m, n), *_lift(*_peel_tables(distinct), group_of))
+        distinct = distinct[first[order]]
+    # The peel reads the distinct columns in C order, so its parts ravel as
+    # views; its raw tables are freed once validation has copied them.
+    total = SignedBlockySum.from_label_tables(
+        (m, n), *_lift(*_peel_tables(np.ascontiguousarray(distinct.T)), group_of)
+    )
 
     rebuilt = total.evaluate()
     if not np.array_equal(rebuilt, A):

@@ -233,6 +233,16 @@ def test_gamma2_on_entries_whose_squares_overflow(tmp_path, capsys):
     assert 1e155 <= lower <= upper < 1.2e155  # the norm is 2/sqrt(3) * 1e155
 
 
+def test_gamma2_refuses_a_norm_above_the_largest_float(tmp_path, capsys):
+    # An 8x8 Hadamard matrix of +-1e308 has norm 2.83e308.
+    rows = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]
+    p = tmp_path / "huge.txt"
+    p.write_text("8 8 real\n" + "".join(" ".join(f"{s}e308" for s in r) + "\n" for r in rows))
+    assert main(["gamma2", "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert "exceeds the largest float" in captured.err and captured.out == ""
+
+
 def test_gamma2_on_subnormal_entries(tmp_path, capsys):
     # The scaled tol overflowed here, and the dual rounded above the norm.
     p = tmp_path / "tiny.txt"

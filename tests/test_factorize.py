@@ -450,6 +450,18 @@ def test_rows_of_extreme_magnitude_still_certify(scales):
     assert fac.gamma - fac.dual_bound <= 1e-7 * fac.dual_bound
 
 
+def test_a_norm_above_the_largest_float_is_refused():
+    # The 8x8 Sylvester-Hadamard matrix has norm sqrt(8): times 6e307 that
+    # is 1.70e308, still a float, and times 1e308 it is 2.83e308, which no
+    # certificate can state; that raises ValueError, not OverflowError.
+    H = np.array([[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)])
+    fac = gamma2_upper(H * 6e307)
+    assert fac.gamma == pytest.approx(math.sqrt(8) * 6e307, rel=1e-6)
+    for solve in (gamma2_upper, gamma2_bracket):
+        with pytest.raises(ValueError, match="exceeds the largest float"):
+            solve(H * 1e308)
+
+
 @pytest.mark.parametrize("x", [1e-315, 1e-320, 5e-324])
 def test_subnormal_scale_certifies_with_the_dual_below_the_norm(x):
     # The core is scaled up by 2**1040 and more, where tol scaled alike
@@ -522,6 +534,50 @@ def test_verify_shape_mismatch():
     fac = GammaFactorization(U=[[1.0]], V=[[1.0]], gamma=1.0, residual=0.0)
     with pytest.raises(ValueError):
         verify_factorization([[1, 0]], fac)
+
+
+def test_verify_reads_integer_boolean_and_float_forms_alike():
+    # Integer and boolean matrices are subtracted from the product as they
+    # are, converting each entry as astype(float64) would: the reports are
+    # equal and the residual bit-identical, also past 2**53, where int64
+    # entries round on conversion.
+    A = np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0]])
+    fac = gamma2_upper(A)
+    assert fac.residual > 0  # a roundoff residual, so bit-identity is tested
+    forms = [A, A.astype(bool), A.astype(np.int8), A.astype(np.uint16), A.astype(np.float64), A.tolist()]
+    reports = [verify_factorization(M, fac) for M in forms]
+    assert all(r == reports[0] for r in reports)
+    assert {r.residual.hex() for r in reports} == {reports[0].residual.hex()}
+    big = np.array([[2**53 + 1, 3], [5, 2**62]])
+    ones = GammaFactorization(U=np.eye(2), V=np.ones((2, 2)), gamma=math.sqrt(2), residual=0.0)
+    exact, rounded = verify_factorization(big, ones), verify_factorization(big.astype(np.float64), ones)
+    assert exact == rounded and exact.residual.hex() == rounded.residual.hex()
+
+
+def test_verify_refuses_malformed_matrices_of_every_dtype():
+    fac = GammaFactorization(U=np.eye(2), V=np.ones((2, 3)), gamma=math.sqrt(2), residual=0.0)
+    empty = GammaFactorization(U=np.zeros((0, 1)), V=np.ones((1, 3)), gamma=1.0, residual=0.0)
+    for dtype in (np.int64, bool, np.float64):
+        with pytest.raises(ValueError, match="does not match"):
+            verify_factorization(np.ones((3, 2), dtype=dtype), fac)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            verify_factorization(np.ones(3, dtype=dtype), fac)
+        with pytest.raises(ValueError, match="at least one row"):
+            verify_factorization(np.ones((0, 3), dtype=dtype), empty)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            verify_factorization([[1.0, bad, 0.0], [0.0, 1.0, 1.0]], fac)
+
+
+def test_verify_leaves_the_certificate_unchanged():
+    # The residual is measured in place on the product, never on U or V.
+    A = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    fac = gamma2_upper(A)
+    U, V = fac.U.copy(), fac.V.copy()
+    for M in (A, A.astype(np.float64)):
+        verify_factorization(M, fac)
+        assert np.array_equal(fac.U, U) and np.array_equal(fac.V, V)
+        assert not fac.U.flags.writeable and not fac.V.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from blockydecomp.factorize import (
     gamma2_upper,
 )
 from blockydecomp.generators import GeneratorSpec, generate
-from blockydecomp.partition import greedy_l1_decompose
+from blockydecomp.partition import greedy_l1_decompose, peel_term_count
 from blockydecomp.pipeline import (
     MAX_DECOMPOSE_ENTRY,
     ReconstructionError,
@@ -300,6 +300,32 @@ def _dedupe_peel_lift(A: np.ndarray) -> SignedBlockySum:
             rects.append((rows, tuple(sorted(y for c in cols for y in members[c]))))
         terms.append((sign, BlockyMatrix(shape=(m, n), rectangles=tuple(rects))))
     return SignedBlockySum(shape=(m, n), terms=tuple(terms))
+
+
+def test_dedupe_keys_tell_apart_columns_equal_modulo_256():
+    # 4096 = 0x1000 and 256 = 0x0100 share their low byte, as do 4096 and
+    # -4096 = 0xF000: the int16 keys keep all three columns apart, and the
+    # equal columns 0 and 3 still merge into one group.
+    A = np.array([[4096, 256, -4096, 4096], [1, 1, 1, 1]])
+    fac = GammaFactorization(U=np.eye(2), V=A.astype(np.float64), gamma=float(np.abs(A).max()) + 1, residual=0.0)
+    s, report = decompose(A, fac=fac)
+    _, _, cols = s.label_tables
+    assert np.array_equal(cols[:, 0], cols[:, 3])
+    for y in (1, 2):
+        assert not np.array_equal(cols[:, 0], cols[:, y])
+    assert report.total_terms == len(s) == peel_term_count(A[:, :3])
+
+
+def test_decompose_at_the_entry_cap_rebuilds_exactly():
+    # Entries of magnitude MAX_DECOMPOSE_ENTRY, the largest the int16 dedupe
+    # sees, in repeated columns: the sum evaluates to A and has the term
+    # count of the peel of A's distinct columns.
+    cap = MAX_DECOMPOSE_ENTRY
+    A = np.array([[cap, -cap, cap, 0, -cap], [cap, 0, cap, -1, 0], [-cap, 1, -cap, cap, 1]])
+    fac = GammaFactorization(U=np.eye(3), V=A.astype(np.float64), gamma=2 * cap, residual=0.0)
+    s, report = decompose(A, fac=fac)
+    assert np.array_equal(s.evaluate(), A)
+    assert report.total_terms == len(s) == peel_term_count(np.unique(A, axis=1))
 
 
 def _boolean3x3(code: int) -> np.ndarray:
