@@ -20,7 +20,9 @@ class RunConfig:
     of 16²–32² that takes at most 984 SVDs, so the default 10,000 is
     reached only where the gap never closes.  ``seed`` drives the suite's
     random trials; the solver draws no random numbers.  ``tol`` is the
-    certificate residual tolerance; ``littlestone_budget`` caps exact
+    certificate residual tolerance, an absolute bound on max|A − UV| that
+    does not scale with the entries: at entries near 1e155 a residual of
+    1e-16 relative exceeds the default.  ``littlestone_budget`` caps exact
     dimension-recursion node expansions; ``oracle_depth`` caps the
     brute-force complexity search.  The field
     defaults are the package defaults.  Output paths are carried by the CLI
@@ -45,3 +47,7 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+# What calls made without a config run with: built and validated once, at import.
+DEFAULT_CONFIG = RunConfig()

@@ -234,11 +234,34 @@ def _canonical(row_block: np.ndarray, col_block: np.ndarray) -> tuple[np.ndarray
     return rank[row_block], rank[col_block]
 
 
+def _rectangle_keys(rb: np.ndarray, cb: np.ndarray, counts: np.ndarray):
+    """Key every (term, rectangle id) pair of valid label tables, term by term.
+
+    Rectangle r of term t has key ``first_key[t] + r``.  Returns
+    ``first_key`` (int64, one per term), ``per_key``, the number of columns
+    carrying each key, and ``col``, the labelled columns grouped by key in
+    ascending key order (the order within a key is ascending too), both in
+    the smallest signed dtype that holds n.  ``cb`` must already lie in
+    [-1, counts) row by row.
+    """
+    ends = counts.cumsum()
+    first_key = ends - counts
+    col_term, col = (cb >= 0).nonzero()
+    col_key = first_key[col_term] + cb[col_term, col]
+    dtype = np.min_scalar_type(-1 - cb.shape[1])  # the smallest signed dtype holding 0..n
+    col = col[col_key.argsort(kind="stable")].astype(dtype)
+    per_key = np.bincount(col_key, minlength=int(ends[-1]) if ends.size else 0).astype(dtype)
+    return first_key, per_key, col
+
+
 def _check_label_tables(shape, row_blocks, col_blocks):
     """Validate a (terms, m) and a (terms, n) table of canonical labels.
 
-    Returns the shape as ints, both tables as read-only int32 arrays and the
-    rectangle count of every term; raises ValueError if any term is invalid.
+    Returns the shape as ints, both tables as read-only int32 arrays, the
+    rectangle count of every term and the tables' rectangle keys
+    (``_rectangle_keys``); raises ValueError if any term is invalid.  The
+    keys also make the last test: a rectangle with rows but no column is a
+    key that no column carries.
     """
     m, n = _check_shape(shape)
     rb, cb = np.asarray(row_blocks), np.asarray(col_blocks)
@@ -255,15 +278,14 @@ def _check_label_tables(shape, row_blocks, col_blocks):
     counts = seen[:, -1] + 1
     if (cb.max(axis=1) >= counts).any():
         raise ValueError("a column label names no rectangle: no row carries it")
-    present = np.zeros((rb.shape[0], m + 1), dtype=bool)
-    present[np.arange(rb.shape[0])[:, None], cb + 1] = True
-    if (np.count_nonzero(present[:, 1:], axis=1) != counts).any():
+    keys = _rectangle_keys(rb, cb, counts)
+    if not keys[1].all():
         raise ValueError("every rectangle needs at least one column")
     # Labels lie in [-1, m), so int32 holds them at half the memory traffic.
     rb, cb = rb.astype(np.int32), cb.astype(np.int32)
     rb.setflags(write=False)
     cb.setflags(write=False)
-    return (m, n), rb, cb, counts
+    return (m, n), rb, cb, counts, keys
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -316,7 +338,7 @@ class BlockyMatrix:
     def from_label_tables(cls, shape: tuple[int, int], row_blocks, col_blocks) -> tuple["BlockyMatrix", ...]:
         """One term per row of a (terms, m) and a (terms, n) table of canonical
         labels, validated together; raises ValueError if any term is invalid."""
-        return cls._of_tables(*_check_label_tables(shape, row_blocks, col_blocks))
+        return cls._of_tables(*_check_label_tables(shape, row_blocks, col_blocks)[:4])
 
     @classmethod
     def _of_tables(cls, shape, row_blocks, col_blocks, counts) -> tuple["BlockyMatrix", ...]:
@@ -373,7 +395,10 @@ class SignedBlockySum:
     such tables once and keeps them; ``SignedBlockySum(shape, terms)``
     converts (sign, BlockyMatrix) pairs at the boundary.  ``len``, ``==``,
     ``hash`` and ``evaluate`` read the tables; ``terms`` is a derived view,
-    built on first use.
+    built on first use.  ``evaluate`` also reads the tables' rectangle keys
+    (``_rectangle_keys``): ``from_label_tables`` keeps the ones its
+    validation computed, and a sum built from terms computes them the
+    first time it is evaluated.
     """
 
     shape: tuple[int, int]
@@ -401,7 +426,7 @@ class SignedBlockySum:
         The tables are validated as in ``BlockyMatrix.from_label_tables``;
         raises ValueError if a term is invalid or a sign is not -1 or +1.
         """
-        shape, rb, cb, _ = _check_label_tables(shape, row_blocks, col_blocks)
+        shape, rb, cb, _, keys = _check_label_tables(shape, row_blocks, col_blocks)
         signs = np.asarray(signs)
         bad = signs.size and (signs.dtype.kind != "i" or (np.abs(signs) != 1).any())
         if bad or signs.shape != (rb.shape[0],):
@@ -409,8 +434,15 @@ class SignedBlockySum:
         signs = signs.astype(np.int64)
         signs.setflags(write=False)
         out = cls.__new__(cls)
-        vars(out).update(shape=shape, label_tables=(signs, rb, cb))
+        vars(out).update(shape=shape, label_tables=(signs, rb, cb), _rect_keys=keys)
         return out
+
+    @cached_property
+    def _rect_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tables' rectangle keys (``_rectangle_keys``): kept from
+        validation by ``from_label_tables``, computed on first use otherwise."""
+        _, rb, cb = self.label_tables
+        return _rectangle_keys(rb, cb, rb.max(axis=1, initial=-1) + 1)
 
     @cached_property
     def terms(self) -> tuple[tuple[int, BlockyMatrix], ...]:
@@ -434,53 +466,50 @@ class SignedBlockySum:
     def evaluate(self) -> np.ndarray:
         """The dense int64 value: one signed scatter-add over rectangle cells.
 
-        Every (term, rectangle id) pair is a key, numbered term by term.
-        Each row carrying a key is repeated once per column carrying it,
-        which lists the rectangle's cells, and one ``np.bincount`` counts
-        the cells of positive terms into the first and those of negative
-        terms into a second m*n block.  The cost is the total rectangle area
-        (‖A‖₁ for the peel's output) plus O(terms * (m + n)) to key the
-        labels.  Rows are expanded in chunks of about ``_EVAL_CHUNK_CELLS``
-        cells.
+        Every (term, rectangle id) pair is a key, numbered term by term; the
+        keys, each key's column count and the labelled columns grouped by
+        key are the sum's stored ``_rectangle_keys``, so evaluating a sum
+        from ``from_label_tables`` derives none of them again.  Each row
+        carrying a key is repeated once per column carrying it, which lists
+        the rectangle's cells, and one ``np.bincount`` counts the cells of
+        positive terms into the first and those of negative terms into a
+        second m*n block.  The cost is the total rectangle area (‖A‖₁ for
+        the peel's output) plus O(terms * m) to key the row labels.  Rows
+        are expanded in chunks of about ``_EVAL_CHUNK_CELLS`` cells.
 
-        Allocation: index arrays over the labelled columns, the rectangles
-        and the labelled rows (computed in place where they can be), one
-        chunk's cells at a time, and the 2*m*n counts, which the first
-        chunk's ``np.bincount`` returns: no zero-filled buffer is added
-        into.  The negative block is subtracted from the positive one in
-        place, so the result is the first half of the counts.
+        Allocation: index arrays over the labelled rows (computed in place
+        where they can be), one chunk's cells at a time, and the 2*m*n
+        counts, which the first chunk's ``np.bincount`` returns: no
+        zero-filled buffer is added into.  The negative block is subtracted
+        from the positive one in place, so the result is the first half of
+        the counts.
         """
         m, n = self.shape
         signs, rb, cb = self.label_tables
-        rects = rb.max(axis=1) + 1  # rectangle r of term t has key first_key[t] + r
-        first_key = np.cumsum(rects) - rects
-        col_term, col = np.nonzero(cb >= 0)
-        col_key = first_key[col_term] + cb[col_term, col]
-        col = col[np.argsort(col_key, kind="stable")]  # columns grouped by key, keys ascending
-        per_key = np.bincount(col_key, minlength=int(rects.sum()))
-        row_term, base = np.nonzero(rb >= 0)  # base: each rectangle row's row, for now
+        first_key, per_key, col = self._rect_keys  # col: columns grouped by key, keys ascending
+        row_term, base = (rb >= 0).nonzero()  # base: each rectangle row's row, for now
         shift = first_key[row_term]
         shift += rb[row_term, base]  # shift: each rectangle row's key, for now
         width = per_key[shift]  # cells in each rectangle row
-        ends = np.cumsum(width)
+        ends = width.cumsum()
         # Cell g of rectangle row i, ends[i] - width[i] <= g < ends[i], is
         # counted at base[i] + col[g + shift[i]], where base[i] is its row
         # times n, plus m * n for a negative term.
-        shift = np.cumsum(per_key)[shift]
+        shift = per_key.cumsum()[shift]
         shift -= ends
         base *= n
         base += ((signs < 0) * (m * n))[row_term]
         del row_term
         cuts = range(_EVAL_CHUNK_CELLS, int(ends[-1]) if ends.size else 0, _EVAL_CHUNK_CELLS)
-        bounds = [0, *np.searchsorted(ends, cuts).tolist(), base.size]
+        bounds = [0, *ends.searchsorted(cuts).tolist(), base.size]
         counts = None
         for a, b in zip(bounds, bounds[1:]):
             if a < b:
                 w = width[a:b]
-                cell = np.arange(ends[a] - w[0], ends[b - 1])
-                cell += np.repeat(shift[a:b], w)
-                cell = col[cell]
-                cell += np.repeat(base[a:b], w)
+                at = np.arange(ends[a] - w[0], ends[b - 1])
+                at += shift[a:b].repeat(w)
+                cell = base[a:b].repeat(w)
+                cell += col[at]  # col is narrower than int64: add it into the cells
                 chunk = np.bincount(cell, minlength=2 * m * n)
                 counts = chunk if counts is None else np.add(counts, chunk, out=counts)
         if counts is None:  # no terms, or none with a rectangle

@@ -54,11 +54,11 @@ ascent drives the search and least squares only fixes the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .core import SignedBlockySum, _freeze, as_real_array
 from .littlestone import BudgetExceeded, DEFAULT_BUDGET, ldim
 from .littlestone import ldim_alpha  # noqa: F401  unused; bench/spans.py patches factorize.ldim_alpha by name
@@ -87,6 +87,11 @@ class GammaFactorization:
     bound on the factorization norm of that same matrix, proved while the
     certificate was produced (``gamma2_upper`` stores its best dual value
     less a floating-point margin); 0.0, the trivial bound, when none was.
+
+    ``max_row_norm`` and ``max_col_norm`` are the largest Euclidean row norm
+    of U and column norm of V (0.0 when empty), measured once, when the
+    caps are checked at construction, and kept: ``verify_factorization``
+    reads them instead of measuring again.
     """
 
     U: np.ndarray
@@ -94,6 +99,8 @@ class GammaFactorization:
     gamma: float
     residual: float
     dual_bound: float = 0.0
+    max_row_norm: float = field(init=False, repr=False)
+    max_col_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=np.float64)
@@ -109,10 +116,13 @@ class GammaFactorization:
         if not (self.dual_bound >= 0 and math.isfinite(self.dual_bound)):
             raise ValueError("dual_bound must be a finite nonnegative real")
         slack = 1e-6 * max(1.0, self.gamma)
-        if U.size and _max_row_norm(U) > 1 + slack:
+        row_norm, col_norm = _max_row_norm(U), _max_col_norm(V)
+        if row_norm > 1 + slack:
             raise ValueError("a row of U exceeds unit norm")
-        if V.size and _max_col_norm(V) > self.gamma + slack:
+        if col_norm > self.gamma + slack:
             raise ValueError("a column of V exceeds the gamma cap")
+        object.__setattr__(self, "max_row_norm", row_norm)
+        object.__setattr__(self, "max_col_norm", col_norm)
         object.__setattr__(self, "U", _freeze(U))
         object.__setattr__(self, "V", _freeze(V))
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -208,6 +218,12 @@ def verify_factorization(
 ) -> VerificationReport:
     """Check a certificate against a matrix; the report carries the measured maxima.
 
+    The report is ok when the largest row norm of U is at most 1 + ``tol``,
+    the largest column norm of V at most ``fac.gamma`` + ``tol`` and
+    max|A − UV| at most ``tol``: ``tol`` is an absolute bound, the same at
+    every scale of the entries.  The norm maxima are the ones the
+    certificate measured at construction (``GammaFactorization``).
+
     Integer and boolean arrays are used as they are, and other input as a
     validated float64 array (``as_real_array``).  The residual is measured
     in place on the one ``fac.product()``: subtracting an integer matrix
@@ -220,8 +236,7 @@ def verify_factorization(
         A = as_real_array(A)  # floats, and the shape errors for every dtype
     if fac.shape != A.shape:
         raise ValueError(f"factorization shape {fac.shape} does not match matrix {A.shape}")
-    row_norm = _max_row_norm(fac.U)
-    col_norm = _max_col_norm(fac.V)
+    row_norm, col_norm = fac.max_row_norm, fac.max_col_norm
     diff = fac.product()
     np.abs(np.subtract(A, diff, out=diff), out=diff)
     resid = float(diff.max(initial=0.0))
@@ -252,11 +267,12 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     accuracy.  As f is the minimum over XY = A of
     ½(Σ uᵢ‖xᵢ‖² + Σ vⱼ‖yⱼ‖²), it is jointly concave, so the mix loses at
     most 1e-9 relative of f, inside the 1e-7 stop gap.  The step works on
-    the stacked x = (u, v) and p = ((P∘P)σ, σ(Qᵀ∘Qᵀ)): one square root
-    gives both sides' scalings, one division p/x both supergradients, and
-    one ``np.add.reduceat`` both halves' sums.  Those sums are sequential,
-    not pairwise; their roundings stay inside the ms + ns of the dual
-    margin in ``_solve_core``.
+    the stacked x = (u, v) and p = ((P∘P)σ, σ(Qᵀ∘Qᵀ)), which two
+    ``np.matmul`` calls write into one buffer: one square root gives both
+    sides' scalings, one division p/x both supergradients, one
+    ``np.maximum.reduceat`` both their maxima, and one ``np.add.reduceat``
+    both halves' sums.  Those sums are sequential, not pairwise; their
+    roundings stay inside the ms + ns of the dual margin in ``_solve_core``.
 
     T is a monotone map of MM type and converges linearly, so it runs inside
     a guarded SQUAREM cycle on x.  From x0 and
@@ -293,6 +309,7 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     halves = np.array([0, m])  # where u and v start in the stacked weights
     half_of = np.repeat([0, 1], (m, n))
     floor = np.repeat([1e-9 / m, 1e-9 / n], (m, n))
+    p = np.empty(m + n)  # each step's ((P∘P)σ, σ(Qᵀ∘Qᵀ)); floored_share copies it
     best_cert, best_dual, best, svds = math.inf, 0.0, None, 0
 
     def floored_share(p):
@@ -307,9 +324,10 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
         svds += 1
         f_val = float(sig.sum())
         best_dual = max(best_dual, f_val)
-        p = np.concatenate(((P * P) @ sig, sig @ (Qt * Qt)))
-        g = p / x
-        cert = math.sqrt(g[:m].max() * g[m:].max())
+        np.matmul(P * P, sig, out=p[:m])
+        np.matmul(sig, Qt * Qt, out=p[m:])
+        gu, gv = np.maximum.reduceat(p / x, halves)
+        cert = math.sqrt(gu * gv)
         if cert < best_cert:
             best_cert, best = cert, (P, sig, Qt, s)
         return f_val, floored_share(p)
@@ -465,7 +483,7 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     No random numbers are drawn.  A result whose residual still exceeds
     ``config.tol`` is returned as-is (non-certifying); callers decide.
     """
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     A_full = as_real_array(matrix)
     m, n = A_full.shape
     rows_keep = A_full.any(axis=1)
@@ -521,7 +539,7 @@ def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     lower bound whatever ``gamma2_lower`` returns; then ``ldim`` is not
     run, and the bracket is the one it would have been.
     """
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     A = as_real_array(matrix)
     upper = gamma2_upper(A, config)
     exact_ceiling = max(float(np.abs(A).max()), math.sqrt(A.shape[1].bit_length() - 1))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .core import (
     SignedBlockySum,
     _freeze,
@@ -156,7 +156,7 @@ def norm_decrement_step(
     the 1/8 drop in gamma^2, eps_out <= 2 eps, or a residual product more
     than 3 eps from the integers.
     """
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     A = as_real_array(matrix)
     m, n = A.shape
     if fac.shape != (m, n):
@@ -343,7 +343,7 @@ def decompose(
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
     """
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     A = as_int_array(matrix)
     check_entry_cap(A)
     m, n = A.shape
@@ -552,7 +552,7 @@ def random_lower_bound_experiment(n: int, trials: int, config: RunConfig | None 
     proved high-probability lower bound for random boolean matrices; the
     report is observational.
     """
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     if n > 4:
         raise ValueError("the exact oracle requires n <= 4")
     values = []

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DEFAULT_CONFIG, RunConfig
 from .core import is_blocky, round_half_down
 from .factorize import gamma2_lower, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
@@ -74,7 +74,7 @@ class SuiteContext:
     """Lazy caches for corpora reused across criteria 6-11."""
 
     def __init__(self, config: RunConfig | None = None):
-        self.config = config or RunConfig()
+        self.config = config or DEFAULT_CONFIG
         self._boolean3: list[dict] | None = None
         self._blocky50: list[dict] | None = None
 
@@ -445,7 +445,7 @@ def run_suite(
     echo=print,
 ) -> tuple[int, list[CriterionResult]]:
     """Run the battery (or a selection); returns (exit_code, results)."""
-    config = config or RunConfig()
+    config = config or DEFAULT_CONFIG
     ctx = SuiteContext(config)
     chosen = selection if selection is not None else sorted(CRITERIA)
     results = []

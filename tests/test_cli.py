@@ -233,6 +233,21 @@ def test_gamma2_on_entries_whose_squares_overflow(tmp_path, capsys):
     assert 1e155 <= lower <= upper < 1.2e155  # the norm is 2/sqrt(3) * 1e155
 
 
+def test_gamma2_states_an_absolute_tol_miss_relative_to_the_entries(tmp_path, capsys):
+    # At entries of 1e155 a residual of roundoff size is far above the absolute
+    # tol, and the line says how small it is beside max|A|.
+    p = tmp_path / "big.txt"
+    p.write_text("2 2 real\n1e155 0\n1e155 1e155\n")
+    assert main(["gamma2", "--input", str(p)]) == 0
+    upper = capsys.readouterr().out.splitlines()[1]
+    residual = float(upper.split("(residual ")[1].split(",")[0])
+    assert residual > 1e-9
+    _, relative = upper.split("NOT certifying at tol 1e-09, an absolute bound; ")
+    assert relative.endswith(" of max|A|)")
+    relative = float(relative.split()[0])
+    assert relative == pytest.approx(residual / 1e155, rel=0.05) and relative < 1e-14
+
+
 def test_gamma2_refuses_a_norm_above_the_largest_float(tmp_path, capsys):
     # An 8x8 Hadamard matrix of +-1e308 has norm 2.83e308.
     rows = [[(-1) ** bin(i & j).count("1") for j in range(8)] for i in range(8)]

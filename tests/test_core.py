@@ -122,23 +122,38 @@ def test_blocky_matrix_accepts_python_and_numpy_integers():
     assert BlockyMatrix.from_dense(b.to_dense()) == b
 
 
-@pytest.mark.parametrize(
-    "row_block, col_block, match",
-    [
-        ([0, -1], [0, 0, -1], "lengths"),  # three column labels for two columns
-        ([0, -1, -1], [0, -1], "lengths"),
-        ([0, -2], [0, -1], "-1"),  # label below -1
-        ([0, -1], [0, -3], "-1"),
-        ([0, 1], [0, -1], "column"),  # id 1 has a row but no column
-        ([0, -1], [0, 1], "names no rectangle"),  # id 1 has a column but no row
-        ([1, 0], [0, 1], "order of first row"),  # ids not numbered by first row
-        ([-1, 1], [1, -1], "order of first row"),  # id 0 missing
-        ([0.0, -1.0], [0, -1], "signed integers"),
-    ],
-)
+LABEL_DEFECTS = [
+    ([0, -1], [0, 0, -1], "lengths"),  # three column labels for two columns
+    ([0, -1, -1], [0, -1], "lengths"),
+    ([0, -2], [0, -1], "-1"),  # label below -1
+    ([0, -1], [0, -3], "-1"),
+    ([0, 1], [0, -1], "column"),  # id 1 has a row but no column
+    ([0, -1], [0, 1], "names no rectangle"),  # id 1 has a column but no row
+    ([1, 0], [0, 1], "order of first row"),  # ids not numbered by first row
+    ([-1, 1], [1, -1], "order of first row"),  # id 0 missing
+    ([0.0, -1.0], [0, -1], "signed integers"),
+]
+
+
+@pytest.mark.parametrize("row_block, col_block, match", LABEL_DEFECTS)
 def test_from_labels_rejects(row_block, col_block, match):
     with pytest.raises(ValueError, match=match):
         BlockyMatrix.from_labels((2, 2), np.array(row_block), np.array(col_block))
+
+
+@pytest.mark.parametrize("row_block, col_block, match", LABEL_DEFECTS)
+def test_from_label_tables_rejects_a_defect_in_the_second_term(row_block, col_block, match):
+    # The first term is valid and has a rectangle, so the second term's keys
+    # start past the first term's: each defect is caught where it sits.
+    first_rows = [0] + [-1] * (len(row_block) - 1)
+    first_cols = [0] + [-1] * (len(col_block) - 1)
+    rows, cols = np.array([first_rows, row_block]), np.array([first_cols, col_block])
+    with pytest.raises(ValueError, match=match) as sum_error:
+        SignedBlockySum.from_label_tables((2, 2), [1, -1], rows, cols)
+    with pytest.raises(ValueError) as term_error:
+        BlockyMatrix.from_labels((2, 2), np.array(row_block), np.array(col_block))
+    # The same message as for the term alone; a length message names the tables' shapes.
+    assert str(sum_error.value) == str(term_error.value).replace("(1, ", "(2, ")
 
 
 def test_blocky_matrix_labels_are_canonical_read_only_arrays():
@@ -306,6 +321,37 @@ def test_evaluate_chunk_boundaries(monkeypatch, chunk):
     for _ in range(20):
         s = _random_sum(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(0, 6)))
         assert np.array_equal(s.evaluate(), _evaluate_by_rectangles(s))
+
+
+def _keyed_cases():
+    rng = np.random.default_rng(76)
+    none = BlockyMatrix(shape=(4, 5), rectangles=[])  # a term whose labels are all -1
+    corner = BlockyMatrix(shape=(4, 5), rectangles=[((1, 3), (0, 4)), ((2,), (2,))])
+    return {
+        "zero-terms": SignedBlockySum(shape=(4, 5), terms=()),
+        "all-minus-one-term": SignedBlockySum(shape=(4, 5), terms=((1, none),)),
+        "all-minus-one-between": SignedBlockySum(shape=(4, 5), terms=((-1, corner), (1, none), (1, corner))),
+        "random": _random_sum(rng, 7, 9, 12),
+        "peel": greedy_l1_decompose(rng.integers(-3, 4, size=(6, 8))),
+    }
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("name", list(_keyed_cases()))
+def test_stored_and_lazily_computed_keys_evaluate_alike(monkeypatch, name, chunk):
+    # from_label_tables keeps the keys its validation computed; a sum built
+    # from its terms computes them the first time evaluate runs.
+    if chunk is not None:
+        monkeypatch.setattr(core, "_EVAL_CHUNK_CELLS", chunk)  # many chunks
+    s = _keyed_cases()[name]
+    validated = SignedBlockySum.from_label_tables(s.shape, *s.label_tables)
+    rebuilt = SignedBlockySum(shape=s.shape, terms=validated.terms)
+    assert "_rect_keys" in vars(validated) and "_rect_keys" not in vars(rebuilt)
+    expected = _evaluate_by_rectangles(s)
+    assert np.array_equal(validated.evaluate(), expected)
+    assert np.array_equal(rebuilt.evaluate(), expected)
+    for stored, computed in zip(validated._rect_keys, rebuilt._rect_keys):
+        assert stored.dtype == computed.dtype and np.array_equal(stored, computed)
 
 
 def test_sum_from_label_tables_keeps_tables_and_terms():

@@ -350,6 +350,30 @@ def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
         assert _canonical(s) == _canonical(_dedupe_peel_lift(A)), code
 
 
+# sha256 of decompose's label tables (each table's dtype, shape and bytes)
+# over the 511 nonzero 3x3 booleans, decomposed from the solver's
+# certificates, then the 15 random-blocky-sum grid instances (n = 64, 80,
+# ..., 128 and L = 4, 6, 8, generator seed 100n + L), decomposed from their
+# exact certificates.  Only integer tables are hashed: the solver's floats
+# differ between BLAS builds, the terms do not.
+DECOMPOSITION_TABLES_SHA256 = "bd8e1f77e18bed4a0eb3c8624d790aa17e25f913b1cc9aac10a91280b884dfb3"
+
+
+def test_decompose_label_tables_are_pinned():
+    inputs = [(_boolean3x3(code), None) for code in range(1, 512)]
+    for n in (64, 80, 96, 112, 128):
+        for L in (4, 6, 8):
+            inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=100 * n + L)
+            inputs.append((inst.matrix.values, inst.certificate))
+    digest = hashlib.sha256()
+    for A, fac in inputs:
+        s, _ = decompose(A, fac=fac)
+        for table in s.label_tables:
+            digest.update(f"{table.dtype.str}{table.shape}".encode())
+            digest.update(table.tobytes())
+    assert digest.hexdigest() == DECOMPOSITION_TABLES_SHA256
+
+
 def test_layer_bindings_of_the_traced_benchmark_resolve():
     # bench/spans.py wraps these layers by replacing ``owner.__dict__[name]``.
     assert callable(vars(pipeline)["greedy_l1_decompose"])
