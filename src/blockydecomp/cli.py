@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .factorize import GammaFactorization, gamma2_bracket, gamma2_upper
+from .factorize import gamma2_bracket, gamma2_upper
 from .formats import (
     dump_decomposition,
     dump_factorization,
@@ -35,7 +35,7 @@ from .formats import (
 from .generators import KINDS, GeneratorSpec, generate
 from .littlestone import BudgetExceeded, ldim, ldim_alpha
 from .partition import greedy_partition
-from .pipeline import check_entry_cap, decompose, exact_block_complexity
+from .pipeline import ORACLE_MAX_L, check_entry_cap, decompose, exact_block_complexity
 from .suite import run_suite
 
 __all__ = ["main"]
@@ -48,7 +48,6 @@ _RUN_FLAGS = {
     "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs; the ascent stops once its "
                  "dual gap closes, within 984 SVDs on every measured input"),
     "littlestone_budget": ("--budget", "dimension-recursion node budget"),
-    "oracle_depth": ("--oracle-depth", "term-count cap of the brute-force oracle"),
 }
 _SOLVER_FIELDS = ("tol", "max_iter", "littlestone_budget")
 
@@ -107,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact block complexity by exhaustive search")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-l", type=int, default=RunConfig.oracle_depth)
+    p.add_argument("--max-l", type=int, default=ORACLE_MAX_L,
+                   help=f"term-count cap of the search, at most {ORACLE_MAX_L} (default %(default)s)")
 
     p = sub.add_parser("gen", help="generate a test matrix (optionally with certificate)")
     p.add_argument("--kind", required=True, choices=KINDS)
@@ -123,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="also write the exact factorization certificate")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    _add_run_flags(p, ("seed", *_SOLVER_FIELDS, "oracle_depth"))
+    _add_run_flags(p, ("seed", *_SOLVER_FIELDS))
     p.add_argument("--select", default="", help="comma-separated criterion numbers (default: all)")
     p.add_argument("--out-dir", help="write results.json and data tables here")
     return ap
@@ -142,7 +142,7 @@ def _cmd_gamma2(args) -> int:
     print(f"lower bound: {bracket.lower:.9g} via {bracket.lower_witness}")
     print(f"upper bound: {fac.gamma:.9g} (residual {fac.residual:.3e}, {status})")
     if args.out:
-        dump_factorization(fac.U, fac.V, fac.gamma, fac.residual, args.out)
+        dump_factorization(fac, args.out)
         print(f"factorization written to {args.out}")
     return 0
 
@@ -197,8 +197,7 @@ def _cmd_decompose(args) -> int:
     A = load_int_matrix(args.input)
     check_entry_cap(A.values)
     if args.factorization:
-        U, V, gamma, residual = load_factorization(args.factorization)
-        fac = GammaFactorization(U=U, V=V, gamma=gamma, residual=residual)
+        fac = load_factorization(args.factorization)
     else:
         fac = gamma2_upper(A.values, config)
     if args.gamma is not None and fac.gamma > args.gamma and not args.force:
@@ -268,9 +267,8 @@ def _cmd_gen(args) -> int:
         if inst.certificate is None:
             print("error: --cert is only available for random-blocky-sum", file=sys.stderr)
             return 2
-        fac = inst.certificate
-        dump_factorization(fac.U, fac.V, fac.gamma, fac.residual, args.cert)
-        print(f"wrote certificate (gamma {fac.gamma:g}) to {args.cert}")
+        dump_factorization(inst.certificate, args.cert)
+        print(f"wrote certificate (gamma {inst.certificate.gamma:g}) to {args.cert}")
     return 0
 
 

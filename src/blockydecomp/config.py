@@ -23,27 +23,19 @@ class RunConfig:
     certificate residual tolerance, an absolute bound on max|A − UV| that
     does not scale with the entries: at entries near 1e155 a residual of
     1e-16 relative exceeds the default.  ``littlestone_budget`` caps exact
-    dimension-recursion node expansions; ``oracle_depth`` caps the
-    brute-force complexity search.  The field
-    defaults are the package defaults.  Output paths are carried by the CLI
-    flags, not here.
+    dimension-recursion node expansions.  The field defaults are the
+    package defaults.  Output paths are carried by the CLI flags, not here.
     """
 
     seed: int = 0
     tol: float = 1e-9
     max_iter: int = 10_000
     littlestone_budget: int = DEFAULT_BUDGET
-    oracle_depth: int = 6
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        for name, low in (
-            ("seed", 0),
-            ("max_iter", 1),
-            ("littlestone_budget", 1),
-            ("oracle_depth", 1),
-        ):
+        for name, low in (("seed", 0), ("max_iter", 1), ("littlestone_budget", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -157,27 +157,18 @@ Rectangle = tuple[tuple[int, ...], tuple[int, ...]]
 class BlockyCheck:
     """Outcome of a blockiness test.
 
-    ``rectangles`` is the canonical rectangle list (rows grouped by identical
-    support, ordered by smallest row index) when the matrix is blocky;
-    ``witness`` is a ((x1, x2), (y1, y2)) quadruple picking out a 2x2
-    submatrix with exactly three 1-entries otherwise.
+    ``term`` is the matrix as a ``BlockyMatrix`` (its rectangles are the
+    row-support classes, ordered by smallest row index) when the matrix is
+    blocky; ``witness`` is a ((x1, x2), (y1, y2)) quadruple picking out a
+    2x2 submatrix with exactly three 1-entries otherwise.
     """
 
     blocky: bool
-    rectangles: tuple[Rectangle, ...] | None = None
+    term: BlockyMatrix | None = None
     witness: tuple[tuple[int, int], tuple[int, int]] | None = None
 
     def __bool__(self) -> bool:
         return self.blocky
-
-
-def _bool01(matrix) -> np.ndarray:
-    arr = as_int_array(matrix)
-    bad = (arr != 0) & (arr != 1)
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        raise ValueError(f"boolean matrix required; entry ({x},{y}) is {arr[x, y]}")
-    return arr
 
 
 def is_blocky(matrix) -> BlockyCheck:
@@ -189,7 +180,11 @@ def is_blocky(matrix) -> BlockyCheck:
     ones, at the first 1-entry (row-major) whose row's support differs from
     that of the first row with a 1 in its column.
     """
-    arr = _bool01(matrix)
+    arr = as_int_array(matrix)
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        raise ValueError(f"boolean matrix required; entry ({x},{y}) is {arr[x, y]}")
     owner = arr.argmax(axis=0)  # first row with a 1 in each column
     packed = np.packbits(arr == 1, axis=1)  # one byte string per row support
     _, first, support_class = np.unique(
@@ -206,7 +201,7 @@ def is_blocky(matrix) -> BlockyCheck:
     heads_so_far = np.cumsum(nonzero & (head == np.arange(arr.shape[0])))
     row_block = np.where(nonzero, heads_so_far[head] - 1, -1)
     col_block = np.where(arr.any(axis=0), row_block[owner], -1)
-    return BlockyCheck(True, rectangles=BlockyMatrix.from_labels(arr.shape, row_block, col_block).rectangles)
+    return BlockyCheck(True, term=BlockyMatrix.from_labels(arr.shape, row_block, col_block))
 
 
 def _check_shape(shape) -> tuple[int, int]:
@@ -300,9 +295,8 @@ class BlockyMatrix:
     ``count`` is the number of rectangles.
 
     ``BlockyMatrix(shape, rectangles)`` converts a rectangle list in any
-    order at the boundary; ``from_labels`` and ``from_label_tables`` (many
-    terms at once) validate canonical labels in O(m + n) per term.
-    ``rectangles`` is a derived view, for output and tests.
+    order at the boundary; ``from_labels`` validates canonical labels in
+    O(m + n).  ``rectangles`` is a derived view, for output and tests.
     """
 
     shape: tuple[int, int]
@@ -331,14 +325,9 @@ class BlockyMatrix:
     @classmethod
     def from_labels(cls, shape: tuple[int, int], row_block, col_block) -> "BlockyMatrix":
         """The term with these canonical labels; raises ValueError otherwise."""
-        (term,) = cls.from_label_tables(shape, np.asarray(row_block)[None], np.asarray(col_block)[None])
+        tables = _check_label_tables(shape, np.asarray(row_block)[None], np.asarray(col_block)[None])
+        (term,) = cls._of_tables(*tables[:4])
         return term
-
-    @classmethod
-    def from_label_tables(cls, shape: tuple[int, int], row_blocks, col_blocks) -> tuple["BlockyMatrix", ...]:
-        """One term per row of a (terms, m) and a (terms, n) table of canonical
-        labels, validated together; raises ValueError if any term is invalid."""
-        return cls._of_tables(*_check_label_tables(shape, row_blocks, col_blocks)[:4])
 
     @classmethod
     def _of_tables(cls, shape, row_blocks, col_blocks, counts) -> tuple["BlockyMatrix", ...]:
@@ -376,14 +365,6 @@ class BlockyMatrix:
     def to_dense(self) -> np.ndarray:
         return self.support().astype(np.int64)
 
-    @classmethod
-    def from_dense(cls, matrix) -> "BlockyMatrix":
-        check = is_blocky(matrix)
-        if not check:
-            raise ValueError(f"matrix is not blocky; witness {check.witness}")
-        arr = _bool01(matrix)
-        return cls(shape=arr.shape, rectangles=check.rectangles)
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class SignedBlockySum:
@@ -391,14 +372,14 @@ class SignedBlockySum:
 
     Stored as ``label_tables``: the terms' signs (int64), a (terms, m) table
     of row labels and a (terms, n) table of column labels (int32, canonical
-    as in ``BlockyMatrix``), all read-only.  ``from_label_tables`` validates
-    such tables once and keeps them; ``SignedBlockySum(shape, terms)``
-    converts (sign, BlockyMatrix) pairs at the boundary.  ``len``, ``==``,
-    ``hash`` and ``evaluate`` read the tables; ``terms`` is a derived view,
-    built on first use.  ``evaluate`` also reads the tables' rectangle keys
-    (``_rectangle_keys``): ``from_label_tables`` keeps the ones its
-    validation computed, and a sum built from terms computes them the
-    first time it is evaluated.
+    as in ``BlockyMatrix``), all read-only.  ``from_label_tables`` takes
+    such tables; ``SignedBlockySum(shape, terms)`` stacks the labels of
+    (sign, BlockyMatrix) pairs into them.  Both validate the tables once, by
+    ``_check_label_tables``, and keep what it measured beside them: each
+    term's rectangle count (``_rect_counts``) and the tables' rectangle keys
+    (``_rect_keys``, see ``_rectangle_keys``).  ``len``, ``==``, ``hash``
+    and ``evaluate`` read the tables and keys; ``terms`` is a derived view,
+    built on first use.
     """
 
     shape: tuple[int, int]
@@ -412,44 +393,36 @@ class SignedBlockySum:
                 raise ValueError(f"term sign must be the integer -1 or +1, got {sign!r}")
             if b.shape != (m, n):
                 raise ValueError(f"term shape {b.shape} does not match sum shape {(m, n)}")
-        signs = np.array([sign for sign, _ in terms], dtype=np.int64)
         rb = np.stack([b.row_block for _, b in terms]) if terms else np.empty((0, m), np.int32)
         cb = np.stack([b.col_block for _, b in terms]) if terms else np.empty((0, n), np.int32)
-        for table in (signs, rb, cb):
-            table.setflags(write=False)
-        vars(self).update(shape=(m, n), label_tables=(signs, rb, cb))
+        self._store((m, n), np.array([sign for sign, _ in terms], dtype=np.int64), rb, cb)
 
     @classmethod
     def from_label_tables(cls, shape: tuple[int, int], signs, row_blocks, col_blocks) -> "SignedBlockySum":
         """The sum of ``signs[i]`` times the term with row i of each label table.
 
-        The tables are validated as in ``BlockyMatrix.from_label_tables``;
-        raises ValueError if a term is invalid or a sign is not -1 or +1.
+        Raises ValueError if a term is invalid or a sign is not -1 or +1.
         """
-        shape, rb, cb, _, keys = _check_label_tables(shape, row_blocks, col_blocks)
+        out = cls.__new__(cls)
+        out._store(shape, signs, row_blocks, col_blocks)
+        return out
+
+    def _store(self, shape, signs, row_blocks, col_blocks) -> None:
+        """Validate the tables and signs; keep them with the validation's counts and keys."""
+        shape, rb, cb, counts, keys = _check_label_tables(shape, row_blocks, col_blocks)
         signs = np.asarray(signs)
         bad = signs.size and (signs.dtype.kind != "i" or (np.abs(signs) != 1).any())
         if bad or signs.shape != (rb.shape[0],):
             raise ValueError(f"need one sign of -1 or +1 per term, got {signs!r}")
         signs = signs.astype(np.int64)
         signs.setflags(write=False)
-        out = cls.__new__(cls)
-        vars(out).update(shape=shape, label_tables=(signs, rb, cb), _rect_keys=keys)
-        return out
-
-    @cached_property
-    def _rect_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The tables' rectangle keys (``_rectangle_keys``): kept from
-        validation by ``from_label_tables``, computed on first use otherwise."""
-        _, rb, cb = self.label_tables
-        return _rectangle_keys(rb, cb, rb.max(axis=1, initial=-1) + 1)
+        vars(self).update(shape=shape, label_tables=(signs, rb, cb), _rect_counts=counts, _rect_keys=keys)
 
     @cached_property
     def terms(self) -> tuple[tuple[int, BlockyMatrix], ...]:
         """(sign, term) pairs, the terms viewing the rows of the label tables."""
         signs, rb, cb = self.label_tables
-        counts = rb.max(axis=1, initial=-1) + 1
-        return tuple(zip(signs.tolist(), BlockyMatrix._of_tables(self.shape, rb, cb, counts)))
+        return tuple(zip(signs.tolist(), BlockyMatrix._of_tables(self.shape, rb, cb, self._rect_counts)))
 
     def _key(self) -> tuple:
         return (self.shape, *(table.tobytes() for table in self.label_tables))
@@ -468,12 +441,11 @@ class SignedBlockySum:
 
         Every (term, rectangle id) pair is a key, numbered term by term; the
         keys, each key's column count and the labelled columns grouped by
-        key are the sum's stored ``_rectangle_keys``, so evaluating a sum
-        from ``from_label_tables`` derives none of them again.  Each row
-        carrying a key is repeated once per column carrying it, which lists
-        the rectangle's cells, and one ``np.bincount`` counts the cells of
-        positive terms into the first and those of negative terms into a
-        second m*n block.  The cost is the total rectangle area (‖A‖₁ for
+        key are the sum's stored ``_rect_keys``, so evaluating derives none
+        of them again.  Each row carrying a key is repeated once per column
+        carrying it, which lists the rectangle's cells, and one
+        ``np.bincount`` counts the cells of positive terms into the first
+        and those of negative terms into a second m*n block.  The cost is the total rectangle area (‖A‖₁ for
         the peel's output) plus O(terms * m) to key the row labels.  Rows
         are expanded in chunks of about ``_EVAL_CHUNK_CELLS`` cells.
 

@@ -572,7 +572,7 @@ def factorization_from_blocky_sum(decomp: SignedBlockySum) -> GammaFactorization
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
     r = 1.0 / math.sqrt(L)
     c = math.sqrt(L)
-    counts = rb.max(axis=1) + 1
+    counts = decomp._rect_counts
     term = np.repeat(np.arange(L), counts)  # inner coordinate -> (term, rectangle id)
     ids = np.arange(term.size) - np.repeat(np.cumsum(counts) - counts, counts)
     U = np.where(np.take(rb.T, term, axis=1) == ids, r, 0.0)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BlockyMatrix, IntMatrix, RealMatrix, SignedBlockySum, as_int_array
+from .factorize import GammaFactorization
 
 __all__ = [
     "load_matrix",
@@ -160,26 +161,23 @@ def load_decomposition(path) -> SignedBlockySum:
     return SignedBlockySum(shape=shape, terms=tuple(terms))
 
 
-def dump_factorization(U, V, gamma: float, residual: float, path) -> None:
-    obj = {
-        "gamma": float(gamma),
-        "residual": float(residual),
-        "U": np.asarray(U, dtype=np.float64).tolist(),
-        "V": np.asarray(V, dtype=np.float64).tolist(),
-    }
+def dump_factorization(fac: GammaFactorization, path) -> None:
+    """Write a certificate's U, V, gamma and residual as JSON."""
+    obj = {"gamma": fac.gamma, "residual": fac.residual, "U": fac.U.tolist(), "V": fac.V.tolist()}
     Path(path).write_text(json.dumps(obj) + "\n")
 
 
-def load_factorization(path) -> tuple[np.ndarray, np.ndarray, float, float]:
+def load_factorization(path) -> GammaFactorization:
+    """Read a certificate, checked as ``GammaFactorization`` checks one; a
+    missing field or a gamma or residual that is not a number raises ValueError."""
     obj = json.loads(Path(path).read_text())
     try:
-        U = np.asarray(obj["U"], dtype=np.float64)
-        V = np.asarray(obj["V"], dtype=np.float64)
+        gamma, residual = float(obj["gamma"]), float(obj["residual"])
+        return GammaFactorization(U=obj["U"], V=obj["V"], gamma=gamma, residual=residual)
     except KeyError as e:
         raise ValueError(f"{path}: missing factorization field {e}") from None
-    if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[0]:
-        raise ValueError(f"{path}: inner dimensions do not match: {U.shape} x {V.shape}")
-    return U, V, float(obj.get("gamma", float("nan"))), float(obj.get("residual", float("nan")))
+    except TypeError as e:  # a field of the wrong JSON type, such as a null gamma
+        raise ValueError(f"{path}: malformed factorization: {e}") from None
 
 
 def dump_report(report: dict, path) -> None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -410,22 +411,9 @@ def decompose(
 # Brute-force oracle
 
 
-@dataclass(frozen=True, eq=False)
-class _OracleTables:
-    """The oracle's search tables for one shape, immutable and shared by every call.
-
-    ``signed`` holds every nonzero boolean blocky matrix and its negation
-    (read-only int8, shape (count, m, n)); ``one_sums`` and ``pair_sums`` hold
-    the int8 bytes of every sum of one, respectively two, of them.
-    ``pair_sums`` is None where the pair table would exceed 2,000,000 sums.
-    """
-
-    signed: np.ndarray
-    one_sums: frozenset[bytes]
-    pair_sums: frozenset[bytes] | None
-
-
-_ORACLE_TABLES: dict[tuple[int, int], _OracleTables] = {}
+# The oracle's largest term count: the search is exhaustive, and its cost
+# grows by a factor of the blocky library size per term.
+ORACLE_MAX_L = 6
 
 
 def _blocky_library(m: int, n: int) -> np.ndarray:
@@ -449,45 +437,45 @@ def _blocky_library(m: int, n: int) -> np.ndarray:
     return cand[ok][1:]  # drop the zero matrix; it contributes nothing to a sum
 
 
-def _oracle_tables(m: int, n: int) -> _OracleTables:
-    """The cached search tables of shape (m, n), built on first use."""
-    key = (m, n)
-    cached = _ORACLE_TABLES.get(key)
-    if cached is not None:
-        return cached
+@cache
+def _oracle_tables(m: int, n: int) -> tuple[np.ndarray, frozenset[bytes], frozenset[bytes] | None]:
+    """The oracle's search tables of shape (m, n), built on first use and shared by every call.
+
+    ``signed`` holds every nonzero boolean blocky matrix and its negation
+    (read-only int8, shape (count, m, n)); ``one_sums`` and ``pair_sums`` hold
+    the int8 bytes of every sum of one, respectively two, of them.
+    ``pair_sums`` is None where the pair table would exceed 2,000,000 sums.
+    """
     lib = _blocky_library(m, n)
     signed = _freeze(np.concatenate([lib, -lib], axis=0).astype(np.int8))
     pair_sums = None
     if signed.shape[0] ** 2 <= 2_000_000:
         sums = signed[:, None, :, :] + signed[None, :, :, :]
         pair_sums = frozenset(s.tobytes() for s in sums.reshape(-1, m, n))
-    tables = _OracleTables(signed, frozenset(s.tobytes() for s in signed), pair_sums)
-    _ORACLE_TABLES[key] = tables
-    return tables
+    return signed, frozenset(s.tobytes() for s in signed), pair_sums
 
 
-def exact_block_complexity(matrix, l_max: int = RunConfig.oracle_depth) -> int | None:
+def exact_block_complexity(matrix, l_max: int = ORACLE_MAX_L) -> int | None:
     """Minimum number of signed blocky terms summing to the matrix, or None.
 
     Exhaustive: enumerates every blocky matrix of the given shape and runs
     iterative-deepening search over signed sums, memoizing failed residuals.
-    Restricted to m*n <= 16 and l_max <= 6 by precondition.  None means the
-    complexity exceeds l_max; that is answered without search when some
-    entry exceeds l_max in magnitude, since each signed blocky term moves an
-    entry by at most 1.
+    Restricted to m*n <= 16 and l_max <= ``ORACLE_MAX_L`` by precondition.
+    None means the complexity exceeds l_max; that is answered without search
+    when some entry exceeds l_max in magnitude, since each signed blocky
+    term moves an entry by at most 1.
     """
     A = as_int_array(matrix)
     m, n = A.shape
     if m * n > 16:
         raise ValueError(f"oracle limited to m*n <= 16 entries, got {m}x{n}")
-    if not (0 <= l_max <= 6):
-        raise ValueError(f"l_max must lie in [0, 6], got {l_max}")
+    if not (0 <= l_max <= ORACLE_MAX_L):
+        raise ValueError(f"l_max must lie in [0, {ORACLE_MAX_L}], got {l_max}")
     if not A.any():
         return 0
     if np.abs(A).max() > l_max:
         return None
-    tables = _oracle_tables(m, n)
-    signed, one_sums, pair_sums = tables.signed, tables.one_sums, tables.pair_sums
+    signed, one_sums, pair_sums = _oracle_tables(m, n)
 
     ub = peel_term_count(A)
     top = min(l_max, ub)

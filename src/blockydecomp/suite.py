@@ -315,7 +315,7 @@ def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     blocky_checked = 0
     for item in ctx.boolean3x3():
         A, s = item["matrix"], item["sum"]
-        oc = exact_block_complexity(A, config.oracle_depth)
+        oc = exact_block_complexity(A)
         if oc is None or oc > len(s) or oc > peel_term_count(A):
             bad += 1
         check = is_blocky(A)
@@ -325,7 +325,7 @@ def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
                 bad += 1
     padded = np.zeros((3, 3), dtype=np.int64)
     padded[:2, :2] = [[1, 0], [1, 1]]
-    if exact_block_complexity(padded, config.oracle_depth) != 2:
+    if exact_block_complexity(padded) != 2:
         bad += 1
     dt = time.perf_counter() - t0
     detail = (
@@ -378,7 +378,7 @@ def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         # The bracket's lower bound: the exact bounds or the certificate's dual.
         lower = max(gamma2_lower(A, budget=config.littlestone_budget)[0], fac.dual_bound)
         floor = term_count_floor(A, lower)
-        oc = exact_block_complexity(A, config.oracle_depth)
+        oc = exact_block_complexity(A)
         if oc is None or not floor <= oc <= len(s):
             bad += 1
             continue

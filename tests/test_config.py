@@ -1,14 +1,17 @@
 """Validation of the shared run configuration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from blockydecomp.config import RunConfig
+from blockydecomp.littlestone import DEFAULT_BUDGET
 
 
 def test_defaults_validate():
     cfg = RunConfig()
-    assert (cfg.seed, cfg.tol, cfg.max_iter, cfg.oracle_depth) == (0, 1e-9, 10_000, 6)
+    assert dataclasses.astuple(cfg) == (0, 1e-9, 10_000, DEFAULT_BUDGET)
     assert RunConfig(seed=np.int64(3), max_iter=np.int64(5)).seed == 3
 
 
@@ -25,7 +28,7 @@ def test_defaults_validate():
         {"max_iter": True},
         {"max_iter": 0},
         {"littlestone_budget": 0},
-        {"oracle_depth": 0},
+        {"littlestone_budget": 1.5},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -42,6 +42,9 @@ def test_is_blocky_matches_scan_oracle_on_all_3x3():
         expected = blocky_by_scan(A)
         got = is_blocky(A)
         assert bool(got) == expected, A
+        assert (got.term is not None) == expected
+        if expected:
+            assert np.array_equal(got.term.to_dense(), A), A
         agree += 1
     assert agree == 512
 
@@ -73,7 +76,7 @@ def test_is_blocky_rectangles_reconstruct_support():
         seen += 1
         rebuilt = np.zeros_like(A)
         rows_used, cols_used = set(), set()
-        for rows, cols in chk.rectangles:
+        for rows, cols in chk.term.rectangles:
             assert not (set(rows) & rows_used) and not (set(cols) & cols_used)
             rows_used |= set(rows)
             cols_used |= set(cols)
@@ -119,7 +122,7 @@ def test_blocky_matrix_accepts_python_and_numpy_integers():
     rects = [(np.array([1], dtype=np.uint8), [np.int64(0), 1]), ([np.int32(0)], np.array([2]))]
     b = BlockyMatrix(shape=(2, 3), rectangles=rects)
     assert b.rectangles == (((0,), (2,)), ((1,), (0, 1)))
-    assert BlockyMatrix.from_dense(b.to_dense()) == b
+    assert is_blocky(b.to_dense()).term == b
 
 
 LABEL_DEFECTS = [
@@ -230,8 +233,9 @@ def test_blocky_matrix_round_trip_from_dense():
         if not is_blocky(A).blocky or not A.any():
             continue
         found += 1
-        b = BlockyMatrix.from_dense(A)
+        b = is_blocky(A).term
         assert np.array_equal(b.to_dense(), A)
+        assert BlockyMatrix(shape=A.shape, rectangles=b.rectangles) == b
 
 
 def test_signed_sum_evaluate_matches_membership_sum():
@@ -244,7 +248,7 @@ def test_signed_sum_evaluate_matches_membership_sum():
             chk = is_blocky(A)
             if not (chk.blocky and A.any()):
                 continue
-            terms.append((int(rng.choice([-1, 1])), BlockyMatrix.from_dense(A)))
+            terms.append((int(rng.choice([-1, 1])), chk.term))
         if not terms:
             continue
         s = SignedBlockySum(shape=(3, 4), terms=tuple(terms))
@@ -339,19 +343,22 @@ def _keyed_cases():
 @pytest.mark.parametrize("chunk", [None, 1, 3])
 @pytest.mark.parametrize("name", list(_keyed_cases()))
 def test_stored_and_lazily_computed_keys_evaluate_alike(monkeypatch, name, chunk):
-    # from_label_tables keeps the keys its validation computed; a sum built
-    # from its terms computes them the first time evaluate runs.
+    # Both constructors validate once and store the same things: the tables,
+    # each term's rectangle count and the rectangle keys.  Nothing is left
+    # to compute on first use, and both evaluate alike.
     if chunk is not None:
         monkeypatch.setattr(core, "_EVAL_CHUNK_CELLS", chunk)  # many chunks
     s = _keyed_cases()[name]
     validated = SignedBlockySum.from_label_tables(s.shape, *s.label_tables)
     rebuilt = SignedBlockySum(shape=s.shape, terms=validated.terms)
-    assert "_rect_keys" in vars(validated) and "_rect_keys" not in vars(rebuilt)
+    assert vars(validated).keys() - {"terms"} == vars(rebuilt).keys() - {"terms"}
+    stored = (*validated.label_tables, validated._rect_counts, *validated._rect_keys)
+    computed = (*rebuilt.label_tables, rebuilt._rect_counts, *rebuilt._rect_keys)
+    for a, b in zip(stored, computed, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
     expected = _evaluate_by_rectangles(s)
     assert np.array_equal(validated.evaluate(), expected)
     assert np.array_equal(rebuilt.evaluate(), expected)
-    for stored, computed in zip(validated._rect_keys, rebuilt._rect_keys):
-        assert stored.dtype == computed.dtype and np.array_equal(stored, computed)
 
 
 def test_sum_from_label_tables_keeps_tables_and_terms():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockydecomp.core import BlockyMatrix, IntMatrix, RealMatrix, SignedBlockySum
+from blockydecomp.factorize import GammaFactorization
 from blockydecomp.formats import (
     dump_decomposition,
     dump_factorization,
@@ -137,10 +138,28 @@ def test_factorization_round_trip(tmp_path):
     U = np.array([[1.0, 0.0], [0.6, 0.8]])
     V = np.array([[1.0, 0.25], [0.0, -2.0 / 3.0]])
     p = tmp_path / "f.json"
-    dump_factorization(U, V, 2.0, 1.5e-16, p)
-    U2, V2, gamma, residual = load_factorization(p)
-    assert np.array_equal(U, U2) and np.array_equal(V, V2)
-    assert gamma == 2.0 and residual == 1.5e-16
+    dump_factorization(GammaFactorization(U=U, V=V, gamma=2.0, residual=1.5e-16), p)
+    fac = load_factorization(p)
+    assert np.array_equal(U, fac.U) and np.array_equal(V, fac.V)
+    assert fac.gamma == 2.0 and fac.residual == 1.5e-16
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"gamma": None}, "missing factorization field 'gamma'"),  # None drops the field
+        ({"residual": "small"}, "could not convert string to float"),
+        ({"gamma": [2.0]}, "malformed factorization"),
+        ({"V": [[1.0, 0.25]]}, "matching inner dimension"),
+    ],
+)
+def test_load_factorization_rejects_malformed_files(tmp_path, change, match):
+    obj = {"gamma": 2.0, "residual": 0.0, "U": [[1.0, 0.0], [0.6, 0.8]], "V": [[1.0, 0.25], [0.0, 0.5]]}
+    obj.update(change)
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
+    with pytest.raises(ValueError, match=match):
+        load_factorization(p)
 
 
 def test_report_dump(tmp_path):

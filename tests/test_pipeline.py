@@ -592,7 +592,7 @@ def test_oracle_answers_large_entries_without_search():
 def test_oracle_tables_are_built_once_per_shape_and_immutable(monkeypatch):
     A = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     want = exact_block_complexity(A)
-    tables = pipeline._ORACLE_TABLES[(3, 3)]
+    tables = pipeline._oracle_tables(3, 3)
 
     def refuse(m, n):
         raise AssertionError("oracle tables rebuilt for a cached shape")
@@ -600,15 +600,16 @@ def test_oracle_tables_are_built_once_per_shape_and_immutable(monkeypatch):
     monkeypatch.setattr(pipeline, "_blocky_library", refuse)
     assert exact_block_complexity(A) == want
     assert exact_block_complexity(A.T) == want
-    assert pipeline._ORACLE_TABLES[(3, 3)] is tables
-    assert isinstance(tables.one_sums, frozenset) and isinstance(tables.pair_sums, frozenset)
-    assert len(tables.one_sums) == tables.signed.shape[0] == 254
+    assert pipeline._oracle_tables(3, 3) is tables
+    signed, one_sums, pair_sums = tables
+    assert isinstance(one_sums, frozenset) and isinstance(pair_sums, frozenset)
+    assert len(one_sums) == signed.shape[0] == 254
     with pytest.raises(ValueError):
-        tables.signed[0, 0, 0] = 0
+        signed[0, 0, 0] = 0
     with pytest.raises(AttributeError):
-        tables.one_sums.add(b"")
+        one_sums.add(b"")
     with pytest.raises(AttributeError):
-        tables.pair_sums.discard(next(iter(tables.pair_sums)))
+        pair_sums.discard(next(iter(pair_sums)))
 
 
 def test_oracle_lower_bounds_other_term_counts():
