@@ -229,23 +229,25 @@ def _canonical(row_block: np.ndarray, col_block: np.ndarray) -> tuple[np.ndarray
     return rank[row_block], rank[col_block]
 
 
-def _rectangle_keys(rb: np.ndarray, cb: np.ndarray, counts: np.ndarray):
+def _rectangle_keys(cb: np.ndarray, counts: np.ndarray):
     """Key every (term, rectangle id) pair of valid label tables, term by term.
 
     Rectangle r of term t has key ``first_key[t] + r``.  Returns
     ``first_key`` (int64, one per term), ``per_key``, the number of columns
     carrying each key, and ``col``, the labelled columns grouped by key in
     ascending key order (the order within a key is ascending too), both in
-    the smallest signed dtype that holds n.  ``cb`` must already lie in
-    [-1, counts) row by row.
+    the smallest signed dtype that holds n.  ``cb``, the column table, must
+    already lie in [-1, counts) row by row; one flat scan lists its
+    labelled cells (its ravels are views when it is C-ordered).
     """
     ends = counts.cumsum()
     first_key = ends - counts
-    col_term, col = (cb >= 0).nonzero()
-    col_key = first_key[col_term] + cb[col_term, col]
-    dtype = np.min_scalar_type(-1 - cb.shape[1])  # the smallest signed dtype holding 0..n
-    col = col[col_key.argsort(kind="stable")].astype(dtype)
-    per_key = np.bincount(col_key, minlength=int(ends[-1]) if ends.size else 0).astype(dtype)
+    n = cb.shape[1]
+    cells = (cb >= 0).ravel().nonzero()[0]  # term * n + column of every labelled column
+    col_key = (cb + first_key[:, None]).ravel()[cells]
+    dtype = np.min_scalar_type(-1 - n)  # the smallest signed dtype holding 0..n
+    col = (cells % n)[col_key.argsort(kind="stable")].astype(dtype)
+    per_key = np.bincount(col_key, minlength=ends[-1] if ends.size else 0).astype(dtype)
     return first_key, per_key, col
 
 
@@ -273,11 +275,12 @@ def _check_label_tables(shape, row_blocks, col_blocks):
     counts = seen[:, -1] + 1
     if (cb.max(axis=1) >= counts).any():
         raise ValueError("a column label names no rectangle: no row carries it")
-    keys = _rectangle_keys(rb, cb, counts)
+    # Labels now lie in [-1, m), so int32 holds them at half the memory
+    # traffic; the copies are C-ordered, so the label scans read them flat.
+    rb, cb = rb.astype(np.int32, order="C"), cb.astype(np.int32, order="C")
+    keys = _rectangle_keys(cb, counts)
     if not keys[1].all():
         raise ValueError("every rectangle needs at least one column")
-    # Labels lie in [-1, m), so int32 holds them at half the memory traffic.
-    rb, cb = rb.astype(np.int32), cb.astype(np.int32)
     rb.setflags(write=False)
     cb.setflags(write=False)
     return (m, n), rb, cb, counts, keys
@@ -449,19 +452,21 @@ class SignedBlockySum:
         the peel's output) plus O(terms * m) to key the row labels.  Rows
         are expanded in chunks of about ``_EVAL_CHUNK_CELLS`` cells.
 
-        Allocation: index arrays over the labelled rows (computed in place
-        where they can be), one chunk's cells at a time, and the 2*m*n
-        counts, which the first chunk's ``np.bincount`` returns: no
-        zero-filled buffer is added into.  The negative block is subtracted
-        from the positive one in place, so the result is the first half of
-        the counts.
+        Allocation: index arrays over the labelled rows, which one flat scan
+        of the row table lists (computed in place where they can be), one
+        chunk's cells at a time, and the 2*m*n counts, which the first
+        chunk's ``np.bincount`` returns: no zero-filled buffer is added
+        into.  The negative block is subtracted from the positive one in
+        place, so the result is the first half of the counts.
         """
         m, n = self.shape
         signs, rb, cb = self.label_tables
         first_key, per_key, col = self._rect_keys  # col: columns grouped by key, keys ascending
-        row_term, base = (rb >= 0).nonzero()  # base: each rectangle row's row, for now
+        base = (rb >= 0).ravel().nonzero()[0]  # term * m + row of every rectangle row
+        row_term = base // m
         shift = first_key[row_term]
-        shift += rb[row_term, base]  # shift: each rectangle row's key, for now
+        shift += rb.ravel()[base]  # shift: each rectangle row's key, for now
+        base -= row_term * m  # base: each rectangle row's row, for now
         width = per_key[shift]  # cells in each rectangle row
         ends = width.cumsum()
         # Cell g of rectangle row i, ends[i] - width[i] <= g < ends[i], is
@@ -473,7 +478,7 @@ class SignedBlockySum:
         base += ((signs < 0) * (m * n))[row_term]
         del row_term
         cuts = range(_EVAL_CHUNK_CELLS, int(ends[-1]) if ends.size else 0, _EVAL_CHUNK_CELLS)
-        bounds = [0, *ends.searchsorted(cuts).tolist(), base.size]
+        bounds = [0, *(int(ends.searchsorted(cut)) for cut in cuts), base.size]
         counts = None
         for a, b in zip(bounds, bounds[1:]):
             if a < b:

@@ -4,8 +4,11 @@ Three self-contained combinatorial tools used by the pipeline:
 
 * ``greedy_l1_decompose`` writes any integer matrix as a signed sum of
   blocky matrices with at most 2 * (max row l1 norm) terms.  Its kernel,
-  ``_peel_tables``, returns the sum's raw label tables without sorting;
-  the pipeline lifts those tables before validating them once.
+  ``_peel_tables``, returns the sum's raw label tables without sorting, in
+  one pass over the nonzero cells for both signs: past one scan that lists
+  those cells, its work and memory follow the nonzero cells, their units
+  and the label tables.  The pipeline lifts those tables before validating
+  them once.
 * ``subtract_average`` locates the vectors whose squared norm drops by at
   least half the squared mean norm when the mean is subtracted.
 * ``greedy_partition`` repeatedly extracts the largest column class that
@@ -34,18 +37,16 @@ __all__ = [
 ]
 
 
-def _signed_parts(arr: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The peel's positive and negative part of the matrix, each with its row sums;
-    the negative part is clipped in place."""
-    negative = np.negative(arr)
-    parts = (np.maximum(arr, 0), np.maximum(negative, 0, out=negative))
-    return tuple((part, part.sum(axis=1)) for part in parts)
+def _peel_term_count(arr: np.ndarray) -> int:
+    """``peel_term_count`` of a validated integer array."""
+    positive = np.maximum(arr, 0)
+    return int(positive.sum(axis=1).max()) + int((positive - arr).sum(axis=1).max())
 
 
 def peel_term_count(matrix) -> int:
     """``len(greedy_l1_decompose(matrix))``, computed without building the sum:
     the largest positive row sum plus the largest negative row sum."""
-    return sum(int(row_sums.max()) for _, row_sums in _signed_parts(as_int_array(matrix)))
+    return _peel_term_count(as_int_array(matrix))
 
 
 def _peel_tables(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -53,62 +54,73 @@ def _peel_tables(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row labels and (terms x n) column labels, as ``greedy_l1_decompose``
     describes them.  An m x 0 input gives empty tables.
 
-    Allocation: the two signed parts, in the input's dtype (``decompose``
-    passes int16 columns), and the int32 label tables.  Each part is then
-    written by ``_peel_part`` into its own rounds of the tables, with
-    arrays over its units (one per unit of a row sum) and over its nonzero
-    cells, never over all m * n cells, plus an int32 (rounds x n) and
-    (rounds x m) key table; they are freed before the next part's.
+    One pass over the nonzero cells peels both signs.  The one scan of all
+    m * n cells lists them, the positive cells first and each sign's cells
+    row-major.  A row of a sign is a *part row*, numbered m + x for the
+    negative part's row x, so the part rows ascend along the list and each
+    one's cells are a run.  Row x's t-th unit of a sign lies in that sign's
+    round t, and the negative part's rounds follow the positive part's, so
+    every unit is placed at once and each (round, column) key is a
+    rectangle.  ``np.minimum.at`` over a (rounds x n) table finds each key's
+    first row.  Flagging the first rows in a (rounds x m) table, the running
+    count of flags along a round gives every key its canonical id, written
+    into the column table; each unit's row label is its key's id.  Every
+    fancy assignment writes distinct cells.  Nothing is sorted.
 
-    Nothing is sorted.  Row x's t-th unit lies in round t, so every unit of
-    a part is placed at once, and each (round, column) key is a rectangle.
-    ``np.minimum.at`` over a (rounds x n) table finds each key's first row.
-    Flagging the first rows in a (rounds x m) table, the running count of
-    flags along a round gives every key its canonical id, written into the
-    column table; each unit's row label is its key's id.  Every fancy
-    assignment writes distinct cells.
+    Allocation: index arrays over the nonzero cells and over the units (one
+    per unit of a row sum), a (2m + 1) table of part-row bounds, an int64
+    (rounds x n) first-row and an int32 (rounds x m) flag table, and the
+    int32 label tables.  Past the scan nothing is sized by m * n.
     """
     m, n = arr.shape
-    parts = _signed_parts(arr)
-    rounds = [int(row_sums.max()) for _, row_sums in parts]
-    row_block = np.full((sum(rounds), m), -1, dtype=np.int32)
-    col_block = np.full((sum(rounds), n), -1, dtype=np.int32)
-    for first_round, count, (part, row_sums) in zip((0, rounds[0]), rounds, parts):
-        if count:
-            part_rounds = slice(first_round, first_round + count)
-            _peel_part(part, row_sums, row_block[part_rounds], col_block[part_rounds])
-    return np.repeat([1, -1], rounds), row_block, col_block
-
-
-def _peel_part(part: np.ndarray, row_sums: np.ndarray, row_block: np.ndarray, col_block: np.ndarray) -> None:
-    """Write one signed part's rounds into its rounds' rows of the label
-    tables (contiguous views), as ``_peel_tables`` describes."""
-    m, n = part.shape
-    unit_row = np.repeat(np.arange(m, dtype=np.int32), row_sums)  # units run row-major, column by column
-    unit_round = np.arange(unit_row.size)
-    unit_round -= np.repeat(np.cumsum(row_sums) - row_sums, row_sums)
-    units = part.ravel()
-    cells = np.flatnonzero(units)  # row * n + column of every nonzero cell
-    key = unit_round - unit_row
-    key *= n
-    key += np.repeat(cells, units[cells])  # round * n + column
-    first_row = np.full(col_block.size, m, dtype=np.int32)
+    flat = arr.ravel()  # a view: every caller passes a C-ordered array
+    cells = (flat != 0).nonzero()[0]  # row * n + column of every nonzero cell
+    values = flat[cells]
+    negative = values < 0
+    negative_at = negative.nonzero()[0]
+    order = np.concatenate(((~negative).nonzero()[0], negative_at))
+    cells = cells[order]
+    units = np.abs(values[order])
+    row = cells // n
+    col = cells - row * n
+    part_row = row.copy()
+    part_row[cells.size - negative_at.size :] += m  # the negative cells' part rows
+    # ends[i]: the units of the cells before cell i; first_unit[p]: those before part row p.
+    ends = np.concatenate(([0], units)).cumsum()
+    first_unit = ends[part_row.searchsorted(np.arange(2 * m + 1))]
+    rounds = (first_unit[1:] - first_unit[:-1]).reshape(2, m).max(axis=1).tolist()
+    shift = -first_unit[:-1]  # a unit's round is its index plus its part row's shift
+    shift[m:] += rounds[0]
+    unit_round = np.arange(ends[-1])
+    unit_round += shift[part_row].repeat(units)
+    unit_row = row.repeat(units)
+    key = unit_round * n
+    key += col.repeat(units)  # round * n + column
+    total = rounds[0] + rounds[1]
+    first_row = np.full(total * n, m)
     np.minimum.at(first_row, key, unit_row)
-    keys = np.flatnonzero(first_row < m)
-    key_round, head = keys // n, first_row[keys]
-    flags = np.zeros(row_block.shape, dtype=np.int32)
-    flags[key_round, head] = 1  # a row opens at most one key per round
+    keys = (first_row < m).nonzero()[0]
+    head = keys // n
+    head *= m
+    head += first_row[keys]  # round * m + the key's first row
+    flags = np.zeros((total, m), dtype=np.int32)
+    flags.ravel()[head] = 1  # a row opens at most one key per round
+    row_block = np.full((total, m), -1, dtype=np.int32)
+    col_block = np.full((total, n), -1, dtype=np.int32)
     key_ids = col_block.ravel()  # a view
-    key_ids[keys] = np.cumsum(flags, axis=1, dtype=np.int32)[key_round, head] - 1
-    row_block[unit_round, unit_row] = key_ids[key]
+    key_ids[keys] = flags.cumsum(axis=1, dtype=np.int32).ravel()[head] - 1
+    unit_round *= m
+    unit_round += unit_row  # round * m + row
+    row_block.ravel()[unit_round] = key_ids[key]
+    return np.array((1, -1)).repeat(rounds), row_block, col_block
 
 
 def greedy_l1_decompose(matrix) -> SignedBlockySum:
     """Signed blocky sum evaluating exactly to the input.
 
-    The positive and negative parts are peeled separately, one unit per
-    round: every row with a surviving nonzero entry donates one unit in its
-    smallest nonzero column, and rows are grouped by chosen column into
+    The positive and negative parts are each peeled one unit per round:
+    every row with a surviving nonzero entry in the part donates one unit
+    in its smallest nonzero column, and rows are grouped by chosen column into
     single-column rectangles (disjoint by construction, hence blocky),
     numbered within their round by first row (the canonical id).  Each
     round is one term, the positive part's rounds first.  ``_peel_tables``

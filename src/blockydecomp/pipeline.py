@@ -49,7 +49,7 @@ from .core import (
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
 from .littlestone import _byte_keys, bucket_stabilize
-from .partition import _peel_tables, greedy_partition, peel_term_count, subtract_average
+from .partition import _peel_tables, _peel_term_count, greedy_partition, subtract_average
 
 # bench/spans.py wraps this binding by name; the chain itself peels with _peel_tables.
 from .partition import greedy_l1_decompose  # noqa: F401
@@ -337,9 +337,10 @@ def decompose(
     on which ``verify_factorization`` measures the residual in place; one
     int16 copy of A's columns, whose bytes key the dedupe and from which
     the distinct columns are taken (one m x k int16 copy, which the peel
-    reads); and ``evaluate``'s 2*m*n counts, whose first half is its
-    result.  The rest is sized by the label tables or by the rectangles'
-    cells.
+    scans once for its nonzero cells); and ``evaluate``'s 2*m*n counts,
+    whose first half is its result.  The rest is sized by the nonzero
+    cells of the distinct columns and their units, by the label tables, or
+    by the rectangles' cells.
 
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
@@ -381,8 +382,8 @@ def decompose(
         order = np.argsort(first)
         group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
         distinct = distinct[first[order]]
-    # The peel reads the distinct columns in C order, so its parts ravel as
-    # views; its raw tables are freed once validation has copied them.
+    # The peel reads the distinct columns in C order, so they ravel as a
+    # view; its raw tables are freed once validation has copied them.
     total = SignedBlockySum.from_label_tables(
         (m, n), *_lift(*_peel_tables(np.ascontiguousarray(distinct.T)), group_of)
     )
@@ -477,7 +478,7 @@ def exact_block_complexity(matrix, l_max: int = ORACLE_MAX_L) -> int | None:
         return None
     signed, one_sums, pair_sums = _oracle_tables(m, n)
 
-    ub = peel_term_count(A)
+    ub = _peel_term_count(A)
     top = min(l_max, ub)
     fails: set[tuple[bytes, int]] = set()
 

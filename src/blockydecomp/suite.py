@@ -4,7 +4,9 @@ Each criterion is a standalone function taking a RunConfig and a shared
 SuiteContext (which lazily caches the two expensive corpora: decompositions
 of all 512 boolean 3x3 matrices and of 50 generated blocky-sum instances,
 each with one ``norm_decrement_step`` of the paper's construction run from
-the same certificate on every nonzero instance).
+the same certificate on every nonzero instance).  Criterion 11 also runs
+on one matrix of each class of 4x4 booleans under row and column
+permutations and transposition (``boolean_classes``).
 Results carry pass/fail, a human-readable detail line, elapsed seconds, and
 machine-readable rows for plot tables.  ``run_suite`` executes a selection
 in order and optionally writes results plus tab-separated data tables.
@@ -12,6 +14,7 @@ in order and optionally writes results plus tab-separated data tables.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -34,7 +37,7 @@ from .pipeline import (
     term_count_floor,
 )
 
-__all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA"]
+__all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA", "boolean_classes"]
 
 
 @dataclass
@@ -104,6 +107,49 @@ class SuiteContext:
                 out.append({"id": i, "instance": inst, **_construction(A, inst.certificate, cfg)})
             self._blocky50 = out
         return self._blocky50
+
+
+def _row_column_canon(bits: np.ndarray) -> np.ndarray:
+    """One code per class of n x n booleans under row and column permutations.
+
+    ``bits`` holds the matrices as an integer array (count, n, n).  For each
+    one: over the n! row permutations, the least packing, base 2^n, of its
+    column codes (row x as bit x) in ascending order.
+    """
+    n = bits.shape[1]
+    columns = (bits << np.arange(n)[:, None]).sum(axis=1)
+    perms = np.array(list(itertools.permutations(range(n))))
+    # moved[p, c]: column code c with row x moved to row perms[p, x]
+    moved = (((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) << perms[:, None, :]).sum(axis=2)
+    permuted = moved.astype(np.uint8)[:, columns]  # (n!, count, n); n <= 8
+    permuted.sort(axis=2)
+    packed = np.zeros(permuted.shape[:2], dtype=np.int64)
+    for j in range(n):
+        packed <<= n
+        packed |= permuted[:, :, j]
+    return packed.min(axis=0)
+
+
+def boolean_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n boolean matrices up to row and column permutations and transposition.
+
+    Returns one representative per class, the class's matrix of least code
+    (entry (x, y) is bit x*n + y of the code), as an int64 array
+    (classes, n, n), and each class's size; the zero matrix comes first.
+    Block complexity is the same on every matrix of a class.
+    """
+    codes = np.arange(1 << (n * n))
+    bits = ((codes[:, None] >> np.arange(n * n)) & 1).reshape(-1, n, n)
+    canon = np.minimum(_row_column_canon(bits), _row_column_canon(bits.transpose(0, 2, 1)))
+    _, first, sizes = np.unique(canon, return_index=True, return_counts=True)
+    return bits[first], sizes
+
+
+def _floor_and_oracle(A: np.ndarray, fac, config: RunConfig) -> tuple[int, int | None]:
+    """The certified term-count floor and the oracle's exact complexity of A."""
+    # The bracket's lower bound: the exact bounds or the certificate's dual.
+    lower = max(gamma2_lower(A, budget=config.littlestone_budget)[0], fac.dual_bound)
+    return term_count_floor(A, lower), exact_block_complexity(A)
 
 
 def criterion_1(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
@@ -369,28 +415,42 @@ def criterion_10(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
 
 
 def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
-    """Certified term-count floor sandwiched under the oracle and the term count."""
+    """Certified term-count floor sandwiched under the oracle and the term count.
+
+    Runs on the 512 boolean 3x3 matrices and on one representative of each
+    nonzero class of 4x4 booleans (``boolean_classes``); the 4x4 totals are
+    also weighted by class size, which totals the floor and the oracle over
+    all 65,535 nonzero 4x4 booleans, and the representatives' term counts.
+    """
     t0 = time.perf_counter()
     bad = 0
-    total = {"floor": 0, "oracle": 0, "terms": 0}
+    totals = {key: np.zeros(3, dtype=np.int64) for key in ("3x3", "4x4", "4x4 weighted")}
     for item in ctx.boolean3x3():
         A, s, fac = item["matrix"], item["sum"], item["fac"]
-        # The bracket's lower bound: the exact bounds or the certificate's dual.
-        lower = max(gamma2_lower(A, budget=config.littlestone_budget)[0], fac.dual_bound)
-        floor = term_count_floor(A, lower)
-        oc = exact_block_complexity(A)
+        floor, oc = _floor_and_oracle(A, fac, config)
         if oc is None or not floor <= oc <= len(s):
             bad += 1
             continue
-        total["floor"] += floor
-        total["oracle"] += oc
-        total["terms"] += len(s)
+        totals["3x3"] += (floor, oc, len(s))
+    reps, sizes = boolean_classes(4)
+    for A, size in zip(reps[1:], sizes[1:]):  # the zero matrix is first
+        fac = gamma2_upper(A, config)
+        floor, oc = _floor_and_oracle(A, fac, config)
+        terms = len(decompose(A, fac=fac, config=config)[0])
+        if oc is None or not floor <= oc <= terms:
+            bad += 1
+            continue
+        totals["4x4"] += (floor, oc, terms)
+        totals["4x4 weighted"] += size * np.array((floor, oc, terms))
     dt = time.perf_counter() - t0
+    shown = {key: " <= ".join(map(str, row.tolist())) for key, row in totals.items()}
     detail = (
-        f"512 boolean 3x3: floor <= oracle <= terms, totals {total['floor']} <= "
-        f"{total['oracle']} <= {total['terms']}; {bad} violations"
+        f"floor <= oracle <= terms, totals {shown['3x3']} on 512 boolean 3x3; {shown['4x4']} on "
+        f"{len(reps) - 1} nonzero 4x4 classes, {shown['4x4 weighted']} weighted by class size; "
+        f"{bad} violations"
     )
-    return CriterionResult(11, "term-count floor", bad == 0 and dt < 600, detail, dt, 600)
+    return CriterionResult(11, "term-count floor", bad == 0 and dt < 600, detail, dt, 600,
+                           {"floor_oracle_terms": totals, "classes_4x4": len(reps) - 1})
 
 
 CRITERIA = {

@@ -78,7 +78,23 @@ def test_criterion_10_random_complexity_histogram(config, ctx, capsys):
 
 
 def test_criterion_11_term_count_floor(config, ctx, capsys):
-    _run(11, config, ctx, capsys)
+    result = _run(11, config, ctx, capsys)
+    # The oracle is exact: 358 over the 191 nonzero 4x4 classes, and 131,275
+    # over all 65,535 nonzero 4x4 booleans.
+    assert result.data["classes_4x4"] == 191
+    assert result.data["floor_oracle_terms"]["4x4"][1] == 358
+    assert result.data["floor_oracle_terms"]["4x4 weighted"][1] == 131_275
+
+
+def test_boolean_classes_match_known_counts():
+    # n x n booleans up to row and column permutations: 36 at n = 3 and 317 at
+    # n = 4 (OEIS A002724); with transposition too, 26 and 192.
+    for n, without_transpose, classes in ((3, 36, 26), (4, 317, 192)):
+        reps, sizes = suite.boolean_classes(n)
+        assert reps.shape == (classes, n, n) and sizes.sum() == 1 << (n * n)
+        assert not reps[0].any() and sizes[0] == 1
+        bits = ((np.arange(1 << (n * n))[:, None] >> np.arange(n * n)) & 1).reshape(-1, n, n)
+        assert np.unique(suite._row_column_canon(bits)).size == without_transpose
 
 
 def test_construction_criteria_fail_when_no_step_was_checked(config):

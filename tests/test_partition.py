@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from blockydecomp.core import BlockyMatrix, is_blocky
+from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
 from blockydecomp.factorize import GammaFactorization
 from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import (
+    _peel_tables,
     greedy_l1_decompose,
     greedy_partition,
     peel_term_count,
     subtract_average,
 )
-from blockydecomp.pipeline import decompose
+from blockydecomp.pipeline import MAX_DECOMPOSE_ENTRY, decompose
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +392,25 @@ def test_l1_decompose_matches_loop_reference():
         arr[int(rng.integers(0, m))] *= int(rng.random() < 0.7)
         arr[:, int(rng.integers(0, n))] *= int(rng.random() < 0.7)
         cases.append(arr)
+    # one sign only, so one part has no rounds
+    cases += [sign * np.abs(arr) for sign, arr in zip((1, -1) * 20, cases[4:44])]
+    # row sums of 5 and 6 above the row count of 2, in either sign and in both
+    cases += [np.array([[3, 0, 2], [0, 6, 0]]), np.array([[-3, 0, -2], [0, -6, 0]]), np.array([[3, -1, 2], [-6, 4, 0]])]
+    # entries at MAX_DECOMPOSE_ENTRY, the largest that decompose peels as int16
+    cases.append(np.array([[MAX_DECOMPOSE_ENTRY, -MAX_DECOMPOSE_ENTRY], [1, -MAX_DECOMPOSE_ENTRY]]))
     for arr in cases:
         s = greedy_l1_decompose(arr)
         assert [(sign, b.rectangles) for sign, b in s.terms] == loop_greedy_l1_decompose(arr)
+        # decompose peels int16 columns: the same tables as from int64
+        wide, narrow = _peel_tables(np.asarray(arr, dtype=np.int64)), _peel_tables(np.asarray(arr, dtype=np.int16))
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(wide, narrow))
+    # a row sum of 9 * MAX_DECOMPOSE_ENTRY, past the int16 range of decompose's columns
+    big = MAX_DECOMPOSE_ENTRY * np.array([[1] * 9, [-1, 1] * 4 + [-1]])
+    wide, narrow = _peel_tables(big), _peel_tables(big.astype(np.int16))
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(wide, narrow))
+    assert np.array_equal(SignedBlockySum.from_label_tables(big.shape, *wide).evaluate(), big)
+    signs, rows, cols = _peel_tables(np.zeros((3, 0), dtype=np.int16))
+    assert (signs.shape, rows.shape, cols.shape) == ((0,), (0, 3), (0, 0))
 
 
 def test_partition_one_unique_per_round(monkeypatch):
