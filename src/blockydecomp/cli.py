@@ -45,8 +45,9 @@ __all__ = ["main"]
 _RUN_FLAGS = {
     "seed": ("--seed", "seed of the random trials"),
     "tol": ("--tol", "certificate residual tolerance, an absolute bound on max|A - UV|"),
-    "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs; the ascent stops once its "
-                 "dual gap closes, within 984 SVDs on every measured input"),
+    "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs, Newton and extrapolated points "
+                 "included; the ascent stops once its dual gap closes, within 984 SVDs on every "
+                 "measured input"),
     "littlestone_budget": ("--budget", "dimension-recursion node budget"),
 }
 _SOLVER_FIELDS = ("tol", "max_iter", "littlestone_budget")

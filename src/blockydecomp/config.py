@@ -14,10 +14,12 @@ class RunConfig:
     """Knobs threaded through every randomized or budgeted code path.
 
     ``max_iter`` caps the SVDs of the norm solver's one weight ascent from
-    the row/column energy, the SVDs at its extrapolated weights included.  The
+    the row/column energy, the SVDs at its Newton and extrapolated weights
+    included; the Newton solves take no SVD and are not counted.  The
     ascent stops once its certificate is within 1e-7 relative of its dual
     bound; on 511 3×3 booleans, 84 dense 8²–32² matrices and 54 blocky sums
-    of 16²–32² that takes at most 984 SVDs, so the default 10,000 is
+    of 16²–32² that takes at most 984 SVDs (at most 25 on the dense
+    matrices within the Newton window, 12²–24²), so the default 10,000 is
     reached only where the gap never closes.  ``seed`` drives the suite's
     random trials; the solver draws no random numbers.  ``tol`` is the
     certificate residual tolerance, an absolute bound on max|A − UV| that

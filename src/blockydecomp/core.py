@@ -47,6 +47,14 @@ def as_int_array(matrix) -> np.ndarray:
     """Coerce an IntMatrix / array-like into a validated 2-d int64 array."""
     if isinstance(matrix, IntMatrix):
         return matrix.values
+    return _int_array_with_range(matrix)[0]
+
+
+def _int_array_with_range(matrix) -> tuple[np.ndarray, int, int]:
+    """``as_int_array`` and the array's largest and smallest entries, each reduced once."""
+    if isinstance(matrix, IntMatrix):
+        values = matrix.values
+        return values, int(values.max()), int(values.min())
     if isinstance(matrix, RealMatrix):
         raise ValueError("integer matrix required, got a real matrix")
     arr = np.asarray(matrix)
@@ -68,9 +76,10 @@ def as_int_array(matrix) -> np.ndarray:
         raise ValueError("matrix must have at least one row and one column")
     # uint64 above 2**63 - 1 wraps on the int64 cast, and abs(-2**63) wraps
     # to a negative int64, so both are out of range.
-    if arr.max() > _INT64_MAX or arr.min() < -_INT64_MAX:
+    top, bottom = int(arr.max()), int(arr.min())
+    if top > _INT64_MAX or bottom < -_INT64_MAX:
         raise ValueError("integer entries must be at most 2**63 - 1 in magnitude")
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return np.ascontiguousarray(arr, dtype=np.int64), top, bottom
 
 
 def as_real_array(matrix) -> np.ndarray:

@@ -25,19 +25,27 @@ weights, which by concavity costs at most 1e-9 relative.  It converges
 linearly, and slowly near the optimum, so the ascent runs it inside a
 guarded SQUAREM cycle (Varadhan and Roland, Scand. J. Stat. 2008): two plain
 steps, one extrapolated point along them, and a third SVD there that is kept
-only when its dual value is no lower (``_ascend_weights``).  The dual value
+only when its dual value is no lower (``_ascend_weights``).  On full-rank
+cores whose smaller side is at least 10 and whose Jacobian is cheap beside
+the SVD (square cores up to 25²), Newton steps on the log-weights come
+first: the SVD already taken gives the Jacobian of the fixed-point
+condition, one linear solve gives the step, and a Newton point is kept
+only when its dual value does not fall and its gap shrinks 4×; otherwise
+the SQUAREM cycle takes over from the last kept point.  The dual value
 is jointly concave, so one start reaches the optimum: a single ascent from
 each row's and column's share of the squared entries runs until its best
 certificate is within 1e-7·max(1, dual) of its best dual value, or
 ``max_iter`` SVDs.  It runs on the core scaled by a power of two to
 max|A| in [1, 2), where that gap is relative and no square overflows.  On
 the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
-seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes at
-most 14, 147 and 984 SVDs (95, 3,605 and 4,587 with plain steps from the
-uniform weights), and every gap closes.  Any weights
-on the simplex give a valid dual value and any positive weights a valid
-certificate, so the start and the extrapolation change how fast the bounds
-tighten, never whether they hold.  Only the SVD of the best certificate is
+seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes
+3,088, 966 and 10,848 SVDs, at most 14, 147 and 984 per input (1,425 and
+10,877 on the dense matrices and sums without the Newton steps, and 95,
+3,605 and 4,587 at most with plain steps from the uniform weights), and
+every gap closes.  Any weights on the simplex give a valid dual value and
+any positive weights a valid certificate, so the start, the Newton steps
+and the extrapolation change how fast the bounds tighten, never whether
+they hold.  Only the SVD of the best certificate is
 kept.  Where its balanced factors miss A by more than ``tol``, a
 least-squares refit drives the residual to roundoff, on one side and on
 the other only when the first falls short (``_refit``); elsewhere, on all
@@ -251,8 +259,75 @@ def verify_factorization(
     )
 
 
+# The Newton phase's window and guards, measured in ``_ascend_weights``.
+_NEWTON_MIN_SIDE = 10
+_NEWTON_FLOPS = 52
+_NEWTON_RANK = 1e-8
+_NEWTON_MAX_STEP = 2.0
+_NEWTON_SHRINK = 4.0
+# Pair columns of Z built at a time in ``_log_share_jacobian``, so its
+# temporaries hold 64·(m+n) floats rather than k(k+1)/2·(m+n).
+_PAIR_CHUNK = 64
+
+
+def _in_newton_window(m: int, n: int, sig: np.ndarray) -> bool:
+    """Whether an m x n core whose first SVD has singular values ``sig`` takes Newton steps."""
+    k = min(m, n)
+    return (
+        k >= _NEWTON_MIN_SIDE
+        and (m + n) ** 2 * k * (k + 1) // 2 <= _NEWTON_FLOPS * m * n * k
+        and sig[-1] > _NEWTON_RANK * sig[0]
+    )
+
+
+def _log_share_jacobian(P: np.ndarray, sig: np.ndarray, Qt: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Jacobian of log p − log x in the log-weights log x, from the SVD P Σ Qᵀ at x.
+
+    With X the (m+n)×k stack of P and Q, Z the columns X[:,k]∘X[:,l] for
+    k ≤ l and w_kl = σ_kσ_l/(σ_k+σ_l) (doubled for k < l, 0 where
+    σ_k+σ_l = 0), it is D_p⁻¹(S∘Z diag(w) Zᵀ), S being −1 on the u–u and v–v
+    blocks and +1 off them.  Z is built ``_PAIR_CHUNK`` pair columns at a time.
+    """
+    m, k = P.shape
+    X = np.concatenate((P.T, Qt), axis=1)  # row l: the l-th left and right singular vectors
+    first, second = np.tri(k, dtype=bool).T.nonzero()  # the pairs k ≤ l, as np.triu_indices
+    total = sig[first] + sig[second]
+    w = np.divide(sig[first] * sig[second], total, out=np.zeros(total.size), where=total > 0)
+    w[first < second] *= 2
+    M = np.zeros((X.shape[1], X.shape[1]))
+    for c in range(0, w.size, _PAIR_CHUNK):
+        cut = slice(c, c + _PAIR_CHUNK)
+        Z = X[first[cut]] * X[second[cut]]
+        M += Z.T @ (w[cut, None] * Z)
+    M[:m, :m] *= -1
+    M[m:, m:] *= -1
+    M /= p[:, None]
+    return M
+
+
+def _newton_step(x: np.ndarray, p: np.ndarray, P: np.ndarray, sig: np.ndarray, Qt: np.ndarray):
+    """Log-weight step δ that makes log p − log x constant on each side, or None.
+
+    Solves the linearization J δ − c_side = log x − log p with Σδ = 0 on each
+    side, J from ``_log_share_jacobian``; None where the solve is singular
+    or a step exceeds ``_NEWTON_MAX_STEP``.
+    """
+    m, size = P.shape[0], x.size
+    K = np.zeros((size + 2, size + 2))
+    K[:size, :size] = _log_share_jacobian(P, sig, Qt, p)
+    K[:m, size] = K[m:size, size + 1] = -1.0
+    K[size, :m] = K[size + 1, m:size] = 1.0
+    rhs = np.zeros(size + 2)
+    rhs[:size] = np.log(x / p)
+    try:
+        delta = np.linalg.solve(K, rhs)[:size]
+    except np.linalg.LinAlgError:
+        return None
+    return delta if np.abs(delta).max() <= _NEWTON_MAX_STEP else None  # NaN fails too
+
+
 def _ascend_weights(A: np.ndarray, max_svds: int):
-    """Fixed-point reweighting ascent from the row/column energy, with SQUAREM.
+    """Fixed-point reweighting ascent from the row/column energy, with Newton steps and SQUAREM.
 
     Each SVD of the weighted matrix D_u^½ A D_v^½ = P Σ Qᵀ gives the dual
     value f(u, v) = Σσ, and the balanced factors L = D_u^-½ P Σ^½,
@@ -290,13 +365,44 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     value and positive weights a valid certificate, so the extrapolation
     never weakens either bound.
 
+    Newton steps come first on a core in the window: smaller side k at
+    least ``_NEWTON_MIN_SIDE``, the Jacobian's (m+n)²·k(k+1)/2 flops at most
+    ``_NEWTON_FLOPS``·m·n·k (square cores up to 25²), and a first SVD of
+    full rank, σ_min > ``_NEWTON_RANK``·σ_max.  At the optimum
+    log p − log x is constant on each side.  From the last kept SVD, one
+    (m+n+2)² solve of that condition's linearization, with Σδ = 0 on each
+    side, gives a log-weight step δ (``_newton_step``; the Jacobian comes
+    from the same SVD, ``_log_share_jacobian``).  The Newton point
+    floored_share(x·exp δ) costs one SVD like any other point and counts
+    against ``max_svds``.  It is kept only when its dual value is no lower
+    and its gap (certificate less dual value) is at most a
+    ``_NEWTON_SHRINK``-th of the kept point's.  Otherwise, or where the
+    solve is singular or some |δᵢ| exceeds ``_NEWTON_MAX_STEP``, the
+    SQUAREM cycle takes over from the last kept point x and T(x).  Newton
+    converges quadratically where it runs: 3 or 4 Newton points close the
+    gap of 45 of the bench's 48 dense 12²–24² cores (of the other three,
+    two are rank-deficient, and one asks for a first log-step of 2.4),
+    the dense sets' SVDs fall from 652 and 773 to 417 and 549,
+    and ``gamma2_upper`` takes 15–19% less time on them (one BLAS thread,
+    2-core x86-64 VM).  Smaller cores save too few SVDs to pay for the
+    solve: on the bench's twelve 8² cores it cut 444 SVDs to 416, within
+    the timing's spread.  The flop cap bounds the Jacobian beside the SVD,
+    as it grows as (m+n)²k² against the SVD's m·n·k: at 25² one Newton step
+    (Jacobian and solve) took 76 µs against 60 µs for the SVD.  The bench's
+    28² and 32² cores lie outside the cap; forced into the window, they
+    measured 19–24% faster, so the cap is conservative.  The rank test
+    keeps out low-rank cores such as the blocky sums, where the solve is
+    wasted: without it, the first Newton step of each of 18 census sums of
+    16² asked for a log-step above 2.
+
     The start is each row's and column's share of ‖A‖²_F, u ∝ Σⱼ Aᵢⱼ² and
     v ∝ Σᵢ Aᵢⱼ², floored like T so no weight is 0; on 0/±1 matrices that is
     each line's share of the nonzeros, and where all lines weigh the same
     (all-ones, the identity) it is the uniform start, up to the floor's
     rounding.  It is closer to the optimum than the uniform weights: the
-    ascent needs 24% fewer SVDs on the 511 booleans, about 5% fewer on the
-    bench's dense inputs and 4% fewer on 54 low-rank blocky sums.  A is
+    ascent without the Newton steps needs 24% fewer SVDs on the 511
+    booleans, about 5% fewer on the bench's dense inputs and 4% fewer on
+    54 low-rank blocky sums.  A is
     squared as it is: ``_solve_core`` passes a core with max|A| in [1, 2),
     where no square overflows.
 
@@ -317,7 +423,8 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
         return (1 - 1e-9) * (p / np.add.reduceat(p, halves)[half_of]) + floor
 
     def step(x):
-        # One SVD at the stacked weights x = (u, v): the dual value and T(x).
+        # One SVD at the stacked weights x = (u, v): the dual value, the
+        # certificate's gap above it, T(x), and the SVD.
         nonlocal best_cert, best_dual, best, svds
         s = np.sqrt(x)
         P, sig, Qt = np.linalg.svd(s[:m, None] * A * s[m:], full_matrices=False)
@@ -330,16 +437,26 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
         cert = math.sqrt(gu * gv)
         if cert < best_cert:
             best_cert, best = cert, (P, sig, Qt, s)
-        return f_val, floored_share(p)
+        return f_val, cert - f_val, floored_share(p), (P, sig, Qt)
 
     def done():
         return svds >= max_svds or best_cert - best_dual <= 1e-7 * max(1.0, best_dual)
 
     energy = A * A
     x0 = floored_share(np.concatenate((energy.sum(axis=1), energy.sum(axis=0))))
-    _, x1 = step(x0)
+    f0, gap0, x1, svd = step(x0)
+    if _in_newton_window(m, n, svd[1]):
+        while not done():
+            delta = _newton_step(x0, p, *svd)
+            if delta is None:
+                break
+            xn = floored_share(x0 * np.exp(delta))
+            fn, gapn, xn1, svdn = step(xn)
+            if not (fn >= f0 and _NEWTON_SHRINK * gapn <= gap0):
+                break
+            x0, x1, f0, gap0, svd = xn, xn1, fn, gapn, svdn
     while not done():
-        f1, x2 = step(x1)
+        f1, _, x2, _ = step(x1)
         if done():
             break
         r, w = x1 - x0, x2 - 2 * x1 + x0
@@ -347,7 +464,7 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
         alpha = max(math.sqrt(r @ r) / norm_w, 1.0) if norm_w > 0 else 1.0
         xp = np.maximum(x0 + 2 * alpha * r + alpha**2 * w, 1e-20)
         xp /= np.add.reduceat(xp, halves)[half_of]
-        fp, xpp = step(xp)
+        fp, _, xpp, _ = step(xp)
         x0, x1 = (xp, xpp) if fp >= f1 else (x1, x2)
     P, sig, Qt, s = best
     s_half = np.sqrt(sig)

@@ -43,6 +43,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .core import (
     SignedBlockySum,
     _freeze,
+    _int_array_with_range,
     as_int_array,
     as_real_array,
     round_half_down,
@@ -81,7 +82,12 @@ def check_entry_cap(A: np.ndarray) -> None:
     Callers run it before any solver or peel work on the matrix.
     """
     # as_int_array rejects -2**63, so |A| cannot wrap; max/min skip the abs temporary.
-    if A.max() > MAX_DECOMPOSE_ENTRY or A.min() < -MAX_DECOMPOSE_ENTRY:
+    _check_entry_range(A.max(), A.min())
+
+
+def _check_entry_range(top: int, bottom: int) -> None:
+    """``check_entry_cap`` on an integer matrix's largest and smallest entries."""
+    if top > MAX_DECOMPOSE_ENTRY or bottom < -MAX_DECOMPOSE_ENTRY:
         raise ValueError(
             f"an entry exceeds the decomposition limit of {MAX_DECOMPOSE_ENTRY} in magnitude; "
             "a signed blocky sum needs at least max|A| terms"
@@ -346,8 +352,8 @@ def decompose(
     certificate's gamma^2 and eps.
     """
     config = config or DEFAULT_CONFIG
-    A = as_int_array(matrix)
-    check_entry_cap(A)
+    A, top, bottom = _int_array_with_range(matrix)
+    _check_entry_range(top, bottom)
     m, n = A.shape
     if fac is None:
         fac = gamma2_upper(A, config)
