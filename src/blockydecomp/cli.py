@@ -33,8 +33,8 @@ from .formats import (
     load_matrix,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .littlestone import BudgetExceeded, ldim, ldim_alpha
-from .partition import greedy_partition
+from .littlestone import DEFAULT_BUDGET, BudgetExceeded, ldim, ldim_alpha
+from .partition import DENSITY_DELTAS, greedy_partition
 from .pipeline import ORACLE_MAX_L, check_entry_cap, decompose, exact_block_complexity
 from .suite import run_suite
 
@@ -45,12 +45,7 @@ __all__ = ["main"]
 _RUN_FLAGS = {
     "seed": ("--seed", "seed of the random trials"),
     "tol": ("--tol", "certificate residual tolerance, an absolute bound on max|A - UV|"),
-    "max_iter": ("--max-iter", "cap on the solver's weight-ascent SVDs, Newton and extrapolated points "
-                 "included; the ascent stops once its dual gap closes, within 984 SVDs on every "
-                 "measured input"),
-    "littlestone_budget": ("--budget", "dimension-recursion node budget"),
 }
-_SOLVER_FIELDS = ("tol", "max_iter", "littlestone_budget")
 
 
 def _add_run_flags(p: argparse.ArgumentParser, fields) -> None:
@@ -59,6 +54,14 @@ def _add_run_flags(p: argparse.ArgumentParser, fields) -> None:
         default = getattr(RunConfig, name)
         p.add_argument(flag, dest=name, type=type(default), default=default,
                        metavar=flag[2:].upper().replace("-", "_"), help=f"{text} (default %(default)s)")
+
+
+def _budget(text: str) -> int:
+    """The ``--budget`` of ``ldim`` and ``ldim-alpha``: a node budget of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
 
 
 def _run_config(args) -> RunConfig:
@@ -76,28 +79,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma2", help="two-sided factorization-norm estimate")
     p.add_argument("--input", required=True)
-    _add_run_flags(p, _SOLVER_FIELDS)
+    _add_run_flags(p, ("tol",))
     p.add_argument("--out", help="write the upper-bound factorization to this JSON file")
 
+    budget_help = "dimension-recursion node budget (default %(default)s)"
     p = sub.add_parser("ldim", help="exact mistake-tree dimension of a sign matrix")
     p.add_argument("--input", required=True)
-    _add_run_flags(p, ("littlestone_budget",))
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help=budget_help)
 
     p = sub.add_parser("ldim-alpha", help="exact weighted mistake-tree dimension")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    _add_run_flags(p, ("littlestone_budget",))
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET, help=budget_help)
 
-    p = sub.add_parser("partition", help="greedy constant-class column partition")
+    p = sub.add_parser("partition", help="greedy column partition and its density-cap check")
     p.add_argument("--input", required=True)
-    p.add_argument("--check-bound", action="store_true", help="re-verify the density cap on the delta grid")
 
     p = sub.add_parser("decompose", help="full signed blocky decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--factorization", help="JSON certificate; computed when omitted")
     p.add_argument("--gamma", type=float, help="refuse if the certificate norm exceeds this")
-    _add_run_flags(p, _SOLVER_FIELDS)
-    p.add_argument("--force", action="store_true", help="proceed on a non-certifying factorization")
+    _add_run_flags(p, ("tol",))
     p.add_argument("--out", required=True, help="decomposition JSON output path")
     p.add_argument("--report", required=True, help="report JSON output path")
 
@@ -124,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", help="also write the exact factorization certificate")
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    _add_run_flags(p, ("seed", *_SOLVER_FIELDS))
+    _add_run_flags(p, ("seed", "tol"))
     p.add_argument("--select", default="", help="comma-separated criterion numbers (default: all)")
     p.add_argument("--out-dir", help="write results.json and data tables here")
     return ap
@@ -149,16 +151,14 @@ def _cmd_gamma2(args) -> int:
 
 
 def _cmd_ldim(args) -> int:
-    budget = _run_config(args).littlestone_budget
     A = load_matrix(args.input)
-    print(ldim(np.asarray(A, dtype=np.float64), budget=budget))
+    print(ldim(np.asarray(A, dtype=np.float64), budget=args.budget))
     return 0
 
 
 def _cmd_ldim_alpha(args) -> int:
-    budget = _run_config(args).littlestone_budget
     A = load_matrix(args.input)
-    print(ldim_alpha(np.asarray(A, dtype=np.float64), args.alpha, budget=budget))
+    print(ldim_alpha(np.asarray(A, dtype=np.float64), args.alpha, budget=args.budget))
     return 0
 
 
@@ -176,21 +176,18 @@ def _cmd_partition(args) -> int:
     gp = greedy_partition(arr)
     for i, cls in enumerate(gp.classes):
         print(f"class {i}: (x={cls.row}, b={cls.value}, size={len(cls.columns)}, members={list(cls.columns)})")
-    deltas = (0.5, 0.25, 0.1, 0.05)
-    print(f"density table (columns: delta={deltas}, cap=(ln {arr.shape[1]}+1)/delta)")
-    table = gp.density_table(deltas)  # len(deltas) consecutive rows per (x, b)
+    print(f"density table (columns: delta={DENSITY_DELTAS}, cap=(ln {arr.shape[1]}+1)/delta)")
+    table = gp.density_table()  # len(DENSITY_DELTAS) consecutive rows per (x, b)
     violations = 0
-    for k in range(0, len(table), len(deltas)):
-        group = table[k : k + len(deltas)]
+    for k in range(0, len(table), len(DENSITY_DELTAS)):
+        group = table[k : k + len(DENSITY_DELTAS)]
         counts = [r["count"] for r in group]
         if not any(counts):
             continue
         print(f"  x={group[0]['row']} b={group[0]['value']}: counts={counts}")
         violations += sum(r["count"] > r["ceiling"] + 1e-9 for r in group)
-    if args.check_bound:
-        print(f"density bound check: {violations} violations")
-        return 0 if violations == 0 else 1
-    return 0
+    print(f"density bound check: {violations} violations")
+    return 0 if violations == 0 else 1
 
 
 def _cmd_decompose(args) -> int:
@@ -201,13 +198,13 @@ def _cmd_decompose(args) -> int:
         fac = load_factorization(args.factorization)
     else:
         fac = gamma2_upper(A.values, config)
-    if args.gamma is not None and fac.gamma > args.gamma and not args.force:
+    if args.gamma is not None and fac.gamma > args.gamma:
         print(
             f"error: certificate norm {fac.gamma:.6f} exceeds the requested bound {args.gamma:.6f}",
             file=sys.stderr,
         )
         return 2
-    s, report = decompose(A.values, fac=fac, config=config, force=args.force)
+    s, report = decompose(A.values, fac=fac, config=config)
     gamma0 = report.gamma_squared_trajectory[0] ** 0.5
     dump_decomposition(s, args.out)
     dump_report(report.to_json_dict(), args.report)

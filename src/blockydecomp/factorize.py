@@ -35,8 +35,8 @@ the SQUAREM cycle takes over from the last kept point.  The dual value
 is jointly concave, so one start reaches the optimum: a single ascent from
 each row's and column's share of the squared entries runs until its best
 certificate is within 1e-7·max(1, dual) of its best dual value, or
-``max_iter`` SVDs.  It runs on the core scaled by a power of two to
-max|A| in [1, 2), where that gap is relative and no square overflows.  On
+``_MAX_SVDS`` (10,000) SVDs.  It runs on the core scaled by a power of two
+to max|A| in [1, 2), where that gap is relative and no square overflows.  On
 the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
 seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes
 3,088, 966 and 10,848 SVDs, at most 14, 147 and 984 per input (1,425 and
@@ -258,6 +258,15 @@ def verify_factorization(
         tol=float(tol),
     )
 
+
+# Cap on the SVDs of one weight ascent, Newton and extrapolated points
+# included; the Newton solves take no SVD and are not counted.  The ascent
+# stops once its certificate is within 1e-7 relative of its dual bound: on
+# 511 3×3 booleans, 84 dense 8²–32² matrices and 54 blocky sums of 16²–32²
+# that takes at most 984 SVDs (at most 25 on the dense matrices within the
+# Newton window, 12²–24²), so the cap is reached only where the gap never
+# closes.
+_MAX_SVDS = 10_000
 
 # The Newton phase's window and guards, measured in ``_ascend_weights``.
 _NEWTON_MIN_SIDE = 10
@@ -513,7 +522,7 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     then neither overflow nor leave the normal range, and as its norm is at
     least 1 its stop gap of 1e-7·max(1, dual) is relative, also for a core
     whose entries are near 1e-150.  The scaled core runs one ascent from
-    the row/column energy (``_ascend_weights``, at most ``config.max_iter``
+    the row/column energy (``_ascend_weights``, at most ``_MAX_SVDS``
     SVDs).  Only where the ascent's factors miss the scaled core by more
     than ``config.tol``/s does the refit (``_refit``) run; that test
     compares exponents, so it holds for every s, also where
@@ -540,7 +549,7 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
 
     shift = math.frexp(top)[1] - 1
     A = np.ldexp(A, -shift)
-    L, R, dual = _ascend_weights(A, config.max_iter)
+    L, R, dual = _ascend_weights(A, _MAX_SVDS)
     margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
     if _exceeds(float(np.abs(A - L @ R).max()), config.tol, shift):
         L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
@@ -591,7 +600,7 @@ def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     Drops zero rows and columns.  A core of one row or one column gets its
     closed-form certificate (gamma = max|entry|).  Any other core runs one
     weight ascent from the row/column energy (``_ascend_weights``, at most
-    ``config.max_iter`` SVDs) and keeps its best certificate's factors, or
+    ``_MAX_SVDS`` SVDs) and keeps its best certificate's factors, or
     refits them where their residual exceeds ``config.tol`` (``_refit``):
     the residual is at most ``config.tol``, not always roundoff.  Either way
     the factors are rescaled so rows of U are unit-capped and re-embedded;
@@ -663,7 +672,7 @@ def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     if upper.dual_bound > exact_ceiling:
         lower, witness = upper.dual_bound, "dual"
     else:
-        lower, witness = gamma2_lower(A, budget=config.littlestone_budget)
+        lower, witness = gamma2_lower(A)
     if upper.dual_bound > lower:
         lower, witness = upper.dual_bound, "dual"
     return NormBracket(

@@ -36,6 +36,10 @@ __all__ = [
     "greedy_partition",
 ]
 
+# The density fractions delta at which ``GreedyPartition.density_table``
+# counts classes, and at which the suite and the CLI check the cap.
+DENSITY_DELTAS = (0.5, 0.25, 0.1, 0.05)
+
 
 def _peel_term_count(arr: np.ndarray) -> int:
     """``peel_term_count`` of a validated integer array."""
@@ -236,9 +240,10 @@ class GreedyPartition:
             for j, b in enumerate(values)
         }
 
-    def density_table(self, deltas=(0.5, 0.25, 0.1, 0.05)) -> list[dict]:
-        """For each (x, b, delta): the number of classes where row x equals b on
-        at least a delta fraction of columns, and its harmonic ceiling."""
+    def density_table(self) -> list[dict]:
+        """For each (x, b) and each delta of ``DENSITY_DELTAS``, in order: the
+        number of classes where row x equals b on at least a delta fraction
+        of columns, and its harmonic ceiling."""
         ceiling = math.log(self.matrix.shape[1]) + 1
         return [
             {
@@ -249,7 +254,7 @@ class GreedyPartition:
                 "ceiling": ceiling / delta,
             }
             for (x, b), probs in self.class_probabilities.items()
-            for delta in deltas
+            for delta in DENSITY_DELTAS
         ]
 
 

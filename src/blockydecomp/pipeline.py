@@ -153,15 +153,15 @@ def norm_decrement_step(
     """Split one blocky layer off an eps-almost-integer matrix.
 
     Requires the certificate to reproduce the matrix within ``config.tol``,
-    eps < 1/4, and a nonzero rounding; ``config.littlestone_budget`` caps the
-    stabilizer's exact dimension recursions.  Aborts with RoundingDriftError
-    if any grid value chosen for rounding is farther than 1/4 + eps (plus
-    slack) from an integer, which signals that the almost-integer
-    certificate no longer holds.  Raises ReconstructionError when rounding
-    is not additive over A = A' + (A - A') or the residual product rounds
-    differently from A - A', and AssertionError when a proved bound fails:
-    the 1/8 drop in gamma^2, eps_out <= 2 eps, or a residual product more
-    than 3 eps from the integers.
+    eps < 1/4, and a nonzero rounding; the stabilizer's exact dimension
+    recursions run at ``bucket_stabilize``'s default budget.  Aborts with
+    RoundingDriftError if any grid value chosen for rounding is farther than
+    1/4 + eps (plus slack) from an integer, which signals that the
+    almost-integer certificate no longer holds.  Raises ReconstructionError
+    when rounding is not additive over A = A' + (A - A') or the residual
+    product rounds differently from A - A', and AssertionError when a proved
+    bound fails: the 1/8 drop in gamma^2, eps_out <= 2 eps, or a residual
+    product more than 3 eps from the integers.
     """
     config = config or DEFAULT_CONFIG
     A = as_real_array(matrix)
@@ -198,7 +198,7 @@ def norm_decrement_step(
         captured_here: list[np.ndarray] = []
         for cls in part.classes:
             S = active[list(cls.columns)]
-            stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1, budget=config.littlestone_budget)
+            stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1)
             certified = certified and stab.certified
             S1 = S[list(stab.columns)]
             g = stab.row_values
@@ -316,17 +316,17 @@ def decompose(
     matrix,
     fac: GammaFactorization | None = None,
     config: RunConfig | None = None,
-    force: bool = False,
 ) -> tuple[SignedBlockySum, PipelineReport]:
     """Full signed blocky decomposition of an integer matrix, verified exactly.
 
     Uses the supplied factorization certificate (or computes one with
     ``gamma2_upper(matrix, config)``); a certificate that fails
-    ``verify_factorization`` at ``config.tol`` is refused unless ``force`` is
-    set, and one whose product does not round to the input always is.  The
+    ``verify_factorization`` at ``config.tol`` is refused, and so is one
+    whose product does not round to the input.  A looser certificate is
+    accepted by raising ``config.tol``; the sum does not depend on it.  The
     product is multiplied out once, in ``verify_factorization``: where its
     residual is below 1/2 the product rounds to the input and that residual
-    is the eps of the report; only a forced certificate at residual 1/2 or
+    is the eps of the report; only a certificate accepted at a tol of 1/2 or
     more is multiplied out again for the rounding check.  The sum is then
     the dedupe+peel of the input: ``_peel_tables`` writes the distinct
     nonzero columns' terms into raw label tables, ``_lift`` expands
@@ -358,12 +358,11 @@ def decompose(
     if fac is None:
         fac = gamma2_upper(A, config)
     report = verify_factorization(A, fac, config.tol)
-    if not report.ok and not force:
+    if not report.ok:
         raise ValueError(
             f"factorization does not certify the input at tol {config.tol:.3e} "
             f"(row norm {report.max_row_norm:.9f}, column norm {report.max_col_norm:.9f} "
-            f"vs gamma {fac.gamma:.9f}, residual {report.residual:.3e}); "
-            "pass force=True to proceed anyway"
+            f"vs gamma {fac.gamma:.9f}, residual {report.residual:.3e})"
         )
 
     # Where the product is within 1/2 of A everywhere it rounds to A, and the

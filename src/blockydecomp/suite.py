@@ -1,10 +1,13 @@
 """The eleven-point verification battery, shared by pytest and the CLI.
 
-Each criterion is a standalone function taking a RunConfig and a shared
-SuiteContext (which lazily caches the two expensive corpora: decompositions
-of all 512 boolean 3x3 matrices and of 50 generated blocky-sum instances,
-each with one ``norm_decrement_step`` of the paper's construction run from
-the same certificate on every nonzero instance).  Criterion 11 also runs
+Each criterion is a standalone check taking a RunConfig and a shared
+SuiteContext, registered in ``CRITERIA`` by ``_criterion`` with its number,
+name and wall-clock limit; the registration times every check and fails it
+past its limit.  The SuiteContext lazily caches the two expensive
+corpora: decompositions of all 512 boolean 3x3 matrices and of 50
+generated blocky-sum instances, each with one ``norm_decrement_step`` of
+the paper's construction run from the same certificate on every nonzero
+instance.  Criterion 11 also runs
 on one matrix of each class of 4x4 booleans under row and column
 permutations and transposition (``boolean_classes``).
 Results carry pass/fail, a human-readable detail line, elapsed seconds, and
@@ -14,10 +17,12 @@ in order and optionally writes results plus tab-separated data tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from .core import is_blocky, round_half_down
 from .factorize import gamma2_lower, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
-from .partition import greedy_partition, peel_term_count, subtract_average
+from .partition import DENSITY_DELTAS, greedy_partition, peel_term_count, subtract_average
 from .pipeline import (
     decompose,
     exact_block_complexity,
@@ -145,16 +150,41 @@ def boolean_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits[first], sizes
 
 
-def _floor_and_oracle(A: np.ndarray, fac, config: RunConfig) -> tuple[int, int | None]:
+def _floor_and_oracle(A: np.ndarray, fac) -> tuple[int, int | None]:
     """The certified term-count floor and the oracle's exact complexity of A."""
     # The bracket's lower bound: the exact bounds or the certificate's dual.
-    lower = max(gamma2_lower(A, budget=config.littlestone_budget)[0], fac.dual_bound)
+    lower = max(gamma2_lower(A)[0], fac.dual_bound)
     return term_count_floor(A, lower), exact_block_complexity(A)
 
 
-def criterion_1(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+CRITERIA: dict[int, Callable[[RunConfig, SuiteContext], CriterionResult]] = {}
+
+
+def _criterion(number: int, name: str, limit: float):
+    """Register a check as criterion ``number``, timed and held to ``limit`` seconds.
+
+    The check returns ``(ok, detail)`` or ``(ok, detail, data)``; the
+    criterion passes when ``ok`` holds and the check ran in under ``limit``.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def run(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail, *data = check(config, ctx)
+            dt = time.perf_counter() - t0
+            data = data[0] if data else {}
+            return CriterionResult(number, name, ok and dt < limit, detail, dt, limit, data)
+
+        CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "norm value reproduction", 1.0)
+def criterion_1(config: RunConfig, ctx: SuiteContext):
     """Pinned norm values: the 2/sqrt(3) witness and the exact-1 anchors."""
-    t0 = time.perf_counter()
     g_l = gamma2_upper([[1, 0], [1, 1]], config).gamma
     g_i = gamma2_upper(np.eye(3), config).gamma
     g_j = gamma2_upper(np.ones((3, 3)), config).gamma
@@ -163,15 +193,13 @@ def criterion_1(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         and 1.0 <= g_i <= 1.0 + 1e-6
         and 1.0 <= g_j <= 1.0 + 1e-6
     )
-    dt = time.perf_counter() - t0
     detail = f"[[1,0],[1,1]] -> {g_l:.6f} (window [1.15470, 1.15570]); identity -> {g_i:.9f}; all-ones -> {g_j:.9f}"
-    return CriterionResult(1, "norm value reproduction", ok and dt < 1.0, detail, dt, 1.0,
-                           {"gammas": {"lower-triangular": g_l, "identity": g_i, "all-ones": g_j}})
+    return ok, detail, {"gammas": {"lower-triangular": g_l, "identity": g_i, "all-ones": g_j}}
 
 
-def criterion_2(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(2, "lower/upper consistency", 120)
+def criterion_2(config: RunConfig, ctx: SuiteContext):
     """Dimension-vs-norm inequalities on 200 random sign matrices."""
-    t0 = time.perf_counter()
     worst_sqrt = -math.inf
     worst_alpha = -math.inf
     bad = 0
@@ -181,35 +209,34 @@ def criterion_2(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         n = int(rng.integers(2, 11))
         A = rng.choice([-1.0, 1.0], size=(m, n))
         gamma = gamma2_upper(A, config).gamma
-        d = ldim(A, budget=config.littlestone_budget)
+        d = ldim(A)
         worst_sqrt = max(worst_sqrt, math.sqrt(d) - gamma)
         if math.sqrt(d) > gamma + 1e-6:
             bad += 1
         for alpha in (0.125, 0.25, 0.5, 1.0):
-            da = ldim_alpha(A, alpha, budget=config.littlestone_budget)
+            da = ldim_alpha(A, alpha)
             cap = (2 * (1.0 + 1) * (gamma + 1) / alpha) ** 2 + 1e-6
             worst_alpha = max(worst_alpha, da - cap)
             if da > cap:
                 bad += 1
-    dt = time.perf_counter() - t0
     detail = (
         f"200 sign matrices <= 6x10: {bad} violations; worst sqrt(dim)-gamma slack "
         f"{worst_sqrt:.3e}; worst weighted-dim margin {worst_alpha:.1f}"
     )
-    return CriterionResult(2, "lower/upper consistency", bad == 0 and dt < 120, detail, dt, 120)
+    return bad == 0, detail
 
 
-def criterion_3(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(3, "stabilizer postconditions", 120)
+def criterion_3(config: RunConfig, ctx: SuiteContext):
     """Stabilizer postconditions, counted exactly, on 100+100 seeded trials."""
-    t0 = time.perf_counter()
     bad = []
     for t in range(100):
         rng = np.random.default_rng([config.seed, 31, t])
         A = rng.choice([-1, 1], size=(5, 32)).astype(np.int64)
-        res = majority_stabilize(A, 0.25, budget=config.littlestone_budget)
+        res = majority_stabilize(A, 0.25)
         cols = list(res.columns)
         rates = (A[:, cols] != res.row_values[:, None]).mean(axis=1)
-        d = ldim(A, budget=config.littlestone_budget)
+        d = ldim(A)
         if not (rates <= 0.25).all():
             bad.append(("majority-rate", t))
         if res.steps > d or len(cols) < (0.25**d) * 32:
@@ -217,7 +244,7 @@ def criterion_3(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     for t in range(100):
         rng = np.random.default_rng([config.seed, 32, t])
         A = rng.uniform(-2.0, 2.0, size=(4, 64))
-        res = bucket_stabilize(A, alpha=0.125, eps=0.1, budget=config.littlestone_budget)
+        res = bucket_stabilize(A, alpha=0.125, eps=0.1)
         cols = list(res.columns)
         rates = (np.abs(A[:, cols] - res.row_values[:, None]) >= 0.25).mean(axis=1)
         if not (rates <= 0.1).all():
@@ -225,20 +252,18 @@ def criterion_3(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         if not res.certified:
             bad.append(("bucket-uncertified", t))
         else:
-            d = ldim_alpha(A, 0.125, budget=config.littlestone_budget)
+            d = ldim_alpha(A, 0.125)
             if res.steps > d or len(cols) < res.size_bound - 1e-12:
                 bad.append(("bucket-size", t))
-    dt = time.perf_counter() - t0
     detail = f"100 majority (5x32, eps=0.25) + 100 bucket (4x64, alpha=1/8, eps=0.1) trials: {len(bad)} violations"
     if bad:
         detail += f"; first: {bad[0]}"
-    return CriterionResult(3, "stabilizer postconditions", not bad and dt < 120, detail, dt, 120)
+    return not bad, detail
 
 
-def criterion_4(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(4, "greedy partition guarantee", 60)
+def criterion_4(config: RunConfig, ctx: SuiteContext):
     """Greedy-partition harmonic bound and delta-density cap on 100 matrices."""
-    t0 = time.perf_counter()
-    deltas = (0.5, 0.25, 0.1, 0.05)
     bad = 0
     rows = []
     for t in range(100):
@@ -259,22 +284,20 @@ def criterion_4(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
             worst_slack = max(worst_slack, s - ceiling)
             if s > ceiling + 1e-9:
                 bad += 1
-            for delta in deltas:
+            for delta in DENSITY_DELTAS:
                 cnt = int((arr >= delta).sum())
                 cap = ceiling / delta
                 worst_count_margin = max(worst_count_margin, cnt - cap)
                 if cnt > cap + 1e-9:
                     bad += 1
         rows.append((t, size, worst_slack, worst_count_margin))
-    dt = time.perf_counter() - t0
     detail = f"100 integer matrices <= 16x256: {bad} violations; worst harmonic slack {max(r[2] for r in rows):.3e}"
-    return CriterionResult(4, "greedy partition guarantee", bad == 0 and dt < 60, detail, dt, 60,
-                           {"density_rows": rows})
+    return bad == 0, detail, {"density_rows": rows}
 
 
-def criterion_5(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(5, "subtract-average guarantee", 30)
+def criterion_5(config: RunConfig, ctx: SuiteContext):
     """Mean identity and kept-fraction bound over 1000 vector families."""
-    t0 = time.perf_counter()
     bad = 0
     for t in range(1000):
         rng = np.random.default_rng([config.seed, 5, t])
@@ -292,14 +315,13 @@ def criterion_5(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
             bad += 1
         if len(split.kept) < c_sq * r / (2 * gamma * gamma) - 1e-9 * r:
             bad += 1
-    dt = time.perf_counter() - t0
     detail = f"1000 families (r<=64, dim<=32): {bad} violations of the mean identity / kept bound"
-    return CriterionResult(5, "subtract-average guarantee", bad == 0 and dt < 30, detail, dt, 30)
+    return bad == 0, detail
 
 
-def criterion_6(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(6, "norm decrement per level", 300)
+def criterion_6(config: RunConfig, ctx: SuiteContext):
     """Construction step's norm decrement and eps control on 50 certified blocky sums."""
-    t0 = time.perf_counter()
     bad = 0
     steps = 0
     for item in ctx.blocky_instances():
@@ -317,15 +339,13 @@ def criterion_6(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
             bad += 1
         if step.eps_out > 2 * item["report"].eps_trajectory[0] + 1e-9:
             bad += 1
-    dt = time.perf_counter() - t0
     detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations"
-    ok = bad == 0 and steps > 0 and dt < 300
-    return CriterionResult(6, "norm decrement per level", ok, detail, dt, 300)
+    return bad == 0 and steps > 0, detail
 
 
-def criterion_7(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(7, "end-to-end exactness", 900)
+def criterion_7(config: RunConfig, ctx: SuiteContext):
     """Exact reconstruction everywhere; one construction level, never fewer terms."""
-    t0 = time.perf_counter()
     bad = 0
     steps = 0
     rows = []
@@ -345,18 +365,16 @@ def criterion_7(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
                     bad += 1
             g0 = rep.gamma_squared_trajectory[0]
             rows.append((kind, item[key], A.shape[0], A.shape[1], g0, step_terms, len(s), rep.bound_fit))
-    dt = time.perf_counter() - t0
     detail = (
         f"512 boolean 3x3 + 50 blocky sums reconstructed exactly; {steps} construction steps "
         f"end in one level with at least decompose's terms: {bad} failures"
     )
-    return CriterionResult(7, "end-to-end exactness", bad == 0 and steps > 0 and dt < 900, detail,
-                           dt, 900, {"term_rows": rows})
+    return bad == 0 and steps > 0, detail, {"term_rows": rows}
 
 
-def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(8, "oracle sandwich", 600)
+def criterion_8(config: RunConfig, ctx: SuiteContext):
     """Brute-force oracle sandwiched under both constructive term counts."""
-    t0 = time.perf_counter()
     bad = 0
     blocky_checked = 0
     for item in ctx.boolean3x3():
@@ -373,17 +391,16 @@ def criterion_8(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     padded[:2, :2] = [[1, 0], [1, 1]]
     if exact_block_complexity(padded) != 2:
         bad += 1
-    dt = time.perf_counter() - t0
     detail = (
         f"512 oracle values <= both term counts; {blocky_checked} nonzero blocky matrices all "
         f"at complexity 1; padded witness at 2; {bad} violations"
     )
-    return CriterionResult(8, "oracle sandwich", bad == 0 and dt < 600, detail, dt, 600)
+    return bad == 0, detail
 
 
-def criterion_9(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(9, "rounding additivity", 900)
+def criterion_9(config: RunConfig, ctx: SuiteContext):
     """Rounding additivity of every construction step's split A = A' + (A - A')."""
-    t0 = time.perf_counter()
     steps = 0
     failures = 0
     for item in ctx.boolean3x3() + ctx.blocky_instances():
@@ -394,27 +411,24 @@ def criterion_9(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
         split = round_half_down(a_prime) + round_half_down(product - a_prime)
         if not np.array_equal(round_half_down(product), split):
             failures += 1
-    dt = time.perf_counter() - t0
     detail = f"{steps} construction steps checked: {failures} additivity failures"
-    return CriterionResult(9, "rounding additivity", failures == 0 and steps > 0, detail, dt, 900)
+    return failures == 0 and steps > 0, detail
 
 
-def criterion_10(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(10, "random lower-bound report", 300)
+def criterion_10(config: RunConfig, ctx: SuiteContext):
     """Observational complexity histogram for random 3x3 boolean matrices."""
-    t0 = time.perf_counter()
     rep = random_lower_bound_experiment(3, 100, config)
     floor_ref = math.floor(rep["reference"])
-    ok = rep["min"] >= floor_ref
-    dt = time.perf_counter() - t0
     detail = (
         f"n=3, 100 trials: histogram {rep['histogram']}, min {rep['min']} >= "
         f"floor({rep['reference']:.3f}) = {floor_ref}"
     )
-    return CriterionResult(10, "random lower-bound report", ok and dt < 300, detail, dt, 300,
-                           {"experiment": rep})
+    return rep["min"] >= floor_ref, detail, {"experiment": rep}
 
 
-def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
+@_criterion(11, "term-count floor", 600)
+def criterion_11(config: RunConfig, ctx: SuiteContext):
     """Certified term-count floor sandwiched under the oracle and the term count.
 
     Runs on the 512 boolean 3x3 matrices and on one representative of each
@@ -422,12 +436,11 @@ def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     also weighted by class size, which totals the floor and the oracle over
     all 65,535 nonzero 4x4 booleans, and the representatives' term counts.
     """
-    t0 = time.perf_counter()
     bad = 0
     totals = {key: np.zeros(3, dtype=np.int64) for key in ("3x3", "4x4", "4x4 weighted")}
     for item in ctx.boolean3x3():
         A, s, fac = item["matrix"], item["sum"], item["fac"]
-        floor, oc = _floor_and_oracle(A, fac, config)
+        floor, oc = _floor_and_oracle(A, fac)
         if oc is None or not floor <= oc <= len(s):
             bad += 1
             continue
@@ -435,37 +448,20 @@ def criterion_11(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
     reps, sizes = boolean_classes(4)
     for A, size in zip(reps[1:], sizes[1:]):  # the zero matrix is first
         fac = gamma2_upper(A, config)
-        floor, oc = _floor_and_oracle(A, fac, config)
+        floor, oc = _floor_and_oracle(A, fac)
         terms = len(decompose(A, fac=fac, config=config)[0])
         if oc is None or not floor <= oc <= terms:
             bad += 1
             continue
         totals["4x4"] += (floor, oc, terms)
         totals["4x4 weighted"] += size * np.array((floor, oc, terms))
-    dt = time.perf_counter() - t0
     shown = {key: " <= ".join(map(str, row.tolist())) for key, row in totals.items()}
     detail = (
         f"floor <= oracle <= terms, totals {shown['3x3']} on 512 boolean 3x3; {shown['4x4']} on "
         f"{len(reps) - 1} nonzero 4x4 classes, {shown['4x4 weighted']} weighted by class size; "
         f"{bad} violations"
     )
-    return CriterionResult(11, "term-count floor", bad == 0 and dt < 600, detail, dt, 600,
-                           {"floor_oracle_terms": totals, "classes_4x4": len(reps) - 1})
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
+    return bad == 0, detail, {"floor_oracle_terms": totals, "classes_4x4": len(reps) - 1}
 
 
 def _write_tables(results: list[CriterionResult], out_dir: Path) -> None:

@@ -6,6 +6,7 @@ appear inline in the run log, and asserts the criterion's own pass flag
 (which includes the wall-clock limit).
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,6 +85,17 @@ def test_criterion_11_term_count_floor(config, ctx, capsys):
     assert result.data["classes_4x4"] == 191
     assert result.data["floor_oracle_terms"]["4x4"][1] == 358
     assert result.data["floor_oracle_terms"]["4x4 weighted"][1] == 131_275
+
+
+def test_every_criterion_fails_past_its_wall_clock_limit(config, ctx, monkeypatch):
+    # A clock that advances 10^4 s on each reading puts every check past its
+    # limit, whatever it found.
+    ticks = itertools.count()
+    monkeypatch.setattr(suite.time, "perf_counter", lambda: 1e4 * next(ticks))
+    for number in sorted(CRITERIA):
+        result = CRITERIA[number](config, ctx)
+        assert not result.passed, result.line
+        assert result.seconds >= 1e4 > result.limit, result.line
 
 
 def test_boolean_classes_match_known_counts():

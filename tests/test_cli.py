@@ -9,6 +9,7 @@ from blockydecomp import cli
 from blockydecomp.cli import main
 from blockydecomp.core import IntMatrix
 from blockydecomp.formats import dump_matrix, load_decomposition
+from blockydecomp.partition import GreedyPartition
 
 
 @pytest.fixture
@@ -94,9 +95,9 @@ def test_decompose_gamma_gate_runs_before_decomposing(corner, tmp_path, capsys, 
 @pytest.mark.parametrize(
     "flags",
     [
-        ["gamma2", "--max-iter", "0"],
+        ["gamma2", "--tol", "nan"],
         ["gamma2", "--tol", "-1"],
-        ["decompose", "--budget", "0"],
+        ["decompose", "--tol", "0"],
         ["suite", "--seed", "-1"],
     ],
 )
@@ -113,8 +114,40 @@ def test_invalid_run_flags_are_clean_errors(corner, tmp_path, capsys, flags):
 
 
 def test_suite_rejects_invalid_run_flags(capsys):
-    assert main(["suite", "--select", "1", "--max-iter", "0"]) == 2
-    assert capsys.readouterr().err.startswith("error: max_iter")
+    assert main(["suite", "--select", "1", "--tol", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: tol")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["gamma2", "--max-iter", "5"],
+        ["gamma2", "--budget", "5"],
+        ["decompose", "--max-iter", "5"],
+        ["decompose", "--budget", "5"],
+        ["decompose", "--force"],
+        ["suite", "--max-iter", "5"],
+        ["suite", "--budget", "5"],
+        ["partition", "--check-bound"],
+    ],
+)
+def test_removed_flags_are_refused(corner, tmp_path, capsys, flags):
+    # The solver's SVD cap and the recursion budget are constants, a looser
+    # certificate is accepted through --tol, and partition always checks
+    # its density cap.  argparse refuses an unknown flag with status 2.
+    command, *rest = flags
+    paths = {
+        "gamma2": ["--input", corner],
+        "decompose": ["--input", corner, "--out", str(tmp_path / "d.json"), "--report", str(tmp_path / "r.json")],
+        "suite": ["--select", "1"],
+        "partition": ["--input", corner],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *paths[command], *rest])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {rest[0]}" in captured.err
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_budget_exhaustion_is_a_clean_error(tmp_path, capsys):
@@ -125,6 +158,19 @@ def test_budget_exhaustion_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err
     assert main(["ldim-alpha", "--input", str(p), "--alpha", "1.0", "--budget", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [["ldim"], ["ldim-alpha", "--alpha", "0.5"]])
+def test_ldim_budget_below_one_is_refused(tmp_path, capsys, command):
+    # ldim-alpha answers one column without recursing, so there only the
+    # flag check refuses the budget.
+    p = tmp_path / "column.txt"
+    p.write_text("2 1 real\n1.0\n-1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "--input", str(p), *command[1:], "--budget", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget: must be an integer >= 1, got 0" in captured.err
 
 
 def test_oracle_rejects_unrepresentable_int_entries(tmp_path, capsys):
@@ -147,14 +193,13 @@ def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
     assert not dpath.exists() and not rpath.exists()
 
 
-@pytest.mark.parametrize("force", [[], ["--force"]])
-def test_decompose_exits_2_on_non_finite_factorization(corner, tmp_path, capsys, force):
+def test_decompose_exits_2_on_non_finite_factorization(corner, tmp_path, capsys):
     # JSON's NaN parses; the certificate is refused before any product is taken.
     fac = tmp_path / "fac.json"
     fac.write_text('{"U": [[1, 0], [0, NaN]], "V": [[1, 0], [1, 1]], "gamma": 1.5, "residual": 0.0}')
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
     argv = ["decompose", "--input", corner, "--factorization", str(fac), "--out", str(dpath), "--report", str(rpath)]
-    assert main(argv + force) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: U and V entries must be finite")
     assert not dpath.exists() and not rpath.exists()
 
@@ -208,7 +253,7 @@ def test_ldim_alpha_rejects_non_finite_alpha(tmp_path, capsys, alpha):
 def test_partition_output_and_bound(tmp_path, capsys):
     p = tmp_path / "m.txt"
     dump_matrix(IntMatrix([[1, 1, 0], [0, 0, 2]]), p)
-    assert main(["partition", "--input", str(p), "--check-bound"]) == 0
+    assert main(["partition", "--input", str(p)]) == 0
     out = capsys.readouterr().out
     assert "class 0: (x=0, b=1, size=2, members=[0, 1])" in out
     assert "density bound check: 0 violations" in out
@@ -217,7 +262,7 @@ def test_partition_output_and_bound(tmp_path, capsys):
 def test_partition_of_the_zero_matrix_is_empty(tmp_path, capsys):
     p = tmp_path / "z.txt"
     dump_matrix(IntMatrix(np.zeros((2, 3), dtype=int)), p)
-    assert main(["partition", "--input", str(p), "--check-bound"]) == 0
+    assert main(["partition", "--input", str(p)]) == 0
     captured = capsys.readouterr()
     assert captured.out == "stripping 3 all-zero column(s)\nempty partition: 0 classes\n"
     assert captured.err == ""
@@ -310,9 +355,46 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
 
 
 def test_suite_select_writes_results(tmp_path, capsys):
+    # Criteria 7, 4 and 10 each write a data table beside results.json.
     out_dir = tmp_path / "suite"
-    assert main(["suite", "--select", "1", "--out-dir", str(out_dir)]) == 0
-    line = capsys.readouterr().out
-    assert "PASS criterion 1" in line
+    assert main(["suite", "--select", "1,4,7,10", "--out-dir", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert all(f"PASS criterion {k} " in out for k in (1, 4, 7, 10))
     summary = json.loads((out_dir / "results.json").read_text())
-    assert summary[0]["number"] == 1 and summary[0]["passed"] is True
+    assert [(r["number"], r["passed"]) for r in summary] == [(1, True), (4, True), (7, True), (10, True)]
+
+    header, *rows = (out_dir / "terms_vs_size.tsv").read_text().splitlines()
+    assert header == "kind\tid\tm\tn\tgamma0_squared\tconstruction_terms\tterms\tbound_fit"
+    kinds = [row.split("\t")[0] for row in rows]
+    assert len(rows) == 562 and kinds == ["boolean3x3"] * 512 + ["blocky-sum"] * 50
+
+    # Criterion 4 skips a trial whose matrix is all zero; one row per kept trial.
+    kept = []
+    for t in range(100):
+        rng = np.random.default_rng([0, 4, t])
+        m, n = int(rng.integers(1, 17)), int(rng.integers(1, 257))
+        if rng.integers(-3, 4, size=(m, n)).any():
+            kept.append(t)
+    header, *rows = (out_dir / "density_margins.tsv").read_text().splitlines()
+    assert header == "trial\tcolumns\tworst_harmonic_slack\tworst_count_margin"
+    assert [int(row.split("\t")[0]) for row in rows] == kept
+
+    experiment = json.loads((out_dir / "random_complexity.json").read_text())
+    assert experiment["n"] == 3 and experiment["trials"] == 100
+    assert sum(experiment["histogram"].values()) == 100
+
+
+def test_partition_exits_1_on_a_density_violation(tmp_path, capsys, monkeypatch):
+    # The greedy order makes a violation impossible, so one is injected.
+    real = GreedyPartition.density_table
+
+    def inflated(self):
+        rows = real(self)
+        rows[0]["count"] = rows[0]["ceiling"] + 1
+        return rows
+
+    monkeypatch.setattr(GreedyPartition, "density_table", inflated)
+    p = tmp_path / "m.txt"
+    dump_matrix(IntMatrix([[1, 1, 0], [0, 0, 2]]), p)
+    assert main(["partition", "--input", str(p)]) == 1
+    assert "density bound check: 1 violations" in capsys.readouterr().out

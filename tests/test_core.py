@@ -513,3 +513,35 @@ def test_int_array_rejects_entries_whose_abs_wraps(call):
         call()
     assert as_int_array(np.array([[2**63 - 1, -(2**63 - 1)]]))[0, 1] == -(2**63 - 1)
 
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (RealMatrix([[0.5, 2.0]]), "integer matrix required, got a real matrix"),
+        (np.array([1, 2, 3]), "matrix must be 2-dimensional, got ndim=1"),
+        (np.ones((2, 2, 2), dtype=np.int64), "matrix must be 2-dimensional, got ndim=3"),
+        (np.array([[1 + 0j, 2]]), "integer matrix required, got dtype complex128"),
+        (np.array([["1", "2"]]), "integer matrix required, got dtype <U1"),
+        (np.zeros((0, 3), dtype=np.int64), "matrix must have at least one row and one column"),
+        (np.zeros((2, 0), dtype=np.int64), "matrix must have at least one row and one column"),
+    ],
+    ids=["real-matrix", "1-d", "3-d", "complex", "str", "no-rows", "no-columns"],
+)
+def test_integer_boundary_refusals(matrix, message):
+    # as_int_array and decompose refuse the same inputs with the same message.
+    for call in (as_int_array, decompose):
+        with pytest.raises(ValueError) as exc:
+            call(matrix)
+        assert str(exc.value) == message
+
+
+def test_integer_boundary_accepts_int_matrix_and_bool():
+    A = np.array([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    want_sum, want_report = decompose(A)
+    for given in (IntMatrix(A), A.astype(bool)):
+        got = as_int_array(given)
+        assert got.dtype == np.int64 and np.array_equal(got, A)
+        s, report = decompose(given)
+        assert s == want_sum  # the same label tables
+        assert report.to_json_dict() == want_report.to_json_dict()

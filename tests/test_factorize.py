@@ -189,10 +189,10 @@ def test_golden_certificates(name):
 
 
 @pytest.mark.parametrize(
-    "name, config, gamma_hex, before_hex",
+    "name, tol, max_svds, gamma_hex, before_hex",
     [
-        pytest.param("row1x5", RunConfig(), GOLDEN["row1x5"][0], GOLDEN["row1x5"][0], id="row1x5-config0-0x1.8000000000003p+1"),
-        pytest.param("col5x1", RunConfig(), GOLDEN["col5x1"][0], GOLDEN["col5x1"][0], id="col5x1-config1-0x1.0000000000002p+1"),
+        pytest.param("row1x5", 1e-9, 10_000, GOLDEN["row1x5"][0], GOLDEN["row1x5"][0], id="row1x5-config0-0x1.8000000000003p+1"),
+        pytest.param("col5x1", 1e-9, 10_000, GOLDEN["col5x1"][0], GOLDEN["col5x1"][0], id="col5x1-config1-0x1.0000000000002p+1"),
         # Corner's energy start is its optimum, so one SVD closes the gap and
         # the cuts return the converged certificate.  Each id keeps the pin
         # the case was written with, so the test names stay: the uniform
@@ -200,20 +200,22 @@ def test_golden_certificates(name):
         # energy start undercuts, and ones3's from the uniform start.
         # before_hex is the pin from before the refit became conditional and
         # the half sums sequential; the new pin is within 1e-7 of it.
-        pytest.param("corner", RunConfig(max_iter=2), "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
-        pytest.param("sign8", RunConfig(tol=1e-300), "0x1.320721757a625p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
-        pytest.param("corner", RunConfig(max_iter=1), "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
-        pytest.param("sign8", RunConfig(max_iter=1), "0x1.5061c8ae0e301p+1", "0x1.5061c8ae0e2f5p+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
-        pytest.param("ones3", RunConfig(), GOLDEN["ones3"][0], "0x1.0000000000001p+0", id="ones3-config6-0x1.0000000000002p+0"),
-        pytest.param("sign8", RunConfig(max_iter=2), "0x1.42dad9481dba7p+1", "0x1.42dad9481dbadp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
+        pytest.param("corner", 1e-9, 2, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
+        pytest.param("sign8", 1e-300, 10_000, "0x1.320721757a625p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
+        pytest.param("corner", 1e-9, 1, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
+        pytest.param("sign8", 1e-9, 1, "0x1.5061c8ae0e301p+1", "0x1.5061c8ae0e2f5p+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
+        pytest.param("ones3", 1e-9, 10_000, GOLDEN["ones3"][0], "0x1.0000000000001p+0", id="ones3-config6-0x1.0000000000002p+0"),
+        pytest.param("sign8", 1e-9, 2, "0x1.42dad9481dba7p+1", "0x1.42dad9481dbadp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
     ],
 )
-def test_batched_ascent_edge_cases(name, config, gamma_hex, before_hex):
+def test_batched_ascent_edge_cases(monkeypatch, name, tol, max_svds, gamma_hex, before_hex):
     # Closed forms, ascents cut at one or two SVDs (plain steps, before any
     # extrapolation), and a tolerance no refit meets, where the refit of
     # smaller residual is returned.
+    assert factorize._MAX_SVDS == 10_000  # the cases at 10_000 run uncut
+    monkeypatch.setattr(factorize, "_MAX_SVDS", max_svds)
     A = GOLDEN_INPUTS[name]
-    fac = gamma2_upper(A, config)
+    fac = gamma2_upper(A, RunConfig(tol=tol))
     assert verify_factorization(A, fac).ok
     assert float.hex(fac.gamma) == gamma_hex
     before = float.fromhex(before_hex)
@@ -238,9 +240,9 @@ def test_one_stacked_svd_per_ascent_iteration(monkeypatch):
     # extrapolated weights too.  sign8 needs 15 SVDs uncapped (corner, used
     # here before, now closes at its first).
     calls = _count_linalg(monkeypatch)
-    config = RunConfig(max_iter=5)
-    gamma2_upper(GOLDEN_INPUTS["sign8"], config)
-    assert calls == [(8, 8)] * config.max_iter
+    monkeypatch.setattr(factorize, "_MAX_SVDS", 5)
+    gamma2_upper(GOLDEN_INPUTS["sign8"])
+    assert calls == [(8, 8)] * 5
 
 
 def test_uniform_start_closing_at_once_costs_one_svd(monkeypatch):
@@ -350,16 +352,18 @@ def test_a_rejected_newton_point_hands_over_to_squarem(monkeypatch):
     assert len(starts) == 1 and len(calls) == 14 + 1
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 3])
-def test_max_iter_caps_the_svds_of_a_newton_path_solve(monkeypatch, max_iter):
-    # Each Newton point costs one SVD, counted like any other: ternary16
-    # closes its gap at 4 uncapped, and every cap below is met exactly.
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_max_iter_caps_the_svds_of_a_newton_path_solve(monkeypatch, cap):
+    # Each Newton point costs one SVD, counted like any other against the
+    # ascent's cap: ternary16 closes its gap at 4 uncapped, and every cap
+    # below is met exactly.
     calls = _count_linalg(monkeypatch)
     starts = _count_newton_steps(monkeypatch)
+    monkeypatch.setattr(factorize, "_MAX_SVDS", cap)
     A = GOLDEN_INPUTS["ternary16"]
-    fac = gamma2_upper(A, RunConfig(max_iter=max_iter))
-    assert calls == [(16, 16)] * max_iter
-    assert len(starts) == max_iter - 1
+    fac = gamma2_upper(A)
+    assert calls == [(16, 16)] * cap
+    assert len(starts) == cap - 1
     assert verify_factorization(A, fac).ok
 
 
@@ -420,7 +424,7 @@ def test_open_gap_falls_back_to_the_batch_of_all_starts(monkeypatch, n, L, seed,
     A = np.asarray(inst.matrix)
     calls = _count_linalg(monkeypatch)
     fac = gamma2_upper(A)
-    assert 0 < len(calls) <= RunConfig.max_iter
+    assert 0 < len(calls) <= factorize._MAX_SVDS
     assert all(shape == (n, n) for shape in calls)
     assert verify_factorization(A, fac).ok
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
@@ -477,7 +481,7 @@ def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
         fac = gamma2_upper(A)
         assert verify_factorization(A, fac).ok, k
         assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound), k
-        assert len(calls) <= RunConfig.max_iter, k
+        assert len(calls) <= factorize._MAX_SVDS, k
         assert all(len(shape) == 2 for shape in calls), k
 
 
@@ -515,7 +519,7 @@ def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, n, L, seed,
     # The ascent runs on the core scaled to max|A| in [1, 2), as in _solve_core.
     shift = math.frexp(float(np.abs(A).max()))[1] - 1
     core = np.ldexp(A, -shift)
-    L_, R_, dual = factorize._ascend_weights(core, config.max_iter)
+    L_, R_, dual = factorize._ascend_weights(core, factorize._MAX_SVDS)
     assert factorize._exceeds(float(np.abs(core - L_ @ R_).max()), config.tol, shift)
     one_side = [
         (np.linalg.lstsq(R_.T, core.T, rcond=None)[0].T, R_),

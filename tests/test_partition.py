@@ -10,6 +10,7 @@ from blockydecomp.core import BlockyMatrix, SignedBlockySum, is_blocky
 from blockydecomp.factorize import GammaFactorization
 from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import (
+    DENSITY_DELTAS,
     _peel_tables,
     greedy_l1_decompose,
     greedy_partition,
@@ -289,7 +290,8 @@ def test_partition_harmonic_density_bounds():
         ceiling = math.log(n) + 1
         values = sorted(int(v) for v in np.unique(arr) if v != 0)
         deltas = (0.5, 0.25, 0.1, 0.05)
-        table = iter(part.density_table(deltas))
+        assert DENSITY_DELTAS == deltas
+        table = iter(part.density_table())
         for x in range(m):
             for b in values:
                 fracs = [
@@ -309,7 +311,8 @@ def test_partition_harmonic_density_bounds():
 
 def test_density_table_keys():
     part = greedy_partition([[1, -1], [1, 1]])
-    rows = part.density_table(deltas=(0.5,))
+    rows = part.density_table()
+    assert len(rows) == 4 * len(DENSITY_DELTAS)  # (x, b) in {0, 1} x {-1, 1}
     assert {r["value"] for r in rows} == {-1, 1}
     assert all(set(r) == {"row", "value", "delta", "count", "ceiling"} for r in rows)
 

@@ -163,10 +163,10 @@ def test_decompose_zero_matrix():
 
 def test_decompose_refuses_bad_certificate():
     fac = GammaFactorization(U=[[1.0]], V=[[1.0]], gamma=1.0, residual=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not certify the input at tol"):
         decompose([[2]], fac=fac)
-    with pytest.raises(ValueError):
-        decompose([[2]], fac=fac, force=True)  # product rounds to 1, not 2
+    with pytest.raises(ValueError, match="does not round"):
+        decompose([[2]], fac=fac, config=RunConfig(tol=1.0))  # product rounds to 1, not 2
 
 
 def _random_integer_matrices():
@@ -423,16 +423,18 @@ def test_decompose_multiplies_the_certificate_out_once(monkeypatch):
 
 
 def test_forced_certificate_off_by_one_half():
-    # A product off by exactly +1/2 rounds half down to the input and is
-    # accepted with eps 1/2; one off by -1/2 rounds to the input minus one.
+    # Accepted at tol 1/2, a product off by exactly +1/2 rounds half down to
+    # the input and is accepted with eps 1/2; one off by -1/2 rounds to the
+    # input minus one.
+    loose = RunConfig(tol=0.5)
     up = GammaFactorization(U=[[1.0]], V=[[2.5]], gamma=2.5, residual=0.5)
-    s, report = decompose([[2]], fac=up, force=True)
+    s, report = decompose([[2]], fac=up, config=loose)
     assert report.eps_trajectory == (0.5,) and np.array_equal(s.evaluate(), [[2]])
     down = GammaFactorization(U=[[1.0]], V=[[1.5]], gamma=1.5, residual=0.5)
     with pytest.raises(ValueError, match="does not round"):
-        decompose([[2]], fac=down, force=True)
+        decompose([[2]], fac=down, config=loose)
     near = GammaFactorization(U=[[1.0]], V=[[2.3]], gamma=2.3, residual=0.3)
-    _, report = decompose([[2]], fac=near, force=True)
+    _, report = decompose([[2]], fac=near, config=loose)
     assert report.eps_trajectory == (abs(2.3 - 2),)
 
 
