@@ -56,7 +56,6 @@ from .pipeline import (
     decompose,
     exact_block_complexity,
     norm_decrement_step,
-    random_lower_bound_experiment,
     term_count_floor,
 )
 from .suite import SuiteContext, run_suite
@@ -101,7 +100,6 @@ __all__ = [
     "majority_stabilize",
     "norm_decrement_step",
     "peel_term_count",
-    "random_lower_bound_experiment",
     "round_half_down",
     "run_suite",
     "subtract_average",

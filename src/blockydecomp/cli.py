@@ -292,7 +292,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, BudgetExceeded) as exc:

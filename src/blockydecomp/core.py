@@ -102,6 +102,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _byte_keys(arr: np.ndarray) -> np.ndarray:
+    """The rows of a 2-d array as ``np.void`` scalars, equal exactly when their bytes are."""
+    rows = np.ascontiguousarray(arr)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix."""
@@ -196,9 +202,7 @@ def is_blocky(matrix) -> BlockyCheck:
         raise ValueError(f"boolean matrix required; entry ({x},{y}) is {arr[x, y]}")
     owner = arr.argmax(axis=0)  # first row with a 1 in each column
     packed = np.packbits(arr == 1, axis=1)  # one byte string per row support
-    _, first, support_class = np.unique(
-        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True, return_inverse=True
-    )
+    _, first, support_class = np.unique(_byte_keys(packed), return_index=True, return_inverse=True)
     head = first[support_class]  # first row with the same support
     clash = (arr == 1) & (head[:, None] != head[owner])
     if clash.any():

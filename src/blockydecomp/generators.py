@@ -96,13 +96,13 @@ def generate(spec: GeneratorSpec, seed: int = 0) -> GeneratedInstance:
     """Deterministic instance for (spec, seed); blocky sums carry certificates."""
     m, n = spec.rows, spec.n
     if spec.kind == "identity":
-        return GeneratedInstance(matrix=IntMatrix(np.eye(n, dtype=np.int64)))
+        return GeneratedInstance(matrix=IntMatrix(np.eye(m, n, dtype=np.int64)))
     if spec.kind == "all-ones":
         return GeneratedInstance(matrix=IntMatrix(np.ones((m, n), dtype=np.int64)))
     if spec.kind == "convolution-cyclic":
         f = np.zeros(n, dtype=np.int64)
         f[list(spec.support)] = 1
-        return GeneratedInstance(matrix=IntMatrix(f[(np.arange(n)[:, None] - np.arange(n)) % n]))
+        return GeneratedInstance(matrix=IntMatrix(f[(np.arange(m)[:, None] - np.arange(n)) % n]))
     if spec.kind == "random-boolean":
         rng = np.random.default_rng([seed, 0xB001])
         entries = (rng.random((m, n)) < spec.density).astype(np.int64)

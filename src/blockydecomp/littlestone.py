@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _freeze, as_int_array, as_real_array
+from .core import _byte_keys, _freeze, as_int_array, as_real_array
 
 __all__ = [
     "BudgetExceeded",
@@ -50,12 +50,6 @@ def _sign_array(matrix) -> np.ndarray:
 # below) work in chunks sized so that their temporaries hold about this many
 # entries: enough to amortize per-call overhead without raising peak memory.
 _SCAN_ELEMENTS = 1 << 16
-
-
-def _byte_keys(arr: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d array as ``np.void`` scalars, equal exactly when their bytes are."""
-    rows = np.ascontiguousarray(arr)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
 def _bitmasks(bits: np.ndarray) -> list[int]:

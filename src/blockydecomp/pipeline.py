@@ -42,6 +42,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .core import (
     SignedBlockySum,
+    _byte_keys,
     _freeze,
     _int_array_with_range,
     as_int_array,
@@ -49,7 +50,7 @@ from .core import (
     round_half_down,
 )
 from .factorize import GammaFactorization, gamma2_upper, verify_factorization
-from .littlestone import _byte_keys, bucket_stabilize
+from .littlestone import bucket_stabilize
 from .partition import _peel_tables, _peel_term_count, greedy_partition, subtract_average
 
 # bench/spans.py wraps this binding by name; the chain itself peels with _peel_tables.
@@ -66,7 +67,6 @@ __all__ = [
     "term_count_floor",
     "MAX_DECOMPOSE_ENTRY",
     "check_entry_cap",
-    "random_lower_bound_experiment",
 ]
 
 
@@ -534,33 +534,3 @@ def term_count_floor(matrix, lower: float) -> int:
     A = as_int_array(matrix)
     top = int(np.abs(A).max(initial=0))
     return max(top, math.ceil(lower - 1e-9 * max(1.0, lower)))
-
-
-def random_lower_bound_experiment(n: int, trials: int, config: RunConfig | None = None) -> dict:
-    """Distribution of block complexity over uniform random boolean matrices.
-
-    Trial t draws its n x n matrix from the seed ``[config.seed, t]`` and
-    measures it with the brute-force oracle, so n is limited to 4; there the
-    peel needs at most n terms, below the oracle's default depth, so every
-    trial gets an exact value.  The reference value n / (4 log2(2n)) is the
-    proved high-probability lower bound for random boolean matrices; the
-    report is observational.
-    """
-    config = config or DEFAULT_CONFIG
-    if n > 4:
-        raise ValueError("the exact oracle requires n <= 4")
-    values = []
-    for t in range(trials):
-        rng = np.random.default_rng([config.seed, t])
-        values.append(exact_block_complexity(rng.integers(0, 2, size=(n, n))))
-    values_arr = np.array(values)
-    hist = {int(k): int(c) for k, c in zip(*np.unique(values_arr, return_counts=True))}
-    return {
-        "n": n,
-        "trials": trials,
-        "histogram": hist,
-        "min": int(values_arr.min()),
-        "median": float(np.median(values_arr)),
-        "max": int(values_arr.max()),
-        "reference": n / (4 * math.log2(2 * n)),
-    }

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blockydecomp import suite
+from blockydecomp import pipeline, suite
 from blockydecomp.config import RunConfig
 from blockydecomp.factorize import GammaFactorization
 from blockydecomp.suite import CRITERIA, SuiteContext
@@ -75,7 +75,13 @@ def test_criterion_09_rounding_additivity(config, ctx, capsys):
 
 
 def test_criterion_10_random_complexity_histogram(config, ctx, capsys):
-    _run(10, config, ctx, capsys)
+    result = _run(10, config, ctx, capsys)
+    # Exact over all 512 booleans: only the zero matrix has complexity 0, and
+    # the 127 nonzero blocky matrices are the ones at 1.
+    rep = result.data["distribution"]
+    assert rep["matrices"] == 512
+    assert rep["histogram"] == {0: 1, 1: 127, 2: 384}
+    assert (rep["min"], rep["median"], rep["max"]) == (0, 2.0, 2)
 
 
 def test_criterion_11_term_count_floor(config, ctx, capsys):
@@ -85,6 +91,18 @@ def test_criterion_11_term_count_floor(config, ctx, capsys):
     assert result.data["classes_4x4"] == 191
     assert result.data["floor_oracle_terms"]["4x4"][1] == 358
     assert result.data["floor_oracle_terms"]["4x4 weighted"][1] == 131_275
+
+
+def test_full_suite_runs_the_oracle_once_per_matrix(config, monkeypatch):
+    # 512 booleans 3x3, the padded witness of criterion 8 and the 191 nonzero
+    # 4x4 classes: criteria 8, 10 and 11 share the 3x3 oracle pass.
+    calls = []
+    oracle = pipeline.exact_block_complexity
+    for module in (pipeline, suite):
+        monkeypatch.setattr(module, "exact_block_complexity", lambda A: calls.append(A) or oracle(A))
+    code, results = suite.run_suite(config, echo=None)
+    assert code == 0 and len(results) == len(CRITERIA)
+    assert len(calls) == 512 + 1 + 191
 
 
 def test_every_criterion_fails_past_its_wall_clock_limit(config, ctx, monkeypatch):

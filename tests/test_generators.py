@@ -33,6 +33,18 @@ def test_convolution_kind_blocky_support():
     assert is_blocky(arr)
 
 
+@pytest.mark.parametrize("m", [3, 7])
+def test_identity_and_convolution_honour_the_row_count(m):
+    # m is the row count for every kind: entry (x, y) is [x == y] for the
+    # identity and f((x - y) mod n) for the circulant, for x < m.
+    inst = generate(GeneratorSpec(kind="identity", n=5, m=m))
+    assert np.array_equal(inst.matrix.values, np.eye(m, 5, dtype=int))
+    inst = generate(GeneratorSpec(kind="convolution-cyclic", n=5, m=m, support=(0, 1)))
+    expected = np.array([[((x - y) % 5) in (0, 1) for y in range(5)] for x in range(m)])
+    assert inst.matrix.values.shape == (m, 5)
+    assert np.array_equal(inst.matrix.values, expected.astype(int))
+
+
 def test_random_boolean_density_and_determinism():
     spec = GeneratorSpec(kind="random-boolean", n=40, m=30, density=0.3)
     a = generate(spec, seed=5).matrix.values

@@ -1,4 +1,4 @@
-"""Peeling pipeline end-to-end, exhaustive complexity oracle, experiment."""
+"""Peeling pipeline end-to-end and the exhaustive complexity oracle."""
 
 import dataclasses
 import hashlib
@@ -25,7 +25,6 @@ from blockydecomp.pipeline import (
     decompose,
     exact_block_complexity,
     norm_decrement_step,
-    random_lower_bound_experiment,
     term_count_floor,
 )
 
@@ -642,26 +641,3 @@ def test_term_count_floor_is_below_the_oracle_on_every_3x3_boolean():
         total += floor
     assert total == 895  # the oracle's total: the floor is tight on every boolean
 
-
-# ---------------------------------------------------------------------------
-# Random-matrix experiment
-
-
-def test_experiment_deterministic_and_shaped():
-    r1 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
-    r2 = random_lower_bound_experiment(3, 12, RunConfig(seed=9))
-    assert r1 == r2
-    assert set(r1) == {"n", "trials", "histogram", "min", "median", "max", "reference"}
-    assert sum(r1["histogram"].values()) == 12
-    assert r1["min"] <= r1["median"] <= r1["max"]
-    assert r1["reference"] == pytest.approx(3 / (4 * math.log2(6)))
-
-
-def test_experiment_one_by_one():
-    r = random_lower_bound_experiment(1, 8, RunConfig(seed=2))
-    assert set(r["histogram"]) <= {0, 1}
-
-
-def test_experiment_pipeline_mode_and_validation():
-    with pytest.raises(ValueError, match="n <= 4"):
-        random_lower_bound_experiment(5, 2)
