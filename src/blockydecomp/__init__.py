@@ -14,8 +14,6 @@ from .config import RunConfig
 from .core import (
     BlockyCheck,
     BlockyMatrix,
-    IntMatrix,
-    RealMatrix,
     SignedBlockySum,
     is_blocky,
     round_half_down,
@@ -72,11 +70,9 @@ __all__ = [
     "GeneratedInstance",
     "GeneratorSpec",
     "GreedyPartition",
-    "IntMatrix",
     "NormBracket",
     "PartitionClass",
     "PipelineReport",
-    "RealMatrix",
     "ReconstructionError",
     "RoundingDriftError",
     "RunConfig",

@@ -163,8 +163,7 @@ def _cmd_ldim_alpha(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    A = load_int_matrix(args.input)
-    arr = A.values
+    arr = load_int_matrix(args.input)
     keep = arr.any(axis=0)
     if not keep.all():
         dropped = int((~keep).sum())
@@ -193,18 +192,18 @@ def _cmd_partition(args) -> int:
 def _cmd_decompose(args) -> int:
     config = _run_config(args)
     A = load_int_matrix(args.input)
-    check_entry_cap(A.values)
+    check_entry_cap(A)
     if args.factorization:
         fac = load_factorization(args.factorization)
     else:
-        fac = gamma2_upper(A.values, config)
+        fac = gamma2_upper(A, config)
     if args.gamma is not None and fac.gamma > args.gamma:
         print(
             f"error: certificate norm {fac.gamma:.6f} exceeds the requested bound {args.gamma:.6f}",
             file=sys.stderr,
         )
         return 2
-    s, report = decompose(A.values, fac=fac, config=config)
+    s, report = decompose(A, fac=fac, config=config)
     gamma0 = report.gamma_squared_trajectory[0] ** 0.5
     dump_decomposition(s, args.out)
     dump_report(report.to_json_dict(), args.report)
@@ -222,13 +221,13 @@ def _cmd_verify(args) -> int:
         print(f"shape mismatch: decomposition {s.shape} vs matrix {A.shape}", file=sys.stderr)
         return 1
     rebuilt = s.evaluate()
-    if np.array_equal(rebuilt, A.values):
-        print(f"ok: {len(s)} terms re-evaluate exactly to the {A.m}x{A.n} input")
+    if np.array_equal(rebuilt, A):
+        print(f"ok: {len(s)} terms re-evaluate exactly to the {A.shape[0]}x{A.shape[1]} input")
         return 0
-    diff = np.argwhere(rebuilt != A.values)
+    diff = np.argwhere(rebuilt != A)
     x, y = (int(v) for v in diff[0])
     print(
-        f"MISMATCH at ({x},{y}): expected {int(A.values[x, y])}, got {int(rebuilt[x, y])} "
+        f"MISMATCH at ({x},{y}): expected {int(A[x, y])}, got {int(rebuilt[x, y])} "
         f"({diff.shape[0]} differing entries)",
         file=sys.stderr,
     )
@@ -237,7 +236,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     A = load_int_matrix(args.input)
-    v = exact_block_complexity(A.values, args.max_l)
+    v = exact_block_complexity(A, args.max_l)
     print(f"exceeds {args.max_l}" if v is None else v)
     return 0
 
@@ -254,7 +253,7 @@ def _cmd_gen(args) -> int:
     )
     inst = generate(spec, seed=args.seed)
     dump_matrix(inst.matrix, args.out, fmt=args.format)
-    print(f"wrote {inst.matrix.m}x{inst.matrix.n} {args.kind} matrix to {args.out}")
+    print(f"wrote {inst.matrix.shape[0]}x{inst.matrix.shape[1]} {args.kind} matrix to {args.out}")
     if args.sum_path:
         if inst.blocky_sum is None:
             print("error: --sum is only available for random-blocky-sum", file=sys.stderr)

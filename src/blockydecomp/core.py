@@ -1,4 +1,9 @@
-"""Matrix containers, blocky-matrix recognition, signed sums, and rounding.
+"""Matrix validation, blocky-matrix recognition, signed sums, and rounding.
+
+A matrix is a 2-d numpy array: ``as_int_array`` validates an array-like
+into int64 (the paper's integer matrices A) and ``as_real_array`` into
+float64 (the reals the construction works on), so the dtype says which
+a matrix is.
 
 A boolean matrix is *blocky* when its support is a disjoint union of
 combinatorial rectangles: the row sets of the rectangles are pairwise
@@ -11,7 +16,7 @@ sum is stored only as its signs and its terms' labels stacked in one
 are a view built on first use.  It evaluates the tables with one signed
 scatter-add over the cells of every rectangle, so its cost is the total
 rectangle area rather than terms x m x n.  Everything in this module is pure
-and the containers are immutable after construction.
+and its classes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
-    "IntMatrix",
-    "RealMatrix",
     "BlockyCheck",
     "BlockyMatrix",
     "SignedBlockySum",
@@ -44,19 +47,12 @@ _EVAL_CHUNK_CELLS = 1 << 20
 
 
 def as_int_array(matrix) -> np.ndarray:
-    """Coerce an IntMatrix / array-like into a validated 2-d int64 array."""
-    if isinstance(matrix, IntMatrix):
-        return matrix.values
+    """Coerce an array-like into a validated 2-d int64 array."""
     return _int_array_with_range(matrix)[0]
 
 
 def _int_array_with_range(matrix) -> tuple[np.ndarray, int, int]:
     """``as_int_array`` and the array's largest and smallest entries, each reduced once."""
-    if isinstance(matrix, IntMatrix):
-        values = matrix.values
-        return values, int(values.max()), int(values.min())
-    if isinstance(matrix, RealMatrix):
-        raise ValueError("integer matrix required, got a real matrix")
     arr = np.asarray(matrix)
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={arr.ndim}")
@@ -83,9 +79,7 @@ def _int_array_with_range(matrix) -> tuple[np.ndarray, int, int]:
 
 
 def as_real_array(matrix) -> np.ndarray:
-    """Coerce an IntMatrix / RealMatrix / array-like into a 2-d float64 array."""
-    if isinstance(matrix, (IntMatrix, RealMatrix)):
-        return matrix.values.astype(np.float64)
+    """Coerce an array-like into a validated 2-d float64 array."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got ndim={arr.ndim}")
@@ -106,63 +100,6 @@ def _byte_keys(arr: np.ndarray) -> np.ndarray:
     """The rows of a 2-d array as ``np.void`` scalars, equal exactly when their bytes are."""
     rows = np.ascontiguousarray(arr)
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(as_int_array(self.values)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-    def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            return np.array_equal(self.values, other.values)
-        return NotImplemented
-
-    __hash__ = None
-
-
-@dataclass(frozen=True)
-class RealMatrix:
-    """Dense real matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(as_real_array(self.values)))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 Rectangle = tuple[tuple[int, ...], tuple[int, ...]]

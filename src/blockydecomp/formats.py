@@ -3,7 +3,11 @@
 Matrix files come in two flavors, sniffed by the first non-whitespace
 character: JSON objects ``{"rows": m, "cols": n, "kind": ..., "entries":
 [[...], ...]}``, and whitespace-separated text with a ``m n kind`` header
-line followed by m rows of n values.  ``kind`` is ``int`` or ``real``.
+line followed by m rows of n values.  ``kind`` is ``int`` or ``real``, and
+this module alone maps it to a dtype: a loaded matrix is a read-only int64
+array for ``int`` and float64 for ``real``, and a float array is written as
+``real``, any other as ``int``.  ``rows`` and ``cols`` must be integers, and
+every malformed file raises ValueError naming its path.
 All indices in serialized decompositions are zero-based.
 """
 
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BlockyMatrix, IntMatrix, RealMatrix, SignedBlockySum, as_int_array
+from .core import BlockyMatrix, SignedBlockySum, as_int_array, as_real_array
 from .factorize import GammaFactorization
 
 __all__ = [
@@ -31,56 +35,68 @@ __all__ = [
 _KINDS = ("int", "real")
 
 
-def _build(arr: np.ndarray, kind: str, where) -> IntMatrix | RealMatrix:
-    if kind == "int":
-        try:
-            return IntMatrix(arr)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    if kind == "real":
-        return RealMatrix(arr)
-    raise ValueError(f"{where}: unknown matrix kind {kind!r}; expected one of {_KINDS}")
+def _as_kind(arr: np.ndarray, kind, path) -> np.ndarray:
+    """A file's entries as a read-only array of its kind: int64 for ``int``, float64 for ``real``."""
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: unknown matrix kind {kind!r}; expected one of {_KINDS}")
+    try:
+        out = as_int_array(arr) if kind == "int" else as_real_array(arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    out.setflags(write=False)
+    return out
 
 
-def load_matrix(path) -> IntMatrix | RealMatrix:
-    """Load a matrix from a JSON or text file; kind selects the container."""
+def load_matrix(path) -> np.ndarray:
+    """Load a matrix from a JSON or text file as a read-only array; its kind is the dtype."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty matrix file")
     if stripped[0] == "{":
-        obj = json.loads(text)
         try:
-            m, n, kind = int(obj["rows"]), int(obj["cols"]), obj.get("kind", "int")
-            entries = obj["entries"]
+            obj = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        try:
+            m, n, kind, entries = obj["rows"], obj["cols"], obj.get("kind", "int"), obj["entries"]
         except KeyError as e:
             raise ValueError(f"{path}: missing matrix field {e}") from None
-        arr = np.asarray(entries, dtype=np.float64)
+        if type(m) is not int or type(n) is not int:  # floats, bools and nulls are refused
+            raise ValueError(f"{path}: 'rows' and 'cols' must be integers, got {m!r} and {n!r}")
+        try:
+            arr = np.asarray(entries, dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed entries: {exc}") from None
         if arr.ndim != 2 or arr.shape != (m, n):
             raise ValueError(f"{path}: entries are shaped {arr.shape}, header says {(m, n)}")
     else:
         lines = [ln for ln in stripped.splitlines() if ln.strip()]
         head = lines[0].split()
-        if len(head) != 3:
+        if len(head) != 3 or not all(tok.isascii() and tok.isdigit() for tok in head[:2]):
             raise ValueError(f"{path}: header must be 'rows cols kind', got {lines[0]!r}")
         m, n, kind = int(head[0]), int(head[1]), head[2]
         if len(lines) - 1 != m:
             raise ValueError(f"{path}: expected {m} data rows, found {len(lines) - 1}")
         rows = []
         for i, ln in enumerate(lines[1:]):
-            vals = [float(tok) for tok in ln.split()]
+            try:
+                vals = [float(tok) for tok in ln.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
             if len(vals) != n:
                 raise ValueError(f"{path}: row {i} has {len(vals)} entries, expected {n}")
             rows.append(vals)
         arr = np.asarray(rows, dtype=np.float64)
-    return _build(arr, kind, path)
+    return _as_kind(arr, kind, path)
 
 
-def load_int_matrix(path) -> IntMatrix:
-    mat = load_matrix(path)
-    if not isinstance(mat, IntMatrix):
+def load_int_matrix(path) -> np.ndarray:
+    """Load a matrix file of kind ``int`` as a read-only int64 array."""
+    arr = load_matrix(path)
+    if arr.dtype.kind == "f":
         raise ValueError(f"{path}: integer matrix required, file holds kind 'real'")
-    return mat
+    return arr
 
 
 def _fmt(v: float, kind: str) -> str:
@@ -88,11 +104,12 @@ def _fmt(v: float, kind: str) -> str:
 
 
 def dump_matrix(matrix, path, fmt: str = "text") -> None:
-    """Write a matrix as text (default) or JSON; kind follows the container."""
-    if isinstance(matrix, RealMatrix):
-        kind, arr = "real", np.asarray(matrix.values, dtype=np.float64)
+    """Write a matrix as text (default) or JSON: kind ``real`` for a float dtype, else ``int``."""
+    arr = np.asarray(matrix)
+    if arr.dtype.kind == "f":
+        kind, arr = "real", as_real_array(arr)
     else:
-        kind, arr = "int", as_int_array(matrix)
+        kind, arr = "int", as_int_array(arr)
     p = Path(path)
     if fmt == "json":
         entries = arr.tolist()

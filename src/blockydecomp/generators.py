@@ -3,9 +3,9 @@
 Five kinds: plain random boolean matrices, random signed blocky sums (the
 only kind that also returns the generating sum and an exact factorization
 certificate), circulant convolution matrices over a cyclic group, and the
-identity / all-ones anchors.  Every draw is keyed by (spec, seed) through
-``numpy.random.default_rng`` seed sequences, so runs are reproducible
-bit-for-bit.
+identity / all-ones anchors.  Each matrix is a read-only int64 array.
+Every draw is keyed by (spec, seed) through ``numpy.random.default_rng``
+seed sequences, so runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockyMatrix, IntMatrix, SignedBlockySum, _canonical
+from .core import BlockyMatrix, SignedBlockySum, _canonical, _freeze
 from .factorize import GammaFactorization, factorization_from_blocky_sum
 
 __all__ = ["GeneratorSpec", "GeneratedInstance", "generate", "random_blocky_matrix", "KINDS"]
@@ -60,7 +60,9 @@ class GeneratorSpec:
 
 @dataclass(frozen=True, eq=False)
 class GeneratedInstance:
-    matrix: IntMatrix
+    """A generated matrix (a read-only int64 array) and, for blocky sums, its sum and certificate."""
+
+    matrix: np.ndarray
     blocky_sum: SignedBlockySum | None = None
     certificate: GammaFactorization | None = None
 
@@ -96,17 +98,17 @@ def generate(spec: GeneratorSpec, seed: int = 0) -> GeneratedInstance:
     """Deterministic instance for (spec, seed); blocky sums carry certificates."""
     m, n = spec.rows, spec.n
     if spec.kind == "identity":
-        return GeneratedInstance(matrix=IntMatrix(np.eye(m, n, dtype=np.int64)))
+        return GeneratedInstance(matrix=_freeze(np.eye(m, n, dtype=np.int64)))
     if spec.kind == "all-ones":
-        return GeneratedInstance(matrix=IntMatrix(np.ones((m, n), dtype=np.int64)))
+        return GeneratedInstance(matrix=_freeze(np.ones((m, n), dtype=np.int64)))
     if spec.kind == "convolution-cyclic":
         f = np.zeros(n, dtype=np.int64)
         f[list(spec.support)] = 1
-        return GeneratedInstance(matrix=IntMatrix(f[(np.arange(m)[:, None] - np.arange(n)) % n]))
+        return GeneratedInstance(matrix=_freeze(f[(np.arange(m)[:, None] - np.arange(n)) % n]))
     if spec.kind == "random-boolean":
         rng = np.random.default_rng([seed, 0xB001])
         entries = (rng.random((m, n)) < spec.density).astype(np.int64)
-        return GeneratedInstance(matrix=IntMatrix(entries))
+        return GeneratedInstance(matrix=_freeze(entries))
     # random-blocky-sum
     rng = np.random.default_rng([seed, 0xB10C])
     terms = tuple(
@@ -115,6 +117,4 @@ def generate(spec: GeneratorSpec, seed: int = 0) -> GeneratedInstance:
     )
     s = SignedBlockySum(shape=(m, n), terms=terms)
     cert = factorization_from_blocky_sum(s)
-    return GeneratedInstance(
-        matrix=IntMatrix(s.evaluate()), blocky_sum=s, certificate=cert
-    )
+    return GeneratedInstance(matrix=_freeze(s.evaluate()), blocky_sum=s, certificate=cert)

@@ -7,7 +7,6 @@ import pytest
 
 from blockydecomp import cli
 from blockydecomp.cli import main
-from blockydecomp.core import IntMatrix
 from blockydecomp.formats import dump_matrix, load_decomposition
 from blockydecomp.partition import GreedyPartition
 
@@ -15,7 +14,7 @@ from blockydecomp.partition import GreedyPartition
 @pytest.fixture
 def corner(tmp_path):
     p = tmp_path / "corner.txt"
-    dump_matrix(IntMatrix([[1, 0], [1, 1]]), p)
+    dump_matrix([[1, 0], [1, 1]], p)
     return str(p)
 
 
@@ -156,7 +155,7 @@ def test_help_returns_0(capsys, argv):
 
 def test_budget_exhaustion_is_a_clean_error(tmp_path, capsys):
     p = tmp_path / "sign.txt"
-    dump_matrix(IntMatrix([[1, -1, 1], [-1, 1, 1]]), p)
+    dump_matrix([[1, -1, 1], [-1, 1, 1]], p)
     assert main(["ldim", "--input", str(p), "--budget", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget" in err
@@ -182,13 +181,36 @@ def test_oracle_rejects_unrepresentable_int_entries(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_MATRIX_JSON = {"rows": 2, "cols": 1, "kind": "int", "entries": [[1], [0]]}
+
+
+@pytest.mark.parametrize("command", ["oracle", "partition", "gamma2", "ldim"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({**_MATRIX_JSON, "rows": 2.7, "cols": True}),
+        json.dumps({**_MATRIX_JSON, "rows": None}),
+        json.dumps({**_MATRIX_JSON, "rows": [2]}),
+        "2 1 int\n1\nx\n",
+    ],
+    ids=["float-rows-bool-cols", "null-rows", "list-rows", "bad-token"],
+)
+def test_malformed_matrix_file_exits_2_naming_it(tmp_path, capsys, command, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    assert main([command, "--input", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {p}: ")
+
+
 def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solver ran on an input the cap rejects")
 
     monkeypatch.setattr(cli, "gamma2_upper", refuse)
     p = tmp_path / "huge.txt"
-    dump_matrix(IntMatrix([[2**40, 1]]), p)
+    dump_matrix([[2**40, 1]], p)
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
     assert main(["decompose", "--input", str(p), "--out", str(dpath), "--report", str(rpath)]) == 2
     assert capsys.readouterr().err.startswith("error: an entry exceeds the decomposition limit")
@@ -208,7 +230,7 @@ def test_decompose_exits_2_on_non_finite_factorization(corner, tmp_path, capsys)
 
 def test_verify_exits_2_on_malformed_decomposition(tmp_path, capsys):
     m = tmp_path / "m.txt"
-    dump_matrix(IntMatrix([[1, 0]]), m)
+    dump_matrix([[1, 0]], m)
     p = tmp_path / "d.json"
     # int() would truncate row 0.9 to 0 and this file would re-evaluate to the input.
     rects = [{"rows": [0.9], "cols": [0]}]
@@ -222,14 +244,14 @@ def test_verify_detects_mismatch(corner, tmp_path, capsys):
     main(["decompose", "--input", corner, "--out", str(dpath), "--report", str(rpath)])
     capsys.readouterr()
     other = tmp_path / "other.txt"
-    dump_matrix(IntMatrix([[1, 1], [1, 1]]), other)
+    dump_matrix([[1, 1], [1, 1]], other)
     assert main(["verify", "--input", str(other), "--decomp", str(dpath)]) == 1
     assert "MISMATCH at (0,1)" in capsys.readouterr().err
 
 
 def test_ldim_commands(tmp_path, capsys):
     p = tmp_path / "sign.txt"
-    dump_matrix(IntMatrix([[1, -1], [-1, 1]]), p)
+    dump_matrix([[1, -1], [-1, 1]], p)
     assert main(["ldim", "--input", str(p)]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert main(["ldim-alpha", "--input", str(p), "--alpha", "2.0"]) == 0
@@ -246,7 +268,7 @@ def test_ldim_alpha_command_on_an_absorbed_gap(tmp_path, capsys):
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
 def test_ldim_alpha_rejects_non_finite_alpha(tmp_path, capsys, alpha):
     p = tmp_path / "sign.txt"
-    dump_matrix(IntMatrix([[1, -1], [-1, 1]]), p)
+    dump_matrix([[1, -1], [-1, 1]], p)
     assert main(["ldim-alpha", "--input", str(p), f"--alpha={alpha}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and "alpha" in captured.err
@@ -254,7 +276,7 @@ def test_ldim_alpha_rejects_non_finite_alpha(tmp_path, capsys, alpha):
 
 def test_partition_output_and_bound(tmp_path, capsys):
     p = tmp_path / "m.txt"
-    dump_matrix(IntMatrix([[1, 1, 0], [0, 0, 2]]), p)
+    dump_matrix([[1, 1, 0], [0, 0, 2]], p)
     assert main(["partition", "--input", str(p)]) == 0
     out = capsys.readouterr().out
     assert "class 0: (x=0, b=1, size=2, members=[0, 1])" in out
@@ -263,7 +285,7 @@ def test_partition_output_and_bound(tmp_path, capsys):
 
 def test_partition_of_the_zero_matrix_is_empty(tmp_path, capsys):
     p = tmp_path / "z.txt"
-    dump_matrix(IntMatrix(np.zeros((2, 3), dtype=int)), p)
+    dump_matrix(np.zeros((2, 3), dtype=int), p)
     assert main(["partition", "--input", str(p)]) == 0
     captured = capsys.readouterr()
     assert captured.out == "stripping 3 all-zero column(s)\nempty partition: 0 classes\n"
@@ -319,7 +341,7 @@ def test_gamma2_on_subnormal_entries(tmp_path, capsys):
 
 def test_oracle_command(tmp_path, capsys):
     p = tmp_path / "m.txt"
-    dump_matrix(IntMatrix([[1, 1], [1, 0]]), p)
+    dump_matrix([[1, 1], [1, 0]], p)
     assert main(["oracle", "--input", str(p)]) == 0
     assert capsys.readouterr().out.strip() == "2"
     assert main(["oracle", "--input", str(p), "--max-l", "1"]) == 0
@@ -398,6 +420,6 @@ def test_partition_exits_1_on_a_density_violation(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(GreedyPartition, "density_table", inflated)
     p = tmp_path / "m.txt"
-    dump_matrix(IntMatrix([[1, 1, 0], [0, 0, 2]]), p)
+    dump_matrix([[1, 1, 0], [0, 0, 2]], p)
     assert main(["partition", "--input", str(p)]) == 1
     assert "density bound check: 1 violations" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from blockydecomp.core import BlockyMatrix, IntMatrix, RealMatrix, SignedBlockySum
+from blockydecomp.core import BlockyMatrix, SignedBlockySum
 from blockydecomp.factorize import GammaFactorization
 from blockydecomp.formats import (
     dump_decomposition,
@@ -19,43 +19,68 @@ from blockydecomp.formats import (
 )
 
 
+def _assert_read_only(arr, dtype):
+    assert type(arr) is np.ndarray and arr.dtype == dtype
+    assert not arr.flags.writeable
+
+
 def test_text_round_trip_int(tmp_path):
-    M = IntMatrix([[1, -2, 0], [3, 4, -5]])
+    M = np.array([[1, -2, 0], [3, 4, -5]])
     p = tmp_path / "m.txt"
     dump_matrix(M, p)
+    assert p.read_text().splitlines()[0] == "2 3 int"
     back = load_matrix(p)
-    assert isinstance(back, IntMatrix)
-    assert np.array_equal(back.values, M.values)
+    _assert_read_only(back, np.int64)
+    assert np.array_equal(back, M)
 
 
 def test_text_round_trip_real(tmp_path):
-    M = RealMatrix([[0.5, -1.25], [3.0, 2.0**-30]])
+    M = np.array([[0.5, -1.25], [3.0, 2.0**-30]])
     p = tmp_path / "m.txt"
     dump_matrix(M, p)
+    assert p.read_text().splitlines()[0] == "2 2 real"
     back = load_matrix(p)
-    assert isinstance(back, RealMatrix)
-    assert np.array_equal(back.values, M.values)  # repr round-trip is exact
+    _assert_read_only(back, np.float64)
+    assert np.array_equal(back, M)  # repr round-trip is exact
 
 
 def test_json_round_trip(tmp_path):
-    M = IntMatrix([[7]])
     p = tmp_path / "m.json"
-    dump_matrix(M, p, fmt="json")
+    dump_matrix([[7]], p, fmt="json")
     data = json.loads(p.read_text())
     assert data["rows"] == 1 and data["cols"] == 1 and data["kind"] == "int"
     assert data["entries"] == [[7]]
     back = load_matrix(p)
-    assert isinstance(back, IntMatrix) and back.values[0, 0] == 7
+    _assert_read_only(back, np.int64)
+    assert back[0, 0] == 7
 
 
 def test_format_sniffing(tmp_path):
     p = tmp_path / "m.any"
     p.write_text('{"rows": 1, "cols": 2, "kind": "real", "entries": [[0.5, 1.5]]}')
-    back = load_matrix(p)
-    assert isinstance(back, RealMatrix)
+    _assert_read_only(load_matrix(p), np.float64)
     p2 = tmp_path / "m2.any"
     p2.write_text("1 2 int\n5 6\n")
-    assert isinstance(load_matrix(p2), IntMatrix)
+    _assert_read_only(load_matrix(p2), np.int64)
+
+
+@pytest.mark.parametrize(
+    "matrix, kind",
+    [
+        (np.array([[1.0, 2.0]]), "real"),
+        (np.array([[1.0, 2.0]], dtype=np.float32), "real"),
+        (np.array([[1, 2]], dtype=np.int32), "int"),
+        (np.array([[1, 2]], dtype=np.uint8), "int"),
+        (np.array([[True, False]]), "int"),
+        ([[1, 2]], "int"),
+    ],
+    ids=["float64", "float32", "int32", "uint8", "bool", "list"],
+)
+def test_dump_matrix_kind_follows_the_dtype(tmp_path, matrix, kind):
+    p = tmp_path / "m.txt"
+    dump_matrix(matrix, p)
+    assert p.read_text().splitlines()[0] == f"1 2 {kind}"
+    assert load_matrix(p).dtype == (np.float64 if kind == "real" else np.int64)
 
 
 def test_header_and_shape_errors(tmp_path):
@@ -71,10 +96,38 @@ def test_header_and_shape_errors(tmp_path):
         load_matrix(p)
 
 
+_JSON = {"rows": 2, "cols": 1, "kind": "int", "entries": [[1], [0]]}
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (json.dumps({**_JSON, "rows": 2.7, "cols": True}), "'rows' and 'cols' must be integers, got 2.7 and True"),
+        (json.dumps({**_JSON, "cols": True}), "must be integers, got 2 and True"),
+        (json.dumps({**_JSON, "rows": None}), "must be integers, got None and 1"),
+        (json.dumps({**_JSON, "rows": [2]}), r"must be integers, got \[2\] and 1"),
+        (json.dumps({**_JSON, "entries": [[1], "x"]}), "malformed entries"),
+        (json.dumps({**_JSON, "entries": [[1], [{}]]}), "malformed entries"),
+        ('{"rows": 2,', "Expecting property name"),
+        ("2 1 int\n1\nx\n", "row 1: could not convert string to float: 'x'"),
+        ("2 one int\n1\n0\n", "header must be 'rows cols kind'"),
+        ("2 1 real\n1\ninf\n", "matrix entries must be finite"),
+    ],
+    ids=["float-rows", "bool-cols", "null-rows", "list-rows", "string-row", "object-entry",
+         "bad-json", "bad-token", "bad-text-header", "non-finite-real"],
+)
+def test_malformed_matrix_files_name_the_path(tmp_path, text, match):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match) as exc:
+        load_matrix(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_load_int_matrix_rejects_real(tmp_path):
     p = tmp_path / "r.txt"
-    dump_matrix(RealMatrix([[0.5]]), p)
-    with pytest.raises(ValueError):
+    dump_matrix(np.array([[0.5]]), p)
+    with pytest.raises(ValueError, match="integer matrix required, file holds kind 'real'"):
         load_int_matrix(p)
 
 

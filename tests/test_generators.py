@@ -17,16 +17,25 @@ from blockydecomp.generators import (
 
 def test_identity_and_all_ones():
     inst = generate(GeneratorSpec(kind="identity", n=3))
-    assert np.array_equal(inst.matrix.values, np.eye(3, dtype=int))
+    assert np.array_equal(inst.matrix, np.eye(3, dtype=int))
     inst = generate(GeneratorSpec(kind="all-ones", n=3, m=2))
-    assert np.array_equal(inst.matrix.values, np.ones((2, 3), dtype=int))
+    assert np.array_equal(inst.matrix, np.ones((2, 3), dtype=int))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generated_matrix_is_a_read_only_int64_array(kind):
+    inst = generate(GeneratorSpec(kind=kind, n=4, support=(1,)), seed=2)
+    assert type(inst.matrix) is np.ndarray and inst.matrix.dtype == np.int64
+    assert inst.matrix.shape == (4, 4) and inst.matrix.flags.c_contiguous
+    with pytest.raises(ValueError):
+        inst.matrix[0, 0] = 5
 
 
 def test_convolution_kind_blocky_support():
     # Indicator of {0, 2} in Z_4 yields the parity-class circulant: its
     # support is the union of two disjoint rectangles, hence blocky.
     inst = generate(GeneratorSpec(kind="convolution-cyclic", n=4, support=(0, 2)))
-    arr = inst.matrix.values
+    arr = inst.matrix
     assert arr.shape == (4, 4)
     expected = np.array([[((x - y) % 4) in (0, 2) for y in range(4)] for x in range(4)])
     assert np.array_equal(arr, expected.astype(int))
@@ -38,24 +47,24 @@ def test_identity_and_convolution_honour_the_row_count(m):
     # m is the row count for every kind: entry (x, y) is [x == y] for the
     # identity and f((x - y) mod n) for the circulant, for x < m.
     inst = generate(GeneratorSpec(kind="identity", n=5, m=m))
-    assert np.array_equal(inst.matrix.values, np.eye(m, 5, dtype=int))
+    assert np.array_equal(inst.matrix, np.eye(m, 5, dtype=int))
     inst = generate(GeneratorSpec(kind="convolution-cyclic", n=5, m=m, support=(0, 1)))
     expected = np.array([[((x - y) % 5) in (0, 1) for y in range(5)] for x in range(m)])
-    assert inst.matrix.values.shape == (m, 5)
-    assert np.array_equal(inst.matrix.values, expected.astype(int))
+    assert inst.matrix.shape == (m, 5)
+    assert np.array_equal(inst.matrix, expected.astype(int))
 
 
 def test_random_boolean_density_and_determinism():
     spec = GeneratorSpec(kind="random-boolean", n=40, m=30, density=0.3)
-    a = generate(spec, seed=5).matrix.values
-    b = generate(spec, seed=5).matrix.values
+    a = generate(spec, seed=5).matrix
+    b = generate(spec, seed=5).matrix
     assert np.array_equal(a, b)
     assert set(np.unique(a)) <= {0, 1}
     assert 0.15 < a.mean() < 0.45
-    c = generate(spec, seed=6).matrix.values
+    c = generate(spec, seed=6).matrix
     assert not np.array_equal(a, c)
-    assert generate(GeneratorSpec(kind="random-boolean", n=5, density=0.0), seed=1).matrix.values.sum() == 0
-    assert generate(GeneratorSpec(kind="random-boolean", n=5, density=1.0), seed=1).matrix.values.min() == 1
+    assert generate(GeneratorSpec(kind="random-boolean", n=5, density=0.0), seed=1).matrix.sum() == 0
+    assert generate(GeneratorSpec(kind="random-boolean", n=5, density=1.0), seed=1).matrix.min() == 1
 
 
 def test_random_blocky_matrix_is_blocky():
@@ -90,7 +99,7 @@ def test_random_blocky_sum_bytes_are_pinned(key):
     inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, m=m, term_count=L), seed=seed)
     digests = tuple(
         hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-        for a in (inst.matrix.values, inst.certificate.U, inst.certificate.V)
+        for a in (inst.matrix, inst.certificate.U, inst.certificate.V)
     )
     assert digests == PINNED_BLOCKY_SUMS[key]
 
@@ -100,16 +109,16 @@ def test_random_blocky_sum_carries_exact_certificate():
     inst = generate(spec, seed=11)
     assert inst.blocky_sum is not None and inst.certificate is not None
     assert len(inst.blocky_sum.terms) == 4
-    assert np.array_equal(inst.blocky_sum.evaluate(), inst.matrix.values)
-    rep = verify_factorization(inst.matrix.values.astype(float), inst.certificate, tol=1e-9)
+    assert np.array_equal(inst.blocky_sum.evaluate(), inst.matrix)
+    rep = verify_factorization(inst.matrix.astype(float), inst.certificate, tol=1e-9)
     assert rep.ok
     again = generate(spec, seed=11)
-    assert np.array_equal(again.matrix.values, inst.matrix.values)
+    assert np.array_equal(again.matrix, inst.matrix)
 
 
 def test_zero_term_sum():
     inst = generate(GeneratorSpec(kind="random-blocky-sum", n=3, term_count=0), seed=1)
-    assert not inst.matrix.values.any()
+    assert not inst.matrix.any()
     assert inst.certificate.gamma == 0.0
 
 

@@ -39,4 +39,4 @@ def test_module_entry_point_runs_gen(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "wrote 3x3 convolution-cyclic matrix" in done.stdout
-    assert np.array_equal(load_int_matrix(out).values, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert np.array_equal(load_int_matrix(out), [[0, 0, 1], [1, 0, 0], [0, 1, 0]])

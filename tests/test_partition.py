@@ -165,7 +165,7 @@ def test_peel_and_decompose_tables_pinned_on_3x3_booleans():
 
 def test_peel_and_decompose_tables_pinned_on_a_128_generator_sum():
     inst = generate(GeneratorSpec(kind="random-blocky-sum", n=128, term_count=8), seed=128 * 100 + 8)
-    A = inst.matrix.values
+    A = inst.matrix
     got = (_tables_digest(greedy_l1_decompose(A)), _tables_digest(decompose(A, fac=inst.certificate)[0]))
     assert got == PEEL_TABLE_DIGESTS["128-sum"]
 

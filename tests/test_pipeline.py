@@ -265,7 +265,7 @@ def test_golden_blocky_decompositions(n, L):
 def test_decompose_and_step_never_touch_rectangle_lists(monkeypatch):
     """Peel, lift and verify run on label arrays: no rectangle view, no np.ix_."""
     inst = _golden_instance(48, 6)
-    A, fac = inst.matrix.values, inst.certificate
+    A, fac = inst.matrix, inst.certificate
 
     def refuse(*args):
         raise AssertionError("rectangle-list path reached")
@@ -334,8 +334,8 @@ def _boolean3x3(code: int) -> np.ndarray:
 @pytest.mark.parametrize("n, L", sorted(GOLDEN_DECOMPOSITIONS))
 def test_decompose_equals_dedupe_peel_lift_on_golden_sums(n, L):
     inst = _golden_instance(n, L)
-    s, _ = decompose(inst.matrix.values, fac=inst.certificate)
-    assert _canonical(s) == _canonical(_dedupe_peel_lift(inst.matrix.values))
+    s, _ = decompose(inst.matrix, fac=inst.certificate)
+    assert _canonical(s) == _canonical(_dedupe_peel_lift(inst.matrix))
 
 
 def test_decompose_equals_dedupe_peel_lift_on_all_3x3_booleans():
@@ -363,7 +363,7 @@ def test_decompose_label_tables_are_pinned():
     for n in (64, 80, 96, 112, 128):
         for L in (4, 6, 8):
             inst = generate(GeneratorSpec(kind="random-blocky-sum", n=n, term_count=L), seed=100 * n + L)
-            inputs.append((inst.matrix.values, inst.certificate))
+            inputs.append((inst.matrix, inst.certificate))
     digest = hashlib.sha256()
     for A, fac in inputs:
         s, _ = decompose(A, fac=fac)
@@ -399,7 +399,7 @@ def test_decompose_peels_validates_and_evaluates_once(monkeypatch):
     _count_calls(monkeypatch, calls, pipeline, "_peel_tables", "peel")
     _count_calls(monkeypatch, calls, core, "_check_label_tables", "validate")
     _count_calls(monkeypatch, calls, SignedBlockySum, "evaluate", "evaluate")
-    decompose(inst.matrix.values, fac=inst.certificate)
+    decompose(inst.matrix, fac=inst.certificate)
     assert sorted(calls) == ["evaluate", "peel", "validate"]
     calls.clear()
     _first_step(inst.certificate)
@@ -414,7 +414,7 @@ def test_decompose_multiplies_the_certificate_out_once(monkeypatch):
     fac = gamma2_upper(A)
     calls = []
     _count_calls(monkeypatch, calls, GammaFactorization, "product", "product")
-    for matrix, certificate in ((inst.matrix.values, inst.certificate), (A, fac)):
+    for matrix, certificate in ((inst.matrix, inst.certificate), (A, fac)):
         calls.clear()
         _, report = decompose(matrix, fac=certificate)
         assert calls == ["product"]
@@ -442,7 +442,7 @@ def test_decompose_builds_no_term_object_until_terms_is_read(monkeypatch):
     calls = []
     _count_calls(monkeypatch, calls, BlockyMatrix, "_of_tables", "terms", wrap=classmethod)
     _count_calls(monkeypatch, calls, BlockyMatrix, "__init__", "init")
-    s, report = decompose(inst.matrix.values, fac=inst.certificate)
+    s, report = decompose(inst.matrix, fac=inst.certificate)
     _, _, step = _first_step(inst.certificate)
     assert calls == [] and len(s) == report.total_terms > 0 and len(step.blocky_part) > 0
     assert len(s.terms) == len(s) and calls == ["terms"]
