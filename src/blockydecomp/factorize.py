@@ -13,6 +13,13 @@ the least achievable gamma is the factorization norm of A.  This module
 * builds exact certificates for signed blocky sums
   (``factorization_from_blocky_sum``).
 
+The norm does not change when a row or column is repeated or a zero one
+added: a certificate of the remaining matrix becomes one of the whole by
+copying rows of U and columns of V, and the whole contains the rest as a
+submatrix.  So the solver works on the distinct nonzero core, the first of
+each set of equal nonzero rows and then of equal nonzero columns, and
+copies its factors back (``gamma2_upper``).
+
 The solver ascends a concave reweighting of the trace norm: for row/column
 weight vectors u, v on the probability simplex, the trace norm of
 diag(sqrt(u)) @ A @ diag(sqrt(v)) is a lower bound on the factorization
@@ -39,17 +46,19 @@ certificate is within 1e-7·max(1, dual) of its best dual value, or
 to max|A| in [1, 2), where that gap is relative and no square overflows.  On
 the 511 nonzero 3×3 booleans, the 84 dense 8²–32² matrices of the bench
 seeds 1 and 9001 and 54 low-rank blocky sums of 16²–32² that takes
-3,088, 966 and 10,848 SVDs, at most 14, 147 and 984 per input (1,425 and
-10,877 on the dense matrices and sums without the Newton steps, and 95,
-3,605 and 4,587 at most with plain steps from the uniform weights), and
-every gap closes.  Any weights on the simplex give a valid dual value and
-any positive weights a valid certificate, so the start, the Newton steps
-and the extrapolation change how fast the bounds tighten, never whether
-they hold.  Only the SVD of the best certificate is
+2,010, 963 and 11,522 SVDs, at most 12, 147 and 1,486 per input (1,422 and
+11,551 on the dense matrices and sums without the Newton steps), and
+every gap closes.  Solved whole, with only zero rows and columns dropped,
+the three sets took 3,088, 966 and 10,848 SVDs, at most 14, 147 and 984,
+and at most 95, 3,605 and 4,587 with plain steps from the uniform
+weights.  Any weights on the simplex give a valid dual value and any
+positive weights a valid certificate, so the start, the Newton steps and
+the extrapolation change how fast the bounds tighten, never whether they
+hold.  Only the SVD of the best certificate is
 kept.  Where its balanced factors miss A by more than ``tol``, a
 least-squares refit drives the residual to roundoff, on one side and on
 the other only when the first falls short (``_refit``); elsewhere, on all
-the booleans and dense inputs above and 20 of the 54 sums, the factors are
+the booleans and dense inputs above and 22 of the 54 sums, the factors are
 kept as they are, with a residual at most ``tol``.  The best dual, less a
 floating-point margin, is kept on the certificate as a lower bound
 (``_solve_core``).  A core of one row or one column needs no ascent: its
@@ -67,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .core import SignedBlockySum, _freeze, as_real_array
+from .core import SignedBlockySum, _freeze, _group_rows, as_real_array
 from .littlestone import BudgetExceeded, DEFAULT_BUDGET, ldim
 from .littlestone import ldim_alpha  # noqa: F401  unused; bench/spans.py patches factorize.ldim_alpha by name
 
@@ -263,7 +272,7 @@ def verify_factorization(
 # included; the Newton solves take no SVD and are not counted.  The ascent
 # stops once its certificate is within 1e-7 relative of its dual bound: on
 # 511 3×3 booleans, 84 dense 8²–32² matrices and 54 blocky sums of 16²–32²
-# that takes at most 984 SVDs (at most 25 on the dense matrices within the
+# that takes at most 1,486 SVDs (at most 25 on the dense matrices within the
 # Newton window, 12²–24²), so the cap is reached only where the gap never
 # closes.
 _MAX_SVDS = 10_000
@@ -491,10 +500,11 @@ def _refit(A: np.ndarray, L: np.ndarray, R: np.ndarray, tol: float):
     than 1e-9 relative above the unrefit factors' γ, which is the ascent's
     best certificate: once the ascent has closed its 1e-7 gap, no
     certificate can be smaller by more than that gap.  Otherwise neither
-    one alone suffices: on one 16² sum of 4 blocky terms the L-refit is
-    7.9e-5 relative above the dual, and on one 24² sum of 3 the R-refit
-    returns γ 5.3× the dual.  So both are scored, the certifying candidate
-    of smaller γ is kept, and with none the one of smaller residual.
+    one alone suffices: at tol 1e-12, on an 8×6 product of {-1, 0, 1}
+    matrices of rank 3 the R-refit returns γ 370× the dual, and on its
+    transpose the L-refit is 5.7e-5 relative above it.  So both are
+    scored, the certifying candidate of smaller γ is kept, and with none
+    the one of smaller residual.
     """
 
     def scored(X, Y):
@@ -571,20 +581,21 @@ def _exceeds(resid: float, tol: float, shift: int) -> bool:
 
 
 def _embed(
-    A_full: np.ndarray, rows_keep: np.ndarray, cols_keep: np.ndarray, L, R, dual_bound: float
+    A_full: np.ndarray, row_group: np.ndarray, col_group: np.ndarray, L, R, dual_bound: float
 ) -> GammaFactorization:
-    """Rescale core factors so rows of U are unit-capped, re-embed, and measure."""
+    """Rescale core factors so rows of U are unit-capped, re-embed, and measure.
+
+    Row x of U is row ``row_group[x]`` of L and column y of V is column
+    ``col_group[y]`` of R; group -1, a zero row or column, takes an
+    appended zero row or column.
+    """
     s = _max_row_norm(L)
     if s > 0:
         L = L / s
         R = R * s
-    # Re-embed into the original frame; the dropped zero rows/columns stay zero.
-    m, n = A_full.shape
     t = L.shape[1]
-    U_out = np.zeros((m, t))
-    V_out = np.zeros((t, n))
-    U_out[rows_keep] = L
-    V_out[:, cols_keep] = R
+    U_out = np.concatenate((L, np.zeros((1, t)))).take(row_group, axis=0)
+    V_out = np.concatenate((R, np.zeros((t, 1))), axis=1).take(col_group, axis=1)
     # Outward-rounded measurement: the certificate claim is "norm ≤ gamma",
     # so roundoff in the norm computation must never undercut the true value.
     gamma = _max_row_norm(U_out) * _max_col_norm(V_out) * (1 + 5e-16)
@@ -597,27 +608,38 @@ def _embed(
 def gamma2_upper(matrix, config: RunConfig | None = None) -> GammaFactorization:
     """Numerical upper bound on the factorization norm, as a checked certificate.
 
-    Drops zero rows and columns.  A core of one row or one column gets its
-    closed-form certificate (gamma = max|entry|).  Any other core runs one
-    weight ascent from the row/column energy (``_ascend_weights``, at most
-    ``_MAX_SVDS`` SVDs) and keeps its best certificate's factors, or
-    refits them where their residual exceeds ``config.tol`` (``_refit``):
-    the residual is at most ``config.tol``, not always roundoff.  Either way
-    the factors are rescaled so rows of U are unit-capped and re-embedded;
-    the inner dimension is min(rows, cols) of the nonzero core, and
-    ``dual_bound`` carries the core's lower bound (see ``_solve_core``).
-    No random numbers are drawn.  A result whose residual still exceeds
-    ``config.tol`` is returned as-is (non-certifying); callers decide.
+    Solves the distinct nonzero core: the first of each set of nonzero rows
+    with equal bytes, in row order, and likewise of the columns
+    (``core._group_rows``, one pass per side that also drops the zero rows
+    and columns; -0.0 counts as 0.0).  A matrix with no repeated nonzero
+    row or column has its nonzero core solved as it is.  A core of one row
+    or one column, such as that of a matrix whose nonzero rows are all
+    equal, gets its closed-form certificate (gamma = max|entry|) and takes
+    no SVD.  Any other core runs one weight ascent from the row/column
+    energy (``_ascend_weights``, at most ``_MAX_SVDS`` SVDs) and keeps its
+    best certificate's factors, or refits them where their residual exceeds
+    ``config.tol`` (``_refit``): the residual is at most ``config.tol``, not
+    always roundoff.  Either way the factors are rescaled so rows of U are
+    unit-capped and re-embedded (``_embed``): each row of U is a copy of
+    its group's row, each column of V of its group's column, and zero rows
+    and columns stay zero.  The copies leave the norm maxima, gamma and the
+    residual those of the core, and ``dual_bound``, the core's lower bound
+    (see ``_solve_core``), bounds the matrix's norm too, as the core is one
+    of its submatrices.  The inner dimension is min(rows, cols) of the
+    distinct nonzero core.  No random numbers are drawn.  A result whose
+    residual still exceeds ``config.tol`` is returned as-is
+    (non-certifying); callers decide.
     """
     config = config or DEFAULT_CONFIG
     A_full = as_real_array(matrix)
     m, n = A_full.shape
-    rows_keep = A_full.any(axis=1)
-    cols_keep = A_full.any(axis=0)
-    if not rows_keep.any():
+    plain = A_full + 0.0  # -0.0 becomes 0.0, so zero lines have all-zero bytes
+    row_first, row_group = _group_rows(plain, drop_zero=True)
+    if not row_first.size:
         return GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0)
-    A = A_full[rows_keep][:, cols_keep]
-    return _embed(A_full, rows_keep, cols_keep, *_solve_core(A, config))
+    col_first, col_group = _group_rows(plain.T, drop_zero=True)
+    A = A_full.take(row_first, axis=0).take(col_first, axis=1)
+    return _embed(A_full, row_group, col_group, *_solve_core(A, config))
 
 
 def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:

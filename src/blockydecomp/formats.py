@@ -6,9 +6,11 @@ character: JSON objects ``{"rows": m, "cols": n, "kind": ..., "entries":
 line followed by m rows of n values.  ``kind`` is ``int`` or ``real``, and
 this module alone maps it to a dtype: a loaded matrix is a read-only int64
 array for ``int`` and float64 for ``real``, and a float array is written as
-``real``, any other as ``int``.  ``rows`` and ``cols`` must be integers, and
-every malformed file raises ValueError naming its path.
-All indices in serialized decompositions are zero-based.
+``real``, any other as ``int``.  ``rows`` and ``cols`` must be integers.
+Every file is read as UTF-8, and every malformed matrix, decomposition or
+certificate file, one that is not UTF-8 or not JSON included, raises
+ValueError naming its path.  All indices in serialized decompositions are
+zero-based.
 """
 
 from __future__ import annotations
@@ -47,17 +49,30 @@ def _as_kind(arr: np.ndarray, kind, path) -> np.ndarray:
     return out
 
 
+def _read_text(path) -> str:
+    """A file's text, decoded as UTF-8; bytes that are not UTF-8 raise ValueError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _json_value(text: str, path):
+    """The value of a file's JSON text; text that is not JSON raises ValueError naming the path."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_matrix(path) -> np.ndarray:
     """Load a matrix from a JSON or text file as a read-only array; its kind is the dtype."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty matrix file")
     if stripped[0] == "{":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        obj = _json_value(text, path)
         try:
             m, n, kind, entries = obj["rows"], obj["cols"], obj.get("kind", "int"), obj["entries"]
         except KeyError as e:
@@ -158,8 +173,9 @@ def _index_field(obj, key: str, where: str, path) -> list[int]:
 
 
 def load_decomposition(path) -> SignedBlockySum:
-    """Read a signed blocky sum; missing fields, non-integer indices and signs raise ValueError."""
-    obj = json.loads(Path(path).read_text())
+    """Read a signed blocky sum; malformed JSON, missing fields, non-integer
+    indices and signs raise ValueError."""
+    obj = _json_value(_read_text(path), path)
     shape = tuple(_index_field(obj, "shape", "decomposition", path))
     if len(shape) != 2:
         raise ValueError(f"{path}: shape must have exactly two entries")
@@ -186,8 +202,9 @@ def dump_factorization(fac: GammaFactorization, path) -> None:
 
 def load_factorization(path) -> GammaFactorization:
     """Read a certificate, checked as ``GammaFactorization`` checks one; a
-    missing field or a gamma or residual that is not a number raises ValueError."""
-    obj = json.loads(Path(path).read_text())
+    malformed JSON, a missing field or a gamma or residual that is not a number
+    raises ValueError."""
+    obj = _json_value(_read_text(path), path)
     try:
         gamma, residual = float(obj["gamma"]), float(obj["residual"])
         return GammaFactorization(U=obj["U"], V=obj["V"], gamma=gamma, residual=residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _byte_keys, _freeze, as_int_array, as_real_array
+from .core import _freeze, _group_rows, as_int_array, as_real_array
 
 __all__ = [
     "BudgetExceeded",
@@ -64,7 +64,7 @@ class _SplitEngine:
     """Bitmask recursion shared by the exact dimension computations.
 
     The build is a few array calls.  Duplicate columns, then duplicate
-    rows, are collapsed by byte-exact ``np.unique`` on ``np.void`` views
+    rows, are collapsed byte-exactly by ``core._group_rows``
     (first-occurrence order; neither changes the dimension), and column
     subsets become Python-int bitmasks.  Every useful threshold split of a
     kept row is one (low_mask, high_mask) pair, all pairs built by one
@@ -86,14 +86,14 @@ class _SplitEngine:
 
     def __init__(self, values: np.ndarray, alpha: float, budget: int):
         arr = np.asarray(values, dtype=np.float64)
-        vals = arr[:, np.sort(np.unique(_byte_keys(arr.T), return_index=True)[1])]
+        vals = arr[:, _group_rows(arr.T)[0]]
         k = vals.shape[1]
         self.full_mask = (1 << k) - 1
         self.budget = int(budget)
         self.expansions = 0
         self.memo: dict[int, int] = {}
 
-        kept = vals[np.sort(np.unique(_byte_keys(vals), return_index=True)[1])]
+        kept = vals[_group_rows(vals)[0]]
         ordered = np.sort(kept, axis=1)
         first_of_value = np.ones(ordered.shape, dtype=bool)
         first_of_value[:, 1:] = ordered[:, 1:] != ordered[:, :-1]

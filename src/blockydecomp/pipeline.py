@@ -42,8 +42,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .core import (
     SignedBlockySum,
-    _byte_keys,
     _freeze,
+    _group_rows,
     _int_array_with_range,
     as_int_array,
     as_real_array,
@@ -379,14 +379,8 @@ def decompose(
     # Entries are capped at MAX_DECOMPOSE_ENTRY, so int16 bytes compare like
     # int64 values, and the peel runs on the int16 columns.
     columns = np.ascontiguousarray(A.T, dtype=np.int16)
-    nonzero = np.flatnonzero(columns.any(axis=1))
-    group_of = np.full(n, -1, dtype=np.int64)
-    distinct = columns[nonzero]  # 0 x m for the zero matrix
-    if nonzero.size:
-        _, first, inverse = np.unique(_byte_keys(distinct), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        group_of[nonzero] = np.argsort(order)[inverse.reshape(-1)]
-        distinct = distinct[first[order]]
+    first, group_of = _group_rows(columns, drop_zero=True)  # zero columns: group -1
+    distinct = columns[first]  # 0 x m for the zero matrix
     # The peel reads the distinct columns in C order, so they ravel as a
     # view; its raw tables are freed once validation has copied them.
     total = SignedBlockySum.from_label_tables(

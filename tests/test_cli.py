@@ -204,6 +204,31 @@ def test_malformed_matrix_file_exits_2_naming_it(tmp_path, capsys, command, text
     assert captured.err.startswith(f"error: {p}: ")
 
 
+@pytest.mark.parametrize(
+    "command, flag, data",
+    [
+        ("verify", "--decomp", b'{"shape": [1, 2],'),
+        ("decompose", "--factorization", b'{"gamma": 1.0,'),
+        ("oracle", "--input", b"\xff\xfe2 2 int\n1 0\n1 1\n"),
+    ],
+    ids=["verify-truncated-decomposition", "decompose-truncated-factorization", "oracle-not-utf8"],
+)
+def test_unreadable_file_exits_2_naming_it(corner, tmp_path, capsys, command, flag, data):
+    # A truncated decomposition or certificate next to a good matrix file,
+    # and a matrix file whose first bytes are not UTF-8.
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    argv = [command, flag, str(p)]
+    if flag != "--input":
+        argv += ["--input", corner]
+    if command == "decompose":
+        argv += ["--out", str(tmp_path / "d.json"), "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {p}: ")
+
+
 def test_decompose_rejects_huge_entries(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solver ran on an input the cap rejects")

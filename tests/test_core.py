@@ -34,6 +34,32 @@ def all_boolean(m, n):
         yield np.array([(code >> k) & 1 for k in range(m * n)], dtype=np.int64).reshape(m, n)
 
 
+def _groups_by_search(arr, drop_zero):
+    # Reference grouping: list searches over the rows' bytes.
+    keys = [row.tobytes() for row in np.ascontiguousarray(arr)]
+    distinct = [k for i, k in enumerate(keys) if keys.index(k) == i and not (drop_zero and not any(k))]
+    return [keys.index(k) for k in distinct], [distinct.index(k) if k in distinct else -1 for k in keys]
+
+
+@pytest.mark.parametrize("drop_zero", [False, True])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float64, np.uint8])
+def test_group_rows_matches_a_search_reference(dtype, drop_zero):
+    # Rows drawn from a few distinct ones, zero rows among them, as given
+    # and transposed (a strided view); -0.0 is a row of its own, as its
+    # bytes differ from 0.0's.
+    rng = np.random.default_rng(3)
+    for m, n in [(1, 1), (5, 1), (1, 4), (7, 3), (12, 6), (40, 9)]:
+        pool = rng.integers(-1, 2, size=(max(2, m // 3), n)).astype(dtype)
+        A = pool[rng.integers(0, pool.shape[0], size=m)]
+        A[rng.integers(0, m, size=m // 4)] = 0
+        for arr in (A, A.T):
+            first, group = core._group_rows(arr, drop_zero=drop_zero)
+            assert (first.tolist(), group.tolist()) == _groups_by_search(arr, drop_zero)
+            assert first.dtype == group.dtype == np.intp
+    negative_zero = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    assert core._group_rows(negative_zero)[1].tolist() == [0, 1, 0]
+
+
 def test_is_blocky_matches_scan_oracle_on_all_3x3():
     agree = 0
     for A in all_boolean(3, 3):

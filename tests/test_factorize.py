@@ -54,6 +54,8 @@ def test_zero_matrix_empty_certificate():
     assert fac.gamma == 0.0 and fac.shape == (2, 3) and fac.inner_dim == 0
     assert np.array_equal(fac.product(), np.zeros((2, 3)))
     assert verify_factorization(np.zeros((2, 3)), fac).ok
+    # -0.0 is zero too, though its bytes are not.
+    assert gamma2_upper(-np.zeros((2, 3))).inner_dim == 0
 
 
 def test_zero_rows_and_columns_are_reembedded():
@@ -63,6 +65,39 @@ def test_zero_rows_and_columns_are_reembedded():
     fac = gamma2_upper(A)
     assert fac.certifies() and fac.shape == (3, 4)
     assert 1.0 <= fac.gamma <= 1.0 + 1e-6  # disjoint singletons factor like an identity
+
+
+def _line_map(rng, k):
+    # Each of 0..k-1 at least once, some repeated, in ascending order, so
+    # first occurrences keep their order, with two -1s (a zero line) spliced in.
+    lines = np.sort(np.concatenate((np.arange(k), rng.integers(0, k, size=k))))
+    return np.insert(lines, rng.integers(0, lines.size + 1, size=2), -1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["boolean", "sign", "ternary", "real"])
+def test_repeated_and_zero_lines_copy_the_core_certificate(kind, seed):
+    # Repeating rows and columns and adding zero ones leaves the distinct
+    # nonzero core, and its order, as they are, so the certificate is the
+    # base matrix's, bit for bit, with rows of U and columns of V copied.
+    # The zero lines hold -0.0, whose bytes are not zero.  The 12×11 real
+    # base lies in the Newton window.
+    rng = np.random.default_rng([seed, 28])
+    shape = [(4, 5), (6, 3), (12, 11)][seed]
+    B = {
+        "boolean": lambda: rng.integers(0, 2, size=shape),
+        "sign": lambda: rng.choice([-1, 1], size=shape),
+        "ternary": lambda: rng.integers(-1, 2, size=shape),
+        "real": lambda: rng.standard_normal(shape),
+    }[kind]().astype(np.float64)
+    rows, cols = _line_map(rng, shape[0]), _line_map(rng, shape[1])
+    A = np.pad(B, ((0, 1), (0, 1)), constant_values=-0.0)[rows][:, cols]  # line -1: the zero line
+    base, fac = gamma2_upper(B), gamma2_upper(A)
+    bits = [(f.gamma.hex(), f.residual.hex(), f.dual_bound.hex()) for f in (base, fac)]
+    assert bits[0] == bits[1]
+    assert np.array_equal(fac.U, np.pad(base.U, ((0, 1), (0, 0)))[rows])
+    assert np.array_equal(fac.V, np.pad(base.V, ((0, 0), (0, 1)))[:, cols])
+    assert verify_factorization(A, fac).ok
 
 
 def test_determinism():
@@ -94,19 +129,23 @@ GOLDEN_INPUTS = {
     "eye3": np.eye(3),
     "ones3": np.ones((3, 3)),
     "hadamard2": [[1, 1], [1, -1]],
-    "sign8": np.random.default_rng(8).choice([-1, 1], size=(8, 8)),
+    "sign8": np.random.default_rng(8).choice([-1, 1], size=(8, 8)),  # column 7 repeats column 3
+    # An 8×8 sign matrix with no repeated row or column, whose ascent runs
+    # on the whole matrix; it has no golden of its own.
+    "sign8-distinct": np.random.default_rng(10).choice([-1, 1], size=(8, 8)),
     "ternary16": np.random.default_rng(16).integers(-1, 2, size=(16, 16)),
     "row1x5": [[1, -2, 0, 3, 1]],
     "col5x1": [[2], [0], [-1], [1], [1]],
+    "rows3x2": [[1, 2], [1, 2], [1, 2]],  # one distinct row, repeated
 }
 
 # name -> (float.hex(gamma), float.hex(residual), sha256 of U bytes + V bytes)
 GOLDEN = {
     "corner": ("0x1.279a7459a1e54p+0", "0x1.0000000000000p-53", "9dbda16862695bdd900409a836db07b4c875a12231f363a4cd8cdcabd5495cca"),
     "eye3": ("0x1.0000000000002p+0", "0x0.0p+0", "08d94fcf4e14c682e988305422e5563f5c7fc2f7dec91824379bd8352a7c7994"),
-    "ones3": ("0x1.0000000000004p+0", "0x1.8000000000000p-51", "ec0078429a5e2a4a23f8bb3b9642e74c1c7b04587c93524f7799121f1efd072b"),
+    "ones3": ("0x1.0000000000002p+0", "0x0.0p+0", "961e76f1c44f5ce8d5761ea1aa65e20225642a79548cbe995da4644fae5f8c11"),
     "hadamard2": ("0x1.6a09e667f3bd0p+0", "0x1.0000000000000p-52", "d6fd7328baf060ac8f0f9d7dc2994bd792ca6e1ad334decfc2b89155b529fd94"),
-    "sign8": ("0x1.320721757a622p+1", "0x1.0000000000000p-49", "fea7e780a1b7f4b3f9fb8dec51007fb20542738a7f7da165aa2a34049c37006c"),
+    "sign8": ("0x1.3207212cf6d58p+1", "0x1.e000000000000p-49", "1e34306072924f740411f4dd6460afd5b805c83e0593214d2ff2932fa51a782c"),
     "ternary16": ("0x1.74b17c24a7117p+1", "0x1.6000000000000p-48", "72063a9bb529d02aa1bd4e4d47be9e501b4126b4c3a331d68c5b03a4ec57eb9d"),
     "row1x5": ("0x1.8000000000003p+1", "0x0.0p+0", "45dea68417d6160128c3edc24989201b9f3281d787bd83a522dc46d7174358e3"),
     "col5x1": ("0x1.0000000000002p+1", "0x0.0p+0", "781e75eb1a446192d73c5b534525733d9aa9ec7c9caf7d1ff080e7286537e0cd"),
@@ -129,6 +168,16 @@ GOLDEN_ALWAYS_REFIT = {
 # at most the 1e-7 stop gap.
 GOLDEN_BEFORE_NEWTON = {
     "ternary16": ("0x1.74b17db0d9a76p+1", "0x1.5000000000000p-48", "54a9b7c03b3995b5b906b855c78e29d93fd315c16d3face10f6ce346943b5ca3"),
+}
+
+# The goldens above that changed when the solver began to run on the
+# distinct nonzero core, dropping repeated rows and columns as well as zero
+# ones, as they were before.  ones3's core is one entry, with a closed-form
+# certificate; sign8's is its 8×7 distinct columns.  The new certificate
+# may differ by at most the 1e-7 stop gap.
+GOLDEN_BEFORE_DEDUPE = {
+    "ones3": ("0x1.0000000000004p+0", "0x1.8000000000000p-51", "ec0078429a5e2a4a23f8bb3b9642e74c1c7b04587c93524f7799121f1efd072b"),
+    "sign8": ("0x1.320721757a622p+1", "0x1.0000000000000p-49", "fea7e780a1b7f4b3f9fb8dec51007fb20542738a7f7da165aa2a34049c37006c"),
 }
 
 # The goldens above that changed when the ascent's start moved from the
@@ -181,7 +230,7 @@ def test_golden_certificates(name):
     assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN[name]
     assert fac.gamma <= float.fromhex(GAMMA_WITHOUT_GLOBAL_STOP[name]) * (1 + 1e-7)
     assert fac.gamma <= float.fromhex(GAMMA_PLAIN_STEP[name]) * (1 + 1e-7)
-    for table in (GOLDEN_UNIFORM_START, GOLDEN_ALWAYS_REFIT, GOLDEN_BEFORE_NEWTON):
+    for table in (GOLDEN_UNIFORM_START, GOLDEN_ALWAYS_REFIT, GOLDEN_BEFORE_NEWTON, GOLDEN_BEFORE_DEDUPE):
         if name in table:
             before = float.fromhex(table[name][0])
             assert abs(fac.gamma - before) <= 1e-7 * before
@@ -199,13 +248,18 @@ def test_golden_certificates(name):
         # start's certificates after one and two SVDs for corner, which the
         # energy start undercuts, and ones3's from the uniform start.
         # before_hex is the pin from before the refit became conditional and
-        # the half sums sequential; the new pin is within 1e-7 of it.
+        # the half sums sequential; the new pin is within 1e-7 of it.  Since
+        # the solver runs on the distinct core, ones3 takes the closed form
+        # and sign8 runs on its 8×7 core.  sign8's ascents cut at one and two
+        # SVDs moved to sign8-distinct, whose whole matrix is its core; a cut
+        # ascent on another core stops elsewhere, so their before_hex is the
+        # new pin.
         pytest.param("corner", 1e-9, 2, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
-        pytest.param("sign8", 1e-300, 10_000, "0x1.320721757a625p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
+        pytest.param("sign8", 1e-300, 10_000, "0x1.3207212cf6d52p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
         pytest.param("corner", 1e-9, 1, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
-        pytest.param("sign8", 1e-9, 1, "0x1.5061c8ae0e301p+1", "0x1.5061c8ae0e2f5p+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
+        pytest.param("sign8-distinct", 1e-9, 1, "0x1.5354c724594bep+1", "0x1.5354c724594bep+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
         pytest.param("ones3", 1e-9, 10_000, GOLDEN["ones3"][0], "0x1.0000000000001p+0", id="ones3-config6-0x1.0000000000002p+0"),
-        pytest.param("sign8", 1e-9, 2, "0x1.42dad9481dba7p+1", "0x1.42dad9481dbadp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
+        pytest.param("sign8-distinct", 1e-9, 2, "0x1.4607d3fafb45cp+1", "0x1.4607d3fafb45cp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
     ],
 )
 def test_batched_ascent_edge_cases(monkeypatch, name, tol, max_svds, gamma_hex, before_hex):
@@ -237,20 +291,23 @@ def _count_linalg(monkeypatch, name="svd"):
 
 def test_one_stacked_svd_per_ascent_iteration(monkeypatch):
     # One ascent, one 2-d SVD per step; the cap counts the SVDs at
-    # extrapolated weights too.  sign8 needs 15 SVDs uncapped (corner, used
-    # here before, now closes at its first).
+    # extrapolated weights too.  sign8-distinct needs 11 SVDs uncapped
+    # (corner, used here before, now closes at its first, and sign8 runs on
+    # its 8×7 distinct core).
     calls = _count_linalg(monkeypatch)
     monkeypatch.setattr(factorize, "_MAX_SVDS", 5)
-    gamma2_upper(GOLDEN_INPUTS["sign8"])
+    gamma2_upper(GOLDEN_INPUTS["sign8-distinct"])
     assert calls == [(8, 8)] * 5
 
 
 def test_uniform_start_closing_at_once_costs_one_svd(monkeypatch):
     # A rank-one sign pattern, whose energy start is the uniform start,
-    # closes the gap on its first SVD.
+    # closes the gap on its first SVD.  Its rows are v and −v: a longer one
+    # repeats a row, and ones3, used here before, has a 1×1 distinct core.
     calls = _count_linalg(monkeypatch)
-    gamma2_upper(np.ones((3, 3)))
-    assert calls == [(3, 3)]
+    fac = gamma2_upper([[1, -1], [-1, 1]])
+    assert calls == [(2, 2)]
+    assert fac.gamma - fac.dual_bound <= 1e-7
 
 
 def _shares(A, log_x):
@@ -316,7 +373,7 @@ def _count_newton_steps(monkeypatch):
     [
         (GOLDEN_INPUTS["ternary16"], 14),
         ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], 12),
-        (GOLDEN_INPUTS["sign8"], 15),
+        (GOLDEN_INPUTS["sign8-distinct"], 11),
         (np.random.default_rng(32).choice([-1, 1], size=(32, 32)), 9),
     ],
     ids=["ternary16", "boolean3", "sign8", "sign32"],
@@ -326,7 +383,8 @@ def test_newton_phase_runs_only_in_its_window(monkeypatch, A, svds_without_newto
     # flops at most 52·m·n·k, a full-rank first SVD): it keeps Newton
     # points, so a second step starts from one, and takes 4 SVDs instead of
     # 14.  The 3×3, 8×8 and 32×32 cores lie outside it and make the SVDs
-    # of the SQUAREM ascent alone.
+    # of the SQUAREM ascent alone.  The id sign8 keeps its name; its input
+    # is sign8-distinct, as sign8 itself now runs on an 8×7 core.
     calls = _count_linalg(monkeypatch)
     starts = _count_newton_steps(monkeypatch)
     fac = gamma2_upper(A)
@@ -383,14 +441,18 @@ def test_batch_stops_on_the_global_dual_gap(monkeypatch, A, svds):
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
 
 
-@pytest.mark.parametrize("name", ["row1x5", "col5x1"])
+@pytest.mark.parametrize("name", ["row1x5", "col5x1", "ones3", "rows3x2"])
 def test_one_row_or_column_core_is_closed_form(monkeypatch, name):
+    # ones3 and rows3x2 reach the closed form through their distinct core:
+    # one entry and one row.  The norms are exactly max|a|; only the
+    # outward rounding of the stated gamma lies above it.
     calls = _count_linalg(monkeypatch)
     A = np.asarray(GOLDEN_INPUTS[name], dtype=np.float64)
     fac = gamma2_upper(A)
     assert calls == []
     top = float(np.abs(A).max())
     assert verify_factorization(A, fac).ok and fac.residual == 0.0
+    assert fac.max_row_norm * fac.max_col_norm == top
     assert top <= fac.gamma <= top * (1 + 1e-15)
     assert fac.dual_bound == top
     # The dual ties the exact max-entry bound, and the bracket keeps the exact tag.
@@ -418,14 +480,16 @@ def test_open_gap_falls_back_to_the_batch_of_all_starts(monkeypatch, n, L, seed,
     # On these low-rank sums the uniform start, cut by a 60-stale rule, once
     # left the gap open, and a fallback batch of the uniform and 16 random
     # starts certified gamma_hex.  The single ascent needs no fallback: it
-    # closes the gap alone, with one 2-d SVD per step, and its
-    # certificate is no larger than the batch's.
+    # closes the gap alone, with one 2-d SVD per step of the distinct
+    # nonzero core's shape (16×15 and 20×22), and its certificate is no
+    # larger than the batch's.
     inst = generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed)
     A = np.asarray(inst.matrix)
+    core_shape = tuple(len(np.unique(M[M.any(axis=1)], axis=0)) for M in (A, A.T))
     calls = _count_linalg(monkeypatch)
     fac = gamma2_upper(A)
     assert 0 < len(calls) <= factorize._MAX_SVDS
-    assert all(shape == (n, n) for shape in calls)
+    assert calls == [core_shape] * len(calls)
     assert verify_factorization(A, fac).ok
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
     assert fac.gamma <= float.fromhex(gamma_hex)
@@ -503,19 +567,27 @@ def test_svd_budget_per_input_set(monkeypatch, name):
     assert len(calls) <= SVD_BUDGET[name]
 
 
-@pytest.mark.parametrize("n, L, seed, side", [(16, 4, 3, 0), (24, 4, 4, 1)])
-def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, n, L, seed, side):
+@pytest.mark.parametrize(
+    "transpose, side", [pytest.param(True, 0, id="16-4-3-0"), pytest.param(False, 1, id="24-4-4-1")]
+)
+def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, transpose, side):
     # The refit runs only where the ascent's factors miss tol, which at the
-    # default tol they do on no booleans or dense inputs and on 34 of the 54
-    # census sums.  At tol 1e-12 they miss it on 42 sums, and these two
-    # reach both candidates: refitting only L (side 0) gives gamma 4.2e-6
-    # relative above the dual on the first sum, and refitting only R
-    # (side 1) 5.8e-4 on the second; the certifying refit of smaller gamma
-    # closes both.  The L-refit comes first, so the first sum needs both
-    # least-squares solves and the second only one.
+    # default tol they do on no booleans or dense inputs and on 32 of the 54
+    # census sums.  At tol 1e-12 they miss it on 43 sums, but on their
+    # distinct cores, where the solver runs, one refit alone always comes
+    # within 1e-6 of the dual.  So the cases run on an 8×6 product of {-1, 0, 1}
+    # matrices of rank 3 with no repeated or zero row or column, and its
+    # transpose (the ids name the census sums they ran on before).
+    # Refitting only L (side 0) gives gamma 5.7e-5 relative above the dual
+    # on the transpose, and refitting only R (side 1) 370 times the dual on
+    # the product; the certifying refit of smaller gamma closes both.  The
+    # L-refit comes first, so the transpose needs both least-squares solves
+    # and the product only one.
     config = RunConfig(tol=1e-12)
-    A = np.asarray(generate(GeneratorSpec("random-blocky-sum", n=n, term_count=L), seed=seed).matrix)
-    A = A.astype(np.float64)
+    rng = np.random.default_rng(518)
+    A = (rng.integers(-1, 2, size=(8, 3)) @ rng.integers(-1, 2, size=(3, 6))).astype(np.float64)
+    A = A.T if transpose else A
+    assert all(len(np.unique(M[M.any(axis=1)], axis=0)) == len(M) for M in (A, A.T))  # its own core
     # The ascent runs on the core scaled to max|A| in [1, 2), as in _solve_core.
     shift = math.frexp(float(np.abs(A).max()))[1] - 1
     core = np.ldexp(A, -shift)

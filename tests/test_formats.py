@@ -124,6 +124,20 @@ def test_malformed_matrix_files_name_the_path(tmp_path, text, match):
     assert str(exc.value).startswith(f"{p}: ")
 
 
+@pytest.mark.parametrize("load", [load_matrix, load_decomposition, load_factorization])
+@pytest.mark.parametrize(
+    "data, match",
+    [(b'{"shape": [1, 2],', "Expecting property name"), (b"\xff\xfe1 1 int\n1\n", "not UTF-8 text")],
+    ids=["truncated-json", "not-utf8"],
+)
+def test_every_loader_names_its_file(tmp_path, load, data, match):
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    with pytest.raises(ValueError, match=match) as exc:
+        load(p)
+    assert str(exc.value).startswith(f"{p}: ")
+
+
 def test_load_int_matrix_rejects_real(tmp_path):
     p = tmp_path / "r.txt"
     dump_matrix(np.array([[0.5]]), p)
