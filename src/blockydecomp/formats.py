@@ -195,23 +195,30 @@ def load_decomposition(path) -> SignedBlockySum:
 
 
 def dump_factorization(fac: GammaFactorization, path) -> None:
-    """Write a certificate's U, V, gamma and residual as JSON."""
-    obj = {"gamma": fac.gamma, "residual": fac.residual, "U": fac.U.tolist(), "V": fac.V.tolist()}
+    """Write a certificate's shape, U, V, gamma and residual as JSON."""
+    obj = {"shape": list(fac.shape), "gamma": fac.gamma, "residual": fac.residual,
+           "U": fac.U.tolist(), "V": fac.V.tolist()}
     Path(path).write_text(json.dumps(obj) + "\n")
 
 
 def load_factorization(path) -> GammaFactorization:
     """Read a certificate, checked as ``GammaFactorization`` checks one; a
-    malformed JSON, a missing field or a gamma or residual that is not a number
-    raises ValueError."""
+    malformed JSON, a missing field, a gamma or residual that is not a number
+    or a ``shape`` that U and V do not make raises ValueError.  A 0 x n V is
+    written as ``[]``; ``shape``, where the file has one, gives its n."""
     obj = _json_value(_read_text(path), path)
     try:
         gamma, residual = float(obj["gamma"]), float(obj["residual"])
-        return GammaFactorization(U=obj["U"], V=obj["V"], gamma=gamma, residual=residual)
+        shape = tuple(_index_field(obj, "shape", "factorization", path)) if "shape" in obj else None
+        V = np.zeros((0, shape[-1])) if obj["V"] == [] and shape else obj["V"]
+        fac = GammaFactorization(U=obj["U"], V=V, gamma=gamma, residual=residual)
     except KeyError as e:
         raise ValueError(f"{path}: missing factorization field {e}") from None
     except TypeError as e:  # a field of the wrong JSON type, such as a null gamma
         raise ValueError(f"{path}: malformed factorization: {e}") from None
+    if shape is not None and fac.shape != shape:
+        raise ValueError(f"{path}: U and V make a {fac.shape} product, not the stated shape {shape}")
+    return fac
 
 
 def dump_report(report: dict, path) -> None:

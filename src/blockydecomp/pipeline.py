@@ -12,12 +12,13 @@ rounds like A - A', and that its eps grows at most threefold.
 ``decompose`` checks the certificate the same way the construction needs it,
 then takes the direct path: it deduplicates the nonzero columns exactly,
 peels the distinct-column matrix into raw label tables (``_peel_tables``,
-the kernel of ``greedy_l1_decompose``), lifts each rectangle back to its
-member columns and validates the lifted tables once.  When the construction
-ends after one level, as it does on every input measured, each distinct
-nonzero column is the value of at least one of its cells; the peel's term
-count is the largest positive plus the largest negative row sum, so peeling
-the cells never gives fewer terms than peeling the distinct columns.
+the kernel of ``greedy_l1_decompose``), and lifts, validates and checks the
+sum against A in ``_checked_sum``, as the step does its layer against the
+rounding of A'.  When the construction ends after one level, as it does on
+every input measured, each distinct nonzero column is the value of at
+least one of its cells; the peel's term count is the largest positive plus
+the largest negative row sum, so peeling the cells never gives fewer terms
+than peeling the distinct columns.
 ``exact_block_complexity`` is the desk-scale brute-force oracle the test
 battery measures both against.
 
@@ -131,17 +132,22 @@ def _nearest_int_dist(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.round(values))
 
 
-def _lift(signs, rows, cols, group_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand label tables over grouped columns to tables over their member columns.
+def _checked_sum(target: np.ndarray, tables, group_of: np.ndarray) -> SignedBlockySum:
+    """The sum of ``_peel_tables``' output over column groups, lifted, validated once, checked.
 
-    ``group_of[y]`` is the column of ``cols`` that column y belongs to, or
-    -1 for a column in no group.  Signs and row labels are kept, and column
-    y takes its group's column labels: one fancy index into ``cols`` with a
-    column of -1 appended for ungrouped columns.  Rows are untouched, so the
-    ids stay canonical; the caller validates the result.
+    Column y takes group ``group_of[y]``'s column labels (-1 where that is -1), one fancy
+    index; a sum other than ``target`` raises ReconstructionError at its first wrong entry.
     """
+    signs, rows, cols = tables
     padded = np.concatenate([cols, np.full((cols.shape[0], 1), -1, dtype=cols.dtype)], axis=1)
-    return signs, rows, padded[:, group_of]
+    total = SignedBlockySum.from_label_tables(target.shape, signs, rows, padded[:, group_of])
+    rebuilt = total.evaluate()
+    if not np.array_equal(rebuilt, target):
+        x, y = (int(i) for i in np.argwhere(rebuilt != target)[0])
+        raise ReconstructionError(
+            f"reconstruction mismatch at ({x}, {y}): expected {int(target[x, y])}, got {int(rebuilt[x, y])}"
+        )
+    return total
 
 
 def norm_decrement_step(
@@ -158,19 +164,17 @@ def norm_decrement_step(
     RoundingDriftError if any grid value chosen for rounding is farther than
     1/4 + eps (plus slack) from an integer, which signals that the
     almost-integer certificate no longer holds.  Raises ReconstructionError
-    when rounding is not additive over A = A' + (A - A') or the residual
-    product rounds differently from A - A', and AssertionError when a proved
-    bound fails: the 1/8 drop in gamma^2, eps_out <= 2 eps, or a residual
-    product more than 3 eps from the integers.
+    when rounding is not additive over A = A' + (A - A'), the residual
+    product rounds differently from A - A', or the blocky layer differs from
+    the rounding of A', and AssertionError when a proved bound fails: the
+    1/8 drop in gamma^2, eps_out <= 2 eps, or a residual product more than
+    3 eps from the integers.
     """
     config = config or DEFAULT_CONFIG
-    A = as_real_array(matrix)
-    m, n = A.shape
-    if fac.shape != (m, n):
-        raise ValueError(f"factorization shape {fac.shape} does not match matrix {A.shape}")
     if not (0 <= eps < 0.25):
         raise ValueError(f"eps must lie in [0, 1/4), got {eps}")
-    resid = float(np.abs(A - fac.product()).max(initial=0.0))
+    A = as_real_array(matrix)
+    resid = verify_factorization(A, fac, config.tol).residual  # a shape mismatch raises here
     if resid > config.tol:
         raise ValueError(f"factorization residual {resid:.3e} exceeds tol {config.tol:.3e}")
     A_Z = round_half_down(A)
@@ -189,13 +193,12 @@ def norm_decrement_step(
     v_prime = np.zeros_like(V)  # zero residual columns where A_Z is zero
     active = np.flatnonzero(A_Z.any(axis=0))
     cell_values: list[np.ndarray] = []  # integer column per captured class cell
-    cell_of = np.full(n, -1, dtype=np.int64)  # the cell each captured column belongs to
+    cell_of = np.full(A.shape[1], -1, dtype=np.int64)  # the cell each captured column belongs to
     rounds = []
     certified = True
     while active.size:
         part = greedy_partition(A_Z[:, active])
         round_cells = []
-        captured_here: list[np.ndarray] = []
         for cls in part.classes:
             S = active[list(cls.columns)]
             stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1)
@@ -208,33 +211,30 @@ def norm_decrement_step(
                     f"grid value at distance {drift:.6f} from the integers "
                     f"(allowed {0.25 + eps:.6f}); eps certificate violated"
                 )
-            g_int = round_half_down(g)
-            v_hat = V[:, S1].mean(axis=1)
-            anchor = abs(float(U[cls.row] @ v_hat))
+            split = subtract_average(V[:, S1].T, gamma)
+            anchor = abs(float(U[cls.row] @ split.average))
             if anchor < 0.5 - 1e-9:
                 raise RoundingDriftError(
                     f"class anchor inner product {anchor:.6f} fell below 1/2; "
                     "eps certificate violated"
                 )
-            split = subtract_average(V[:, S1].T, gamma)
             S2 = S1[list(split.kept)]
             a_prime[:, S2] = (U @ split.average)[:, None]
             v_prime[:, S2] = V[:, S2] - split.average[:, None]
             cell_of[S2] = len(cell_values)
-            cell_values.append(g_int)
-            captured_here.append(S2)
+            cell_values.append(round_half_down(g))
             round_cells.append(
                 {"size": int(S.size), "stabilized": int(S1.size), "kept": int(S2.size)}
             )
-        captured = np.concatenate(captured_here)
+        left = active[cell_of[active] < 0]  # the columns no class captured
         rounds.append(
             {
                 "classes": round_cells,
-                "captured": int(captured.size),
-                "remaining": int(active.size - captured.size),
+                "captured": int(active.size - left.size),
+                "remaining": int(left.size),
             }
         )
-        active = np.setdiff1d(active, captured, assume_unique=True)
+        active = left
 
     res_cols_sq = np.einsum("ij,ij->j", v_prime, v_prime)
     worst = float(res_cols_sq.max(initial=0.0))
@@ -262,11 +262,9 @@ def norm_decrement_step(
 
     # Blocky accounting happens on the compressed cell matrix (one column per
     # captured class), then rectangles are expanded back to member columns.
-    blocky_part = SignedBlockySum.from_label_tables(
-        (m, n), *_lift(*_peel_tables(np.stack(cell_values, axis=1)), cell_of)
+    blocky_part = _checked_sum(
+        round_half_down(a_prime), _peel_tables(np.stack(cell_values, axis=1)), cell_of
     )
-    if not np.array_equal(blocky_part.evaluate(), round_half_down(a_prime)):
-        raise ReconstructionError("blocky layer does not match the rounded structured part")
 
     eps_out = float(_nearest_int_dist(a_prime).max(initial=0.0))
     if eps_out > 2 * eps + 1e-9:
@@ -329,13 +327,14 @@ def decompose(
     is the eps of the report; only a certificate accepted at a tol of 1/2 or
     more is multiplied out again for the rounding check.  The sum is then
     the dedupe+peel of the input: ``_peel_tables`` writes the distinct
-    nonzero columns' terms into raw label tables, ``_lift`` expands
-    the column labels to the columns equal to each with one fancy index, and
-    ``SignedBlockySum.from_label_tables`` validates the result, once.  It
-    never has more terms than a construction that ends after one
-    ``norm_decrement_step``.  The returned sum is checked entry-for-entry
+    nonzero columns' terms into raw label tables, and ``_checked_sum``, the
+    construction step's path too, expands the column labels to the columns
+    equal to each with one fancy index, validates the result once with
+    ``SignedBlockySum.from_label_tables`` and checks it entry-for-entry
     against the input with ``SignedBlockySum.evaluate``; a mismatch raises
-    ReconstructionError with a witness entry.  Inputs with an entry of
+    ReconstructionError naming the first differing entry.  The sum never
+    has more terms than a construction that ends after one
+    ``norm_decrement_step``.  Inputs with an entry of
     magnitude above ``MAX_DECOMPOSE_ENTRY`` raise ValueError at once.
 
     Allocation: the int64 input is neither copied nor converted to float64.
@@ -381,30 +380,15 @@ def decompose(
     columns = np.ascontiguousarray(A.T, dtype=np.int16)
     first, group_of = _group_rows(columns, drop_zero=True)  # zero columns: group -1
     distinct = columns[first]  # 0 x m for the zero matrix
-    # The peel reads the distinct columns in C order, so they ravel as a
-    # view; its raw tables are freed once validation has copied them.
-    total = SignedBlockySum.from_label_tables(
-        (m, n), *_lift(*_peel_tables(np.ascontiguousarray(distinct.T)), group_of)
-    )
-
-    rebuilt = total.evaluate()
-    if not np.array_equal(rebuilt, A):
-        bad = np.argwhere(rebuilt != A)[0]
-        x, y = int(bad[0]), int(bad[1])
-        raise ReconstructionError(
-            f"reconstruction mismatch at ({x}, {y}): expected {int(A[x, y])}, got {int(rebuilt[x, y])}"
-        )
-    min_side = min(m, n)
-    denom = math.log(min_side) ** 2 if min_side >= 2 else 0.0
-    bound_fit = (len(total) / denom) if denom > 0 else None
-    report = PipelineReport(
+    # The peel reads the distinct columns in C order, so they ravel as a view.
+    total = _checked_sum(A, _peel_tables(np.ascontiguousarray(distinct.T)), group_of)
+    return total, PipelineReport(
         levels=(),
         total_terms=len(total),
         gamma_squared_trajectory=(fac.gamma * fac.gamma,),
         eps_trajectory=(eps0,),
-        bound_fit=bound_fit,
+        bound_fit=len(total) / math.log(min(m, n)) ** 2 if min(m, n) >= 2 else None,
     )
-    return total, report
 
 
 # ---------------------------------------------------------------------------
@@ -416,54 +400,55 @@ def decompose(
 ORACLE_MAX_L = 6
 
 
+def _all_booleans(m: int, n: int) -> np.ndarray:
+    """Every boolean m×n matrix, int8 (2**(m*n), m, n): entry (x, y) of matrix c is bit x*n + y of c."""
+    codes = np.arange(1 << (m * n), dtype=np.uint32)
+    bits = (codes[:, None] >> np.arange(m * n, dtype=np.uint32)) & 1
+    return bits.astype(np.int8).reshape(-1, m, n)
+
+
 def _blocky_library(m: int, n: int) -> np.ndarray:
-    """All nonzero boolean m×n blocky matrices as an int8 array (count, m, n)."""
-    count = 1 << (m * n)
-    codes = np.arange(count, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(m * n, dtype=np.uint32)[None, :]) & 1
-    cand = bits.astype(np.int8).reshape(count, m, n)
-    ok = np.ones(count, dtype=bool)
+    """All nonzero boolean m×n blocky matrices as an int8 array (count, m, n).
+
+    ``is_blocky``'s rule: every two rows' supports are equal or disjoint.
+    """
+    cand = _all_booleans(m, n)
+    supports = cand @ (1 << np.arange(n))  # row x's support as bit y of supports[:, x]
+    ok = np.ones(cand.shape[0], dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    quad = (
-                        cand[:, i, k].astype(np.int16)
-                        + cand[:, i, l]
-                        + cand[:, j, k]
-                        + cand[:, j, l]
-                    )
-                    ok &= quad != 3
+            a, b = supports[:, i], supports[:, j]
+            ok &= (a == b) | ((a & b) == 0)
     return cand[ok][1:]  # drop the zero matrix; it contributes nothing to a sum
 
 
 @cache
-def _oracle_tables(m: int, n: int) -> tuple[np.ndarray, frozenset[bytes], frozenset[bytes] | None]:
+def _oracle_tables(m: int, n: int) -> tuple[np.ndarray, tuple[frozenset[bytes], ...]]:
     """The oracle's search tables of shape (m, n), built on first use and shared by every call.
 
     ``signed`` holds every nonzero boolean blocky matrix and its negation
-    (read-only int8, shape (count, m, n)); ``one_sums`` and ``pair_sums`` hold
-    the int8 bytes of every sum of one, respectively two, of them.
-    ``pair_sums`` is None where the pair table would exceed 2,000,000 sums.
+    (read-only int8, shape (count, m, n)); ``at_most[j]`` holds the int8
+    bytes of every sum of at most j + 1 of them, zero included, for j = 0
+    and, where that table has at most 2,000,000 sums, j = 1.
     """
     lib = _blocky_library(m, n)
-    signed = _freeze(np.concatenate([lib, -lib], axis=0).astype(np.int8))
-    pair_sums = None
+    signed = _freeze(np.concatenate([lib, -lib], axis=0))
+    sums = [np.concatenate([np.zeros((1, m, n), dtype=np.int8), signed], axis=0)]
     if signed.shape[0] ** 2 <= 2_000_000:
-        sums = signed[:, None, :, :] + signed[None, :, :, :]
-        pair_sums = frozenset(s.tobytes() for s in sums.reshape(-1, m, n))
-    return signed, frozenset(s.tobytes() for s in signed), pair_sums
+        sums.append((sums[0][:, None] + signed[None]).reshape(-1, m, n))
+    return signed, tuple(frozenset(s.tobytes() for s in level) for level in sums)
 
 
 def exact_block_complexity(matrix, l_max: int = ORACLE_MAX_L) -> int | None:
     """Minimum number of signed blocky terms summing to the matrix, or None.
 
     Exhaustive: enumerates every blocky matrix of the given shape and runs
-    iterative-deepening search over signed sums, memoizing failed residuals.
-    Restricted to m*n <= 16 and l_max <= ``ORACLE_MAX_L`` by precondition.
-    None means the complexity exceeds l_max; that is answered without search
-    when some entry exceeds l_max in magnitude, since each signed blocky
-    term moves an entry by at most 1.
+    iterative-deepening search over signed sums, memoizing failed residuals;
+    sums of one term, or of two where the pair table is built, are table
+    lookups.  Restricted to m*n <= 16 and l_max <= ``ORACLE_MAX_L`` by
+    precondition.  None means the complexity exceeds l_max; that is
+    answered without search when some entry exceeds l_max in magnitude,
+    since each signed blocky term moves an entry by at most 1.
     """
     A = as_int_array(matrix)
     m, n = A.shape
@@ -475,41 +460,29 @@ def exact_block_complexity(matrix, l_max: int = ORACLE_MAX_L) -> int | None:
         return 0
     if np.abs(A).max() > l_max:
         return None
-    signed, one_sums, pair_sums = _oracle_tables(m, n)
+    signed, at_most = _oracle_tables(m, n)
 
-    ub = _peel_term_count(A)
-    top = min(l_max, ub)
+    top = min(l_max, _peel_term_count(A))
     fails: set[tuple[bytes, int]] = set()
 
     def reachable(R: np.ndarray, k: int) -> bool:
-        if not R.any():
-            return True
-        if k <= 0 or np.abs(R).max() > k:
+        """Whether R is a sum of at most k signed blocky terms."""
+        raw = R.tobytes()
+        if k <= len(at_most):
+            return raw in at_most[k - 1]
+        if np.abs(R).max() > k or (raw, k) in fails:
             return False
-        key = (R.tobytes(), k)
-        if key in fails:
-            return False
-        raw = R.astype(np.int8).tobytes()
-        if k == 1:
-            hit = raw in one_sums
-        elif k == 2:
-            # "at most two terms": one exact term also qualifies
-            if pair_sums is not None:
-                hit = raw in one_sums or raw in pair_sums
-            else:
-                hit = raw in one_sums or any(
-                    (R - B).astype(np.int8).tobytes() in one_sums for B in signed
-                )
-        else:
-            hit = any(reachable(R - B, k - 1) for B in signed)
+        hit = any(reachable(R - B, k - 1) for B in signed)
         if not hit:
-            fails.add(key)
+            fails.add((raw, k))
         return hit
 
-    # reachable() is exact, and the greedy witness guarantees a hit by k = ub,
-    # so falling through means the complexity genuinely exceeds l_max.
+    # reachable() is exact, and the greedy witness guarantees a hit by the
+    # peel's term count, so falling through means the complexity genuinely
+    # exceeds l_max.  R - B stays in int8: no entry leaves [-2 l_max, 2 l_max].
+    R = A.astype(np.int8)
     for k in range(1, top + 1):
-        if reachable(A, k):
+        if reachable(R, k):
             return k
     return None
 

@@ -7,7 +7,8 @@ past its limit.  The SuiteContext lazily caches the two expensive
 corpora: decompositions of all 512 boolean 3x3 matrices and of 50
 generated blocky-sum instances, each with one ``norm_decrement_step`` of
 the paper's construction run from the same certificate on every nonzero
-instance.  The 3x3 corpus also holds each matrix's exact block complexity,
+instance (a step that raises fails criteria 6, 7 and 9, which name it).
+The 3x3 corpus also holds each matrix's exact block complexity,
 one oracle call per matrix, which criteria 8, 10 and 11 all read.
 Criterion 11 also runs the oracle on one matrix of each class of 4x4
 booleans under row and column permutations and transposition
@@ -37,7 +38,8 @@ from .factorize import gamma2_lower, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_partition, peel_term_count, subtract_average
-from .pipeline import decompose, exact_block_complexity, norm_decrement_step, term_count_floor
+from .pipeline import ReconstructionError, RoundingDriftError, _all_booleans, decompose
+from .pipeline import exact_block_complexity, norm_decrement_step, term_count_floor
 
 __all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA", "boolean_classes"]
 
@@ -66,13 +68,24 @@ def _construction(A: np.ndarray, fac, config: RunConfig) -> dict:
 
     The step starts from the certificate's product at the eps ``decompose``
     measured on it, as the construction does; it is None for the zero
-    matrix, where there is nothing to decrement.
+    matrix, where there is nothing to decrement, and where it fails one of
+    its own checks, which ``step_error`` then names.
     """
     s, rep = decompose(A, fac=fac, config=config)
-    step = None
+    step = error = None
     if A.any():
-        step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
-    return {"matrix": A, "sum": s, "report": rep, "fac": fac, "step": step}
+        try:
+            step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
+        except (AssertionError, ReconstructionError, RoundingDriftError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    return {"matrix": A, "sum": s, "report": rep, "fac": fac, "step": step, "step_error": error}
+
+
+def _raised_steps(corpora) -> str:
+    """A detail suffix counting the steps of the (name, id key, items) corpora that raised, naming the first."""
+    raised = [f"{kind} {key} {item[key]} ({item['step_error']})"
+              for kind, key, items in corpora for item in items if item["step_error"]]
+    return f"; {len(raised)} raised, first on {raised[0]}" if raised else ""
 
 
 class SuiteContext:
@@ -86,8 +99,7 @@ class SuiteContext:
     def boolean3x3(self) -> list[dict]:
         if self._boolean3 is None:
             out = []
-            for code in range(512):
-                A = np.array([(code >> k) & 1 for k in range(9)], dtype=np.int64).reshape(3, 3)
+            for code, A in enumerate(_all_booleans(3, 3).astype(np.int64)):
                 fac = gamma2_upper(A, self.config)
                 oracle = exact_block_complexity(A)
                 out.append({"code": code, "oracle": oracle, **_construction(A, fac, self.config)})
@@ -111,6 +123,10 @@ class SuiteContext:
             self._blocky50 = out
         return self._blocky50
 
+    def corpora(self) -> tuple:
+        """Both construction corpora as (name, id key, items)."""
+        return (("boolean3x3", "code", self.boolean3x3()), ("blocky-sum", "id", self.blocky_instances()))
+
 
 def _row_column_canon(bits: np.ndarray) -> np.ndarray:
     """One code per class of n x n booleans under row and column permutations.
@@ -123,7 +139,7 @@ def _row_column_canon(bits: np.ndarray) -> np.ndarray:
     columns = (bits << np.arange(n)[:, None]).sum(axis=1)
     perms = np.array(list(itertools.permutations(range(n))))
     # moved[p, c]: column code c with row x moved to row perms[p, x]
-    moved = (((np.arange(1 << n)[:, None] >> np.arange(n)) & 1) << perms[:, None, :]).sum(axis=2)
+    moved = (_all_booleans(1, n)[:, 0] << perms[:, None, :]).sum(axis=2)
     permuted = moved.astype(np.uint8)[:, columns]  # (n!, count, n); n <= 8
     permuted.sort(axis=2)
     packed = np.zeros(permuted.shape[:2], dtype=np.int64)
@@ -141,11 +157,10 @@ def boolean_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     (classes, n, n), and each class's size; the zero matrix comes first.
     Block complexity is the same on every matrix of a class.
     """
-    codes = np.arange(1 << (n * n))
-    bits = ((codes[:, None] >> np.arange(n * n)) & 1).reshape(-1, n, n)
+    bits = _all_booleans(n, n)
     canon = np.minimum(_row_column_canon(bits), _row_column_canon(bits.transpose(0, 2, 1)))
     _, first, sizes = np.unique(canon, return_index=True, return_counts=True)
-    return bits[first], sizes
+    return bits[first].astype(np.int64), sizes
 
 
 def _floor(A: np.ndarray, fac) -> int:
@@ -309,6 +324,7 @@ def criterion_5(config: RunConfig, ctx: SuiteContext):
 @_criterion(6, "norm decrement per level", 300)
 def criterion_6(config: RunConfig, ctx: SuiteContext):
     """Construction step's norm decrement and eps control on 50 certified blocky sums."""
+    raised = _raised_steps((("blocky-sum", "id", ctx.blocky_instances()),))
     bad = 0
     steps = 0
     for item in ctx.blocky_instances():
@@ -326,17 +342,18 @@ def criterion_6(config: RunConfig, ctx: SuiteContext):
             bad += 1
         if step.eps_out > 2 * item["report"].eps_trajectory[0] + 1e-9:
             bad += 1
-    detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations"
-    return bad == 0 and steps > 0, detail
+    detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations{raised}"
+    return bad == 0 and not raised and steps > 0, detail
 
 
 @_criterion(7, "end-to-end exactness", 900)
 def criterion_7(config: RunConfig, ctx: SuiteContext):
     """Exact reconstruction everywhere; one construction level, never fewer terms."""
+    corpora = ctx.corpora()
+    raised = _raised_steps(corpora)
     bad = 0
     steps = 0
     rows = []
-    corpora = (("boolean3x3", "code", ctx.boolean3x3()), ("blocky-sum", "id", ctx.blocky_instances()))
     for kind, key, items in corpora:
         for item in items:
             A, s, rep, step = item["matrix"], item["sum"], item["report"], item["step"]
@@ -354,9 +371,9 @@ def criterion_7(config: RunConfig, ctx: SuiteContext):
             rows.append((kind, item[key], A.shape[0], A.shape[1], g0, step_terms, len(s), rep.bound_fit))
     detail = (
         f"512 boolean 3x3 + 50 blocky sums reconstructed exactly; {steps} construction steps "
-        f"end in one level with at least decompose's terms: {bad} failures"
+        f"end in one level with at least decompose's terms: {bad} failures{raised}"
     )
-    return bad == 0 and steps > 0, detail, {"term_rows": rows}
+    return bad == 0 and not raised and steps > 0, detail, {"term_rows": rows}
 
 
 @_criterion(8, "oracle sandwich", 600)
@@ -387,6 +404,7 @@ def criterion_8(config: RunConfig, ctx: SuiteContext):
 @_criterion(9, "rounding additivity", 900)
 def criterion_9(config: RunConfig, ctx: SuiteContext):
     """Rounding additivity of every construction step's split A = A' + (A - A')."""
+    raised = _raised_steps(ctx.corpora())
     steps = 0
     failures = 0
     for item in ctx.boolean3x3() + ctx.blocky_instances():
@@ -397,8 +415,8 @@ def criterion_9(config: RunConfig, ctx: SuiteContext):
         split = round_half_down(a_prime) + round_half_down(product - a_prime)
         if not np.array_equal(round_half_down(product), split):
             failures += 1
-    detail = f"{steps} construction steps checked: {failures} additivity failures"
-    return failures == 0 and steps > 0, detail
+    detail = f"{steps} construction steps checked: {failures} additivity failures{raised}"
+    return failures == 0 and not raised and steps > 0, detail
 
 
 @_criterion(10, "exact 3x3 complexity distribution", 300)

@@ -14,7 +14,8 @@ import pytest
 
 from blockydecomp import pipeline, suite
 from blockydecomp.config import RunConfig
-from blockydecomp.factorize import GammaFactorization
+from blockydecomp.factorize import GammaFactorization, gamma2_upper
+from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.suite import CRITERIA, SuiteContext
 
 
@@ -140,3 +141,36 @@ def test_construction_criteria_fail_when_no_step_was_checked(config):
         result = CRITERIA[number](config, ctx)
         assert not result.passed, result.line
         assert "0 construction steps" in result.detail
+
+
+def test_a_raising_construction_step_fails_its_criteria(config, monkeypatch):
+    # A step that fails one of its own bound checks on one input is recorded
+    # on that input's item: building the corpora does not raise, and criteria
+    # 6, 7 and 9 fail with a detail naming the input.
+    instances = [
+        generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)
+    ]
+    real = suite.norm_decrement_step
+
+    def step(matrix, fac, eps, cfg):
+        if fac is instances[1].certificate:
+            raise AssertionError("residual column norm^2 above gamma^2 - 1/8")
+        return real(matrix, fac, eps, cfg)
+
+    monkeypatch.setattr(suite, "norm_decrement_step", step)
+    ctx = SuiteContext(config)
+    ctx._boolean3 = []
+    for code in (7, 11):
+        A = ((code >> np.arange(9)) & 1).reshape(3, 3)
+        ctx._boolean3.append({"code": code, **suite._construction(A, gamma2_upper(A, config), config)})
+    ctx._blocky50 = [
+        {"id": i, "instance": inst, **suite._construction(inst.matrix, inst.certificate, config)}
+        for i, inst in enumerate(instances)
+    ]
+    failed = ctx._blocky50[1]
+    assert failed["step"] is None and failed["step_error"].startswith("AssertionError: residual column")
+    assert all(item["step"] is not None for item in ctx._boolean3 + ctx._blocky50[:1])
+    for number in (6, 7, 9):
+        result = CRITERIA[number](config, ctx)
+        assert not result.passed, result.line
+        assert "; 1 raised, first on blocky-sum id 1 (AssertionError" in result.detail, result.line

@@ -389,6 +389,24 @@ def test_gen_blocky_sum_with_certificate(tmp_path, capsys):
     assert len(sum_back) == 2
 
 
+def test_zero_certificates_round_trip_through_decompose(tmp_path, capsys):
+    # A zero matrix's certificate has inner dimension 0, from gen and from
+    # gamma2 alike; decompose reads it back and writes the empty sum.
+    z4, c4 = tmp_path / "z4.txt", tmp_path / "c4.json"
+    argv = ["gen", "--kind", "random-blocky-sum", "--n", "4", "--terms", "0", "--out", str(z4), "--cert", str(c4)]
+    assert main(argv) == 0
+    z23, c23 = tmp_path / "z23.txt", tmp_path / "c23.json"
+    dump_matrix(np.zeros((2, 3), dtype=np.int64), z23)
+    assert main(["gamma2", "--input", str(z23), "--out", str(c23)]) == 0
+    for matrix, cert in ((z4, c4), (z23, c23)):
+        d, r = tmp_path / "d.json", tmp_path / "r.json"
+        argv = ["decompose", "--input", str(matrix), "--factorization", str(cert), "--out", str(d), "--report", str(r)]
+        assert main(argv) == 0
+        assert main(["verify", "--input", str(matrix), "--decomp", str(d)]) == 0
+        assert len(load_decomposition(d)) == 0
+    assert "0 terms re-evaluate exactly" in capsys.readouterr().out
+
+
 def test_gen_sum_rejected_for_plain_kinds(tmp_path, capsys):
     code = main(
         ["gen", "--kind", "identity", "--n", "3",

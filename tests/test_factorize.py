@@ -253,13 +253,13 @@ def test_golden_certificates(name):
         # and sign8 runs on its 8×7 core.  sign8's ascents cut at one and two
         # SVDs moved to sign8-distinct, whose whole matrix is its core; a cut
         # ascent on another core stops elsewhere, so their before_hex is the
-        # new pin.
+        # new pin, and their ids name sign8-distinct and that pin.
         pytest.param("corner", 1e-9, 2, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config2-0x1.37f2790b82f5ap+0"),
         pytest.param("sign8", 1e-300, 10_000, "0x1.3207212cf6d52p+1", "0x1.320721757a638p+1", id="sign8-config3-0x1.320721757a638p+1"),
         pytest.param("corner", 1e-9, 1, "0x1.279a7459a1e54p+0", "0x1.279a7459a1e53p+0", id="corner-config4-0x1.5775c544ff264p+0"),
-        pytest.param("sign8-distinct", 1e-9, 1, "0x1.5354c724594bep+1", "0x1.5354c724594bep+1", id="sign8-config5-0x1.5061c8ae0e2f5p+1"),
+        pytest.param("sign8-distinct", 1e-9, 1, "0x1.5354c724594bep+1", "0x1.5354c724594bep+1", id="sign8-distinct-config5-0x1.5354c724594bep+1"),
         pytest.param("ones3", 1e-9, 10_000, GOLDEN["ones3"][0], "0x1.0000000000001p+0", id="ones3-config6-0x1.0000000000002p+0"),
-        pytest.param("sign8-distinct", 1e-9, 2, "0x1.4607d3fafb45cp+1", "0x1.4607d3fafb45cp+1", id="sign8-config7-0x1.42dad9481dbadp+1"),
+        pytest.param("sign8-distinct", 1e-9, 2, "0x1.4607d3fafb45cp+1", "0x1.4607d3fafb45cp+1", id="sign8-distinct-config7-0x1.4607d3fafb45cp+1"),
     ],
 )
 def test_batched_ascent_edge_cases(monkeypatch, name, tol, max_svds, gamma_hex, before_hex):
@@ -376,15 +376,14 @@ def _count_newton_steps(monkeypatch):
         (GOLDEN_INPUTS["sign8-distinct"], 11),
         (np.random.default_rng(32).choice([-1, 1], size=(32, 32)), 9),
     ],
-    ids=["ternary16", "boolean3", "sign8", "sign32"],
+    ids=["ternary16", "boolean3", "sign8-distinct", "sign32"],
 )
 def test_newton_phase_runs_only_in_its_window(monkeypatch, A, svds_without_newton):
     # The 16×16 core lies in the window (smaller side at least 10, Jacobian
     # flops at most 52·m·n·k, a full-rank first SVD): it keeps Newton
     # points, so a second step starts from one, and takes 4 SVDs instead of
     # 14.  The 3×3, 8×8 and 32×32 cores lie outside it and make the SVDs
-    # of the SQUAREM ascent alone.  The id sign8 keeps its name; its input
-    # is sign8-distinct, as sign8 itself now runs on an 8×7 core.
+    # of the SQUAREM ascent alone.
     calls = _count_linalg(monkeypatch)
     starts = _count_newton_steps(monkeypatch)
     fac = gamma2_upper(A)
@@ -568,7 +567,7 @@ def test_svd_budget_per_input_set(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "transpose, side", [pytest.param(True, 0, id="16-4-3-0"), pytest.param(False, 1, id="24-4-4-1")]
+    "transpose, side", [pytest.param(True, 0, id="6x8-refit-L"), pytest.param(False, 1, id="8x6-refit-R")]
 )
 def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, transpose, side):
     # The refit runs only where the ascent's factors miss tol, which at the
@@ -577,7 +576,7 @@ def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, transpose, 
     # distinct cores, where the solver runs, one refit alone always comes
     # within 1e-6 of the dual.  So the cases run on an 8×6 product of {-1, 0, 1}
     # matrices of rank 3 with no repeated or zero row or column, and its
-    # transpose (the ids name the census sums they ran on before).
+    # transpose; each id names the shape and the side whose refit alone misses.
     # Refitting only L (side 0) gives gamma 5.7e-5 relative above the dual
     # on the transpose, and refitting only R (side 1) 370 times the dual on
     # the product; the certifying refit of smaller gamma closes both.  The

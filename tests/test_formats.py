@@ -211,6 +211,33 @@ def test_factorization_round_trip(tmp_path):
     assert fac.gamma == 2.0 and fac.residual == 1.5e-16
 
 
+@pytest.mark.parametrize("m, n", [(4, 4), (2, 3)])
+def test_factorization_round_trip_of_a_zero_certificate(tmp_path, m, n):
+    # Inner dimension 0: V is 0 x n and writes as [], so its n comes from
+    # the shape the file states.
+    p = tmp_path / "f.json"
+    dump_factorization(GammaFactorization(U=np.zeros((m, 0)), V=np.zeros((0, n)), gamma=0.0, residual=0.0), p)
+    assert json.loads(p.read_text())["V"] == []
+    fac = load_factorization(p)
+    assert fac.U.shape == (m, 0) and fac.V.shape == (0, n) and fac.shape == (m, n)
+
+
+def test_factorization_files_state_their_shape(tmp_path):
+    obj = {"gamma": 1.0, "residual": 0.0, "U": [[1.0], [1.0]], "V": [[1.0, 1.0, 1.0]]}
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(obj))
+    assert load_factorization(p).shape == (2, 3)  # files without a shape still load
+    p.write_text(json.dumps({"shape": [3, 2], **obj}))
+    with pytest.raises(ValueError, match=r"not the stated shape \(3, 2\)"):
+        load_factorization(p)
+    p.write_text(json.dumps({"shape": [3], **obj}))
+    with pytest.raises(ValueError, match=r"not the stated shape \(3,\)"):
+        load_factorization(p)
+    p.write_text(json.dumps({"shape": [2, 3.0], **obj}))
+    with pytest.raises(ValueError, match="must hold integers"):
+        load_factorization(p)
+
+
 @pytest.mark.parametrize(
     "change, match",
     [

@@ -301,6 +301,26 @@ def _dedupe_peel_lift(A: np.ndarray) -> SignedBlockySum:
     return SignedBlockySum(shape=(m, n), terms=tuple(terms))
 
 
+def test_a_corrupted_peel_table_is_a_reconstruction_error_naming_the_entry(monkeypatch):
+    # decompose and the construction step both check the sum of their peel
+    # tables against their target: flipping the one term's sign on the
+    # all-ones matrix makes every entry -1 instead of 1.
+    real = pipeline._peel_tables
+
+    def corrupted(matrix):
+        signs, rows, cols = real(matrix)
+        return -signs, rows, cols
+
+    monkeypatch.setattr(pipeline, "_peel_tables", corrupted)
+    A = np.ones((2, 3), dtype=np.int64)
+    fac = _exact_ones_fac(2, 3)
+    match = r"mismatch at \(0, 0\): expected 1, got -1"
+    with pytest.raises(ReconstructionError, match=match):
+        decompose(A, fac=fac)
+    with pytest.raises(ReconstructionError, match=match):
+        norm_decrement_step(A.astype(np.float64), fac, eps=0.0)
+
+
 def test_dedupe_keys_tell_apart_columns_equal_modulo_256():
     # 4096 = 0x1000 and 256 = 0x0100 share their low byte, as do 4096 and
     # -4096 = 0xF000: the int16 keys keep all three columns apart, and the
@@ -558,6 +578,28 @@ def _brute_complexity_2x2(A: np.ndarray) -> int | None:
     return None
 
 
+def _blocky_by_minors(m: int, n: int) -> np.ndarray:
+    """Reference library: every nonzero m x n boolean with no 2x2 submatrix
+    holding exactly three ones, in order of code (entry (x, y) is bit x*n + y)."""
+    count = 1 << (m * n)
+    bits = (np.arange(count)[:, None] >> np.arange(m * n)) & 1
+    cand = bits.astype(np.int8).reshape(count, m, n)
+    ok = np.ones(count, dtype=bool)
+    for i, j in itertools.combinations(range(m), 2):
+        for k, l in itertools.combinations(range(n), 2):
+            quad = cand[:, i, k].astype(np.int16) + cand[:, i, l] + cand[:, j, k] + cand[:, j, l]
+            ok &= quad != 3
+    return cand[ok][1:]
+
+
+def test_blocky_library_equals_the_minor_filter_on_every_oracle_shape():
+    shapes = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+    for m, n in shapes:
+        lib = pipeline._blocky_library(m, n)
+        want = _blocky_by_minors(m, n)
+        assert lib.dtype == want.dtype and np.array_equal(lib, want), (m, n)
+
+
 def test_oracle_matches_brute_on_all_2x2_booleans():
     for bits in range(16):
         A = np.array([[bits & 1, (bits >> 1) & 1], [(bits >> 2) & 1, (bits >> 3) & 1]])
@@ -602,9 +644,9 @@ def test_oracle_tables_are_built_once_per_shape_and_immutable(monkeypatch):
     assert exact_block_complexity(A) == want
     assert exact_block_complexity(A.T) == want
     assert pipeline._oracle_tables(3, 3) is tables
-    signed, one_sums, pair_sums = tables
+    signed, (one_sums, pair_sums) = tables  # sums of at most one and at most two terms
     assert isinstance(one_sums, frozenset) and isinstance(pair_sums, frozenset)
-    assert len(one_sums) == signed.shape[0] == 254
+    assert len(one_sums) == signed.shape[0] + 1 == 255  # the zero matrix is the empty sum
     with pytest.raises(ValueError):
         signed[0, 0, 0] = 0
     with pytest.raises(AttributeError):
