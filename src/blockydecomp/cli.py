@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig
-from .factorize import gamma2_bracket, gamma2_upper
+from .factorize import gamma2_bracket, gamma2_upper, verify_factorization
 from .formats import (
     dump_decomposition,
     dump_factorization,
@@ -138,7 +138,7 @@ def _cmd_gamma2(args) -> int:
     bracket = gamma2_bracket(A, config)
     fac = bracket.upper_witness
     status = f"certifying at tol {config.tol:g}"
-    if not fac.certifies(config.tol):
+    if not verify_factorization(A, fac, config.tol).ok:
         # tol bounds the residual absolutely; its size against the entries is printed beside it.
         relative = fac.residual / float(np.abs(A).max())
         status = f"NOT {status}, an absolute bound; {relative:.1e} of max|A|"

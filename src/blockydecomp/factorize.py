@@ -157,9 +157,6 @@ class GammaFactorization:
     def product(self) -> np.ndarray:
         return self.U @ self.V
 
-    def certifies(self, tol: float = RunConfig.tol) -> bool:
-        return self.residual <= tol
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -230,6 +227,12 @@ def _max_col_norm(V: np.ndarray) -> float:
     return _max_norm(V, "ij,ij->j")
 
 
+def _residual(target: np.ndarray, product: np.ndarray) -> float:
+    """max|target − product|, measured in place on the float64 ``product``, which it overwrites."""
+    np.abs(np.subtract(target, product, out=product), out=product)
+    return float(product.max(initial=0.0))
+
+
 def verify_factorization(
     matrix, fac: GammaFactorization, tol: float = RunConfig.tol
 ) -> VerificationReport:
@@ -239,14 +242,15 @@ def verify_factorization(
     the largest column norm of V at most ``fac.gamma`` + ``tol`` and
     max|A − UV| at most ``tol``: ``tol`` is an absolute bound, the same at
     every scale of the entries.  The norm maxima are the ones the
-    certificate measured at construction (``GammaFactorization``).
+    certificate measured at construction (``GammaFactorization``), and the
+    residual is measured again, never read from ``fac.residual``.
 
     Integer and boolean arrays are used as they are, and other input as a
     validated float64 array (``as_real_array``).  The residual is measured
-    in place on the one ``fac.product()``: subtracting an integer matrix
-    from it converts each entry as ``astype(np.float64)`` would, so every
-    dtype gives the same report, and for an integer array the product is
-    the only m x n array allocated.
+    in place on the one ``fac.product()`` (``_residual``): subtracting an
+    integer matrix from it converts each entry as ``astype(np.float64)``
+    would, so every dtype gives the same report, and for an integer array
+    the product is the only m x n array allocated.
     """
     A = np.asarray(matrix)
     if A.dtype.kind not in "biu" or A.ndim != 2 or not A.size:
@@ -254,9 +258,7 @@ def verify_factorization(
     if fac.shape != A.shape:
         raise ValueError(f"factorization shape {fac.shape} does not match matrix {A.shape}")
     row_norm, col_norm = fac.max_row_norm, fac.max_col_norm
-    diff = fac.product()
-    np.abs(np.subtract(A, diff, out=diff), out=diff)
-    resid = float(diff.max(initial=0.0))
+    resid = _residual(A, fac.product())
     ok = row_norm <= 1 + tol and col_norm <= fac.gamma + tol and resid <= tol
     return VerificationReport(
         ok=ok,
@@ -508,7 +510,7 @@ def _refit(A: np.ndarray, L: np.ndarray, R: np.ndarray, tol: float):
     """
 
     def scored(X, Y):
-        return float(np.abs(A - X @ Y).max()), _max_row_norm(X) * _max_col_norm(Y), X, Y
+        return _residual(A, X @ Y), _max_row_norm(X) * _max_col_norm(Y), X, Y
 
     first = scored(np.linalg.lstsq(R.T, A.T, rcond=None)[0].T, R)
     if first[0] <= tol and first[1] <= (1 + 1e-9) * _max_row_norm(L) * _max_col_norm(R):
@@ -561,7 +563,7 @@ def _solve_core(A: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarra
     A = np.ldexp(A, -shift)
     L, R, dual = _ascend_weights(A, _MAX_SVDS)
     margin = 4 * min(ms, ns) * (ms * ns + ms + ns) * np.finfo(np.float64).eps * dual
-    if _exceeds(float(np.abs(A - L @ R).max()), config.tol, shift):
+    if _exceeds(_residual(A, L @ R), config.tol, shift):
         L, R = _refit(A, L, R, math.ldexp(config.tol, -shift))
     lower = max(0.0, dual - margin)
     if _exceeds(lower, _HUGE, shift):
@@ -599,7 +601,7 @@ def _embed(
     # Outward-rounded measurement: the certificate claim is "norm ≤ gamma",
     # so roundoff in the norm computation must never undercut the true value.
     gamma = _max_row_norm(U_out) * _max_col_norm(V_out) * (1 + 5e-16)
-    resid = float(np.abs(A_full - U_out @ V_out).max())
+    resid = _residual(A_full, U_out @ V_out)
     return GammaFactorization(
         U=U_out, V=V_out, gamma=gamma, residual=resid, dual_bound=dual_bound
     )
@@ -671,32 +673,35 @@ def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
     return top, "max-entry"
 
 
+def _lower_bound(A: np.ndarray, dual_bound: float) -> tuple[float, str]:
+    """The better of ``gamma2_lower``'s exact bound and ``dual_bound``, tagged "dual" only where it is larger.
+
+    The exact bound is computed only when it could win.  A mistake tree's
+    leaves are distinct columns, so sqrt-Littlestone is at most √⌊log2 n⌋
+    on n columns, and a dual above both that and max|A| is the lower bound
+    whatever ``gamma2_lower`` returns; then ``ldim`` is not run.
+    """
+    if dual_bound <= max(float(np.abs(A).max()), math.sqrt(A.shape[1].bit_length() - 1)):
+        lower, witness = gamma2_lower(A)
+        if lower >= dual_bound:
+            return lower, witness
+    return dual_bound, "dual"
+
+
 def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
     """Two-sided estimate: the better of the exact and the dual lower bounds,
     and the solver certificate.
 
-    The lower side is max(max|A|, sqrt-Littlestone on sign matrices, dual):
-    ``gamma2_lower``'s exact bound unless the certificate's ``dual_bound``
-    is strictly larger, in which case it is tagged "dual".  The exact bounds
-    stay as a cross-check; the dual bound is numerical, with the margin
-    stated in ``_solve_core``.
-
-    The exact bound is computed only when it could win.  A mistake tree's
-    leaves are distinct columns, so sqrt-Littlestone is at most
-    √⌊log2 n⌋ on n columns, and a dual above both that and max|A| is the
-    lower bound whatever ``gamma2_lower`` returns; then ``ldim`` is not
-    run, and the bracket is the one it would have been.
+    The lower side is max(max|A|, sqrt-Littlestone on sign matrices, dual),
+    from ``_lower_bound``: ``gamma2_lower``'s exact bound unless the
+    certificate's ``dual_bound`` is strictly larger, in which case it is
+    tagged "dual".  The exact bounds stay as a cross-check; the dual bound
+    is numerical, with the margin stated in ``_solve_core``.
     """
     config = config or DEFAULT_CONFIG
     A = as_real_array(matrix)
     upper = gamma2_upper(A, config)
-    exact_ceiling = max(float(np.abs(A).max()), math.sqrt(A.shape[1].bit_length() - 1))
-    if upper.dual_bound > exact_ceiling:
-        lower, witness = upper.dual_bound, "dual"
-    else:
-        lower, witness = gamma2_lower(A)
-    if upper.dual_bound > lower:
-        lower, witness = upper.dual_bound, "dual"
+    lower, witness = _lower_bound(A, upper.dual_bound)
     return NormBracket(
         lower=lower, upper=upper.gamma, lower_witness=witness, upper_witness=upper
     )
@@ -725,6 +730,4 @@ def factorization_from_blocky_sum(decomp: SignedBlockySum) -> GammaFactorization
     ids = np.arange(term.size) - np.repeat(np.cumsum(counts) - counts, counts)
     U = np.where(np.take(rb.T, term, axis=1) == ids, r, 0.0)
     V = np.where(cb[term] == ids[:, None], (signs[term] * c)[:, None], 0.0)
-    target = decomp.evaluate().astype(np.float64)
-    resid = float(np.abs(target - U @ V).max(initial=0.0))
-    return GammaFactorization(U=U, V=V, gamma=float(L), residual=resid)
+    return GammaFactorization(U=U, V=V, gamma=float(L), residual=_residual(decomp.evaluate(), U @ V))

@@ -203,18 +203,19 @@ def dump_factorization(fac: GammaFactorization, path) -> None:
 
 def load_factorization(path) -> GammaFactorization:
     """Read a certificate, checked as ``GammaFactorization`` checks one; a
-    malformed JSON, a missing field, a gamma or residual that is not a number
-    or a ``shape`` that U and V do not make raises ValueError.  A 0 x n V is
-    written as ``[]``; ``shape``, where the file has one, gives its n."""
+    malformed JSON, a missing field, a gamma or residual that is not a number,
+    a certificate ``GammaFactorization`` refuses or a ``shape`` that U and V
+    do not make raises ValueError naming the path.  A 0 x n V is written as
+    ``[]``; ``shape``, where the file has one, gives its n."""
     obj = _json_value(_read_text(path), path)
+    has_shape = isinstance(obj, dict) and "shape" in obj
+    shape = tuple(_index_field(obj, "shape", "factorization", path)) if has_shape else None
     try:
-        gamma, residual = float(obj["gamma"]), float(obj["residual"])
-        shape = tuple(_index_field(obj, "shape", "factorization", path)) if "shape" in obj else None
         V = np.zeros((0, shape[-1])) if obj["V"] == [] and shape else obj["V"]
-        fac = GammaFactorization(U=obj["U"], V=V, gamma=gamma, residual=residual)
+        fac = GammaFactorization(U=obj["U"], V=V, gamma=float(obj["gamma"]), residual=float(obj["residual"]))
     except KeyError as e:
         raise ValueError(f"{path}: missing factorization field {e}") from None
-    except TypeError as e:  # a field of the wrong JSON type, such as a null gamma
+    except (TypeError, ValueError) as e:  # a field of the wrong JSON type or value, such as a null gamma
         raise ValueError(f"{path}: malformed factorization: {e}") from None
     if shape is not None and fac.shape != shape:
         raise ValueError(f"{path}: U and V make a {fac.shape} product, not the stated shape {shape}")

@@ -50,7 +50,7 @@ from .core import (
     as_real_array,
     round_half_down,
 )
-from .factorize import GammaFactorization, gamma2_upper, verify_factorization
+from .factorize import GammaFactorization, _residual, gamma2_upper, verify_factorization
 from .littlestone import bucket_stabilize
 from .partition import _peel_tables, _peel_term_count, greedy_partition, subtract_average
 
@@ -132,6 +132,24 @@ def _nearest_int_dist(values: np.ndarray) -> np.ndarray:
     return np.abs(values - np.round(values))
 
 
+def _accepted_residual(A: np.ndarray, fac: GammaFactorization, tol: float) -> float:
+    """The certificate's residual against A, or ValueError where ``decompose`` and the step refuse it.
+
+    Accepted: ``verify_factorization`` passes at ``tol`` and, for an integer
+    A, the residual is below 1/2, so the product rounds to A.
+    """
+    report = verify_factorization(A, fac, tol)  # a shape mismatch raises here
+    rounds = report.residual < 0.5 or A.dtype.kind not in "biu"
+    if not (report.ok and rounds):
+        raise ValueError(
+            f"factorization does not certify the input at tol {tol:.3e} "
+            f"(row norm {report.max_row_norm:.9f}, column norm {report.max_col_norm:.9f} "
+            f"vs gamma {fac.gamma:.9f}, residual {report.residual:.3e})"
+            + ("" if rounds else "; a residual of 1/2 or more does not round to the input")
+        )
+    return report.residual
+
+
 def _checked_sum(target: np.ndarray, tables, group_of: np.ndarray) -> SignedBlockySum:
     """The sum of ``_peel_tables``' output over column groups, lifted, validated once, checked.
 
@@ -158,7 +176,8 @@ def norm_decrement_step(
 ) -> DecrementStep:
     """Split one blocky layer off an eps-almost-integer matrix.
 
-    Requires the certificate to reproduce the matrix within ``config.tol``,
+    Requires a certificate that passes ``verify_factorization`` at
+    ``config.tol`` (refused as ``decompose`` refuses one, ``_accepted_residual``),
     eps < 1/4, and a nonzero rounding; the stabilizer's exact dimension
     recursions run at ``bucket_stabilize``'s default budget.  Aborts with
     RoundingDriftError if any grid value chosen for rounding is farther than
@@ -174,9 +193,7 @@ def norm_decrement_step(
     if not (0 <= eps < 0.25):
         raise ValueError(f"eps must lie in [0, 1/4), got {eps}")
     A = as_real_array(matrix)
-    resid = verify_factorization(A, fac, config.tol).residual  # a shape mismatch raises here
-    if resid > config.tol:
-        raise ValueError(f"factorization residual {resid:.3e} exceeds tol {config.tol:.3e}")
+    _accepted_residual(A, fac, config.tol)
     A_Z = round_half_down(A)
     if not A_Z.any():
         raise ValueError("rounded matrix is zero; nothing to decrement")
@@ -243,15 +260,8 @@ def norm_decrement_step(
             f"residual column norm^2 {worst:.9f} exceeds gamma^2 - 1/8 = "
             f"{gamma * gamma - 0.125:.9f}"
         )
-    gamma_next = math.sqrt(worst) * (1 + 5e-16)
     remainder = A - a_prime
     res_product = U @ v_prime
-    res_fac = GammaFactorization(
-        U=U,
-        V=v_prime,
-        gamma=gamma_next,
-        residual=float(np.abs(remainder - res_product).max(initial=0.0)),
-    )
     if not np.array_equal(A_Z, round_half_down(a_prime) + round_half_down(remainder)):
         raise ReconstructionError("rounding additivity failed: drift outside the safe window")
     if not np.array_equal(round_half_down(res_product), round_half_down(remainder)):
@@ -259,6 +269,8 @@ def norm_decrement_step(
     eps_res = float(_nearest_int_dist(res_product).max(initial=0.0))
     if eps_res > 3 * eps + 1e-9:
         raise AssertionError(f"residual eps {eps_res:.3e} above 3x incoming {eps:.3e}")
+    gamma_next = math.sqrt(worst) * (1 + 5e-16)
+    res_fac = GammaFactorization(U=U, V=v_prime, gamma=gamma_next, residual=_residual(remainder, res_product))
 
     # Blocky accounting happens on the compressed cell matrix (one column per
     # captured class), then rectangles are expanded back to member columns.
@@ -320,13 +332,11 @@ def decompose(
     Uses the supplied factorization certificate (or computes one with
     ``gamma2_upper(matrix, config)``); a certificate that fails
     ``verify_factorization`` at ``config.tol`` is refused, and so is one
-    whose product does not round to the input.  A looser certificate is
-    accepted by raising ``config.tol``; the sum does not depend on it.  The
-    product is multiplied out once, in ``verify_factorization``: where its
-    residual is below 1/2 the product rounds to the input and that residual
-    is the eps of the report; only a certificate accepted at a tol of 1/2 or
-    more is multiplied out again for the rounding check.  The sum is then
-    the dedupe+peel of the input: ``_peel_tables`` writes the distinct
+    whose residual is not below 1/2 (``_accepted_residual``).  A looser
+    certificate is accepted by raising ``config.tol``; the sum does not
+    depend on it.  The product is multiplied out once, in
+    ``verify_factorization``; its residual is the eps of the report.  The
+    sum is then the dedupe+peel of the input: ``_peel_tables`` writes the distinct
     nonzero columns' terms into raw label tables, and ``_checked_sum``, the
     construction step's path too, expands the column labels to the columns
     equal to each with one fancy index, validates the result once with
@@ -356,22 +366,7 @@ def decompose(
     m, n = A.shape
     if fac is None:
         fac = gamma2_upper(A, config)
-    report = verify_factorization(A, fac, config.tol)
-    if not report.ok:
-        raise ValueError(
-            f"factorization does not certify the input at tol {config.tol:.3e} "
-            f"(row norm {report.max_row_norm:.9f}, column norm {report.max_col_norm:.9f} "
-            f"vs gamma {fac.gamma:.9f}, residual {report.residual:.3e})"
-        )
-
-    # Where the product is within 1/2 of A everywhere it rounds to A, and the
-    # report's residual is already its largest distance to the integers.
-    eps0 = report.residual
-    if not eps0 < 0.5:
-        product = fac.product()
-        if not np.array_equal(round_half_down(product), A):
-            raise ValueError("certificate product does not round to the input matrix")
-        eps0 = float(_nearest_int_dist(product).max(initial=0.0))
+    eps0 = _accepted_residual(A, fac, config.tol)
 
     # Exact column dedupe: one distinct nonzero column per group, in order of
     # first occurrence, peeled once and lifted back to every member column.
@@ -494,7 +489,8 @@ def term_count_floor(matrix, lower: float) -> int:
     blocky matrix is a contractive Schur multiplier, so its factorization
     norm is at most 1, and the norm is subadditive: a sum of L terms has norm
     at most L, so L ≥ ``lower`` for any lower bound on the norm of A, such
-    as ``gamma2_bracket(A).lower``.  The floor is therefore
+    as ``gamma2_bracket(A).lower`` (``factorize._lower_bound``, which the
+    suite also calls with a certificate's dual).  The floor is therefore
     max(max|A|, ⌈lower − 1e-9·max(1, lower)⌉); the slack keeps a numerical
     bound that lands a rounding error above an integer from adding a term.
     """

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .core import is_blocky, round_half_down
-from .factorize import gamma2_lower, gamma2_upper, verify_factorization
+from .factorize import _lower_bound, gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_partition, peel_term_count, subtract_average
@@ -164,9 +164,8 @@ def boolean_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floor(A: np.ndarray, fac) -> int:
-    """The certified term-count floor of A."""
-    # The bracket's lower bound: the exact bounds or the certificate's dual.
-    return term_count_floor(A, max(gamma2_lower(A)[0], fac.dual_bound))
+    """The certified term-count floor of A, from the bracket's lower bound given the certificate's dual."""
+    return term_count_floor(A, _lower_bound(A, fac.dual_bound)[0])
 
 
 CRITERIA: dict[int, Callable[[RunConfig, SuiteContext], CriterionResult]] = {}

@@ -249,7 +249,8 @@ def test_decompose_exits_2_on_non_finite_factorization(corner, tmp_path, capsys)
     dpath, rpath = tmp_path / "d.json", tmp_path / "r.json"
     argv = ["decompose", "--input", corner, "--factorization", str(fac), "--out", str(dpath), "--report", str(rpath)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: U and V entries must be finite")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fac}: ") and "U and V entries must be finite" in err
     assert not dpath.exists() and not rpath.exists()
 
 

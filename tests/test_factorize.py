@@ -31,7 +31,7 @@ CORNER = [[1, 0], [1, 1]]  # known norm 2/sqrt(3)
 
 def test_corner_matrix_window():
     fac = gamma2_upper(CORNER)
-    assert fac.certifies()
+    assert verify_factorization(CORNER, fac).ok
     assert 1.15470 <= fac.gamma <= 1.15570
     assert fac.gamma == pytest.approx(2 / math.sqrt(3), abs=1e-3)
 
@@ -39,13 +39,14 @@ def test_corner_matrix_window():
 def test_identity_and_all_ones_hit_one():
     for A in (np.eye(3), np.ones((4, 4))):
         fac = gamma2_upper(A)
-        assert fac.certifies()
+        assert verify_factorization(A, fac).ok
         assert 1.0 <= fac.gamma <= 1.0 + 1e-6
 
 
 def test_hadamard_sqrt_two():
-    fac = gamma2_upper([[1, 1], [1, -1]])
-    assert fac.certifies()
+    H = [[1, 1], [1, -1]]
+    fac = gamma2_upper(H)
+    assert verify_factorization(H, fac).ok
     assert fac.gamma == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
@@ -63,7 +64,7 @@ def test_zero_rows_and_columns_are_reembedded():
     A[0, 1] = 1.0
     A[2, 3] = -1.0
     fac = gamma2_upper(A)
-    assert fac.certifies() and fac.shape == (3, 4)
+    assert verify_factorization(A, fac).ok and fac.shape == (3, 4)
     assert 1.0 <= fac.gamma <= 1.0 + 1e-6  # disjoint singletons factor like an identity
 
 

@@ -1,6 +1,7 @@
 """File formats: text/JSON matrices, decompositions, factorizations, reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,8 @@ def test_factorization_files_state_their_shape(tmp_path):
         ({"residual": "small"}, "could not convert string to float"),
         ({"gamma": [2.0]}, "malformed factorization"),
         ({"V": [[1.0, 0.25]]}, "matching inner dimension"),
+        ({"U": [[1.0, 0.0], [0.8, 0.8]]}, "a row of U exceeds unit norm"),
+        ({"gamma": -1.0}, "gamma must be a finite nonnegative real"),
     ],
 )
 def test_load_factorization_rejects_malformed_files(tmp_path, change, match):
@@ -252,7 +255,7 @@ def test_load_factorization_rejects_malformed_files(tmp_path, change, match):
     obj.update(change)
     p = tmp_path / "f.json"
     p.write_text(json.dumps({k: v for k, v in obj.items() if v is not None}))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: .*{match}"):
         load_factorization(p)
 
 

@@ -442,19 +442,32 @@ def test_decompose_multiplies_the_certificate_out_once(monkeypatch):
 
 
 def test_forced_certificate_off_by_one_half():
-    # Accepted at tol 1/2, a product off by exactly +1/2 rounds half down to
-    # the input and is accepted with eps 1/2; one off by -1/2 rounds to the
-    # input minus one.
+    # At tol 1/2 a certificate of an integer matrix is accepted only with a
+    # residual below 1/2: a product off by exactly 1/2 is refused whichever
+    # way it is off, though +1/2 would round half down to the input.
     loose = RunConfig(tol=0.5)
-    up = GammaFactorization(U=[[1.0]], V=[[2.5]], gamma=2.5, residual=0.5)
-    s, report = decompose([[2]], fac=up, config=loose)
-    assert report.eps_trajectory == (0.5,) and np.array_equal(s.evaluate(), [[2]])
-    down = GammaFactorization(U=[[1.0]], V=[[1.5]], gamma=1.5, residual=0.5)
-    with pytest.raises(ValueError, match="does not round"):
-        decompose([[2]], fac=down, config=loose)
+    for value in (2.5, 1.5):
+        half = GammaFactorization(U=[[1.0]], V=[[value]], gamma=value, residual=0.5)
+        with pytest.raises(ValueError, match="does not round"):
+            decompose([[2]], fac=half, config=loose)
     near = GammaFactorization(U=[[1.0]], V=[[2.3]], gamma=2.3, residual=0.3)
     _, report = decompose([[2]], fac=near, config=loose)
     assert report.eps_trajectory == (abs(2.3 - 2),)
+
+
+def test_step_refuses_what_decompose_refuses():
+    # Within GammaFactorization's 1e-6 construction slack, U's rows exceed
+    # unit norm by 1e-7: above the default tol, so decompose refuses the
+    # certificate, and the step, on the certificate's own product, refuses
+    # it with the same message rather than return a residual certificate
+    # that verify_factorization rejects.
+    over = 1 + 1e-7
+    fac = GammaFactorization(U=np.full((2, 1), over), V=np.ones((1, 2)) / over, gamma=1 / over, residual=0.0)
+    match = r"does not certify the input at tol 1\.000e-09 \(row norm 1\.000000100"
+    with pytest.raises(ValueError, match=match):
+        decompose(np.ones((2, 2), dtype=np.int64), fac=fac)
+    with pytest.raises(ValueError, match=match):
+        norm_decrement_step(fac.product(), fac, eps=0.0)
 
 
 def test_decompose_builds_no_term_object_until_terms_is_read(monkeypatch):
