@@ -8,7 +8,7 @@ the least achievable gamma is the factorization norm of A.  This module
 * searches for good ones numerically (``gamma2_upper``),
 * derives unconditional lower bounds from the max entry and, for sign
   matrices, from the exact mistake-tree dimension (``gamma2_lower``),
-* brackets the norm between the better of those and the solver's dual
+* brackets the norm between the better of max|A| and the solver's dual
   bound, and the solver's certificate (``gamma2_bracket``), and
 * builds exact certificates for signed blocky sums
   (``factorization_from_blocky_sum``).
@@ -175,10 +175,10 @@ class VerificationReport:
 class NormBracket:
     """Two-sided estimate: lower ≤ factorization norm ≤ upper.
 
-    ``lower_witness`` names the source of ``lower``: "max-entry" and
-    "sqrt-Littlestone" are exact, "dual" is the solver's numerical bound
-    with the floating-point margin of ``_solve_core``.  A lower bound above
-    the upper one by more than 1e-6 relative is refused, at every scale.
+    ``lower_witness`` names the source of ``lower``: "max-entry" is exact,
+    "dual" is the solver's numerical bound with the floating-point margin
+    of ``_solve_core``.  A lower bound above the upper one by more than
+    1e-6 relative is refused, at every scale.
     """
 
     lower: float
@@ -409,8 +409,13 @@ def _ascend_weights(A: np.ndarray, max_svds: int):
     the timing's spread.  The flop cap bounds the Jacobian beside the SVD,
     as it grows as (m+n)²k² against the SVD's m·n·k: at 25² one Newton step
     (Jacobian and solve) took 76 µs against 60 µs for the SVD.  The bench's
-    28² and 32² cores lie outside the cap; forced into the window, they
-    measured 19–24% faster, so the cap is conservative.  The rank test
+    28² and 32² cores lie outside the cap.  Forced into the window
+    (``_NEWTON_FLOPS`` = 66), their SVDs fell from 142 to 48 at seed 1 and
+    from 135 to 48 at seed 9001, but ``gamma2_upper`` on the twelve of
+    each seed took 25.0–25.4 and 24.8–24.9 ms against 24.2–24.8 and
+    22.1–23.1 ms (sum of per-input best of 15, three alternating runs, one
+    BLAS thread, one-core x86-64 VM): there the Newton steps cost more
+    than the SVDs they save, and the cap stays.  The rank test
     keeps out low-rank cores such as the blocky sums, where the solve is
     wasted: without it, the first Newton step of each of 18 census sums of
     16² asked for a log-step above 2.
@@ -673,35 +678,25 @@ def gamma2_lower(matrix, budget: int = DEFAULT_BUDGET) -> tuple[float, str]:
     return top, "max-entry"
 
 
-def _lower_bound(A: np.ndarray, dual_bound: float) -> tuple[float, str]:
-    """The better of ``gamma2_lower``'s exact bound and ``dual_bound``, tagged "dual" only where it is larger.
-
-    The exact bound is computed only when it could win.  A mistake tree's
-    leaves are distinct columns, so sqrt-Littlestone is at most √⌊log2 n⌋
-    on n columns, and a dual above both that and max|A| is the lower bound
-    whatever ``gamma2_lower`` returns; then ``ldim`` is not run.
-    """
-    if dual_bound <= max(float(np.abs(A).max()), math.sqrt(A.shape[1].bit_length() - 1)):
-        lower, witness = gamma2_lower(A)
-        if lower >= dual_bound:
-            return lower, witness
-    return dual_bound, "dual"
-
-
 def gamma2_bracket(matrix, config: RunConfig | None = None) -> NormBracket:
-    """Two-sided estimate: the better of the exact and the dual lower bounds,
+    """Two-sided estimate: the better of max|A| and the solver's dual bound,
     and the solver certificate.
 
-    The lower side is max(max|A|, sqrt-Littlestone on sign matrices, dual),
-    from ``_lower_bound``: ``gamma2_lower``'s exact bound unless the
-    certificate's ``dual_bound`` is strictly larger, in which case it is
-    tagged "dual".  The exact bounds stay as a cross-check; the dual bound
-    is numerical, with the margin stated in ``_solve_core``.
+    The lower side is max|A|, tagged "max-entry", unless the certificate's
+    ``dual_bound`` is strictly larger, in which case it is tagged "dual"; the
+    dual bound is numerical, with the margin stated in ``_solve_core``.
+    ``gamma2_lower``'s square-root mistake-tree bound is not run: it is at
+    most the norm, and wherever the ascent closes its 1e-7 stop gap the dual
+    is within that gap of the norm, so the exact bound can beat it by no
+    more; on every input measured the two tied up to roundoff, and the
+    term-count floor (``pipeline.term_count_floor``) was the same with
+    either.
     """
     config = config or DEFAULT_CONFIG
     A = as_real_array(matrix)
     upper = gamma2_upper(A, config)
-    lower, witness = _lower_bound(A, upper.dual_bound)
+    top = float(np.abs(A).max(initial=0.0))
+    lower, witness = (top, "max-entry") if top >= upper.dual_bound else (upper.dual_bound, "dual")
     return NormBracket(
         lower=lower, upper=upper.gamma, lower_witness=witness, upper_witness=upper
     )

@@ -489,10 +489,10 @@ def term_count_floor(matrix, lower: float) -> int:
     blocky matrix is a contractive Schur multiplier, so its factorization
     norm is at most 1, and the norm is subadditive: a sum of L terms has norm
     at most L, so L ≥ ``lower`` for any lower bound on the norm of A, such
-    as ``gamma2_bracket(A).lower`` (``factorize._lower_bound``, which the
-    suite also calls with a certificate's dual).  The floor is therefore
-    max(max|A|, ⌈lower − 1e-9·max(1, lower)⌉); the slack keeps a numerical
-    bound that lands a rounding error above an integer from adding a term.
+    as ``gamma2_bracket(A).lower`` or a certificate's ``dual_bound``.  The
+    floor is therefore max(max|A|, ⌈lower − 1e-9·max(1, lower)⌉); the slack
+    keeps a numerical bound that lands a rounding error above an integer
+    from adding a term.
     """
     A = as_int_array(matrix)
     top = int(np.abs(A).max(initial=0))

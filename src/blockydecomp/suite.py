@@ -1,4 +1,4 @@
-"""The eleven-point verification battery, shared by pytest and the CLI.
+"""The ten-criterion verification battery, shared by pytest and the CLI.
 
 Each criterion is a standalone check taking a RunConfig and a shared
 SuiteContext, registered in ``CRITERIA`` by ``_criterion`` with its number,
@@ -7,7 +7,7 @@ past its limit.  The SuiteContext lazily caches the two expensive
 corpora: decompositions of all 512 boolean 3x3 matrices and of 50
 generated blocky-sum instances, each with one ``norm_decrement_step`` of
 the paper's construction run from the same certificate on every nonzero
-instance (a step that raises fails criteria 6, 7 and 9, which name it).
+instance (a step that raises fails criteria 6 and 7, which name it).
 The 3x3 corpus also holds each matrix's exact block complexity,
 one oracle call per matrix, which criteria 8, 10 and 11 all read.
 Criterion 11 also runs the oracle on one matrix of each class of 4x4
@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .core import is_blocky, round_half_down
-from .factorize import _lower_bound, gamma2_upper, verify_factorization
+from .factorize import gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
 from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_partition, peel_term_count, subtract_average
@@ -161,11 +161,6 @@ def boolean_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     canon = np.minimum(_row_column_canon(bits), _row_column_canon(bits.transpose(0, 2, 1)))
     _, first, sizes = np.unique(canon, return_index=True, return_counts=True)
     return bits[first].astype(np.int64), sizes
-
-
-def _floor(A: np.ndarray, fac) -> int:
-    """The certified term-count floor of A, from the bracket's lower bound given the certificate's dual."""
-    return term_count_floor(A, _lower_bound(A, fac.dual_bound)[0])
 
 
 CRITERIA: dict[int, Callable[[RunConfig, SuiteContext], CriterionResult]] = {}
@@ -320,29 +315,36 @@ def criterion_5(config: RunConfig, ctx: SuiteContext):
     return bad == 0, detail
 
 
-@_criterion(6, "norm decrement per level", 300)
+@_criterion(6, "norm decrement per level", 900)
 def criterion_6(config: RunConfig, ctx: SuiteContext):
-    """Construction step's norm decrement and eps control on 50 certified blocky sums."""
-    raised = _raised_steps((("blocky-sum", "id", ctx.blocky_instances()),))
-    bad = 0
-    steps = 0
-    for item in ctx.blocky_instances():
-        inst = item["instance"]
-        rep_v = verify_factorization(
-            np.asarray(inst.matrix, dtype=np.float64), inst.certificate, config.tol
+    """The generator's 50 certificates verify, and every construction step of both corpora returned.
+
+    ``norm_decrement_step`` raises where its gamma^2 drop of 1/8, its
+    eps_out <= 2 eps or its rounding additivity fails, so a returned step
+    has all three; the criterion fails on a step that raised and reports
+    each returned step's gamma^2 drop, eps_in and eps_out.
+    """
+    corpora = ctx.corpora()
+    raised = _raised_steps(corpora)
+    instances = [item["instance"] for item in ctx.blocky_instances()]
+    bad_certs = [i for i, inst in enumerate(instances)
+                 if not verify_factorization(inst.matrix, inst.certificate, config.tol).ok]
+    rows = [
+        (kind, item[key], item["fac"].gamma ** 2 - item["step"].residual_factorization.gamma ** 2,
+         item["report"].eps_trajectory[0], item["step"].eps_out)
+        for kind, key, items in corpora for item in items if item["step"] is not None
+    ]
+    detail = (f"{len(instances)} generator certificates, {len(bad_certs)} failing verification; "
+              f"{len(rows)} construction steps")
+    if rows:
+        _, _, drops, eps_in, eps_out = zip(*rows)
+        detail += (
+            f", least gamma^2 drop {min(drops):.6f}, eps_in at most {max(eps_in):.3e}, "
+            f"eps_out at most {max(eps_out):.3e}"
         )
-        if not rep_v.ok:
-            bad += 1
-        step = item["step"]
-        if step is None:
-            continue
-        steps += 1
-        if step.residual_factorization.gamma**2 > item["fac"].gamma ** 2 - 0.125 + 1e-9:
-            bad += 1
-        if step.eps_out > 2 * item["report"].eps_trajectory[0] + 1e-9:
-            bad += 1
-    detail = f"50 blocky-sum instances, {steps} construction steps: {bad} decrement/eps violations{raised}"
-    return bad == 0 and not raised and steps > 0, detail
+    if bad_certs:
+        detail += f"; first failing certificate on blocky-sum id {bad_certs[0]}"
+    return not bad_certs and not raised and rows != [], detail + raised, {"step_rows": rows}
 
 
 @_criterion(7, "end-to-end exactness", 900)
@@ -400,24 +402,6 @@ def criterion_8(config: RunConfig, ctx: SuiteContext):
     return bad == 0, detail
 
 
-@_criterion(9, "rounding additivity", 900)
-def criterion_9(config: RunConfig, ctx: SuiteContext):
-    """Rounding additivity of every construction step's split A = A' + (A - A')."""
-    raised = _raised_steps(ctx.corpora())
-    steps = 0
-    failures = 0
-    for item in ctx.boolean3x3() + ctx.blocky_instances():
-        if item["step"] is None:
-            continue
-        steps += 1
-        product, a_prime = item["fac"].product(), item["step"].a_prime
-        split = round_half_down(a_prime) + round_half_down(product - a_prime)
-        if not np.array_equal(round_half_down(product), split):
-            failures += 1
-    detail = f"{steps} construction steps checked: {failures} additivity failures{raised}"
-    return failures == 0 and not raised and steps > 0, detail
-
-
 @_criterion(10, "exact 3x3 complexity distribution", 300)
 def criterion_10(config: RunConfig, ctx: SuiteContext):
     """Block complexity over all 512 boolean 3x3 matrices, read from the oracle pass.
@@ -460,7 +444,7 @@ def criterion_11(config: RunConfig, ctx: SuiteContext):
     totals = {key: np.zeros(3, dtype=np.int64) for key in ("3x3", "4x4", "4x4 weighted")}
     for item in ctx.boolean3x3():
         A, s, oc = item["matrix"], item["sum"], item["oracle"]
-        floor = _floor(A, item["fac"])
+        floor = term_count_floor(A, item["fac"].dual_bound)
         if oc is None or not floor <= oc <= len(s):
             bad += 1
             continue
@@ -468,7 +452,7 @@ def criterion_11(config: RunConfig, ctx: SuiteContext):
     reps, sizes = boolean_classes(4)
     for A, size in zip(reps[1:], sizes[1:]):  # the zero matrix is first
         fac = gamma2_upper(A, config)
-        floor, oc = _floor(A, fac), exact_block_complexity(A)
+        floor, oc = term_count_floor(A, fac.dual_bound), exact_block_complexity(A)
         terms = len(decompose(A, fac=fac, config=config)[0])
         if oc is None or not floor <= oc <= terms:
             bad += 1
@@ -520,14 +504,18 @@ def run_suite(
     out_dir: str | Path | None = None,
     echo=print,
 ) -> tuple[int, list[CriterionResult]]:
-    """Run the battery (or a selection); returns (exit_code, results)."""
+    """Run the battery (or a selection); returns (exit_code, results).
+
+    A selection naming an unknown criterion raises ValueError before any criterion runs.
+    """
     config = config or DEFAULT_CONFIG
     ctx = SuiteContext(config)
     chosen = selection if selection is not None else sorted(CRITERIA)
+    unknown = [k for k in chosen if k not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criterion {unknown[0]}; valid: {sorted(CRITERIA)}")
     results = []
     for k in chosen:
-        if k not in CRITERIA:
-            raise ValueError(f"unknown criterion {k}; valid: {sorted(CRITERIA)}")
         res = CRITERIA[k](config, ctx)
         results.append(res)
         if echo:

@@ -115,6 +115,10 @@ def test_invalid_run_flags_are_clean_errors(corner, tmp_path, capsys, flags):
 def test_suite_rejects_invalid_run_flags(capsys):
     assert main(["suite", "--select", "1", "--tol", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: tol")
+    # The whole selection is checked before criterion 1 runs.
+    assert main(["suite", "--select", "1,9"]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and captured.err.startswith("error: unknown criterion 9")
 
 
 @pytest.mark.parametrize(
@@ -273,6 +277,9 @@ def test_verify_detects_mismatch(corner, tmp_path, capsys):
     dump_matrix([[1, 1], [1, 1]], other)
     assert main(["verify", "--input", str(other), "--decomp", str(dpath)]) == 1
     assert "MISMATCH at (0,1)" in capsys.readouterr().err
+    dump_matrix(np.ones((3, 2), dtype=np.int64), other)
+    assert main(["verify", "--input", str(other), "--decomp", str(dpath)]) == 1
+    assert "shape mismatch: decomposition (2, 2) vs matrix (3, 2)" in capsys.readouterr().err
 
 
 def test_ldim_commands(tmp_path, capsys):
@@ -409,12 +416,14 @@ def test_zero_certificates_round_trip_through_decompose(tmp_path, capsys):
 
 
 def test_gen_sum_rejected_for_plain_kinds(tmp_path, capsys):
-    code = main(
-        ["gen", "--kind", "identity", "--n", "3",
-         "--out", str(tmp_path / "i.txt"), "--sum", str(tmp_path / "s.json")]
-    )
-    assert code == 2
-    assert "only available for random-blocky-sum" in capsys.readouterr().err
+    for flag in ("--sum", "--cert"):
+        code = main(
+            ["gen", "--kind", "identity", "--n", "3",
+             "--out", str(tmp_path / "i.txt"), flag, str(tmp_path / "s.json")]
+        )
+        assert code == 2
+        assert f"error: {flag} is only available for random-blocky-sum" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_missing_file_is_a_clean_error(tmp_path, capsys):

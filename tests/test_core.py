@@ -87,6 +87,8 @@ def test_is_blocky_witness_is_a_three_ones_square():
             (x0, x1), (y0, y1) = chk.witness
             quad = int(A[x0, y0]) + int(A[x0, y1]) + int(A[x1, y0]) + int(A[x1, y1])
             assert quad == 3, (A, chk.witness)
+    with pytest.raises(ValueError, match=r"boolean matrix required; entry \(1,0\) is -1"):
+        is_blocky([[1, 0], [-1, 1]])
 
 
 def test_is_blocky_rectangles_reconstruct_support():

@@ -21,6 +21,7 @@ from blockydecomp.factorize import (
 )
 from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import greedy_l1_decompose
+from blockydecomp.pipeline import term_count_floor
 
 CORNER = [[1, 0], [1, 1]]  # known norm 2/sqrt(3)
 
@@ -536,9 +537,9 @@ INPUT_SETS = {
 
 @pytest.mark.parametrize("name", sorted(INPUT_SETS))
 def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
-    # One ascent closes the 1e-7 gap on every input (at most 14, 60, 147
-    # and 984 SVDs on the four sets, with or without the Newton phase; 15,
-    # 71, 149 and 1,022 from the uniform start).
+    # One ascent closes the 1e-7 gap on every input (at most 12, 60, 147
+    # and 1,486 SVDs on the four sets, with or without the Newton phase; 15,
+    # 71, 147 and 1,407 from the uniform start).
     calls = _count_linalg(monkeypatch)
     for k, A in enumerate(INPUT_SETS[name]()):
         calls.clear()
@@ -550,10 +551,10 @@ def test_uniform_start_closes_the_gap_on_every_input_set(monkeypatch, name):
 
 
 # name -> cap on the SVDs of all solves of the set.  The ascent makes
-# 3,088, 417, 549 and 10,848 from the row/column energy with its Newton
-# phase, 3,088, 652, 773 and 10,877 without it (4,051, 688, 811 and 11,223
-# from the uniform start without it).  The caps sit well below the 16,516,
-# 3,022, 6,478 and 56,260 of plain steps alone, so losing the extrapolation
+# 2,010, 409, 554 and 11,522 from the row/column energy with its Newton
+# phase, 2,010, 644, 778 and 11,551 without it (3,540, 684, 801 and 11,812
+# from the uniform start without it).  The caps sit well below the 10,506,
+# 3,003, 6,455 and 59,282 of plain steps alone, so losing the extrapolation
 # fails here, and the dense caps below the counts without the Newton phase,
 # so losing that fails too.
 SVD_BUDGET = {"booleans": 5_000, "dense-1": 500, "dense-9001": 650, "census": 14_000}
@@ -605,28 +606,38 @@ def test_two_sided_refit_closes_where_one_side_does_not(monkeypatch, transpose, 
     assert fac.gamma - fac.dual_bound <= 1e-7 * max(1.0, fac.dual_bound)
 
 
-@pytest.mark.parametrize("name", sorted(INPUT_SETS))
-def test_bracket_runs_ldim_only_where_it_could_win(monkeypatch, name):
-    # gamma2_bracket skips gamma2_lower when the dual exceeds both max|A| and
-    # sqrt(floor(log2 n)), which bounds sqrt-Littlestone; the bracket must be
-    # the one that always runs it.  No dense sign input runs ldim, and no
-    # booleans or dense input needs a least-squares refit: the ascent's own
-    # factors certify.
-    ldims = []
-    monkeypatch.setattr(factorize, "ldim", lambda *a, **k: ldims.append(a) or littlestone.ldim(*a, **k))
+def _all_sign_vectors(k):
+    # The k x 2**k matrix whose columns are all the sign vectors of length k.
+    return 1 - 2 * ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1)
+
+
+BRACKET_SETS = {**INPUT_SETS, "sign-vectors": lambda: [_all_sign_vectors(k) for k in range(2, 6)]}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_SETS))
+def test_bracket_never_runs_an_exact_dimension_bound(monkeypatch, name):
+    # The bracket's lower side is max|A|, or the dual where it is strictly
+    # larger, with no gamma2_lower or ldim call; the term-count floor is the
+    # one of the better of gamma2_lower (run unpatched) and the dual.  No
+    # booleans, dense or sign-vector input needs a least-squares refit: the
+    # ascent's own factors certify.
+    inputs = BRACKET_SETS[name]()
+    exact = [gamma2_lower(A)[0] for A in inputs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma2_bracket ran an exact dimension bound")
+
+    monkeypatch.setattr(factorize, "gamma2_lower", refuse)
+    monkeypatch.setattr(factorize, "ldim", refuse)
     lstsqs = _count_linalg(monkeypatch, "lstsq")
-    for k, A in enumerate(INPUT_SETS[name]()):
-        for calls in (ldims, lstsqs):
-            calls.clear()
+    for k, A in enumerate(inputs):
+        lstsqs.clear()
         bracket = gamma2_bracket(A)
-        if name.startswith("dense"):
-            assert ldims == [], k
         assert len(lstsqs) == 0 or name == "census", k
         assert len(lstsqs) <= 2, k
-        lower, witness = gamma2_lower(A)
-        if bracket.upper_witness.dual_bound > lower:
-            lower, witness = bracket.upper_witness.dual_bound, "dual"
-        assert (bracket.lower, bracket.lower_witness) == (lower, witness), k
+        top, dual = float(np.abs(A).max()), bracket.upper_witness.dual_bound
+        assert (bracket.lower, bracket.lower_witness) == ((top, "max-entry") if top >= dual else (dual, "dual")), k
+        assert term_count_floor(A, bracket.lower) == term_count_floor(A, max(exact[k], dual)), k
 
 
 @pytest.mark.parametrize(
@@ -680,6 +691,8 @@ def test_bracket_refuses_an_inverted_bracket_below_norm_one():
     with pytest.raises(ValueError, match="inconsistent"):
         NormBracket(lower=1e-3 + 5e-7, upper=1e-3, lower_witness="dual", upper_witness=fac)
     NormBracket(lower=1e-3 * (1 + 1e-7), upper=1e-3, lower_witness="dual", upper_witness=fac)
+    with pytest.raises(ValueError, match="lower bound must be nonnegative"):
+        NormBracket(lower=-1e-9, upper=1e-3, lower_witness="dual", upper_witness=fac)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +717,9 @@ def test_constructor_validation():
         GammaFactorization(U=[[1.0]], V=[[1.0]], gamma=-1.0, residual=0.0)
     with pytest.raises(ValueError):
         GammaFactorization(U=[[1.0]], V=[[1.0]], gamma=1.0, residual=float("nan"))
+    for bound in (-1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dual_bound must be a finite nonnegative real"):
+            GammaFactorization(U=[[1.0]], V=[[1.0]], gamma=1.0, residual=0.0, dual_bound=bound)
 
 
 def test_verify_accepts_exact():
@@ -819,7 +835,7 @@ def test_bracket_sandwich_random():
         A = rng.integers(-2, 3, size=(3, 5))
         br = gamma2_bracket(A)
         assert br.lower <= br.upper + 1e-6 * max(1.0, br.upper)
-        assert br.lower_witness in ("max-entry", "sqrt-Littlestone", "dual")
+        assert br.lower_witness in ("max-entry", "dual")
         assert verify_factorization(A, br.upper_witness, tol=1e-6).ok
 
 

@@ -54,6 +54,8 @@ def test_json_round_trip(tmp_path):
     back = load_matrix(p)
     _assert_read_only(back, np.int64)
     assert back[0, 0] == 7
+    with pytest.raises(ValueError, match="unknown matrix format 'csv'; expected 'text' or 'json'"):
+        dump_matrix([[7]], p, fmt="csv")
 
 
 def test_format_sniffing(tmp_path):
@@ -113,9 +115,13 @@ _JSON = {"rows": 2, "cols": 1, "kind": "int", "entries": [[1], [0]]}
         ("2 1 int\n1\nx\n", "row 1: could not convert string to float: 'x'"),
         ("2 one int\n1\n0\n", "header must be 'rows cols kind'"),
         ("2 1 real\n1\ninf\n", "matrix entries must be finite"),
+        (" \n\n", "empty matrix file"),
+        (json.dumps({"rows": 2, "cols": 1, "kind": "int"}), "missing matrix field 'entries'"),
+        (json.dumps({**_JSON, "entries": [[1, 0]]}), r"entries are shaped \(1, 2\), header says \(2, 1\)"),
     ],
     ids=["float-rows", "bool-cols", "null-rows", "list-rows", "string-row", "object-entry",
-         "bad-json", "bad-token", "bad-text-header", "non-finite-real"],
+         "bad-json", "bad-token", "bad-text-header", "non-finite-real", "empty-file", "missing-field",
+         "entries-shape"],
 )
 def test_malformed_matrix_files_name_the_path(tmp_path, text, match):
     p = tmp_path / "bad.json"
@@ -193,6 +199,8 @@ _RECT = {"rows": [0], "cols": [0]}
         ({"shape": [1, 1], "terms": [{"sign": 1, "rectangles": [{"rows": [0], "cols": [False]}]}]},
          "must hold integers"),
         ({"shape": [1.0, 1], "terms": []}, "must hold integers"),
+        ({"shape": [1, 1], "terms": {}}, "field 'terms' must be a list"),
+        ({"shape": [1, 1, 1], "terms": []}, "shape must have exactly two entries"),
     ],
 )
 def test_load_decomposition_rejects_malformed_files(tmp_path, obj, match):

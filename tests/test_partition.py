@@ -194,6 +194,9 @@ def test_average_split_identical_vectors():
 def test_average_split_norm_budget():
     with pytest.raises(ValueError):
         subtract_average([(2.0, 0.0)], gamma_budget=1.0)
+    for vectors in ([1.0, 0.0], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="nonempty 2-d array"):
+            subtract_average(vectors, gamma_budget=1.0)
 
 
 def test_average_split_zero_budget_zero_vectors():
