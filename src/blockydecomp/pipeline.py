@@ -113,8 +113,9 @@ class DecrementStep:
     and strictly shorter right-factor columns; ``blocky_part`` evaluates
     exactly to the rounding of ``a_prime``; ``eps_out`` measures how far
     ``a_prime`` sits from integrality (at most twice the incoming eps, plus
-    roundoff).  ``diagnostics`` records per-round class sizes; ``certified``
-    is False when any stabilization took a budget fallback.
+    roundoff).  ``diagnostics`` holds the number of columns each round of
+    the partition loop captured; ``certified`` is False when any
+    stabilization took a budget fallback.
     """
 
     a_prime: np.ndarray
@@ -215,7 +216,6 @@ def norm_decrement_step(
     certified = True
     while active.size:
         part = greedy_partition(A_Z[:, active])
-        round_cells = []
         for cls in part.classes:
             S = active[list(cls.columns)]
             stab = bucket_stabilize(A[:, S], alpha=0.125, eps=eps1)
@@ -240,17 +240,8 @@ def norm_decrement_step(
             v_prime[:, S2] = V[:, S2] - split.average[:, None]
             cell_of[S2] = len(cell_values)
             cell_values.append(round_half_down(g))
-            round_cells.append(
-                {"size": int(S.size), "stabilized": int(S1.size), "kept": int(S2.size)}
-            )
         left = active[cell_of[active] < 0]  # the columns no class captured
-        rounds.append(
-            {
-                "classes": round_cells,
-                "captured": int(active.size - left.size),
-                "remaining": int(left.size),
-            }
-        )
+        rounds.append(int(active.size - left.size))
         active = left
 
     res_cols_sq = np.einsum("ij,ij->j", v_prime, v_prime)
@@ -349,13 +340,13 @@ def decompose(
 
     Allocation: the int64 input is neither copied nor converted to float64.
     Past the solver, the arrays of A's size are the one float64 product,
-    on which ``verify_factorization`` measures the residual in place; one
-    int16 copy of A's columns, whose bytes key the dedupe and from which
-    the distinct columns are taken (one m x k int16 copy, which the peel
-    scans once for its nonzero cells); and ``evaluate``'s 2*m*n counts,
-    whose first half is its result.  The rest is sized by the nonzero
-    cells of the distinct columns and their units, by the label tables, or
-    by the rectangles' cells.
+    on which ``verify_factorization`` measures the residual in place; an
+    int16 copy of A and its contiguous transpose, the columns, whose bytes
+    key the dedupe and from which the distinct columns are taken (one
+    m x k int16 copy, which the peel scans once for its nonzero cells);
+    and ``evaluate``'s 2*m*n counts, whose first half is its result.
+    The rest is sized by the nonzero cells of the distinct columns and
+    their units, by the label tables, or by the rectangles' cells.
 
     The report's ``levels`` is empty, and its trajectories hold only the
     certificate's gamma^2 and eps.
@@ -372,7 +363,9 @@ def decompose(
     # first occurrence, peeled once and lifted back to every member column.
     # Entries are capped at MAX_DECOMPOSE_ENTRY, so int16 bytes compare like
     # int64 values, and the peel runs on the int16 columns.
-    columns = np.ascontiguousarray(A.T, dtype=np.int16)
+    # Casting first and then transposing the int16 copy is faster than
+    # casting through the transposed strides.
+    columns = np.ascontiguousarray(A.astype(np.int16).T)
     first, group_of = _group_rows(columns, drop_zero=True)  # zero columns: group -1
     distinct = columns[first]  # 0 x m for the zero matrix
     # The peel reads the distinct columns in C order, so they ravel as a view.

@@ -1,4 +1,4 @@
-"""Acceptance battery: ten checked criteria, one printed pass/fail line each.
+"""Acceptance battery: eight checked criteria, 1-7 and 11, one printed pass/fail line each.
 
 Each test runs one criterion from the suite module against a default
 RunConfig, echoes its summary line past pytest's capture so the verdicts
@@ -6,6 +6,7 @@ appear inline in the run log, and asserts the criterion's own pass flag
 (which includes the wall-clock limit).
 """
 
+import dataclasses
 import itertools
 from types import SimpleNamespace
 
@@ -27,7 +28,7 @@ def config():
 @pytest.fixture(scope="module")
 def ctx(config):
     # Shared lazy corpora: the 512 boolean 3x3 decompositions and the 50
-    # generated blocky-sum instances are computed once, reused by 6-11.
+    # generated blocky-sum instances are computed once, reused by 6, 7 and 11.
     return SuiteContext(config)
 
 
@@ -70,39 +71,96 @@ def test_criterion_07_exact_reconstruction_everywhere(config, ctx, capsys):
     _run(7, config, ctx, capsys)
 
 
-def test_criterion_08_oracle_consistency(config, ctx, capsys):
-    _run(8, config, ctx, capsys)
+@pytest.fixture(scope="module")
+def criterion_11(config, ctx):
+    # Criterion 11 holds what retired criteria 8 (oracle consistency) and 10
+    # (3x3 complexity histogram) checked; its tests share one run.
+    return CRITERIA[11](config, ctx)
 
 
-def test_criterion_10_random_complexity_histogram(config, ctx, capsys):
-    result = _run(10, config, ctx, capsys)
+def _echo(result, capsys):
+    with capsys.disabled():
+        print(f"\n{result.line}")
+    assert result.passed, result.line
+    return result
+
+
+def test_criterion_08_oracle_consistency(ctx, criterion_11, capsys):
+    result = _echo(criterion_11, capsys)
+    # The oracle sits at or below decompose's term count on every 3x3
+    # boolean, the 127 nonzero blocky matrices are at 1, and the padded
+    # witness [[1,0],[1,1]] is at 2.
+    assert all(item["oracle"] <= len(item["sum"]) for item in ctx.boolean3x3())
+    assert "127 of 127 nonzero blocky 3x3 at complexity 1; padded witness at 2" in result.detail
+    assert result.detail.endswith("; 0 violations"), result.line
+
+
+def test_criterion_10_random_complexity_histogram(criterion_11, capsys):
+    result = _echo(criterion_11, capsys)
     # Exact over all 512 booleans: only the zero matrix has complexity 0, and
     # the 127 nonzero blocky matrices are the ones at 1.
     rep = result.data["distribution"]
     assert rep["matrices"] == 512
     assert rep["histogram"] == {0: 1, 1: 127, 2: 384}
     assert (rep["min"], rep["median"], rep["max"]) == (0, 2.0, 2)
+    assert "3x3 histogram {0: 1, 1: 127, 2: 384}" in result.detail
 
 
-def test_criterion_11_term_count_floor(config, ctx, capsys):
-    result = _run(11, config, ctx, capsys)
-    # The oracle is exact: 358 over the 191 nonzero 4x4 classes, and 131,275
-    # over all 65,535 nonzero 4x4 booleans.
+def test_criterion_11_term_count_floor(criterion_11, capsys):
+    result = _echo(criterion_11, capsys)
+    # floor <= oracle <= terms, totalled on the 3x3 booleans, on the 191
+    # nonzero 4x4 classes, and weighted by class size over all 65,535
+    # nonzero 4x4 booleans; the oracle is exact.
     assert result.data["classes_4x4"] == 191
-    assert result.data["floor_oracle_terms"]["4x4"][1] == 358
-    assert result.data["floor_oracle_terms"]["4x4 weighted"][1] == 131_275
+    totals = {key: row.tolist() for key, row in result.data["floor_oracle_terms"].items()}
+    assert totals == {
+        "3x3": [895, 895, 967],
+        "4x4": [354, 358, 456],
+        "4x4 weighted": [128_971, 131_275, 180_859],
+    }
+
+
+@pytest.mark.parametrize(
+    "code, oracle, shown, violations",
+    [
+        (1, 2, "126 of 127 nonzero blocky 3x3 at complexity 1; padded witness at 2; ", 2),  # blocky
+        (25, 1, "127 of 127 nonzero blocky 3x3 at complexity 1; padded witness at 1; ", 2),
+        (11, 3, "totals 893 <= 893 <= 965 on 512 boolean 3x3", 1),  # above its 2 terms
+        (11, 1, "totals 893 <= 893 <= 965 on 512 boolean 3x3", 1),  # below its floor of 2
+    ],
+    ids=["blocky-at-2", "witness-at-1", "above-terms", "below-floor"],
+)
+def test_criterion_11_fails_on_a_wrong_3x3_oracle_value(config, ctx, code, oracle, shown, violations):
+    # One oracle value of the shared 3x3 pass replaced: a matrix outside the
+    # sandwich leaves the totals, and a blocky matrix or the witness
+    # [[1,0],[1,1]] at the wrong value is one more violation.
+    patched = SuiteContext(config)
+    patched._boolean3 = [dict(item) for item in ctx.boolean3x3()]
+    patched._boolean3[code]["oracle"] = oracle
+    result = CRITERIA[11](config, patched)
+    assert not result.passed, result.line
+    assert shown in result.detail, result.line
+    assert result.detail.endswith(f"; {violations} violations"), result.line
+
+
+def test_criterion_2_fails_where_the_dimension_exceeds_gamma_squared(config, ctx, monkeypatch):
+    # gamma^2 <= 6 on a sign matrix with at most 6 rows, so a dimension of 7
+    # puts sqrt(dim) above gamma on all 200 matrices.
+    monkeypatch.setattr(suite, "ldim", lambda A: 7)
+    result = CRITERIA[2](config, ctx)
+    assert not result.passed and "200 violations" in result.detail, result.line
 
 
 def test_full_suite_runs_the_oracle_once_per_matrix(config, monkeypatch):
-    # 512 booleans 3x3, the padded witness of criterion 8 and the 191 nonzero
-    # 4x4 classes: criteria 8, 10 and 11 share the 3x3 oracle pass.
+    # 512 booleans 3x3, the padded witness among them, and the 191 nonzero
+    # 4x4 classes: criterion 11 reads the shared 3x3 oracle pass.
     calls = []
     oracle = pipeline.exact_block_complexity
     for module in (pipeline, suite):
         monkeypatch.setattr(module, "exact_block_complexity", lambda A: calls.append(A) or oracle(A))
     code, results = suite.run_suite(config, echo=None)
     assert code == 0 and len(results) == len(CRITERIA)
-    assert len(calls) == 512 + 1 + 191
+    assert len(calls) == 512 + 191
 
 
 def test_every_criterion_fails_past_its_wall_clock_limit(config, ctx, monkeypatch):
@@ -173,6 +231,29 @@ def test_a_raising_construction_step_fails_its_criteria(config, monkeypatch):
         result = CRITERIA[number](config, ctx)
         assert not result.passed, result.line
         assert "; 1 raised, first on blocky-sum id 1 (AssertionError" in result.detail, result.line
+
+
+def test_criterion_6_fails_on_an_uncertified_step(config, monkeypatch):
+    # Every stabilization reports a budget fallback: both steps return
+    # uncertified, and criterion 6 alone fails, naming the first.
+    instances = [
+        generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)
+    ]
+    real = pipeline.bucket_stabilize
+    monkeypatch.setattr(
+        pipeline, "bucket_stabilize", lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False)
+    )
+    ctx = SuiteContext(config)
+    ctx._boolean3 = []
+    ctx._blocky50 = [
+        {"id": i, "instance": inst, **suite._construction(inst.matrix, inst.certificate, config)}
+        for i, inst in enumerate(instances)
+    ]
+    result = CRITERIA[6](config, ctx)
+    assert not result.passed, result.line
+    assert "2 construction steps, 2 uncertified" in result.detail
+    assert "first uncertified step on blocky-sum id 0" in result.detail
+    assert CRITERIA[7](config, ctx).passed
 
 
 def test_criterion_6_fails_on_a_generator_certificate_that_does_not_verify(config):

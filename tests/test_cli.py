@@ -115,10 +115,11 @@ def test_invalid_run_flags_are_clean_errors(corner, tmp_path, capsys, flags):
 def test_suite_rejects_invalid_run_flags(capsys):
     assert main(["suite", "--select", "1", "--tol", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: tol")
-    # The whole selection is checked before criterion 1 runs.
-    assert main(["suite", "--select", "1,9"]) == 2
-    captured = capsys.readouterr()
-    assert "PASS" not in captured.out and captured.err.startswith("error: unknown criterion 9")
+    # The whole selection is checked before criterion 1 runs; 8, 9 and 10 are retired.
+    for retired in (8, 9, 10):
+        assert main(["suite", "--select", f"1,{retired}"]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and captured.err.startswith(f"error: unknown criterion {retired}")
 
 
 @pytest.mark.parametrize(
@@ -432,13 +433,13 @@ def test_missing_file_is_a_clean_error(tmp_path, capsys):
 
 
 def test_suite_select_writes_results(tmp_path, capsys):
-    # Criteria 7, 4 and 10 each write a data table beside results.json.
+    # Criteria 7, 4 and 11 each write a data table beside results.json.
     out_dir = tmp_path / "suite"
-    assert main(["suite", "--select", "1,4,7,10", "--out-dir", str(out_dir)]) == 0
+    assert main(["suite", "--select", "1,4,7,11", "--out-dir", str(out_dir)]) == 0
     out = capsys.readouterr().out
-    assert all(f"PASS criterion {k} " in out for k in (1, 4, 7, 10))
+    assert all(f"PASS criterion {k} " in out for k in (1, 4, 7, 11))
     summary = json.loads((out_dir / "results.json").read_text())
-    assert [(r["number"], r["passed"]) for r in summary] == [(1, True), (4, True), (7, True), (10, True)]
+    assert [(r["number"], r["passed"]) for r in summary] == [(1, True), (4, True), (7, True), (11, True)]
 
     header, *rows = (out_dir / "terms_vs_size.tsv").read_text().splitlines()
     assert header == "kind\tid\tm\tn\tgamma0_squared\tconstruction_terms\tterms\tbound_fit"
@@ -456,7 +457,7 @@ def test_suite_select_writes_results(tmp_path, capsys):
     assert header == "trial\tcolumns\tworst_harmonic_slack\tworst_count_margin"
     assert [int(row.split("\t")[0]) for row in rows] == kept
 
-    # Criterion 10 reads every 3x3 boolean's oracle value, whatever the seed.
+    # Criterion 11 reads every 3x3 boolean's oracle value, whatever the seed.
     experiment = json.loads((out_dir / "random_complexity.json").read_text())
     assert experiment["n"] == 3 and experiment["matrices"] == 512
     assert experiment["histogram"] == {"0": 1, "1": 127, "2": 384}

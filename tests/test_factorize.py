@@ -411,6 +411,23 @@ def test_a_rejected_newton_point_hands_over_to_squarem(monkeypatch):
     assert len(starts) == 1 and len(calls) == 14 + 1
 
 
+def test_a_singular_newton_solve_hands_over_to_squarem(monkeypatch):
+    # A linear solve that raises LinAlgError makes the Newton step None: the
+    # ascent keeps no Newton point and runs the SQUAREM cycle from the start,
+    # the certificate of the ascent without Newton steps bit for bit, in its
+    # 14 SVDs.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(factorize.np.linalg, "solve", singular)
+    starts = _count_newton_steps(monkeypatch)
+    calls = _count_linalg(monkeypatch)
+    fac = gamma2_upper(GOLDEN_INPUTS["ternary16"])
+    digest = hashlib.sha256(fac.U.tobytes() + fac.V.tobytes()).hexdigest()
+    assert (float.hex(fac.gamma), float.hex(fac.residual), digest) == GOLDEN_BEFORE_NEWTON["ternary16"]
+    assert len(starts) == 1 and len(calls) == 14
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3])
 def test_max_iter_caps_the_svds_of_a_newton_path_solve(monkeypatch, cap):
     # Each Newton point costs one SVD, counted like any other against the

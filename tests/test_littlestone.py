@@ -378,6 +378,15 @@ def test_bucket_eps_zero_shrinks_to_one_column():
     assert res.steps == 1 and res.certified
 
 
+def test_bucket_grid_reaches_the_largest_entry_despite_float_shortfall():
+    # -0.45 + 3 * 0.3 falls just below 0.45 in floats, so the grid takes a
+    # fourth step; with three, 0.45 lies in no bucket and the shrink finds
+    # no far bucket.
+    res = bucket_stabilize(np.array([[0.45, -0.45]]), alpha=0.3, eps=0.0)
+    assert res.columns == (1,) and res.row_values.tolist() == [-0.45]
+    assert res.steps == 1 and res.certified
+
+
 def test_bucket_postconditions_random():
     rng = np.random.default_rng(27)
     for t in range(20):

@@ -22,6 +22,7 @@ from blockydecomp.partition import greedy_l1_decompose, peel_term_count
 from blockydecomp.pipeline import (
     MAX_DECOMPOSE_ENTRY,
     ReconstructionError,
+    RoundingDriftError,
     decompose,
     exact_block_complexity,
     norm_decrement_step,
@@ -56,7 +57,7 @@ def test_step_all_ones_frozen_trace():
     assert step.residual_factorization.gamma == 0.0
     assert not step.residual_factorization.V.any()
     assert step.certified
-    assert step.diagnostics[0]["captured"] == 2 and step.diagnostics[0]["remaining"] == 0
+    assert step.diagnostics == (2,)  # one round captures both columns
 
 
 def test_step_residual_certifies_remainder():
@@ -90,6 +91,10 @@ def test_step_validation():
         (1.5, 0.0, ReconstructionError, "additivity"),  # 1 -> 1.5 + (-0.5) rounds to 1 + (-1)
         (1.5, 5e-10, ReconstructionError, "rounds differently"),  # -0.5 vs -0.5 + 5e-10
         (1.2, 0.0, AssertionError, "residual eps"),  # residual 0.2 from the integers
+        (0.4, 0.0, RoundingDriftError, "anchor inner product"),  # |<u, average>| = 0.4 < 1/2
+        (-1.0, 0.0, AssertionError, "residual column norm"),  # v - (-v) has norm^2 4 > 1 - 1/8
+        # a' = 1 + 3.5e-9: residual eps 3.5e-9 <= 3 eps + 1e-9, but eps_out above 2 eps + 1e-9
+        (1 + 3.5e-9, 0.0, AssertionError, "structured part drifted"),
     ],
 )
 def test_step_rejects_a_split_that_breaks_rounding(scale, offset, error, match, monkeypatch):
@@ -102,6 +107,18 @@ def test_step_rejects_a_split_that_breaks_rounding(scale, offset, error, match, 
     monkeypatch.setattr(pipeline, "subtract_average", skewed)
     with pytest.raises(error, match=match):
         norm_decrement_step(np.ones((2, 2)) + offset, _exact_ones_fac(2, 2), eps=1e-9)
+
+
+def test_step_rejects_a_grid_value_outside_the_rounding_window(monkeypatch):
+    real = pipeline.bucket_stabilize
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, row_values=res.row_values + 0.5)
+
+    monkeypatch.setattr(pipeline, "bucket_stabilize", shifted)
+    with pytest.raises(RoundingDriftError, match="grid value at distance"):
+        norm_decrement_step(np.ones((2, 2)), _exact_ones_fac(2, 2), eps=1e-9)
 
 
 def test_step_rejects_understated_eps():
