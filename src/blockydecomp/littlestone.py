@@ -23,6 +23,7 @@ from .core import _freeze, _group_rows, as_int_array, as_real_array
 __all__ = [
     "BudgetExceeded",
     "DEFAULT_BUDGET",
+    "MAX_GRID_VALUES",
     "StabilizationResult",
     "ldim",
     "ldim_alpha",
@@ -31,6 +32,10 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**7
+
+# The most grid values ``bucket_stabilize`` allocates: its grid has
+# ceil(2 max|A| / alpha) + 1 values, so a small alpha implies unbounded work.
+MAX_GRID_VALUES = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -285,6 +290,8 @@ def bucket_stabilize(
     kept (ties keep the fullest bucket; on budget exhaustion the larger side
     is kept and the result is marked uncertified).  eps = 0 is allowed and
     demands full capture; the size bound is then vacuous after any shrink.
+    An alpha whose grid would pass ``MAX_GRID_VALUES`` values raises
+    ValueError before the grid is allocated.
 
     Each scan is a few array calls with unchanged semantics: the acceptance
     test (the same elementwise comparison) runs as one broadcast per chunk
@@ -298,7 +305,13 @@ def bucket_stabilize(
         raise ValueError(f"eps must be nonnegative, got {eps}")
     m, n = arr.shape
     big_m = float(np.abs(arr).max())
-    n_buckets = math.ceil(2 * big_m / alpha)
+    span = 2 * big_m / alpha  # inf when alpha is tiny against big_m
+    if not span < MAX_GRID_VALUES - 2:  # ceil(span) + 1 values, + 1 for a float shortfall
+        raise ValueError(
+            f"alpha {alpha:g} with max|A| {big_m:g} needs a grid of {span + 1:.6g} values, "
+            f"above the cap of {MAX_GRID_VALUES}"
+        )
+    n_buckets = math.ceil(span)
     while -big_m + n_buckets * alpha < big_m:  # guard against float shortfall
         n_buckets += 1
     grid = -big_m + alpha * np.arange(n_buckets + 1, dtype=np.float64)

@@ -180,7 +180,9 @@ def norm_decrement_step(
     Requires a certificate that passes ``verify_factorization`` at
     ``config.tol`` (refused as ``decompose`` refuses one, ``_accepted_residual``),
     eps < 1/4, and a nonzero rounding; the stabilizer's exact dimension
-    recursions run at ``bucket_stabilize``'s default budget.  Aborts with
+    recursions run at ``bucket_stabilize``'s default budget, and its grid at
+    alpha 1/8 refuses (ValueError) a class with an entry near 2^16 or above
+    (``MAX_GRID_VALUES``).  Aborts with
     RoundingDriftError if any grid value chosen for rounding is farther than
     1/4 + eps (plus slack) from an integer, which signals that the
     almost-integer certificate no longer holds.  Raises ReconstructionError

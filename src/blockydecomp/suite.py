@@ -3,12 +3,14 @@
 Each criterion is a standalone check taking a RunConfig and a shared
 SuiteContext, registered in ``CRITERIA`` by ``_criterion`` with its number,
 name and wall-clock limit; the registration times every check and fails it
-past its limit.  Numbers 8, 9 and 10 are retired.  The SuiteContext lazily
-caches the two expensive corpora: decompositions of all 512 boolean 3x3
-matrices and of 50 generated blocky-sum instances, each with one
-``norm_decrement_step`` of the paper's construction run from the same
-certificate on every nonzero instance (a step that raises fails criteria 6
-and 7, which name it).  The 3x3 corpus also holds each matrix's exact
+past its limit.  No bound the library checks itself is re-derived here: a
+library fault (``_FAULTS``) raised inside a check fails that criterion,
+naming the fault, and the battery goes on.  Numbers 8, 9 and 10 are
+retired.  The SuiteContext lazily caches the two expensive corpora:
+decompositions of all 512 boolean 3x3 matrices and of 50 generated
+blocky-sum instances, each with one ``norm_decrement_step`` of the paper's
+construction run from the same certificate on every nonzero instance (a
+step that raises fails criteria 6 and 7, which name it).  The 3x3 corpus also holds each matrix's exact
 block complexity, one oracle call per matrix, which criterion 11 reads;
 criterion 11 also runs the oracle on one matrix of each class of 4x4
 booleans under row and column permutations and transposition
@@ -36,12 +38,14 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .core import is_blocky, round_half_down
 from .factorize import gamma2_upper, verify_factorization
 from .generators import GeneratorSpec, generate
-from .littlestone import bucket_stabilize, ldim, ldim_alpha, majority_stabilize
+from .littlestone import BudgetExceeded, bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_partition, subtract_average
 from .pipeline import ReconstructionError, RoundingDriftError, _all_booleans, decompose
 from .pipeline import exact_block_complexity, norm_decrement_step, term_count_floor
 
 __all__ = ["CriterionResult", "SuiteContext", "run_suite", "CRITERIA", "boolean_classes"]
+
+_FAULTS = (AssertionError, ReconstructionError, RoundingDriftError, BudgetExceeded)  # a failed library bound
 
 
 @dataclass
@@ -76,7 +80,7 @@ def _construction(A: np.ndarray, fac, config: RunConfig) -> dict:
     if A.any():
         try:
             step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
-        except (AssertionError, ReconstructionError, RoundingDriftError) as exc:
+        except _FAULTS as exc:
             error = f"{type(exc).__name__}: {exc}"
     return {"matrix": A, "sum": s, "report": rep, "fac": fac, "step": step, "step_error": error}
 
@@ -171,13 +175,17 @@ def _criterion(number: int, name: str, limit: float):
 
     The check returns ``(ok, detail)`` or ``(ok, detail, data)``; the
     criterion passes when ``ok`` holds and the check ran in under ``limit``.
+    A check that raises one of ``_FAULTS`` fails, its detail naming the fault.
     """
 
     def register(check):
         @functools.wraps(check)
         def run(config: RunConfig, ctx: SuiteContext) -> CriterionResult:
             t0 = time.perf_counter()
-            ok, detail, *data = check(config, ctx)
+            try:
+                ok, detail, *data = check(config, ctx)
+            except _FAULTS as exc:
+                ok, detail, data = False, f"raised {type(exc).__name__}: {exc}", []
             dt = time.perf_counter() - t0
             data = data[0] if data else {}
             return CriterionResult(number, name, ok and dt < limit, detail, dt, limit, data)
@@ -222,33 +230,23 @@ def criterion_2(config: RunConfig, ctx: SuiteContext):
 
 @_criterion(3, "stabilizer postconditions", 120)
 def criterion_3(config: RunConfig, ctx: SuiteContext):
-    """Stabilizer postconditions, counted exactly, on 100+100 seeded trials."""
+    """Stabilizer size bounds on 100+100 seeded trials; each stops only once every row's rate is <= eps."""
     bad = []
     for t in range(100):
         rng = np.random.default_rng([config.seed, 31, t])
         A = rng.choice([-1, 1], size=(5, 32)).astype(np.int64)
         res = majority_stabilize(A, 0.25)
-        cols = list(res.columns)
-        rates = (A[:, cols] != res.row_values[:, None]).mean(axis=1)
         d = ldim(A)
-        if not (rates <= 0.25).all():
-            bad.append(("majority-rate", t))
-        if res.steps > d or len(cols) < (0.25**d) * 32:
+        if res.steps > d or len(res.columns) < (0.25**d) * 32:
             bad.append(("majority-size", t))
     for t in range(100):
         rng = np.random.default_rng([config.seed, 32, t])
         A = rng.uniform(-2.0, 2.0, size=(4, 64))
         res = bucket_stabilize(A, alpha=0.125, eps=0.1)
-        cols = list(res.columns)
-        rates = (np.abs(A[:, cols] - res.row_values[:, None]) >= 0.25).mean(axis=1)
-        if not (rates <= 0.1).all():
-            bad.append(("bucket-rate", t))
         if not res.certified:
             bad.append(("bucket-uncertified", t))
-        else:
-            d = ldim_alpha(A, 0.125)
-            if res.steps > d or len(cols) < res.size_bound - 1e-12:
-                bad.append(("bucket-size", t))
+        elif res.steps > ldim_alpha(A, 0.125) or len(res.columns) < res.size_bound - 1e-12:
+            bad.append(("bucket-size", t))
     detail = f"100 majority (5x32, eps=0.25) + 100 bucket (4x64, alpha=1/8, eps=0.1) trials: {len(bad)} violations"
     if bad:
         detail += f"; first: {bad[0]}"
@@ -281,7 +279,7 @@ def criterion_4(config: RunConfig, ctx: SuiteContext):
 
 @_criterion(5, "subtract-average guarantee", 30)
 def criterion_5(config: RunConfig, ctx: SuiteContext):
-    """Mean identity and kept-fraction bound over 1000 vector families."""
+    """Mean identity over 1000 vector families; ``subtract_average`` raises on its kept-count bound."""
     bad = 0
     for t in range(1000):
         rng = np.random.default_rng([config.seed, 5, t])
@@ -297,9 +295,7 @@ def criterion_5(config: RunConfig, ctx: SuiteContext):
         scale = max(1.0, abs(rhs), float((norms**2).sum()))
         if abs(lhs - rhs) > 1e-9 * scale:
             bad += 1
-        if len(split.kept) < c_sq * r / (2 * gamma * gamma) - 1e-9 * r:
-            bad += 1
-    detail = f"1000 families (r<=64, dim<=32): {bad} violations of the mean identity / kept bound"
+    detail = f"1000 families (r<=64, dim<=32): {bad} violations of the mean identity"
     return bad == 0, detail
 
 
@@ -343,7 +339,7 @@ def criterion_6(config: RunConfig, ctx: SuiteContext):
 
 @_criterion(7, "end-to-end exactness", 900)
 def criterion_7(config: RunConfig, ctx: SuiteContext):
-    """Exact reconstruction everywhere; one construction level, never fewer terms."""
+    """One construction level, never fewer terms; ``decompose`` raises unless its sum is exact."""
     corpora = ctx.corpora()
     raised = _raised_steps(corpora)
     bad = 0
@@ -352,8 +348,6 @@ def criterion_7(config: RunConfig, ctx: SuiteContext):
     for kind, key, items in corpora:
         for item in items:
             A, s, rep, step = item["matrix"], item["sum"], item["report"], item["step"]
-            if not np.array_equal(s.evaluate(), A):
-                bad += 1
             step_terms = 0
             if step is not None:
                 steps += 1

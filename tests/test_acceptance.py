@@ -17,6 +17,7 @@ from blockydecomp import pipeline, suite
 from blockydecomp.config import RunConfig
 from blockydecomp.factorize import GammaFactorization, gamma2_upper
 from blockydecomp.generators import GeneratorSpec, generate
+from blockydecomp.partition import GreedyPartition
 from blockydecomp.suite import CRITERIA, SuiteContext
 
 
@@ -276,3 +277,84 @@ def test_criterion_6_fails_on_a_generator_certificate_that_does_not_verify(confi
     assert "2 generator certificates, 1 failing verification; 2 construction steps" in result.detail
     assert "first failing certificate on blocky-sum id 1" in result.detail
     assert CRITERIA[7](config, ctx).passed
+
+
+@pytest.mark.parametrize(
+    "name, fields, first",
+    [
+        ("majority_stabilize", {"steps": 99}, "('majority-size', 0)"),  # more steps than the dimension
+        ("bucket_stabilize", {"certified": False}, "('bucket-uncertified', 0)"),
+        ("bucket_stabilize", {"size_bound": 65.0}, "('bucket-size', 0)"),  # above all 64 columns
+    ],
+    ids=["majority-size", "bucket-uncertified", "bucket-size"],
+)
+def test_criterion_3_fails_on_a_wrong_stabilizer_result(config, ctx, monkeypatch, name, fields, first):
+    # Every result of one stabilizer altered: all 100 of its trials fail.
+    real = getattr(suite, name)
+    monkeypatch.setattr(suite, name, lambda *a, **k: dataclasses.replace(real(*a, **k), **fields))
+    result = CRITERIA[3](config, ctx)
+    assert not result.passed, result.line
+    assert result.detail.endswith(f"trials: 100 violations; first: {first}"), result.line
+
+
+def _harmonic_overflow(self):
+    # One class with probability ln(n) + 2: the harmonic sum passes its
+    # ceiling ln(n) + 1, and each delta counts 1 class, within its cap.
+    return {(0, 1): np.array([np.log(self.matrix.shape[1]) + 2.0])}
+
+
+def _density_overflow(self, real=GreedyPartition.density_table):
+    # The first (x, b, delta) row counts one class past its cap.
+    rows = real(self)
+    rows[0]["count"] = rows[0]["ceiling"] + 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "attribute, patched, slack",
+    [
+        ("class_probabilities", property(_harmonic_overflow), "1.000e+00"),
+        ("density_table", _density_overflow, None),
+    ],
+    ids=["harmonic-sum", "density-count"],
+)
+def test_criterion_4_fails_on_a_wrong_partition_bound(config, ctx, monkeypatch, attribute, patched, slack):
+    # One violation per trial partitioned (the all-zero trials are skipped).
+    monkeypatch.setattr(GreedyPartition, attribute, patched)
+    result = CRITERIA[4](config, ctx)
+    assert not result.passed, result.line
+    assert f": {len(result.data['density_rows'])} violations;" in result.detail, result.line
+    if slack:
+        assert result.detail.endswith(f"worst harmonic slack {slack}"), result.line
+
+
+def test_criterion_5_fails_on_a_wrong_mean_identity(config, ctx, monkeypatch):
+    # Every squared-norm drop one too large: sum of drops = r c^2 + r on all 1000 families.
+    real = suite.subtract_average
+
+    def shifted(*args):
+        split = real(*args)
+        return dataclasses.replace(split, drops=split.drops + 1.0)
+
+    monkeypatch.setattr(suite, "subtract_average", shifted)
+    result = CRITERIA[5](config, ctx)
+    assert not result.passed and "1000 violations of the mean identity" in result.detail, result.line
+
+
+@pytest.mark.parametrize("wrong", ["second-level", "fewer-terms"])
+def test_criterion_7_fails_on_a_wrong_construction_step(config, ctx, wrong):
+    # One step of the shared corpora replaced: its residual still rounds to
+    # a nonzero matrix, or its blocky part has fewer terms than decompose's sum.
+    patched = SuiteContext(config)
+    patched._boolean3 = [dict(item) for item in ctx.boolean3x3()]
+    patched._blocky50 = ctx.blocky_instances()
+    step = patched._boolean3[11]["step"]
+    residual, blocky_part = step.residual_factorization, step.blocky_part
+    if wrong == "second-level":
+        residual = SimpleNamespace(product=lambda: np.ones((3, 3)))
+    else:
+        blocky_part = ()
+    patched._boolean3[11]["step"] = SimpleNamespace(residual_factorization=residual, blocky_part=blocky_part)
+    result = CRITERIA[7](config, patched)
+    assert not result.passed, result.line
+    assert "560 construction steps end in one level with at least decompose's terms: 1 failures" in result.detail

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from blockydecomp import cli
+from blockydecomp import cli, suite
 from blockydecomp.cli import main
 from blockydecomp.formats import dump_matrix, load_decomposition
+from blockydecomp.littlestone import BudgetExceeded
 from blockydecomp.partition import GreedyPartition
+from blockydecomp.pipeline import ReconstructionError, RoundingDriftError
 
 
 @pytest.fixture
@@ -461,6 +463,37 @@ def test_suite_select_writes_results(tmp_path, capsys):
     experiment = json.loads((out_dir / "random_complexity.json").read_text())
     assert experiment["n"] == 3 and experiment["matrices"] == 512
     assert experiment["histogram"] == {"0": 1, "1": 127, "2": 384}
+
+
+@pytest.mark.parametrize(
+    "number, call, fault",
+    [
+        (2, "ldim", BudgetExceeded("exact dimension recursion exceeded its budget of 1 node visits")),
+        (3, "bucket_stabilize", RoundingDriftError("grid value at distance 0.400000 from the integers")),
+        (5, "subtract_average", AssertionError("mean-subtraction bound violated: kept 0 < 1")),
+        (7, "decompose", ReconstructionError("reconstruction mismatch at (0, 0): expected 1, got 0")),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_suite_fails_a_criterion_on_a_library_fault(tmp_path, capsys, monkeypatch, number, call, fault):
+    # A library call inside criterion ``number`` raises: that criterion fails
+    # naming the fault, criterion 1 after it still runs, results.json is
+    # written, and the suite exits 1 without a traceback.
+    def raising(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(suite, call, raising)
+    out_dir = tmp_path / "suite"
+    assert main(["suite", "--select", f"{number},1", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith(f"FAIL criterion {number} ")
+    assert f": raised {type(fault).__name__}: {fault} [" in lines[0]
+    assert lines[1].startswith("PASS criterion 1 ")
+    assert lines[2].startswith(f"failing criteria: {number} (")
+    assert "Traceback" not in captured.err
+    summary = json.loads((out_dir / "results.json").read_text())
+    assert [(r["number"], r["passed"]) for r in summary] == [(number, False), (1, True)]
 
 
 def test_partition_exits_1_on_a_density_violation(tmp_path, capsys, monkeypatch):

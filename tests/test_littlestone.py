@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -407,6 +408,23 @@ def test_bucket_validation():
     for alpha, eps in [(0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1), (0.5, -0.1), (0.5, math.nan)]:
         with pytest.raises(ValueError):
             bucket_stabilize([[0.0, 1.0, 3.0]], alpha=alpha, eps=eps)
+
+
+def test_bucket_refuses_a_grid_past_its_cap_before_allocating_it():
+    # alpha = 1e-12 on max|A| = 1 asks for 2e12 + 1 grid values (14.6 TiB):
+    # refused at once, naming alpha, max|A| and the grid length.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"alpha 1e-12 with max\|A\| 1 needs a grid of 2e\+12 values"):
+        bucket_stabilize([[1.0, -1.0, 0.5]], alpha=1e-12, eps=0.1)
+    assert time.perf_counter() - t0 < 1.0
+    # 2 max|A| / alpha overflows to inf: refused too.
+    with pytest.raises(ValueError, match="needs a grid of inf values"):
+        bucket_stabilize([[1e300, 0.0]], alpha=1e-300, eps=0.1)
+    # The cap is on the grid as allocated: just below it the call runs.
+    cap = littlestone.MAX_GRID_VALUES
+    assert bucket_stabilize([[1.0, -1.0, 0.5]], alpha=2 / (cap - 3), eps=0.1).certified
+    with pytest.raises(ValueError, match=f"above the cap of {cap}"):
+        bucket_stabilize([[1.0, -1.0, 0.5]], alpha=2 / (cap - 1.5), eps=0.1)
 
 
 # ---------------------------------------------------------------------------
