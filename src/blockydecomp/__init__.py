@@ -7,7 +7,7 @@ factorization norm into short signed sums of blocky matrices, exactly and
 with verified certificates, and ships the supporting machinery: the norm
 solver and its lower bounds, exact (weighted) mistake-tree dimensions,
 column stabilizers, greedy partitions, a brute-force complexity oracle,
-deterministic generators, and an eight-criterion verification battery.
+deterministic generators, and a seven-criterion verification battery.
 """
 
 from .config import RunConfig

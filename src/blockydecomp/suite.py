@@ -1,21 +1,24 @@
-"""The acceptance battery, criteria 1-7 and 11, shared by pytest and the CLI.
+"""The acceptance battery, criteria 1-5, 7 and 11, shared by pytest and the CLI.
 
 Each criterion is a standalone check taking a RunConfig and a shared
 SuiteContext, registered in ``CRITERIA`` by ``_criterion`` with its number,
 name and wall-clock limit; the registration times every check and fails it
 past its limit.  No bound the library checks itself is re-derived here: a
 library fault (``_FAULTS``) raised inside a check fails that criterion,
-naming the fault, and the battery goes on.  Numbers 8, 9 and 10 are
+naming the fault, and the battery goes on.  Numbers 6, 8, 9 and 10 are
 retired.  The SuiteContext lazily caches the two expensive corpora:
 decompositions of all 512 boolean 3x3 matrices and of 50 generated
 blocky-sum instances, each with one ``norm_decrement_step`` of the paper's
-construction run from the same certificate on every nonzero instance (a
-step that raises fails criteria 6 and 7, which name it).  The 3x3 corpus also holds each matrix's exact
-block complexity, one oracle call per matrix, which criterion 11 reads;
-criterion 11 also runs the oracle on one matrix of each class of 4x4
-booleans under row and column permutations and transposition
-(``boolean_classes``).  Criterion 4 reads each partition's own density
-table (``GreedyPartition.density_table``).
+construction run from the same certificate on every nonzero instance.
+Criterion 7 decides every construction step once: a step that raised,
+returned uncertified, needs a second level or has fewer terms than
+``decompose`` fails it, named.  A certificate that ``decompose`` refuses
+(ValueError) stops the battery with a message naming its input.  The 3x3
+corpus also holds each matrix's exact block complexity, one oracle call per
+matrix, which criterion 11 reads; criterion 11 also runs the oracle on one
+matrix of each class of 4x4 booleans under row and column permutations and
+transposition (``boolean_classes``).  Criterion 4 reads each partition's
+own density table (``GreedyPartition.density_table``).
 Results carry pass/fail, a human-readable detail line, elapsed seconds, and
 machine-readable rows for plot tables.  ``run_suite`` executes a selection
 in order and optionally writes results plus tab-separated data tables.
@@ -36,7 +39,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .core import is_blocky, round_half_down
-from .factorize import gamma2_upper, verify_factorization
+from .factorize import gamma2_upper
 from .generators import GeneratorSpec, generate
 from .littlestone import BudgetExceeded, bucket_stabilize, ldim, ldim_alpha, majority_stabilize
 from .partition import greedy_partition, subtract_average
@@ -67,33 +70,30 @@ class CriterionResult:
         )
 
 
-def _construction(A: np.ndarray, fac, config: RunConfig) -> dict:
+def _construction(name: str, A: np.ndarray, fac, config: RunConfig) -> dict:
     """``decompose`` and one construction step on A from the same certificate.
 
     The step starts from the certificate's product at the eps ``decompose``
     measured on it, as the construction does; it is None for the zero
     matrix, where there is nothing to decrement, and where it fails one of
-    its own checks, which ``step_error`` then names.
+    its own checks, which ``step_error`` then names.  A refusal (ValueError)
+    is raised again led by ``name``, the input it refused.
     """
-    s, rep = decompose(A, fac=fac, config=config)
-    step = error = None
-    if A.any():
-        try:
-            step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
-        except _FAULTS as exc:
-            error = f"{type(exc).__name__}: {exc}"
+    try:
+        s, rep = decompose(A, fac=fac, config=config)
+        step = error = None
+        if A.any():
+            try:
+                step = norm_decrement_step(fac.product(), fac, rep.eps_trajectory[0], config)
+            except _FAULTS as exc:
+                error = f"{type(exc).__name__}: {exc}"
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from exc
     return {"matrix": A, "sum": s, "report": rep, "fac": fac, "step": step, "step_error": error}
 
 
-def _raised_steps(corpora) -> str:
-    """A detail suffix counting the steps of the (name, id key, items) corpora that raised, naming the first."""
-    raised = [f"{kind} {key} {item[key]} ({item['step_error']})"
-              for kind, key, items in corpora for item in items if item["step_error"]]
-    return f"; {len(raised)} raised, first on {raised[0]}" if raised else ""
-
-
 class SuiteContext:
-    """Lazy caches for corpora reused across criteria 6, 7 and 11."""
+    """Lazy caches for the corpora criteria 7 and 11 read."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or DEFAULT_CONFIG
@@ -106,7 +106,8 @@ class SuiteContext:
             for code, A in enumerate(_all_booleans(3, 3).astype(np.int64)):
                 fac = gamma2_upper(A, self.config)
                 oracle = exact_block_complexity(A)
-                out.append({"code": code, "oracle": oracle, **_construction(A, fac, self.config)})
+                out.append({"code": code, "oracle": oracle,
+                            **_construction(f"boolean3x3 code {code}", A, fac, self.config)})
             self._boolean3 = out
         return self._boolean3
 
@@ -123,13 +124,10 @@ class SuiteContext:
                     GeneratorSpec(kind="random-blocky-sum", n=n, m=m, term_count=l0), seed=i
                 )
                 A = np.asarray(inst.matrix)
-                out.append({"id": i, "instance": inst, **_construction(A, inst.certificate, cfg)})
+                out.append({"id": i, "instance": inst,
+                            **_construction(f"blocky-sum id {i}", A, inst.certificate, cfg)})
             self._blocky50 = out
         return self._blocky50
-
-    def corpora(self) -> tuple:
-        """Both construction corpora as (name, id key, items)."""
-        return (("boolean3x3", "code", self.boolean3x3()), ("blocky-sum", "id", self.blocky_instances()))
 
 
 def _row_column_canon(bits: np.ndarray) -> np.ndarray:
@@ -237,7 +235,7 @@ def criterion_3(config: RunConfig, ctx: SuiteContext):
         A = rng.choice([-1, 1], size=(5, 32)).astype(np.int64)
         res = majority_stabilize(A, 0.25)
         d = ldim(A)
-        if res.steps > d or len(res.columns) < (0.25**d) * 32:
+        if res.steps > d or len(res.columns) < res.size_bound - 1e-12:
             bad.append(("majority-size", t))
     for t in range(100):
         rng = np.random.default_rng([config.seed, 32, t])
@@ -299,70 +297,54 @@ def criterion_5(config: RunConfig, ctx: SuiteContext):
     return bad == 0, detail
 
 
-@_criterion(6, "norm decrement per level", 900)
-def criterion_6(config: RunConfig, ctx: SuiteContext):
-    """The generator's 50 certificates verify, and every construction step of both corpora returned certified.
+@_criterion(7, "construction step and exactness", 900)
+def criterion_7(config: RunConfig, ctx: SuiteContext):
+    """Every construction step returns certified, in one level, with at least ``decompose``'s terms.
 
-    ``norm_decrement_step`` raises where its gamma^2 drop of 1/8, its
-    eps_out <= 2 eps or its rounding additivity fails, so a returned step
-    has all three; the criterion fails on a step that raised or that a
-    stabilizer's budget fallback left uncertified, and reports each
-    returned step's gamma^2 drop, eps_in and eps_out.
+    ``decompose`` raises unless its sum is exact, and ``norm_decrement_step``
+    raises where its gamma^2 drop of 1/8, its eps_out <= 2 eps or its
+    rounding additivity fails, so a returned step has all three.  One pass
+    over both corpora lists each step that raised, that a stabilizer's
+    budget fallback left uncertified, that needs a second level, or that has
+    fewer terms than ``decompose``'s sum, and names the first; the criterion
+    also fails when no step ran.  Each returned step's gamma^2 drop, eps_in
+    and eps_out are the ``step_rows`` data.
     """
-    corpora = ctx.corpora()
-    raised = _raised_steps(corpora)
-    instances = [item["instance"] for item in ctx.blocky_instances()]
-    bad_certs = [i for i, inst in enumerate(instances)
-                 if not verify_factorization(inst.matrix, inst.certificate, config.tol).ok]
-    uncertified = [f"{kind} {key} {item[key]}" for kind, key, items in corpora for item in items
-                   if item["step"] is not None and not item["step"].certified]
-    rows = [
-        (kind, item[key], item["fac"].gamma ** 2 - item["step"].residual_factorization.gamma ** 2,
-         item["report"].eps_trajectory[0], item["step"].eps_out)
-        for kind, key, items in corpora for item in items if item["step"] is not None
-    ]
-    detail = (f"{len(instances)} generator certificates, {len(bad_certs)} failing verification; "
-              f"{len(rows)} construction steps, {len(uncertified)} uncertified")
-    if rows:
-        _, _, drops, eps_in, eps_out = zip(*rows)
+    corpora = (("boolean3x3", "code", ctx.boolean3x3()), ("blocky-sum", "id", ctx.blocky_instances()))
+    bad = []
+    step_rows = []
+    term_rows = []
+    for kind, key, items in corpora:
+        for item in items:
+            A, s, rep, step = item["matrix"], item["sum"], item["report"], item["step"]
+            name = f"{kind} {key} {item[key]}"
+            step_terms = 0
+            if item["step_error"]:
+                bad.append(f"{name} raised {item['step_error']}")
+            if step is not None:
+                step_terms = len(step.blocky_part)
+                if not step.certified:
+                    bad.append(f"{name} uncertified")
+                if round_half_down(step.residual_factorization.product()).any():
+                    bad.append(f"{name} needs a second level")
+                if len(s) > step_terms:
+                    bad.append(f"{name} has fewer terms than decompose")
+                drop = item["fac"].gamma ** 2 - step.residual_factorization.gamma ** 2
+                step_rows.append((kind, item[key], drop, rep.eps_trajectory[0], step.eps_out))
+            g0 = rep.gamma_squared_trajectory[0]
+            term_rows.append((kind, item[key], A.shape[0], A.shape[1], g0, step_terms, len(s), rep.bound_fit))
+    shown = " + ".join(f"{len(items)} {kind}" for kind, _, items in corpora)
+    detail = f"{shown} reconstructed exactly; {len(step_rows)} construction steps"
+    if step_rows:
+        _, _, drops, eps_in, eps_out = zip(*step_rows)
         detail += (
             f", least gamma^2 drop {min(drops):.6f}, eps_in at most {max(eps_in):.3e}, "
             f"eps_out at most {max(eps_out):.3e}"
         )
-    if bad_certs:
-        detail += f"; first failing certificate on blocky-sum id {bad_certs[0]}"
-    if uncertified:
-        detail += f"; first uncertified step on {uncertified[0]}"
-    ok = not bad_certs and not uncertified and not raised and rows != []
-    return ok, detail + raised, {"step_rows": rows}
-
-
-@_criterion(7, "end-to-end exactness", 900)
-def criterion_7(config: RunConfig, ctx: SuiteContext):
-    """One construction level, never fewer terms; ``decompose`` raises unless its sum is exact."""
-    corpora = ctx.corpora()
-    raised = _raised_steps(corpora)
-    bad = 0
-    steps = 0
-    rows = []
-    for kind, key, items in corpora:
-        for item in items:
-            A, s, rep, step = item["matrix"], item["sum"], item["report"], item["step"]
-            step_terms = 0
-            if step is not None:
-                steps += 1
-                step_terms = len(step.blocky_part)
-                if round_half_down(step.residual_factorization.product()).any():
-                    bad += 1  # the construction needs a second level
-                if len(s) > step_terms:
-                    bad += 1
-            g0 = rep.gamma_squared_trajectory[0]
-            rows.append((kind, item[key], A.shape[0], A.shape[1], g0, step_terms, len(s), rep.bound_fit))
-    detail = (
-        f"512 boolean 3x3 + 50 blocky sums reconstructed exactly; {steps} construction steps "
-        f"end in one level with at least decompose's terms: {bad} failures{raised}"
-    )
-    return bad == 0 and not raised and steps > 0, detail, {"term_rows": rows}
+    detail += f"; {len(bad)} failures (raised, uncertified, a second level or fewer terms than decompose)"
+    if bad:
+        detail += f"; first: {bad[0]}"
+    return not bad and step_rows != [], detail, {"term_rows": term_rows, "step_rows": step_rows}
 
 
 @_criterion(11, "oracle sandwich and term-count floor", 600)
@@ -379,30 +361,27 @@ def criterion_11(config: RunConfig, ctx: SuiteContext):
     reference n / (4 log2(2n)), the proved high-probability lower bound for
     random n x n booleans.
     """
+    items = ctx.boolean3x3()  # in code order
+    reps, sizes = boolean_classes(4)
+    rows = [("3x3", item["matrix"], item["fac"], item["oracle"], len(item["sum"]), 1) for item in items]
+    for A, size in zip(reps[1:], sizes[1:]):  # the zero matrix is first
+        fac = gamma2_upper(A, config)
+        terms = len(decompose(A, fac=fac, config=config)[0])
+        rows.append(("4x4", A, fac, exact_block_complexity(A), terms, size))
     bad = 0
     totals = {key: np.zeros(3, dtype=np.int64) for key in ("3x3", "4x4", "4x4 weighted")}
-    items = ctx.boolean3x3()  # in code order
-    for item in items:
-        A, s, oc = item["matrix"], item["sum"], item["oracle"]
-        floor = term_count_floor(A, item["fac"].dual_bound)
-        if oc is None or not floor <= oc <= len(s):
+    for corpus, A, fac, oc, terms, size in rows:
+        floor = term_count_floor(A, fac.dual_bound)
+        if oc is None or not floor <= oc <= terms:
             bad += 1
             continue
-        totals["3x3"] += (floor, oc, len(s))
+        totals[corpus] += (floor, oc, terms)
+        if corpus == "4x4":
+            totals["4x4 weighted"] += size * np.array((floor, oc, terms))
     blocky = [item["oracle"] for item in items if item["matrix"].any() and is_blocky(item["matrix"]).blocky]
     ones = blocky.count(1)
     witness = items[25]["oracle"]
     bad += len(blocky) - ones + (witness != 2)
-    reps, sizes = boolean_classes(4)
-    for A, size in zip(reps[1:], sizes[1:]):  # the zero matrix is first
-        fac = gamma2_upper(A, config)
-        floor, oc = term_count_floor(A, fac.dual_bound), exact_block_complexity(A)
-        terms = len(decompose(A, fac=fac, config=config)[0])
-        if oc is None or not floor <= oc <= terms:
-            bad += 1
-            continue
-        totals["4x4"] += (floor, oc, terms)
-        totals["4x4 weighted"] += size * np.array((floor, oc, terms))
     values = np.array([item["oracle"] for item in items])
     hist = {int(k): int(c) for k, c in zip(*np.unique(values, return_counts=True))}
     shown = {key: " <= ".join(map(str, row.tolist())) for key, row in totals.items()}

@@ -1,4 +1,4 @@
-"""Acceptance battery: eight checked criteria, 1-7 and 11, one printed pass/fail line each.
+"""Acceptance battery: seven checked criteria, 1-5, 7 and 11, one printed pass/fail line each.
 
 Each test runs one criterion from the suite module against a default
 RunConfig, echoes its summary line past pytest's capture so the verdicts
@@ -15,7 +15,7 @@ import pytest
 
 from blockydecomp import pipeline, suite
 from blockydecomp.config import RunConfig
-from blockydecomp.factorize import GammaFactorization, gamma2_upper
+from blockydecomp.factorize import GammaFactorization
 from blockydecomp.generators import GeneratorSpec, generate
 from blockydecomp.partition import GreedyPartition
 from blockydecomp.suite import CRITERIA, SuiteContext
@@ -29,7 +29,7 @@ def config():
 @pytest.fixture(scope="module")
 def ctx(config):
     # Shared lazy corpora: the 512 boolean 3x3 decompositions and the 50
-    # generated blocky-sum instances are computed once, reused by 6, 7 and 11.
+    # generated blocky-sum instances are computed once, reused by 7 and 11.
     return SuiteContext(config)
 
 
@@ -62,8 +62,9 @@ def test_criterion_05_mean_subtraction_identity_and_count(config, ctx, capsys):
 
 
 def test_criterion_06_blocky_sum_level_invariants(config, ctx, capsys):
-    result = _run(6, config, ctx, capsys)
-    # One step per nonzero input: 511 booleans and 49 of the 50 sums.
+    # Criterion 7's step rows: one step per nonzero input, 511 booleans and
+    # 49 of the 50 sums, each with a gamma^2 drop of at least 1/8.
+    result = _run(7, config, ctx, capsys)
     rows = result.data["step_rows"]
     assert len(rows) == 560 and min(row[2] for row in rows) >= 0.125
 
@@ -188,26 +189,35 @@ def test_boolean_classes_match_known_counts():
 
 def test_construction_criteria_fail_when_no_step_was_checked(config):
     # Zero matrices only: decompose succeeds but no construction step runs,
-    # so criteria 6 and 7 have nothing to check and must not pass.
+    # so criterion 7 has nothing to check and must not pass.
     zero = np.zeros((3, 3), dtype=np.int64)
     fac = GammaFactorization(U=np.zeros((3, 1)), V=np.zeros((1, 3)), gamma=0.0, residual=0.0)
     ctx = SuiteContext(config)
-    ctx._boolean3 = [{"code": 0, **suite._construction(zero, fac, config)}]
+    ctx._boolean3 = [{"code": 0, **suite._construction("boolean3x3 code 0", zero, fac, config)}]
     instance = SimpleNamespace(matrix=zero, certificate=fac)
-    ctx._blocky50 = [{"id": 0, "instance": instance, **suite._construction(zero, fac, config)}]
-    for number in (6, 7):
-        result = CRITERIA[number](config, ctx)
-        assert not result.passed, result.line
-        assert "0 construction steps" in result.detail
+    ctx._blocky50 = [{"id": 0, "instance": instance, **suite._construction("blocky-sum id 0", zero, fac, config)}]
+    result = CRITERIA[7](config, ctx)
+    assert not result.passed, result.line
+    assert "; 0 construction steps; 0 failures" in result.detail, result.line
 
 
-def test_a_raising_construction_step_fails_its_criteria(config, monkeypatch):
-    # A step that fails one of its own bound checks on one input is recorded
-    # on that input's item: building the corpora does not raise, and criteria
-    # 6 and 7 fail with a detail naming the input.
-    instances = [
-        generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)
+def _blocky_corpus(config, instances):
+    return [
+        {"id": i, "instance": inst,
+         **suite._construction(f"blocky-sum id {i}", inst.matrix, inst.certificate, config)}
+        for i, inst in enumerate(instances)
     ]
+
+
+def _small_sums():
+    return [generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)]
+
+
+def test_a_raising_construction_step_fails_its_criteria(config, ctx, monkeypatch):
+    # A step that fails one of its own bound checks on one input is recorded
+    # on that input's item: building the corpora does not raise, criterion 7
+    # fails with a detail naming the input, and every other criterion passes.
+    instances = _small_sums()
     real = suite.norm_decrement_step
 
     def step(matrix, fac, eps, cfg):
@@ -215,68 +225,36 @@ def test_a_raising_construction_step_fails_its_criteria(config, monkeypatch):
             raise AssertionError("residual column norm^2 above gamma^2 - 1/8")
         return real(matrix, fac, eps, cfg)
 
+    patched = SuiteContext(config)
+    patched._boolean3 = ctx.boolean3x3()  # built before the step is patched
     monkeypatch.setattr(suite, "norm_decrement_step", step)
-    ctx = SuiteContext(config)
-    ctx._boolean3 = []
-    for code in (7, 11):
-        A = ((code >> np.arange(9)) & 1).reshape(3, 3)
-        ctx._boolean3.append({"code": code, **suite._construction(A, gamma2_upper(A, config), config)})
-    ctx._blocky50 = [
-        {"id": i, "instance": inst, **suite._construction(inst.matrix, inst.certificate, config)}
-        for i, inst in enumerate(instances)
-    ]
-    failed = ctx._blocky50[1]
+    patched._blocky50 = _blocky_corpus(config, instances)
+    failed = patched._blocky50[1]
     assert failed["step"] is None and failed["step_error"].startswith("AssertionError: residual column")
-    assert all(item["step"] is not None for item in ctx._boolean3 + ctx._blocky50[:1])
-    for number in (6, 7):
-        result = CRITERIA[number](config, ctx)
-        assert not result.passed, result.line
-        assert "; 1 raised, first on blocky-sum id 1 (AssertionError" in result.detail, result.line
+    assert patched._blocky50[0]["step"] is not None
+    results = {number: CRITERIA[number](config, patched) for number in CRITERIA}
+    assert [number for number, result in results.items() if not result.passed] == [7]
+    assert results[7].detail.endswith(
+        "; 1 failures (raised, uncertified, a second level or fewer terms than decompose); "
+        "first: blocky-sum id 1 raised AssertionError: residual column norm^2 above gamma^2 - 1/8"
+    ), results[7].line
 
 
-def test_criterion_6_fails_on_an_uncertified_step(config, monkeypatch):
+def test_criterion_7_fails_on_an_uncertified_step(config, monkeypatch):
     # Every stabilization reports a budget fallback: both steps return
-    # uncertified, and criterion 6 alone fails, naming the first.
-    instances = [
-        generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)
-    ]
+    # uncertified, and criterion 7 fails, naming the first.
     real = pipeline.bucket_stabilize
     monkeypatch.setattr(
         pipeline, "bucket_stabilize", lambda *a, **k: dataclasses.replace(real(*a, **k), certified=False)
     )
     ctx = SuiteContext(config)
     ctx._boolean3 = []
-    ctx._blocky50 = [
-        {"id": i, "instance": inst, **suite._construction(inst.matrix, inst.certificate, config)}
-        for i, inst in enumerate(instances)
-    ]
-    result = CRITERIA[6](config, ctx)
+    ctx._blocky50 = _blocky_corpus(config, _small_sums())
+    result = CRITERIA[7](config, ctx)
     assert not result.passed, result.line
-    assert "2 construction steps, 2 uncertified" in result.detail
-    assert "first uncertified step on blocky-sum id 0" in result.detail
-    assert CRITERIA[7](config, ctx).passed
-
-
-def test_criterion_6_fails_on_a_generator_certificate_that_does_not_verify(config):
-    # Both steps return, but instance 1's certificate is paired with its
-    # matrix moved by 1 in one entry: criterion 6 alone fails, naming it.
-    instances = [
-        generate(GeneratorSpec(kind="random-blocky-sum", n=6, m=5, term_count=2), seed=i) for i in range(2)
-    ]
-    ctx = SuiteContext(config)
-    ctx._boolean3 = []
-    ctx._blocky50 = [
-        {"id": i, "instance": inst, **suite._construction(inst.matrix, inst.certificate, config)}
-        for i, inst in enumerate(instances)
-    ]
-    moved = instances[1].matrix.copy()
-    moved[0, 0] += 1
-    ctx._blocky50[1]["instance"] = SimpleNamespace(matrix=moved, certificate=instances[1].certificate)
-    result = CRITERIA[6](config, ctx)
-    assert not result.passed, result.line
-    assert "2 generator certificates, 1 failing verification; 2 construction steps" in result.detail
-    assert "first failing certificate on blocky-sum id 1" in result.detail
-    assert CRITERIA[7](config, ctx).passed
+    assert "; 2 construction steps, least gamma^2 drop" in result.detail, result.line
+    assert result.detail.endswith("; 2 failures (raised, uncertified, a second level or fewer terms than "
+                                  "decompose); first: blocky-sum id 0 uncertified"), result.line
 
 
 @pytest.mark.parametrize(
@@ -341,20 +319,46 @@ def test_criterion_5_fails_on_a_wrong_mean_identity(config, ctx, monkeypatch):
     assert not result.passed and "1000 violations of the mean identity" in result.detail, result.line
 
 
-@pytest.mark.parametrize("wrong", ["second-level", "fewer-terms"])
-def test_criterion_7_fails_on_a_wrong_construction_step(config, ctx, wrong):
+@pytest.mark.parametrize(
+    "wrong, first",
+    [("second-level", "needs a second level"), ("fewer-terms", "has fewer terms than decompose")],
+    ids=["second-level", "fewer-terms"],
+)
+def test_criterion_7_fails_on_a_wrong_construction_step(config, ctx, wrong, first):
     # One step of the shared corpora replaced: its residual still rounds to
     # a nonzero matrix, or its blocky part has fewer terms than decompose's sum.
     patched = SuiteContext(config)
     patched._boolean3 = [dict(item) for item in ctx.boolean3x3()]
     patched._blocky50 = ctx.blocky_instances()
     step = patched._boolean3[11]["step"]
-    residual, blocky_part = step.residual_factorization, step.blocky_part
     if wrong == "second-level":
-        residual = SimpleNamespace(product=lambda: np.ones((3, 3)))
+        ones = GammaFactorization(U=np.ones((3, 1)), V=np.ones((1, 3)), gamma=1.0, residual=0.0)
+        step = dataclasses.replace(step, residual_factorization=ones)
     else:
-        blocky_part = ()
-    patched._boolean3[11]["step"] = SimpleNamespace(residual_factorization=residual, blocky_part=blocky_part)
+        step = dataclasses.replace(step, blocky_part=())
+    patched._boolean3[11]["step"] = step
     result = CRITERIA[7](config, patched)
     assert not result.passed, result.line
-    assert "560 construction steps end in one level with at least decompose's terms: 1 failures" in result.detail
+    assert "; 560 construction steps, least gamma^2 drop" in result.detail, result.line
+    assert result.detail.endswith(f"; 1 failures (raised, uncertified, a second level or fewer terms than "
+                                  f"decompose); first: boolean3x3 code 11 {first}"), result.line
+
+
+def test_criterion_11_fails_on_a_wrong_4x4_oracle_value(config, ctx, monkeypatch):
+    # After the shared 3x3 pass, the oracle puts the 4x4 class of a single 1
+    # (16 matrices, floor = oracle = terms = 1) at 0, below its floor: that
+    # class is one violation and leaves the 4x4 totals.
+    ctx.boolean3x3()
+    real = suite.exact_block_complexity
+    single = np.zeros((4, 4), dtype=np.int64)
+    single[0, 0] = 1
+    monkeypatch.setattr(suite, "exact_block_complexity", lambda A: 0 if np.array_equal(A, single) else real(A))
+    result = CRITERIA[11](config, ctx)
+    assert not result.passed, result.line
+    assert result.detail.endswith("; 1 violations"), result.line
+    totals = {key: row.tolist() for key, row in result.data["floor_oracle_terms"].items()}
+    assert totals == {
+        "3x3": [895, 895, 967],
+        "4x4": [353, 357, 455],
+        "4x4 weighted": [128_955, 131_259, 180_843],
+    }

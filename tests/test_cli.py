@@ -1,5 +1,6 @@
 """Command-line flows, run in-process through main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from blockydecomp import cli, suite
 from blockydecomp.cli import main
+from blockydecomp.factorize import GammaFactorization
 from blockydecomp.formats import dump_matrix, load_decomposition
 from blockydecomp.littlestone import BudgetExceeded
 from blockydecomp.partition import GreedyPartition
@@ -117,8 +119,8 @@ def test_invalid_run_flags_are_clean_errors(corner, tmp_path, capsys, flags):
 def test_suite_rejects_invalid_run_flags(capsys):
     assert main(["suite", "--select", "1", "--tol", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: tol")
-    # The whole selection is checked before criterion 1 runs; 8, 9 and 10 are retired.
-    for retired in (8, 9, 10):
+    # The whole selection is checked before criterion 1 runs; 6, 8, 9 and 10 are retired.
+    for retired in (6, 8, 9, 10):
         assert main(["suite", "--select", f"1,{retired}"]) == 2
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and captured.err.startswith(f"error: unknown criterion {retired}")
@@ -494,6 +496,27 @@ def test_suite_fails_a_criterion_on_a_library_fault(tmp_path, capsys, monkeypatc
     assert "Traceback" not in captured.err
     summary = json.loads((out_dir / "results.json").read_text())
     assert [(r["number"], r["passed"]) for r in summary] == [(number, False), (1, True)]
+
+
+def test_suite_stops_naming_a_certificate_that_decompose_refuses(capsys, monkeypatch):
+    # Generated instance 3 comes with a certificate of its negation: building
+    # criterion 7's corpus stops the battery, exit 2, the error naming the
+    # instance, before any verdict on criterion 7 and without a traceback.
+    real = suite.generate
+
+    def generate(spec, seed):
+        inst = real(spec, seed)
+        if seed != 3:
+            return inst
+        c = inst.certificate
+        negated = GammaFactorization(U=c.U, V=-c.V, gamma=c.gamma, residual=c.residual)
+        return dataclasses.replace(inst, certificate=negated)
+
+    monkeypatch.setattr(suite, "generate", generate)
+    assert main(["suite", "--select", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: blocky-sum id 3: factorization does not certify"), captured.err
+    assert "PASS criterion 7" not in captured.out and "Traceback" not in captured.err
 
 
 def test_partition_exits_1_on_a_density_violation(tmp_path, capsys, monkeypatch):
